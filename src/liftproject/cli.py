@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     close.add_argument("--time-limit", type=float, default=3600.0, help="seconds")
     close.add_argument("--optima", help="reference optima file (name value per line)")
     close.add_argument("--json", dest="json_out", help="write JSON report to this path ('-' for stdout)")
-    close.add_argument("--seed", type=int, default=0, help="accepted for reproducibility bookkeeping")
-    close.add_argument("--threads", type=int, default=1, help="concurrent separations (1 = warm-started sequential)")
     close.add_argument(
         "--omit-times",
         action="store_true",
@@ -131,7 +129,6 @@ def cmd_close(args) -> int:
         eps=args.eps,
         time_limit=args.time_limit,
         rounds=args.rounds,
-        threads=args.threads,
     )
     try:
         if mode == "gmi":
@@ -149,7 +146,6 @@ def cmd_close(args) -> int:
         report.gap_closed = None
 
     payload = {"schema": SCHEMA_VERSION, **report.to_dict()}
-    payload["config"]["seed"] = args.seed
     payload["config"]["marker_default_binary"] = True  # parse convention used
     if args.omit_times:
         payload.pop("time", None)

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import membership, simplex
 from .cuts import (
@@ -33,6 +34,7 @@ from .standard_form import Basis, StandardLp, tableau_row, to_standard
 
 GAP_TOL = 1e-9
 MONOTONE_TOL = 1e-7
+RANK_FILL = 1e-8  # QR weight of a zero-range column, relative to the largest
 
 
 class ClosureError(ValueError):
@@ -51,7 +53,6 @@ class ClosureConfig:
     pool_park_after: int = 30
     pool_slack_scale: float = 1e-7  # threshold = scale * (1 + max|b|)
     max_simplex_iter: int = simplex.DEFAULT_MAX_ITER
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in ("pe", "pestar", "gmi"):
@@ -93,6 +94,7 @@ class ClosureReport:
     cuts_parked: int = 0
     master_pivots: int = 0
     separation_pivots: int = 0
+    separation_phase1_pivots: int = 0
     master_time: float = 0.0
     separation_time: float = 0.0
     total_time: float = 0.0
@@ -120,6 +122,7 @@ class ClosureReport:
             "pivots": {
                 "master": self.master_pivots,
                 "separation": self.separation_pivots,
+                "separation_phase1": self.separation_phase1_pivots,
                 "total": self.master_pivots + self.separation_pivots,
             },
             "time": {
@@ -318,11 +321,13 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
 
     Follows the cutting-plane scheme: keep a working list K of integer
     variables worth separating (all of them after a re-initialization),
-    separate the fractional ones in increasing order of their value with
-    warm-started membership LPs, add every violated cut at the end of the
-    pass, and stop once a full pass produced no cut, which certifies the
-    master optimum up to eps.  Tailing off of the master objective forces
-    a full pass.
+    separate the fractional ones in increasing order of their value, add
+    every violated cut at the end of the pass, and stop once a full pass
+    produced no cut, which certifies the master optimum up to eps.
+    Tailing off of the master objective forces a full pass.  Every
+    membership LP of a pass starts from the master's optimal basis, so
+    the separations of a pass are independent of each other and of
+    their order.
     """
     if cfg.mode == "gmi":
         return gmi_rounds(nm, cfg.rounds, cfg=cfg)
@@ -346,8 +351,6 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
         termination="stalled",
         config=_config_dict(cfg),
     )
-    sep_time = 0.0
-    sep_pivots = 0
 
     def remaining() -> float:
         return cfg.time_limit - (time.perf_counter() - t_start)
@@ -406,16 +409,17 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
         K = set()
 
         assert sep_slp.row_fingerprint() == sep_fingerprint  # rank-1 discipline
-        outcomes, pass_time, pass_pivots, timed_out = _run_separations(
-            nm, pt, order, sep_slp, cfg, t_start
+        outcomes, pass_time, timed_out = _run_separations(
+            nm, pt, order, sep_slp, master, cfg, t_start
         )
-        sep_time += pass_time
-        sep_pivots += pass_pivots
+        report.separation_time += pass_time
 
         n_cut = n_nocut = n_inconcl = 0
         new_rows = 0
         for k, sep in outcomes:
             report.num_separations += 1
+            report.separation_pivots += sep.pivots
+            report.separation_phase1_pivots += sep.phase1_pivots
             if sep.found:
                 n_cut += 1
                 K.add(k)
@@ -482,8 +486,6 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
     report.num_master_solves = master.solves
     report.master_pivots = master.pivots
     report.master_time = master.time
-    report.separation_pivots = sep_pivots
-    report.separation_time = sep_time
     report.cuts_active = len(pool.active)
     report.cuts_parked = len(pool.parked)
     report.cut_rows = pool.active + pool.parked
@@ -491,57 +493,61 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
     return report
 
 
-def _run_separations(nm, pt, order, sep_slp, cfg, t_start):
-    """Separate every k in ``order``; returns outcomes in pass order.
+def _separation_start(
+    sep_slp: StandardLp,
+    master_slp: StandardLp,
+    basis: Basis,
+    pt: membership.FractionalPoint,
+) -> Basis:
+    """The master's optimal basis carried over to the separation system.
 
-    Sequential mode chains the previous terminal basis as a crash start
-    (the constraint system is identical when consecutive points share
-    the same value, and close otherwise).  With threads > 1 separations
-    run independently and are merged by ascending variable index.
+    Basic original slacks and structurals keep their columns; cut slacks
+    have no column there and are dropped.  With every cut slack basic the
+    remaining columns form a basis whose solution, nonbasics at 0, is
+    y = f * xhat: primal feasible for every k, so no phase 1 is needed.
+    A cut whose slack is nonbasic leaves one column too many; the columns
+    kept, one per original row, are picked by pivoted QR on the columns
+    scaled by their membership range (xhat_j, or the row activity for a
+    slack), so the columns pinned to 0 there are dropped first.  Every
+    column starts at lower; a singular start makes the simplex fall back
+    to its crash basis.
+    """
+    m0 = sep_slp.num_rows
+    m = master_slp.num_rows
+    basic = np.sort(basis.basic)
+    keep = (basic < m0) | (basic >= m)
+    cols = np.where(basic < m0, basic, basic - m + m0)[keep]
+    if cols.size > m0:
+        ranges = np.concatenate([pt.activities, pt.x])[cols]
+        # columns with no range only fill out the rank
+        weight = np.maximum(ranges, RANK_FILL * max(float(ranges.max()), 1.0))
+        _, perm = scipy.linalg.qr(
+            sep_slp.a[:, cols] * weight, pivoting=True, mode="r"
+        )
+        cols = np.sort(cols[perm[:m0]])
+    return Basis(cols, np.zeros(sep_slp.num_cols, dtype=bool))
+
+
+def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start):
+    """Separate every k in ``order``, each one started from the master's
+    optimal basis (see ``_separation_start``).
+
+    Returns the outcomes in pass order, the time spent and whether the
+    time limit cut the pass short.
     """
     outcomes: list[tuple[int, membership.Separation]] = []
-    pass_time = 0.0
-    pass_pivots = 0
-    timed_out = False
-    if cfg.threads > 1 and len(order) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool_:
-            results = list(
-                pool_.map(
-                    lambda k: (
-                        k,
-                        membership.separate(
-                            nm, pt, k, slp=sep_slp, eps=cfg.eps,
-                            max_iter=cfg.max_simplex_iter,
-                        ),
-                    ),
-                    order,
-                )
-            )
-        pass_time = time.perf_counter() - t0
-        outcomes = sorted(results, key=lambda kv: kv[0])
-        pass_pivots = sum(s.pivots for _, s in outcomes)
-        return outcomes, pass_time, pass_pivots, timed_out
-
-    warm: Basis | None = None
+    t0 = time.perf_counter()
+    start = _separation_start(sep_slp, master.slp, master.basis, pt)
     for k in order:
         budget = cfg.time_limit - (time.perf_counter() - t_start)
         if budget <= 0:
-            timed_out = True
-            break
-        t0 = time.perf_counter()
+            return outcomes, time.perf_counter() - t0, True
         sep = membership.separate(
-            nm, pt, k, warm=warm, slp=sep_slp, eps=cfg.eps,
+            nm, pt, k, start=start, slp=sep_slp, eps=cfg.eps,
             max_iter=cfg.max_simplex_iter, time_limit=budget,
         )
-        pass_time += time.perf_counter() - t0
-        pass_pivots += sep.pivots
-        if sep.basis is not None:
-            warm = sep.basis
         outcomes.append((k, sep))
-    return outcomes, pass_time, pass_pivots, timed_out
+    return outcomes, time.perf_counter() - t0, False
 
 
 def _tailing_off(history: list[float], cfg: ClosureConfig) -> bool:
@@ -657,5 +663,4 @@ def _config_dict(cfg: ClosureConfig) -> dict:
         "tail_tol": cfg.tail_tol,
         "max_active_cuts": cfg.max_active_cuts,
         "pool_park_after": cfg.pool_park_after,
-        "threads": cfg.threads,
     }

@@ -20,6 +20,7 @@ cross-check oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +38,14 @@ from .cuts import (
 )
 from .instances import NormalizedMilp
 from .simplex import BoundedLp, SimplexResult, Status
-from .standard_form import Basis, StandardLp, TableauRow, tableau_row, to_standard
+from .standard_form import (
+    Basis,
+    SingularBasisError,
+    StandardLp,
+    TableauRow,
+    tableau_row,
+    to_standard,
+)
 
 ACTIVITY_TOL = 1e-7
 DUAL_SIGN_TOL = 1e-6
@@ -120,10 +128,10 @@ class Separation:
     value: float | None
     plain: CutRow | None = None
     strengthened: CutRow | None = None
-    basis: Basis | None = None
     reason: str = ""
     inconclusive: bool = False
     pivots: int = 0
+    phase1_pivots: int = 0
 
 
 def build_membership_lp(
@@ -313,7 +321,7 @@ def separate(
     nm: NormalizedMilp,
     pt: FractionalPoint,
     k: int,
-    warm: Basis | None = None,
+    start: Basis | None = None,
     slp: StandardLp | None = None,
     *,
     eps: float = DEFAULT_EPS,
@@ -326,53 +334,51 @@ def separate(
     structural space, max-norm normalized) when the membership value is
     <= -eps; otherwise a no-cut outcome.  The emitted cuts are read from
     the terminal tableau row of the master system; the certificate path
-    is exercised separately by the verification oracles.
+    is exercised separately by the verification oracles.  A singular
+    terminal basis or a broken dual sign pattern ends as an inconclusive
+    outcome whose reason names the error.
     """
     prob = build_membership_lp(nm, pt, k, slp=slp, eps=eps)
     value, result = membership_value(
-        prob, start=warm, max_iter=max_iter, time_limit=time_limit
+        prob, start=start, max_iter=max_iter, time_limit=time_limit
+    )
+    outcome = functools.partial(
+        Separation, pivots=result.pivots, phase1_pivots=result.phase1_pivots
     )
     if value is None:
-        return Separation(
+        return outcome(
             found=False,
             value=None,
             reason=f"simplex status {result.status.value}",
             inconclusive=True,
-            basis=result.basis,
-            pivots=result.pivots,
         )
     if value > -eps:
-        return Separation(
-            found=False,
-            value=value,
-            reason="membership value above -eps",
-            basis=result.basis,
-            pivots=result.pivots,
-        )
+        return outcome(found=False, value=value, reason="membership value above -eps")
     # below -eps a certificate must exist (nonbasic-at-upper and outside-
     # window bases both imply a non-negative value); extraction can still
     # decline defensively on numerical edge cases
-    outcome = extract_dual_certificate(result, prob)
-    if isinstance(outcome, NoCut):
-        return Separation(
+    try:
+        cert = extract_dual_certificate(result, prob)
+    except (DualContractError, SingularBasisError) as exc:
+        return outcome(
             found=False,
             value=value,
-            reason=outcome.reason,
+            reason=f"{type(exc).__name__}: {exc}",
             inconclusive=True,
-            basis=result.basis,
-            pivots=result.pivots,
+        )
+    if isinstance(cert, NoCut):
+        return outcome(
+            found=False, value=value, reason=cert.reason, inconclusive=True
         )
     slp_ref = prob.slp
-    row = outcome.row
+    row = cert.row
     f0 = row.rhs - math.floor(row.rhs)
     if min(f0, 1.0 - f0) < 1e-12:
-        return Separation(
+        return outcome(
             found=False,
             value=value,
             reason="terminal basic value numerically integral",
             inconclusive=True,
-            basis=result.basis,
-            pivots=result.pivots,
         )
     integer_cols = np.zeros(slp_ref.num_cols, dtype=bool)
     integer_cols[slp_ref.num_rows : slp_ref.num_rows + slp_ref.num_int] = True
@@ -384,27 +390,18 @@ def separate(
     except (EmptyDisjunctionError, DynamismError) as exc:
         # degenerate or numerically hopeless cut; never count this as a
         # membership proof (the value *is* below -eps)
-        return Separation(
+        return outcome(
             found=False,
             value=value,
             reason=f"cut rejected: {exc}",
             inconclusive=True,
-            basis=result.basis,
-            pivots=result.pivots,
         )
     fp = result.basis.fingerprint()
     for cut in (plain, strengthened):
         cut.source_var = k
         cut.basis_fingerprint = fp
         cut.violation = cut.violation_at(pt.x)
-    return Separation(
-        found=True,
-        value=value,
-        plain=plain,
-        strengthened=strengthened,
-        basis=result.basis,
-        pivots=result.pivots,
-    )
+    return outcome(found=True, value=value, plain=plain, strengthened=strengthened)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from liftproject import membership
 from liftproject.closure import (
     ClosureConfig,
     ClosureError,
@@ -10,8 +13,13 @@ from liftproject.closure import (
     optimize_closure,
 )
 from liftproject.cuts import CutRow
-from liftproject.membership import FractionalPoint, build_membership_lp, membership_value
-from liftproject.standard_form import Basis
+from liftproject.membership import (
+    DualContractError,
+    FractionalPoint,
+    build_membership_lp,
+    membership_value,
+)
+from liftproject.standard_form import Basis, SingularBasisError
 from liftproject.verify import random_milp
 
 from test_membership import plain_milp
@@ -208,17 +216,7 @@ def test_covering_structure_closes_no_gap():
 
 def test_knapsack_structure_partial_closure(rng):
     # multi-knapsack over binaries: strengthening closes strictly more
-    nb = 40
-    w = rng.integers(20, 900, size=(4, nb)).astype(float)
-    cap = w.sum(axis=1) * 0.35
-    profit = rng.integers(10, 300, nb).astype(float)
-    nm = plain_milp(
-        np.vstack([-w, -np.eye(nb)]),
-        np.concatenate([-cap, -np.ones(nb)]),
-        profit,
-        p=nb,
-        name="knap",
-    )
+    nm = _knapsack(rng)
     pe = optimize_closure(nm, ClosureConfig(mode="pe", time_limit=60))
     ps = optimize_closure(nm, ClosureConfig(mode="pestar", time_limit=60))
     assert pe.termination == "proved" and ps.termination == "proved"
@@ -250,25 +248,105 @@ def test_closure_runs_are_deterministic(rng):
     ]
 
 
-def test_concurrent_separation_determinism_and_pe_equivalence(rng):
+def _permute_columns(nm, rng):
+    """Same model with the integer and the continuous columns shuffled
+    within their blocks (integers must stay first)."""
+    p, n = nm.num_integer, nm.num_cols
+    perm = np.concatenate([rng.permutation(p), p + rng.permutation(n - p)])
+    return dataclasses.replace(
+        nm,
+        objective=nm.objective[perm],
+        a=nm.a[:, perm],
+        perm=nm.perm[perm],
+        shift=nm.shift[perm],
+        col_names=[nm.col_names[j] for j in perm],
+    )
+
+
+def test_pe_bound_invariant_under_column_permutation(rng):
+    # the elementary closure optimum is path independent: reordering the
+    # columns changes the separation order and the simplex paths, not the
+    # proved bound
     checked = 0
-    while checked < 5:
+    for _ in range(40):
         inst = random_milp(rng, n_range=(4, 7), m_range=(3, 7))
         try:
-            t1 = optimize_closure(inst.nm, ClosureConfig(mode="pestar", threads=3))
-            t2 = optimize_closure(inst.nm, ClosureConfig(mode="pestar", threads=3))
-            pe_seq = optimize_closure(inst.nm, ClosureConfig(mode="pe"))
-            pe_thr = optimize_closure(inst.nm, ClosureConfig(mode="pe", threads=3))
+            pe = optimize_closure(inst.nm, ClosureConfig(mode="pe"))
+            pe_perm = optimize_closure(
+                _permute_columns(inst.nm, rng), ClosureConfig(mode="pe")
+            )
         except ClosureError:
             continue
-        assert t1.z_cut == t2.z_cut  # fixed thread count is deterministic
-        assert t1.num_cuts == t2.num_cuts
-        if pe_seq.termination == "proved" and pe_thr.termination == "proved":
-            # the elementary closure optimum is path independent
-            assert pe_thr.z_cut == pytest.approx(
-                pe_seq.z_cut, abs=1e-5 * (1 + abs(pe_seq.z_cut))
-            )
+        if pe.termination != "proved" or pe_perm.termination != "proved":
+            continue
+        assert pe_perm.z_cut == pytest.approx(
+            pe.z_cut, abs=1e-5 * (1 + abs(pe.z_cut))
+        )
         checked += 1
+        if checked == 5:
+            break
+    assert checked == 5
+
+
+def _knapsack(rng, rows=4, nb=40):
+    w = rng.integers(20, 900, size=(rows, nb)).astype(float)
+    cap = w.sum(axis=1) * 0.35
+    profit = rng.integers(10, 300, nb).astype(float)
+    return plain_milp(
+        np.vstack([-w, -np.eye(nb)]),
+        np.concatenate([-cap, -np.ones(nb)]),
+        profit,
+        p=nb,
+        name="knap",
+    )
+
+
+def test_first_pass_separations_need_no_phase1(rng, monkeypatch):
+    # before any cut the master's optimal basis is a basis of every
+    # membership LP, and y = f * xhat is its basic feasible solution
+    seps = []
+    separate = membership.separate
+
+    def recording(*args, **kwargs):
+        seps.append(separate(*args, **kwargs))
+        return seps[-1]
+
+    monkeypatch.setattr(membership, "separate", recording)
+    models = [_knapsack(rng, rows=8)] + [
+        random_milp(rng, n_range=(5, 9)).nm for _ in range(8)
+    ]
+    first_pass = 0
+    for nm in models:
+        seps.clear()
+        try:
+            rep = optimize_closure(nm, ClosureConfig(mode="pe"))
+        except ClosureError:
+            continue
+        first = seps[: rep.iterations[0].separations]
+        assert all(sep.phase1_pivots == 0 for sep in first)
+        first_pass += len(first)
+        assert rep.separation_phase1_pivots == sum(s.phase1_pivots for s in seps)
+        assert rep.separation_pivots == sum(s.pivots for s in seps)
+        pivots = rep.to_dict()["pivots"]
+        assert pivots["separation_phase1"] == rep.separation_phase1_pivots
+    assert first_pass >= 10
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [("tableau_row", SingularBasisError), ("certificate_from_basis", DualContractError)],
+)
+def test_separation_errors_end_inconclusive(t1, monkeypatch, target, error):
+    def broken(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(membership, target, broken)
+    sep = membership.separate(t1, FractionalPoint.from_point(t1, [0.5, 1.0]), 0)
+    assert sep.inconclusive and not sep.found
+    assert error.__name__ in sep.reason
+    rep = optimize_closure(t1, ClosureConfig(mode="pe"))
+    assert rep.num_inconclusive > 0
+    assert rep.termination == "stalled"
 
 
 def test_no_integer_variables_is_immediately_proved():

@@ -1,0 +1,129 @@
+"""The `pe` bound against an exact, independent elementary-closure bound.
+
+For a binary model max c'x, A'x >= b, x >= 0 (bound rows included in A'),
+the elementary closure is the intersection over the binaries k of
+conv(P ∩ {x_k <= 0} ∪ P ∩ {x_k >= 1}).  Balas, Ceria and Cornuéjols
+(Math. Prog. 58, 1993) write it as one lifted LP: for every k,
+
+    x = y^k + z^k,  A'y^k >= b λ_k,  y^k_k <= 0,
+    A'z^k >= b (1 - λ_k),  z^k_k >= 1 - λ_k,  y^k, z^k >= 0,  0 <= λ_k <= 1.
+
+HiGHS solves it here, so the reference shares no code with the package.
+A proved Kelley run must land between that optimum and eps above it.
+"""
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from liftproject.closure import ClosureConfig, optimize_closure
+
+from test_membership import plain_milp
+
+EPS = ClosureConfig().eps
+LP_TOL = 1e-6  # slack for the reference LP's own feasibility tolerance
+
+
+def lifted_pe_bound(nm) -> float:
+    """Optimum of the lifted LP, in the original objective sense."""
+    a, b = nm.a, nm.b
+    m, n = a.shape
+    p = nm.num_integer
+    # variables: x, then per k the block (y^k, z^k, λ_k)
+    width = 2 * n + 1
+    nvar = n + p * width
+    eq_rows, ub_rows, ub_rhs = [], [], []
+    bounds = [(0, None)] * nvar
+    for k in range(p):
+        y0 = n + k * width
+        z0, lam = y0 + n, y0 + 2 * n
+        eq = np.zeros((n, nvar))
+        eq[:, :n] = np.eye(n)
+        eq[:, y0:z0] = -np.eye(n)
+        eq[:, z0:lam] = -np.eye(n)
+        eq_rows.append(eq)
+        # -A'y + b λ <= 0
+        ub = np.zeros((m, nvar))
+        ub[:, y0:z0] = -a
+        ub[:, lam] = b
+        ub_rows.append(ub)
+        ub_rhs.append(np.zeros(m))
+        # -A'z - b λ <= -b
+        ub = np.zeros((m, nvar))
+        ub[:, z0:lam] = -a
+        ub[:, lam] = -b
+        ub_rows.append(ub)
+        ub_rhs.append(-b)
+        # -z_k - λ <= -1
+        ub = np.zeros((1, nvar))
+        ub[0, z0 + k] = -1.0
+        ub[0, lam] = -1.0
+        ub_rows.append(ub)
+        ub_rhs.append(np.array([-1.0]))
+        bounds[y0 + k] = (0, 0)
+        bounds[lam] = (0, 1)
+    c = np.zeros(nvar)
+    c[:n] = -nm.objective  # linprog minimizes
+    res = linprog(
+        c,
+        A_ub=np.vstack(ub_rows),
+        b_ub=np.concatenate(ub_rhs),
+        A_eq=np.vstack(eq_rows),
+        b_eq=np.zeros(p * n),
+        bounds=bounds,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return nm.original_objective(-res.fun)
+
+
+def binary_knapsack(rng, rows, cols):
+    w = rng.integers(5, 40, size=(rows, cols)).astype(float)
+    cap = np.floor(w.sum(axis=1) / 2)
+    profit = rng.integers(10, 60, cols).astype(float)
+    return plain_milp(
+        np.vstack([-w, -np.eye(cols)]),
+        np.concatenate([-cap, -np.ones(cols)]),
+        profit,
+        p=cols,
+        name=f"knap{rows}x{cols}",
+    )
+
+
+def random_binary_milp(rng, rows, binaries, continuous):
+    """Random 0-1 MILP around a fractional interior point; continuous
+    columns get a box of 2 so the relaxation stays bounded."""
+    n = binaries + continuous
+    a = rng.integers(-5, 6, size=(rows, n)).astype(float)
+    box = np.concatenate([np.ones(binaries), np.full(continuous, 2.0)])
+    x0 = rng.uniform(0.0, box)
+    b = np.floor(a @ x0 - rng.uniform(0.0, 2.0, size=rows))
+    c = rng.integers(-5, 6, size=n).astype(float)
+    return plain_milp(
+        np.vstack([a, -np.eye(n)]),
+        np.concatenate([b, -box]),
+        c,
+        p=binaries,
+        name=f"bin{rows}x{n}",
+    )
+
+
+def _models():
+    rng = np.random.default_rng(2024)
+    return [
+        binary_knapsack(rng, 5, 20),
+        binary_knapsack(rng, 3, 15),
+        random_binary_milp(rng, 6, 10, 0),
+        random_binary_milp(np.random.default_rng(5), 6, 8, 3),
+    ]
+
+
+@pytest.mark.parametrize("nm", _models(), ids=lambda nm: nm.name)
+def test_pe_bound_matches_lifted_lp(nm):
+    rep = optimize_closure(nm, ClosureConfig(mode="pe"))
+    assert rep.termination == "proved"
+    assert rep.num_cuts > 0  # the closure is tighter than the relaxation
+    z_pe = lifted_pe_bound(nm)
+    scale = 1.0 + abs(z_pe)
+    # max sense: the Kelley bound approaches the closure optimum from above
+    assert z_pe - LP_TOL * scale <= rep.z_cut <= z_pe + EPS * scale
