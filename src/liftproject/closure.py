@@ -20,6 +20,7 @@ import scipy.linalg
 
 from . import membership, simplex
 from .cuts import (
+    DUPLICATE_TOL,
     CutRow,
     DynamismError,
     EmptyDisjunctionError,
@@ -30,7 +31,13 @@ from .cuts import (
 )
 from .instances import NormalizedMilp
 from .simplex import BoundedLp, Status
-from .standard_form import Basis, StandardLp, tableau_row, to_standard
+from .standard_form import (
+    Basis,
+    BasisFactors,
+    StandardLp,
+    tableau_row,
+    to_standard,
+)
 
 GAP_TOL = 1e-9
 MONOTONE_TOL = 1e-7
@@ -83,7 +90,8 @@ class ClosureReport:
     z_cut: float | None
     z_opt: float | None
     gap_closed: float | None
-    termination: str  # 'proved' | 'time_limit' | 'stalled' | 'rounds_done'
+    # 'proved' | 'time_limit' | 'stalled' | 'numerical' | 'rounds_done'
+    termination: str
     iterations: list[IterationLog] = field(default_factory=list)
     num_master_solves: int = 0
     num_separations: int = 0
@@ -154,6 +162,7 @@ def gap_closed(z_lp: float, z_cut: float, z_opt: float | None) -> float | None:
 class CutPool:
     """Active and parked cuts with scale-free duplicate detection.
 
+    All cuts of one pool live over the same structural columns.
     A cut whose master slack stays above the threshold for
     ``park_after`` consecutive solves is parked (dropped from the
     master but retained); parked cuts violated by a later master optimum
@@ -166,23 +175,29 @@ class CutPool:
         self.active: list[CutRow] = []
         self.parked: list[CutRow] = []
         self.inactivity: list[int] = []
-        self._buckets: dict[bytes, list[CutRow]] = {}
+        # every cut ever added, and row by row its normalized coefficients
+        # and rhs
+        self._cuts: list[CutRow] = []
+        self._coeffs = np.empty((0, 0))
+        self._rhs = np.empty(0)
 
-    def _key(self, cut: CutRow) -> bytes:
-        norm = cut.normalized()
-        return np.round(norm.coeffs, 5).tobytes() + np.float64(
-            round(norm.rhs, 5)
-        ).tobytes()
-
-    def _find(self, cut: CutRow) -> CutRow | None:
-        for other in self._buckets.get(self._key(cut), []):
-            if same_cut(cut, other):
-                return other
+    def _find(self, cut: CutRow, norm: CutRow) -> CutRow | None:
+        """First stored cut that ``same_cut`` matches.  The prefilter is
+        the comparison ``same_cut`` makes, over every stored cut at once."""
+        if not self._cuts:
+            return None
+        near = (np.abs(self._rhs - norm.rhs) < DUPLICATE_TOL) & (
+            np.abs(self._coeffs - norm.coeffs).max(axis=1) < DUPLICATE_TOL
+        )
+        for i in np.flatnonzero(near):
+            if same_cut(cut, self._cuts[i]):
+                return self._cuts[i]
         return None
 
     def add(self, cut: CutRow) -> str:
         """'added', 'duplicate_active' or 'reactivated' (was parked)."""
-        existing = self._find(cut)
+        norm = cut.normalized()
+        existing = self._find(cut, norm)
         if existing is not None:
             if existing in self.parked:
                 self.parked.remove(existing)
@@ -190,7 +205,10 @@ class CutPool:
                 self.inactivity.append(0)
                 return "reactivated"
             return "duplicate_active"
-        self._buckets.setdefault(self._key(cut), []).append(cut)
+        row = norm.coeffs[None, :]
+        self._coeffs = np.vstack([self._coeffs, row]) if self._cuts else row
+        self._rhs = np.append(self._rhs, norm.rhs)
+        self._cuts.append(cut)
         self.active.append(cut)
         self.inactivity.append(0)
         return "added"
@@ -400,7 +418,13 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
             history.append(res.value)
             continue
 
-        pt = membership.FractionalPoint.from_point(nm, xhat, tol=1e-6)
+        try:
+            pt = membership.FractionalPoint.from_point(nm, xhat, tol=1e-6)
+        except ValueError:
+            # the master optimum violates the original rows beyond the
+            # check's absolute tolerance (badly scaled rows)
+            termination = "numerical"
+            break
         fr = pt.fracs
         candidates = [
             k for k in sorted(K) if min(fr[k], 1.0 - fr[k]) >= cfg.eps
@@ -530,14 +554,19 @@ def _separation_start(
 
 def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start):
     """Separate every k in ``order``, each one started from the master's
-    optimal basis (see ``_separation_start``).
+    optimal basis (see ``_separation_start``).  Every membership LP of the
+    pass shares the separation matrix, so that start is factored once.
 
     Returns the outcomes in pass order, the time spent and whether the
     time limit cut the pass short.
     """
     outcomes: list[tuple[int, membership.Separation]] = []
     t0 = time.perf_counter()
-    start = _separation_start(sep_slp, master.slp, master.basis, pt)
+    if not order:
+        return outcomes, 0.0, False
+    start = simplex.factor(
+        sep_slp.a, _separation_start(sep_slp, master.slp, master.basis, pt)
+    )
     for k in order:
         budget = cfg.time_limit - (time.perf_counter() - t_start)
         if budget <= 0:
@@ -608,8 +637,9 @@ def gmi_rounds(
         integer_cols = np.zeros(slp.num_cols, dtype=bool)
         integer_cols[m : m + nm.num_integer] = True
         added = 0
+        factors = BasisFactors(slp.a, res.basis) if targets else None
         for k in targets:
-            row = tableau_row(slp, res.basis, m + k)
+            row = tableau_row(slp, res.basis, m + k, factors)
             try:
                 full = gmi_cut(row, integer_cols, slp, eps=cfg.eps)
                 cut = eliminate_slacks(full, slp)

@@ -183,7 +183,7 @@ def build_membership_lp(
 
 def membership_value(
     prob: MembershipProblem,
-    start: Basis | None = None,
+    start: Basis | simplex.FactoredStart | None = None,
     *,
     max_iter: int = simplex.DEFAULT_MAX_ITER,
     time_limit: float | None = None,
@@ -321,7 +321,7 @@ def separate(
     nm: NormalizedMilp,
     pt: FractionalPoint,
     k: int,
-    start: Basis | None = None,
+    start: Basis | simplex.FactoredStart | None = None,
     slp: StandardLp | None = None,
     *,
     eps: float = DEFAULT_EPS,

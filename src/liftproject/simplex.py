@@ -8,7 +8,8 @@ restored from any starting basis by a composite phase 1 (maximize the
 negated total bound violation of the basic variables), so a stale basis is
 usable as a crash start.  Pricing is Dantzig with a switch to Bland's rule
 when the objective stalls.  The basis inverse is kept explicitly and
-updated in product form, with periodic refactorization.
+updated in product form, with periodic refactorization.  A start shared
+by many LPs over one matrix can be factored once with ``factor``.
 """
 
 from __future__ import annotations
@@ -100,9 +101,58 @@ class SimplexResult:
         return self.status is Status.OPTIMAL
 
 
+@dataclass(frozen=True)
+class FactoredStart:
+    """A start basis with its explicit inverse against one matrix.
+
+    ``binv`` is None when the basis is ill-sized or singular there; the
+    simplex then starts from its crash basis without trying again.
+    """
+
+    basis: Basis
+    a_eq: np.ndarray
+    binv: np.ndarray | None
+
+
+def factor(a_eq: np.ndarray, basis: Basis) -> FactoredStart:
+    """Factor ``basis`` once for every LP whose ``a_eq`` is this very
+    array object (identity, not equality, is what ``solve`` checks)."""
+    binv = None
+    if _valid_basic(basis.basic, *a_eq.shape):
+        try:
+            binv = _invert(a_eq, basis.basic)
+        except SingularBasisError:
+            pass
+    return FactoredStart(basis, a_eq, binv)
+
+
+def _valid_basic(basic: np.ndarray, rows: int, cols: int) -> bool:
+    return (
+        basic.shape[0] == rows
+        and basic.min(initial=0) >= 0
+        and basic.max(initial=-1) < cols
+        and np.unique(basic).size == rows
+    )
+
+
+def _invert(a: np.ndarray, basic: np.ndarray) -> np.ndarray:
+    """Explicit inverse of ``a[:, basic]`` (Fortran order, from LAPACK)."""
+    bmat = a[:, basic]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(bmat, check_finite=False)
+    diag = np.abs(np.diag(lu))
+    scale = max(1.0, float(np.abs(bmat).max(initial=0.0)))
+    if diag.size and diag.min() < 1e-10 * scale:
+        raise SingularBasisError("singular basis")
+    return scipy.linalg.lu_solve(
+        (lu, piv), np.eye(a.shape[0]), check_finite=False
+    )
+
+
 def solve(
     lp: BoundedLp,
-    start: Basis | None = None,
+    start: Basis | FactoredStart | None = None,
     *,
     max_iter: int = DEFAULT_MAX_ITER,
     time_limit: float | None = None,
@@ -111,9 +161,10 @@ def solve(
     """Solve ``lp``, optionally warm-starting from ``start``.
 
     A singular or ill-sized starting basis silently falls back to a crash
-    basis.  Hitting ``max_iter`` or ``time_limit`` yields the
-    iteration-limit status.  The result is deterministic for identical
-    inputs and limits.
+    basis.  A ``FactoredStart`` made against ``lp.a_eq`` itself skips the
+    factorization; against any other matrix it counts as its plain basis.
+    Hitting ``max_iter`` or ``time_limit`` yields the iteration-limit
+    status.  The result is deterministic for identical inputs and limits.
     """
     if lp.num_rows == 0:
         return _solve_unconstrained(lp)
@@ -174,29 +225,16 @@ class _Worker:
 
     # -- basis handling ----------------------------------------------------
 
-    def _init_basis(self, start: Basis | None) -> None:
+    def _init_basis(self, start: Basis | FactoredStart | None) -> None:
+        basic, self.binv = self._start_factors(start)
+        if isinstance(start, FactoredStart):
+            start = start.basis
         self.atup = np.zeros(self.ncols, dtype=bool)
-        basic = None
-        if start is not None and start.basic.shape[0] == self.r:
-            cand = np.asarray(start.basic, dtype=int)
-            ok = (
-                cand.min(initial=0) >= 0
-                and cand.max(initial=-1) < self.ncols
-                and np.unique(cand).size == self.r
-            )
-            if ok:
-                try:
-                    binv = self._invert(cand)
-                    basic = cand.copy()
-                    self.binv = binv
-                    if start.at_upper.shape[0] == self.ncols:
-                        self.atup = start.at_upper.copy()
-                except SingularBasisError:
-                    basic = None
         if basic is None:
             basic = self._crash_basis()
-            self.binv = self._invert(basic)
-            self.atup = np.zeros(self.ncols, dtype=bool)
+            self.binv = _invert(self.a, basic)
+        elif start.at_upper.shape[0] == self.ncols:
+            self.atup = start.at_upper.copy()
         self.basic = basic
         self.inb = np.zeros(self.ncols, dtype=bool)
         self.inb[self.basic] = True
@@ -206,16 +244,22 @@ class _Worker:
         self.x = np.where(self.atup, self.u, self.l).astype(float)
         self._recompute_basics()
 
-    def _invert(self, basic: np.ndarray) -> np.ndarray:
-        bmat = self.a[:, basic]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(bmat, check_finite=False)
-        diag = np.abs(np.diag(lu))
-        scale = max(1.0, float(np.abs(bmat).max(initial=0.0)))
-        if diag.size and diag.min() < 1e-10 * scale:
-            raise SingularBasisError("singular basis")
-        return scipy.linalg.lu_solve((lu, piv), np.eye(self.r), check_finite=False)
+    def _start_factors(self, start):
+        """Basic columns and inverse of a usable start, else (None, None)."""
+        if isinstance(start, FactoredStart):
+            if start.a_eq is self.a:
+                if start.binv is None:
+                    return None, None
+                # order="K" keeps the Fortran layout, and with it the BLAS
+                # paths and the bits of every product with the inverse
+                return start.basis.basic.copy(), start.binv.copy(order="K")
+            start = start.basis
+        if start is None or not _valid_basic(start.basic, self.r, self.ncols):
+            return None, None
+        try:
+            return start.basic.copy(), _invert(self.a, start.basic)
+        except SingularBasisError:
+            return None, None
 
     def _crash_basis(self) -> np.ndarray:
         # QR with column pivoting yields a deterministic independent set.
@@ -378,18 +422,19 @@ class _Worker:
         self.inb[lv] = False
         wr = w[leave_pos]
         if abs(wr) < ETA_TOL:
-            self.binv = self._invert(self.basic)
+            self.binv = _invert(self.a, self.basic)
             self._recompute_basics()
         else:
             br = self.binv[leave_pos] / wr
-            if self._ger is None or self._ger.shape[0] != self.r:
-                self._ger = np.empty((self.r, self.r))
+            if self._ger is None:
+                # same layout as binv, so the subtraction walks one order
+                self._ger = np.empty_like(self.binv)
             np.multiply(w[:, None], br[None, :], out=self._ger)
             self.binv -= self._ger
             self.binv[leave_pos] = br
         self.pivots += 1
         if self.pivots % REFRESH_EVERY == 0:
-            self.binv = self._invert(self.basic)
+            self.binv = _invert(self.a, self.basic)
             self._recompute_basics()
 
     def _track_progress(self, obj: float) -> None:

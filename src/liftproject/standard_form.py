@@ -161,10 +161,20 @@ class BasisFactors:
         return scipy.linalg.lu_solve(self._lu, rhs, trans=1, check_finite=False)
 
 
-def tableau_row(lp: StandardLp, basis: Basis, basic_col: int) -> TableauRow:
-    """Row of (A^B)^-1 A for ``basic_col``, with rhs from (A^B)^-1 b."""
+def tableau_row(
+    lp: StandardLp,
+    basis: Basis,
+    basic_col: int,
+    factors: BasisFactors | None = None,
+) -> TableauRow:
+    """Row of (A^B)^-1 A for ``basic_col``, with rhs from (A^B)^-1 b.
+
+    ``factors`` of the same ``lp.a`` and ``basis`` let several rows share
+    one factorization.
+    """
     pos = basis.position_of(basic_col)
-    factors = BasisFactors(lp.a, basis)
+    if factors is None:
+        factors = BasisFactors(lp.a, basis)
     e = np.zeros(lp.num_rows)
     e[pos] = 1.0
     w = factors.solve_transpose(e)

@@ -255,7 +255,12 @@ def check_validity(
     Enumerates all integer assignments inside the domain; for mixed
     instances each assignment's continuous completion polytope is probed
     per cut by minimizing the cut activity exactly (same simplex, phase-1
-    feasibility included).
+    feasibility included).  Every fiber LP shares the slack start, which
+    is factored once.  The row duals of the fiber LPs already solved for
+    a cut prove it at later points by weak duality: any pi >= 0 with
+    pi A'_C <= alpha_C gives alpha x >= alpha_I xi + pi (b - A'_I xi) on
+    the fiber of xi, empty or not, so the LP there is skipped once that
+    bound reaches the cut's rhs.
     """
     if not cuts:
         return CheckRecord("validity", True, detail="no cuts to check")
@@ -267,6 +272,10 @@ def check_validity(
         )
     slp = to_standard(nm)
     m = slp.num_rows
+    start = simplex.factor(slp.a, slp.slack_basis())
+    a_int, a_cont = nm.a[:, :p], nm.a[:, p:]
+    # per cut: the proving duals found so far, as rows keyed by their bytes
+    proofs: list[dict[bytes, np.ndarray]] = [{} for _ in cuts]
     witnesses = []
     for assignment in product(*(range(c + 1) for c in dom.caps)):
         xi = np.array(assignment, dtype=float)
@@ -280,8 +289,13 @@ def check_validity(
         upper = np.full(m + n, np.inf)
         lower[m : m + p] = xi
         upper[m : m + p] = xi
-        feasible = True
+        residual = nm.b - a_int @ xi
         for idx, cut in enumerate(cuts):
+            fixed_part = float(cut.coeffs[:p] @ xi)
+            if proofs[idx]:
+                bound = max(float(pi @ residual) for pi in proofs[idx].values())
+                if fixed_part + bound >= cut.rhs - tol:
+                    continue
             obj = np.concatenate([np.zeros(m), cut.coeffs])
             lp = BoundedLp(
                 sense="min",
@@ -291,14 +305,15 @@ def check_validity(
                 lower=lower,
                 upper=upper,
             )
-            res = simplex.solve(lp, start=slp.slack_basis())
+            res = simplex.solve(lp, start=start)
+            if res.duals is not None:  # None: unbounded with no rows
+                pi = np.maximum(res.duals, 0.0)
+                if np.all(pi @ a_cont <= cut.coeffs[p:]):
+                    proofs[idx].setdefault(pi.tobytes(), pi)
             if res.status is Status.INFEASIBLE:
-                feasible = False
                 break
             if res.status is Status.OPTIMAL and res.value < cut.rhs - tol:
                 witnesses.append((assignment, idx))
-        if not feasible:
-            continue
     if witnesses:
         a0, i0 = witnesses[0]
         return CheckRecord(

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from liftproject import membership
+from liftproject import membership, simplex
+from liftproject.cli import main
 from liftproject.closure import (
     ClosureConfig,
     ClosureError,
@@ -22,6 +23,7 @@ from liftproject.membership import (
 from liftproject.standard_form import Basis, SingularBasisError
 from liftproject.verify import random_milp
 
+from conftest import T1_MPS
 from test_membership import plain_milp
 
 
@@ -172,6 +174,12 @@ def test_cut_pool_parking_and_reactivation():
     pool.maintain(x_tight, basis1, 0, eps=1e-4)
     pool.maintain(x_tight, basis1, 0, eps=1e-4)
     assert len(pool.active) == 1  # never parked while tight
+
+    # a pair on either side of a 5-decimal rounding boundary is one cut
+    pool = CutPool(slack_threshold=1e-6, park_after=2)
+    assert pool.add(CutRow(coeffs=np.array([1.0, 0.1234549999]), rhs=0.0)) == "added"
+    twin = CutRow(coeffs=np.array([1.0, 0.1234550001]), rhs=0.0)
+    assert pool.add(twin) == "duplicate_active"
 
 
 def test_cut_pool_duplicate_of_parked_cut_reactivates():
@@ -355,3 +363,86 @@ def test_no_integer_variables_is_immediately_proved():
     assert rep.termination == "proved"
     assert rep.num_separations == 0
     assert rep.z_cut == pytest.approx(rep.z_lp)
+
+
+def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
+    # every separation of a pass starts from one factored basis, and that
+    # start behaves bit for bit like the plain basis it was factored from
+    starts, marks, inverts, calls = [], [], [], []
+    factor, invert, separate = simplex.factor, simplex._invert, membership.separate
+
+    def recording_factor(a_eq, basis):
+        marks.append(len(inverts))
+        starts.append(factor(a_eq, basis))
+        return starts[-1]
+
+    def recording_invert(a, basic):
+        inverts.append((a, basic.copy()))
+        return invert(a, basic)
+
+    def recording_separate(*args, **kwargs):
+        calls.append((args, kwargs))
+        return separate(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "factor", recording_factor)
+    monkeypatch.setattr(simplex, "_invert", recording_invert)
+    monkeypatch.setattr(membership, "separate", recording_separate)
+    rep = optimize_closure(_knapsack(rng, rows=3, nb=15), ClosureConfig(mode="pe"))
+    monkeypatch.undo()
+
+    passes = [it for it in rep.iterations if it.separations]
+    assert len(starts) == len(passes) >= 2
+    assert rep.num_separations > len(passes)
+    for fs, lo, hi in zip(starts, marks, marks[1:] + [len(inverts)]):
+        assert fs.binv is not None
+        assert sum(
+            a is fs.a_eq and np.array_equal(basic, fs.basis.basic)
+            for a, basic in inverts[lo:hi]
+        ) == 1
+    moved = 0
+    for args, kwargs in calls:
+        fs = kwargs["start"]
+        plain = membership.separate(*args, **{**kwargs, "start": fs.basis})
+        again = membership.separate(*args, **kwargs)
+        assert (again.value, again.pivots, again.phase1_pivots, again.found) == (
+            plain.value, plain.pivots, plain.phase1_pivots, plain.found
+        )
+        if plain.found:
+            for x, y in (
+                (again.plain, plain.plain),
+                (again.strengthened, plain.strengthened),
+            ):
+                assert x.coeffs.tobytes() == y.coeffs.tobytes() and x.rhs == y.rhs
+        moved += plain.pivots > 0
+    assert moved > 0
+
+
+def test_relaxation_violation_ends_numerical(t1, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("point violates the relaxation by 1.0e+04 (> 1e-06)")
+
+    monkeypatch.setattr(membership.FractionalPoint, "from_point", broken)
+    rep = optimize_closure(t1, ClosureConfig(mode="pe"))
+    assert rep.termination == "numerical"
+    assert rep.z_cut == rep.z_lp  # the last master value
+    path = tmp_path / "t1.mps"
+    path.write_text(T1_MPS)
+    assert main(["close", str(path), "--mode", "pe"]) == 2
+
+
+def test_row_scaled_knapsack_raises_nothing():
+    # one row scaled by 1e5 made the relaxation check raise out of the
+    # loop; how the run ends depends on the BLAS build, so only that
+    # nothing escapes is asserted
+    rng = np.random.default_rng(1001)
+    w = rng.integers(5, 40, (8, 25)).astype(float)
+    cap = np.floor(w.sum(1) * rng.uniform(0.3, 0.6, 8))
+    profit = rng.integers(10, 100, 25).astype(float)
+    a = np.vstack([-w, -np.eye(25)])
+    b = np.concatenate([-cap, -np.ones(25)])
+    a[1] *= 1e5
+    b[1] *= 1e5
+    nm = plain_milp(a, b, profit, p=25, name="scaled")
+    for mode in ("pe", "pestar"):
+        rep = optimize_closure(nm, ClosureConfig(mode=mode))
+        assert rep.termination in ("proved", "stalled", "numerical", "time_limit")

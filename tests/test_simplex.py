@@ -158,6 +158,7 @@ def test_determinism_bit_for_bit(t1):
 
 
 def test_warm_start_from_arbitrary_basis(rng):
+    singular = 0
     for _ in range(25):
         c = int(rng.integers(2, 6))
         r = int(rng.integers(1, c))
@@ -175,6 +176,19 @@ def test_warm_start_from_arbitrary_basis(rng):
         assert warm.status is cold.status
         if cold.status is Status.OPTIMAL:
             assert warm.value == pytest.approx(cold.value, abs=1e-7)
+        # a factored start acts bit for bit like its basis, leaves its
+        # inverse untouched, and counts as the plain basis for another
+        # matrix object; a singular one is factored as None
+        factored = simplex.factor(lp.a_eq, start)
+        kept = None if factored.binv is None else factored.binv.copy()
+        singular += kept is None
+        for fs in (factored, simplex.factor(lp.a_eq.copy(), start)):
+            res = solve(lp, start=fs)
+            assert (res.status, res.pivots) == (warm.status, warm.pivots)
+            assert res.x.tobytes() == warm.x.tobytes()
+        if kept is not None:
+            assert factored.binv.tobytes() == kept.tobytes()
+    assert singular > 0
 
 
 def test_optimality_certificates(rng):

@@ -98,3 +98,76 @@ def test_lemma3_regime_is_skipped():
     _, res = membership_value(prob)
     rec = check_theorem3(nm, res.basis, 0, pt)
     assert rec.skipped is not None
+
+
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _brute_force_minima(nm, caps, cuts):
+    """min alpha x over the fiber of every lattice point, by HiGHS; None
+    for an empty fiber."""
+    from itertools import product
+
+    from scipy.optimize import linprog
+
+    p = nm.num_integer
+    a_int, a_cont = nm.a[:, :p], nm.a[:, p:]
+    minima = []
+    for assignment in product(*(range(c + 1) for c in caps)):
+        xi = np.array(assignment, dtype=float)
+        residual = nm.b - a_int @ xi
+        row = []
+        for cut in cuts:
+            res = linprog(
+                cut.coeffs[p:], A_ub=-a_cont, b_ub=-residual, bounds=(0, None),
+                method="highs", options=HIGHS_TIGHT,
+            )
+            if res.status == 2:  # empty fiber
+                row = None
+                break
+            assert res.status == 0, res.message
+            row.append(float(cut.coeffs[:p] @ xi) + res.fun)
+        minima.append(row)
+    return minima
+
+
+def test_validity_agrees_with_highs_brute_force():
+    # weak-duality pruning may skip fiber LPs but must never change the
+    # verdict or the number of (lattice point, cut) violations
+    from liftproject.closure import ClosureConfig, optimize_closure
+    from liftproject.verify import VALIDITY_TOL
+
+    rng = np.random.default_rng(2024)
+    draws = violated = 0
+    while draws < 10:
+        inst = random_milp(rng, n_range=(3, 5), m_range=(2, 4), box_range=(1, 3))
+        nm = inst.nm
+        if nm.num_integer == nm.num_cols:
+            continue  # no continuous fiber: nothing for the duals to prove
+        caps = [int(b) for b in inst.box[: nm.num_integer]]
+        cuts = []
+        try:
+            for mode in ("pe", "pestar"):
+                cuts += optimize_closure(nm, ClosureConfig(mode=mode)).cut_rows
+        except ValueError:
+            continue  # infeasible or unbounded relaxation
+        dom = EnumerationDomain(caps=caps)
+        if not cuts or dom.num_points * len(cuts) > 120:
+            continue
+        draws += 1
+        minima = _brute_force_minima(nm, caps, cuts)
+        for shift in (0.0, 1e-5, 0.5):
+            shifted = [
+                CutRow(coeffs=c.coeffs.copy(), rhs=c.rhs + shift) for c in cuts
+            ]
+            expected = sum(
+                value < cut.rhs - VALIDITY_TOL
+                for row in minima if row is not None
+                for value, cut in zip(row, shifted)
+            )
+            rec = check_validity(nm, shifted, dom)
+            count = 0 if rec.passed else int(rec.detail.split()[0])
+            assert rec.passed == (expected == 0), (shift, rec.detail)
+            assert count == expected, (shift, rec.detail)
+            violated += expected > 0
+    assert violated >= 10
