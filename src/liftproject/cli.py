@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .closure import ClosureConfig, ClosureError, gap_closed, gmi_rounds, optimize_closure
+from .closure import ClosureConfig, ClosureError, gap_closed, optimize_closure
 from .instances import MpsParseError, NormalizeError, load_optima, normalize, read_mps
 from .verify import run_suite
 
@@ -131,10 +131,7 @@ def cmd_close(args) -> int:
         rounds=args.rounds,
     )
     try:
-        if mode == "gmi":
-            report = gmi_rounds(nm, args.rounds, cfg=cfg)
-        else:
-            report = optimize_closure(nm, cfg)
+        report = optimize_closure(nm, cfg)
     except ClosureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -176,6 +173,7 @@ def _print_human(report, nm) -> None:
         ("z_opt", _fmt(report.z_opt)),
         ("gap closed", "n/a" if report.gap_closed is None else f"{report.gap_closed:.2f} %"),
         ("termination", report.termination),
+        ("reason", report.termination_reason),
         ("master solves", str(report.num_master_solves)),
         ("cuts", f"{report.cuts_active} active, {report.cuts_parked} parked"),
         (

@@ -30,10 +30,11 @@ from .cuts import (
     same_cut,
 )
 from .instances import NormalizedMilp
-from .simplex import BoundedLp, Status
+from .simplex import BoundedLp, SimplexResult, Status
 from .standard_form import (
     Basis,
     BasisFactors,
+    SingularBasisError,
     StandardLp,
     tableau_row,
     to_standard,
@@ -42,6 +43,11 @@ from .standard_form import (
 GAP_TOL = 1e-9
 MONOTONE_TOL = 1e-7
 RANK_FILL = 1e-8  # QR weight of a zero-range column, relative to the largest
+TAIL_WINDOW = 10  # master solves over which tailing off is measured
+TAIL_TOL = 1e-4  # relative objective move below which the master tails off
+MAX_ACTIVE_CUTS = 5000  # the loop stalls beyond this many active cuts
+POOL_PARK_AFTER = 30  # consecutive slack solves before a cut is parked
+POOL_SLACK_SCALE = 1e-7  # slack threshold = scale * (1 + max|b|)
 
 
 class ClosureError(ValueError):
@@ -53,21 +59,13 @@ class ClosureConfig:
     mode: str = "pestar"  # 'pe', 'pestar' or 'gmi'
     eps: float = 1e-4
     time_limit: float = 3600.0
-    tail_window: int = 10
-    tail_tol: float = 1e-4
     rounds: int = 1  # gmi mode only
-    max_active_cuts: int = 5000
-    pool_park_after: int = 30
-    pool_slack_scale: float = 1e-7  # threshold = scale * (1 + max|b|)
-    max_simplex_iter: int = simplex.DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if self.mode not in ("pe", "pestar", "gmi"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.tail_window < 2:
-            raise ValueError("tail window must be at least 2")
 
 
 @dataclass
@@ -92,6 +90,7 @@ class ClosureReport:
     gap_closed: float | None
     # 'proved' | 'time_limit' | 'stalled' | 'numerical' | 'rounds_done'
     termination: str
+    termination_reason: str = ""  # why the loop stopped, in words
     iterations: list[IterationLog] = field(default_factory=list)
     num_master_solves: int = 0
     num_separations: int = 0
@@ -119,6 +118,7 @@ class ClosureReport:
             "z_opt": self.z_opt,
             "gap_closed": self.gap_closed,
             "termination": self.termination,
+            "termination_reason": self.termination_reason,
             "iterations": len(self.iterations),
             "separations": {
                 "total": self.num_separations,
@@ -258,9 +258,8 @@ class CutPool:
 class _Master:
     """Master LP over the canonical rows plus the active cuts."""
 
-    def __init__(self, nm: NormalizedMilp, max_iter: int):
+    def __init__(self, nm: NormalizedMilp):
         self.nm = nm
-        self.max_iter = max_iter
         self.slp: StandardLp | None = None
         self.basis: Basis | None = None
         self.result = None
@@ -287,9 +286,7 @@ class _Master:
             lower=np.zeros(self.slp.num_cols),
             upper=np.full(self.slp.num_cols, np.inf),
         )
-        self.result = simplex.solve(
-            lp, start=start, max_iter=self.max_iter, time_limit=time_limit
-        )
+        self.result = simplex.solve(lp, start=start, time_limit=time_limit)
         self.basis = self.result.basis
         self.pivots += self.result.pivots
         self.solves += 1
@@ -353,11 +350,11 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
     p = nm.num_integer
     sep_slp = to_standard(nm)  # separation system: original rows, always
     sep_fingerprint = sep_slp.row_fingerprint()
-    master = _Master(nm, cfg.max_simplex_iter)
+    master = _Master(nm)
     pool = CutPool(
-        slack_threshold=cfg.pool_slack_scale
+        slack_threshold=POOL_SLACK_SCALE
         * (1.0 + float(np.abs(nm.b).max(initial=0.0))),
-        park_after=cfg.pool_park_after,
+        park_after=POOL_PARK_AFTER,
     )
     report = ClosureReport(
         instance=nm.name,
@@ -373,22 +370,16 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
     def remaining() -> float:
         return cfg.time_limit - (time.perf_counter() - t_start)
 
-    res = master.solve(pool.active, time_limit=max(remaining(), 1.0))
-    if res.status is Status.UNBOUNDED:
-        raise ClosureError("LP relaxation is unbounded")
-    if res.status is not Status.OPTIMAL:
-        raise ClosureError(f"LP relaxation not solved: {res.status.value}")
-    z_lp_norm = res.value
-    report.z_lp = nm.original_objective(z_lp_norm)
+    res = _solve_relaxation(master, remaining())
+    report.z_lp = nm.original_objective(res.value)
     history = [res.value]
 
     K = set(range(p))
     reinit = True
-    termination = None
     while True:
         iter_t0 = time.perf_counter()
         if time.perf_counter() - t_start > cfg.time_limit:
-            termination = "time_limit"
+            termination, reason = "time_limit", _time_limit_reason(cfg)
             break
         xhat = _structural_point(master.slp, res.x)
         parked, reactivated = pool.maintain(
@@ -409,21 +400,18 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
                 )
             )
             res = master.solve(pool.active, time_limit=remaining())
-            if res.status is Status.INFEASIBLE:
-                termination = "proved"
-                break
             if res.status is not Status.OPTIMAL:
-                termination = "time_limit" if remaining() <= 0 else "stalled"
+                termination, reason = _master_ending(res, remaining())
                 break
             history.append(res.value)
             continue
 
         try:
             pt = membership.FractionalPoint.from_point(nm, xhat, tol=1e-6)
-        except ValueError:
+        except ValueError as exc:
             # the master optimum violates the original rows beyond the
             # check's absolute tolerance (badly scaled rows)
-            termination = "numerical"
+            termination, reason = "numerical", f"master optimum rejected: {exc}"
             break
         fr = pt.fracs
         candidates = [
@@ -471,48 +459,88 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
         )
 
         if timed_out:
-            termination = "time_limit"
+            termination, reason = "time_limit", _time_limit_reason(cfg)
             break
         if not K and reinit:
-            termination = "proved" if n_inconcl == 0 else "stalled"
+            if n_inconcl == 0:
+                termination, reason = "proved", "a full pass found no violated cut"
+            else:
+                termination = "stalled"
+                reason = f"{n_inconcl} inconclusive separations in a full pass"
             break
         if K and new_rows == 0:
             # every violated cut already sits in the master: no progress
             # is possible, an honest stall
-            termination = "stalled"
+            termination, reason = "stalled", "every violated cut already active"
             break
-        if len(pool.active) > cfg.max_active_cuts:
+        if len(pool.active) > MAX_ACTIVE_CUTS:
             termination = "stalled"
+            reason = f"more than {MAX_ACTIVE_CUTS} active cuts"
             break
 
-        tail = _tailing_off(history, cfg)
-        if not K or tail:
+        if not K or _tailing_off(history):
             K = set(range(p))
             reinit = True
         else:
             reinit = False
 
         res = master.solve(pool.active, time_limit=remaining())
-        if res.status is Status.INFEASIBLE:
-            # valid cuts emptied the master: the closure is empty, hence
-            # the instance has no integer point; nothing left to separate
-            termination = "proved"
-            break
         if res.status is not Status.OPTIMAL:
-            termination = "time_limit" if remaining() <= 0 else "stalled"
+            termination, reason = _master_ending(res, remaining())
             break
         history.append(res.value)
 
     report.termination = termination
+    report.termination_reason = reason
+    return _finish_report(
+        report, nm, master, history, t_start, pool.active, pool.parked
+    )
+
+
+def _solve_relaxation(master: _Master, time_limit: float) -> SimplexResult:
+    """First master solve, without cuts; no optimum means no bound."""
+    res = master.solve([], time_limit=max(time_limit, 1.0))
+    if res.status is Status.UNBOUNDED:
+        raise ClosureError("LP relaxation is unbounded")
+    if res.status is not Status.OPTIMAL:
+        raise ClosureError(f"LP relaxation not solved: {res.status.value}")
+    return res
+
+
+def _master_ending(res: SimplexResult, remaining: float) -> tuple[str, str]:
+    """Termination and reason for a master solve without an optimum.
+
+    Valid cuts that empty the master leave no integer point, so nothing is
+    left to separate and the bound is proved.
+    """
+    reason = f"master LP {res.status.value}"
+    if res.status is Status.INFEASIBLE:
+        return "proved", reason + ": no integer point survives the cuts"
+    return ("time_limit" if remaining <= 0 else "stalled"), reason
+
+
+def _time_limit_reason(cfg: ClosureConfig) -> str:
+    return f"time limit of {cfg.time_limit:g} s reached"
+
+
+def _finish_report(
+    report: ClosureReport,
+    nm: NormalizedMilp,
+    master: _Master,
+    history: list[float],
+    t_start: float,
+    active: list[CutRow],
+    parked: list[CutRow],
+) -> ClosureReport:
     report.z_cut = nm.original_objective(history[-1])
     if master.result.status is Status.OPTIMAL:
         report.x_final = _structural_point(master.slp, master.result.x)
     report.num_master_solves = master.solves
     report.master_pivots = master.pivots
     report.master_time = master.time
-    report.cuts_active = len(pool.active)
-    report.cuts_parked = len(pool.parked)
-    report.cut_rows = pool.active + pool.parked
+    report.cuts_active = len(active)
+    report.cuts_parked = len(parked)
+    report.cut_rows = [*active, *parked]
     report.total_time = time.perf_counter() - t_start
     return report
 
@@ -533,8 +561,7 @@ def _separation_start(
     kept, one per original row, are picked by pivoted QR on the columns
     scaled by their membership range (xhat_j, or the row activity for a
     slack), so the columns pinned to 0 there are dropped first.  Every
-    column starts at lower; a singular start makes the simplex fall back
-    to its crash basis.
+    column starts at lower.
     """
     m0 = sep_slp.num_rows
     m = master_slp.num_rows
@@ -555,7 +582,8 @@ def _separation_start(
 def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start):
     """Separate every k in ``order``, each one started from the master's
     optimal basis (see ``_separation_start``).  Every membership LP of the
-    pass shares the separation matrix, so that start is factored once.
+    pass shares the separation matrix, so that start is factored once; a
+    singular one leaves every LP of the pass to its crash basis.
 
     Returns the outcomes in pass order, the time spent and whether the
     time limit cut the pass short.
@@ -564,27 +592,28 @@ def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start):
     t0 = time.perf_counter()
     if not order:
         return outcomes, 0.0, False
-    start = simplex.factor(
-        sep_slp.a, _separation_start(sep_slp, master.slp, master.basis, pt)
-    )
+    basis = _separation_start(sep_slp, master.slp, master.basis, pt)
+    try:
+        start = BasisFactors(sep_slp.a, basis)
+    except SingularBasisError:
+        start = None
     for k in order:
         budget = cfg.time_limit - (time.perf_counter() - t_start)
         if budget <= 0:
             return outcomes, time.perf_counter() - t0, True
         sep = membership.separate(
-            nm, pt, k, start=start, slp=sep_slp, eps=cfg.eps,
-            max_iter=cfg.max_simplex_iter, time_limit=budget,
+            nm, pt, k, start=start, slp=sep_slp, eps=cfg.eps, time_limit=budget
         )
         outcomes.append((k, sep))
     return outcomes, time.perf_counter() - t0, False
 
 
-def _tailing_off(history: list[float], cfg: ClosureConfig) -> bool:
-    w = cfg.tail_window
+def _tailing_off(history: list[float]) -> bool:
+    w = TAIL_WINDOW
     if len(history) <= w:
         return False
     improvement = history[-w - 1] - history[-1]  # non-increasing sequence
-    return improvement < cfg.tail_tol * (1.0 + abs(history[-w - 1]))
+    return improvement < TAIL_TOL * (1.0 + abs(history[-w - 1]))
 
 
 def gmi_rounds(
@@ -600,7 +629,7 @@ def gmi_rounds(
     if cfg is None:
         cfg = ClosureConfig(mode="gmi", rounds=rounds)
     t_start = time.perf_counter()
-    master = _Master(nm, cfg.max_simplex_iter)
+    master = _Master(nm)
     cuts: list[CutRow] = []
     report = ClosureReport(
         instance=nm.name,
@@ -610,19 +639,18 @@ def gmi_rounds(
         z_opt=None,
         gap_closed=None,
         termination="rounds_done",
+        termination_reason=f"round limit {rounds} reached",
         config={**_config_dict(cfg), "rounds": rounds},
     )
-    res = master.solve(cuts, time_limit=max(cfg.time_limit, 1.0))
-    if res.status is Status.UNBOUNDED:
-        raise ClosureError("LP relaxation is unbounded")
-    if res.status is not Status.OPTIMAL:
-        raise ClosureError(f"LP relaxation not solved: {res.status.value}")
+    res = _solve_relaxation(master, cfg.time_limit)
     report.z_lp = nm.original_objective(res.value)
     history = [res.value]
 
-    for _ in range(rounds):
+    for r in range(rounds):
+        round_t0 = time.perf_counter()
         if time.perf_counter() - t_start > cfg.time_limit:
             report.termination = "time_limit"
+            report.termination_reason = _time_limit_reason(cfg)
             break
         slp = master.slp
         m = slp.num_rows
@@ -658,30 +686,23 @@ def gmi_rounds(
                 no_cuts=len(targets) - added,
                 inconclusive=0,
                 reactivated=0,
-                wall_time=0.0,
+                wall_time=time.perf_counter() - round_t0,
             )
         )
         if added == 0:
+            report.termination_reason = f"round {r + 1} added no new cut"
             break
         budget = cfg.time_limit - (time.perf_counter() - t_start)
         res = master.solve(cuts, time_limit=budget)
-        if res.status is Status.INFEASIBLE:
-            break  # valid cuts emptied the region: integer infeasible
         if res.status is not Status.OPTIMAL:
-            report.termination = "time_limit" if budget <= 0 else "stalled"
+            # valid cuts that empty the region end the rounds as done
+            ending, report.termination_reason = _master_ending(res, budget)
+            if res.status is not Status.INFEASIBLE:
+                report.termination = ending
             break
         history.append(res.value)
 
-    report.z_cut = nm.original_objective(history[-1])
-    if master.result.status is Status.OPTIMAL:
-        report.x_final = _structural_point(master.slp, master.result.x)
-    report.num_master_solves = master.solves
-    report.master_pivots = master.pivots
-    report.master_time = master.time
-    report.cuts_active = len(cuts)
-    report.cut_rows = list(cuts)
-    report.total_time = time.perf_counter() - t_start
-    return report
+    return _finish_report(report, nm, master, history, t_start, cuts, [])
 
 
 def _config_dict(cfg: ClosureConfig) -> dict:
@@ -689,8 +710,8 @@ def _config_dict(cfg: ClosureConfig) -> dict:
         "mode": cfg.mode,
         "eps": cfg.eps,
         "time_limit": cfg.time_limit,
-        "tail_window": cfg.tail_window,
-        "tail_tol": cfg.tail_tol,
-        "max_active_cuts": cfg.max_active_cuts,
-        "pool_park_after": cfg.pool_park_after,
+        "tail_window": TAIL_WINDOW,
+        "tail_tol": TAIL_TOL,
+        "max_active_cuts": MAX_ACTIVE_CUTS,
+        "pool_park_after": POOL_PARK_AFTER,
     }

@@ -10,7 +10,7 @@ before they are stored or compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class CutRow:
     basis_fingerprint: str | None = None
     strengthened: bool = False
     violation: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -72,7 +71,6 @@ class CutRow:
         cut.basis_fingerprint = self.basis_fingerprint
         cut.strengthened = self.strengthened
         cut.violation = self.violation / scale
-        cut.meta = dict(self.meta)
         # the largest coefficient must be exactly +-1 after scaling
         k = int(np.argmax(np.abs(cut.coeffs)))
         cut.coeffs[k] = math.copysign(1.0, cut.coeffs[k])
@@ -119,7 +117,7 @@ def intersection_cut(
     f0 = _fractional_parts(row, eps)
     coeffs = np.maximum(row.coeffs * (1.0 - f0), -row.coeffs * f0)
     coeffs[row.basic_col] = 0.0
-    _zero_basic(coeffs, row, lp)
+    _zero_basic(coeffs, row)
     return CutRow(
         coeffs=coeffs,
         rhs=f0 * (1.0 - f0),
@@ -150,7 +148,7 @@ def gmi_cut(
     fj = row.coeffs[mask] - np.floor(row.coeffs[mask])
     coeffs[mask] = np.where(fj <= f0, fj * (1.0 - f0), (1.0 - fj) * f0)
     coeffs[row.basic_col] = 0.0
-    _zero_basic(coeffs, row, lp)
+    _zero_basic(coeffs, row)
     return CutRow(
         coeffs=coeffs,
         rhs=f0 * (1.0 - f0),
@@ -160,7 +158,7 @@ def gmi_cut(
     )
 
 
-def _zero_basic(coeffs: np.ndarray, row: TableauRow, lp: StandardLp) -> None:
+def _zero_basic(coeffs: np.ndarray, row: TableauRow) -> None:
     # Basic columns carry the unit pattern of (A^B)^-1 A^B; the cut is a
     # statement about nonbasic variables only.
     if row.basic_cols is not None:
@@ -188,7 +186,6 @@ def eliminate_slacks(cut: CutRow, lp: StandardLp) -> CutRow:
             source_var=cut.source_var,
             basis_fingerprint=cut.basis_fingerprint,
             strengthened=cut.strengthened,
-            meta=dict(cut.meta),
         )
     out = out.normalized()
     if out.dynamism() > DYNAMISM_LIMIT:
@@ -232,5 +229,4 @@ def strengthen(cert, base_cut: CutRow, nm) -> CutRow:
         source_var=k,
         basis_fingerprint=base_cut.basis_fingerprint,
         strengthened=True,
-        meta=dict(base_cut.meta),
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INF = math.inf
+INTEGRALITY_TOL = 1e-9  # integer bounds closer than this to an integer are rounded
 
 # Bound types that carry a numeric value in the BOUNDS section.
 _VALUE_BOUNDS = {"UP", "LO", "FX", "UI", "LI"}
@@ -390,7 +391,7 @@ class NormalizedMilp:
         return self.objective_sign * value + self.objective_offset
 
 
-def normalize(inst: MilpInstance, *, integrality_tol: float = 1e-9) -> NormalizedMilp:
+def normalize(inst: MilpInstance) -> NormalizedMilp:
     """Map a parsed instance onto max c'x, A'x >= b, x >= 0.
 
     Minimization is negated; <= rows are negated; equalities and ranged
@@ -410,14 +411,14 @@ def normalize(inst: MilpInstance, *, integrality_tol: float = 1e-9) -> Normalize
             + ", ".join(free[:5])
         )
     for j in np.nonzero(integer)[0]:
-        if abs(lower[j] - round(lower[j])) > integrality_tol:
+        if abs(lower[j] - round(lower[j])) > INTEGRALITY_TOL:
             raise NormalizeError(
                 f"integer variable '{inst.variables[j].name}' has fractional "
                 f"lower bound {lower[j]}"
             )
         lower[j] = round(lower[j])
         if upper[j] != INF:
-            upper[j] = math.floor(upper[j] + integrality_tol)
+            upper[j] = math.floor(upper[j] + INTEGRALITY_TOL)
     if np.any(upper < lower):
         j = int(np.argmax(upper < lower))
         raise NormalizeError(

@@ -40,6 +40,7 @@ from .instances import NormalizedMilp
 from .simplex import BoundedLp, SimplexResult, Status
 from .standard_form import (
     Basis,
+    BasisFactors,
     SingularBasisError,
     StandardLp,
     TableauRow,
@@ -110,7 +111,6 @@ class DualCertificate:
     ceil_k: float
     basis_fingerprint: str
     row: TableauRow
-    slp_rhs: float  # rhs of the same row against the master system
 
 
 @dataclass
@@ -183,7 +183,7 @@ def build_membership_lp(
 
 def membership_value(
     prob: MembershipProblem,
-    start: Basis | simplex.FactoredStart | None = None,
+    start: Basis | BasisFactors | None = None,
     *,
     max_iter: int = simplex.DEFAULT_MAX_ITER,
     time_limit: float | None = None,
@@ -276,14 +276,11 @@ def certificate_from_basis(
         ceil_k=prob.ceil_k,
         basis_fingerprint=basis.fingerprint(),
         row=row,
-        slp_rhs=row.rhs,
     )
 
 
 def _basis_objective(basis: Basis, prob: MembershipProblem) -> float:
     """Membership objective at the basic solution defined by ``basis``."""
-    from .standard_form import BasisFactors
-
     lp = prob.lp
     x = np.where(basis.at_upper & np.isfinite(lp.upper), lp.upper, lp.lower)
     x[basis.basic] = 0.0
@@ -321,7 +318,7 @@ def separate(
     nm: NormalizedMilp,
     pt: FractionalPoint,
     k: int,
-    start: Basis | simplex.FactoredStart | None = None,
+    start: Basis | BasisFactors | None = None,
     slp: StandardLp | None = None,
     *,
     eps: float = DEFAULT_EPS,
@@ -396,10 +393,9 @@ def separate(
             reason=f"cut rejected: {exc}",
             inconclusive=True,
         )
-    fp = result.basis.fingerprint()
     for cut in (plain, strengthened):
         cut.source_var = k
-        cut.basis_fingerprint = fp
+        cut.basis_fingerprint = cert.basis_fingerprint
         cut.violation = cut.violation_at(pt.x)
     return outcome(found=True, value=value, plain=plain, strengthened=strengthened)
 

@@ -8,27 +8,27 @@ restored from any starting basis by a composite phase 1 (maximize the
 negated total bound violation of the basic variables), so a stale basis is
 usable as a crash start.  Pricing is Dantzig with a switch to Bland's rule
 when the objective stalls.  The basis inverse is kept explicitly and
-updated in product form, with periodic refactorization.  A start shared
-by many LPs over one matrix can be factored once with ``factor``.
+updated in product form, with periodic refactorization; every explicit
+inverse comes from ``standard_form.BasisFactors``.  A start shared by many
+LPs over one matrix can be passed as its ``BasisFactors``, factored once.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .standard_form import Basis, SingularBasisError
+from .standard_form import Basis, BasisFactors, SingularBasisError
 
 REFRESH_EVERY = 100  # pivots between refactorizations
 PIVOT_TOL = 1e-9  # ratio-test pivot acceptance
 ETA_TOL = 1e-11  # product-form update pivot floor
 DEFAULT_MAX_ITER = 50_000
-DEFAULT_BLAND_WINDOW = 1_000
+BLAND_WINDOW = 1_000  # non-improving pivots before Bland's rule
 
 
 class Status(enum.Enum):
@@ -101,29 +101,9 @@ class SimplexResult:
         return self.status is Status.OPTIMAL
 
 
-@dataclass(frozen=True)
-class FactoredStart:
-    """A start basis with its explicit inverse against one matrix.
-
-    ``binv`` is None when the basis is ill-sized or singular there; the
-    simplex then starts from its crash basis without trying again.
-    """
-
-    basis: Basis
-    a_eq: np.ndarray
-    binv: np.ndarray | None
-
-
-def factor(a_eq: np.ndarray, basis: Basis) -> FactoredStart:
-    """Factor ``basis`` once for every LP whose ``a_eq`` is this very
-    array object (identity, not equality, is what ``solve`` checks)."""
-    binv = None
-    if _valid_basic(basis.basic, *a_eq.shape):
-        try:
-            binv = _invert(a_eq, basis.basic)
-        except SingularBasisError:
-            pass
-    return FactoredStart(basis, a_eq, binv)
+def _inverse(a: np.ndarray, basic: np.ndarray) -> np.ndarray:
+    """Explicit inverse of ``a[:, basic]``; bound statuses play no part."""
+    return BasisFactors(a, Basis(basic, np.zeros(a.shape[1], dtype=bool))).inverse()
 
 
 def _valid_basic(basic: np.ndarray, rows: int, cols: int) -> bool:
@@ -135,44 +115,24 @@ def _valid_basic(basic: np.ndarray, rows: int, cols: int) -> bool:
     )
 
 
-def _invert(a: np.ndarray, basic: np.ndarray) -> np.ndarray:
-    """Explicit inverse of ``a[:, basic]`` (Fortran order, from LAPACK)."""
-    bmat = a[:, basic]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(bmat, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    scale = max(1.0, float(np.abs(bmat).max(initial=0.0)))
-    if diag.size and diag.min() < 1e-10 * scale:
-        raise SingularBasisError("singular basis")
-    return scipy.linalg.lu_solve(
-        (lu, piv), np.eye(a.shape[0]), check_finite=False
-    )
-
-
 def solve(
     lp: BoundedLp,
-    start: Basis | FactoredStart | None = None,
+    start: Basis | BasisFactors | None = None,
     *,
     max_iter: int = DEFAULT_MAX_ITER,
     time_limit: float | None = None,
-    bland_window: int = DEFAULT_BLAND_WINDOW,
 ) -> SimplexResult:
     """Solve ``lp``, optionally warm-starting from ``start``.
 
     A singular or ill-sized starting basis silently falls back to a crash
-    basis.  A ``FactoredStart`` made against ``lp.a_eq`` itself skips the
-    factorization; against any other matrix it counts as its plain basis.
+    basis.  ``BasisFactors`` made against ``lp.a_eq`` itself skip the
+    factorization; against any other matrix they count as their plain basis.
     Hitting ``max_iter`` or ``time_limit`` yields the iteration-limit
     status.  The result is deterministic for identical inputs and limits.
     """
     if lp.num_rows == 0:
         return _solve_unconstrained(lp)
-    worker = _Worker(
-        lp, start, max_iter=max_iter, time_limit=time_limit,
-        bland_window=bland_window,
-    )
-    return worker.run()
+    return _Worker(lp, start, max_iter=max_iter, time_limit=time_limit).run()
 
 
 def _solve_unconstrained(lp: BoundedLp) -> SimplexResult:
@@ -193,7 +153,7 @@ def _solve_unconstrained(lp: BoundedLp) -> SimplexResult:
 
 
 class _Worker:
-    def __init__(self, lp, start, *, max_iter, bland_window, time_limit=None):
+    def __init__(self, lp, start, *, max_iter, time_limit=None):
         self.lp = lp
         self.a = lp.a_eq
         self.d = lp.rhs
@@ -214,7 +174,6 @@ class _Worker:
         self.ftol = 1e-9 * scale
         self.dtol = 1e-9 * max(1.0, float(np.abs(self.cmax).max(initial=0.0)))
         self.max_iter = max_iter
-        self.bland_window = bland_window
         self.pivots = 0
         self.phase1_pivots = 0
         self.bland = False
@@ -225,14 +184,14 @@ class _Worker:
 
     # -- basis handling ----------------------------------------------------
 
-    def _init_basis(self, start: Basis | FactoredStart | None) -> None:
+    def _init_basis(self, start: Basis | BasisFactors | None) -> None:
         basic, self.binv = self._start_factors(start)
-        if isinstance(start, FactoredStart):
+        if isinstance(start, BasisFactors):
             start = start.basis
         self.atup = np.zeros(self.ncols, dtype=bool)
         if basic is None:
             basic = self._crash_basis()
-            self.binv = _invert(self.a, basic)
+            self.binv = _inverse(self.a, basic)
         elif start.at_upper.shape[0] == self.ncols:
             self.atup = start.at_upper.copy()
         self.basic = basic
@@ -246,18 +205,16 @@ class _Worker:
 
     def _start_factors(self, start):
         """Basic columns and inverse of a usable start, else (None, None)."""
-        if isinstance(start, FactoredStart):
-            if start.a_eq is self.a:
-                if start.binv is None:
-                    return None, None
+        if isinstance(start, BasisFactors):
+            if start.a is self.a:
                 # order="K" keeps the Fortran layout, and with it the BLAS
                 # paths and the bits of every product with the inverse
-                return start.basis.basic.copy(), start.binv.copy(order="K")
+                return start.basis.basic.copy(), start.inverse().copy(order="K")
             start = start.basis
         if start is None or not _valid_basic(start.basic, self.r, self.ncols):
             return None, None
         try:
-            return start.basic.copy(), _invert(self.a, start.basic)
+            return start.basic.copy(), BasisFactors(self.a, start).inverse()
         except SingularBasisError:
             return None, None
 
@@ -422,7 +379,7 @@ class _Worker:
         self.inb[lv] = False
         wr = w[leave_pos]
         if abs(wr) < ETA_TOL:
-            self.binv = _invert(self.a, self.basic)
+            self.binv = _inverse(self.a, self.basic)
             self._recompute_basics()
         else:
             br = self.binv[leave_pos] / wr
@@ -434,7 +391,7 @@ class _Worker:
             self.binv[leave_pos] = br
         self.pivots += 1
         if self.pivots % REFRESH_EVERY == 0:
-            self.binv = _invert(self.a, self.basic)
+            self.binv = _inverse(self.a, self.basic)
             self._recompute_basics()
 
     def _track_progress(self, obj: float) -> None:
@@ -443,7 +400,7 @@ class _Worker:
             self._since_improve = 0
         else:
             self._since_improve += 1
-            if self._since_improve > self.bland_window:
+            if self._since_improve > BLAND_WINDOW:
                 self.bland = True
 
     def _reset_progress(self) -> None:

@@ -138,7 +138,14 @@ def to_standard(nm: NormalizedMilp, extra_cuts=()) -> StandardLp:
 
 
 class BasisFactors:
-    """LU factors of A^B with an explicit singularity check."""
+    """LU factors of A^B with an explicit singularity check.
+
+    The one place a basis is factored: the simplex (crash basis, warm
+    start, refactorizations), tableau rows and basic points all go
+    through it.  It keeps the matrix and the basis it was built from, so
+    ``simplex.solve`` can take it as a start and skip the factorization
+    when the LP's matrix is that very array object.
+    """
 
     def __init__(self, a: np.ndarray, basis: Basis):
         m = a.shape[0]
@@ -152,13 +159,23 @@ class BasisFactors:
         scale = max(1.0, float(np.abs(bmat).max(initial=0.0)))
         if diag.size and diag.min() < SINGULAR_TOL * scale:
             raise SingularBasisError("basis matrix is numerically singular")
+        self.a = a
+        self.basis = basis
         self._lu = (lu, piv)
+        self._inverse = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
 
     def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(self._lu, rhs, trans=1, check_finite=False)
+
+    def inverse(self) -> np.ndarray:
+        """Explicit (A^B)^-1 in Fortran order, computed once; callers that
+        update it must work on a copy."""
+        if self._inverse is None:
+            self._inverse = self.solve(np.eye(self.a.shape[0]))
+        return self._inverse
 
 
 def tableau_row(

@@ -40,12 +40,13 @@ from .membership import (
     solve_cglp,
 )
 from .simplex import BoundedLp, Status
-from .standard_form import Basis, to_standard
+from .standard_form import Basis, BasisFactors, to_standard
 
 COEFF_TOL = 1e-7
 PROP3_Y_TOL = 1e-8
 PROP3_VAL_TOL = 1e-9
 VALIDITY_TOL = 1e-7
+MAX_ATTEMPTS_FACTOR = 50  # random draws per counted instance, at most
 
 
 @dataclass
@@ -272,7 +273,7 @@ def check_validity(
         )
     slp = to_standard(nm)
     m = slp.num_rows
-    start = simplex.factor(slp.a, slp.slack_basis())
+    start = BasisFactors(slp.a, slp.slack_basis())
     a_int, a_cont = nm.a[:, :p], nm.a[:, p:]
     # per cut: the proving duals found so far, as rows keyed by their bytes
     proofs: list[dict[bytes, np.ndarray]] = [{} for _ in cuts]
@@ -387,7 +388,6 @@ def run_suite(
     seed: int = 0,
     *,
     corrupt_rhs: float = 0.0,
-    max_attempts_factor: int = 50,
 ) -> SuiteResult:
     """Run one oracle family over ``count`` random instances.
 
@@ -404,7 +404,7 @@ def run_suite(
     out = SuiteResult(suite=suite)
     attempts = 0
     instances_done = 0
-    while instances_done < count and attempts < max_attempts_factor * count:
+    while instances_done < count and attempts < MAX_ATTEMPTS_FACTOR * count:
         attempts += 1
         inst = random_milp(rng)
         recs = _run_instance(suite, inst, rng, corrupt_rhs)

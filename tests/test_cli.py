@@ -74,6 +74,36 @@ def test_close_gmi_rounds(t1_path, optima_path, tmp_path):
     assert report["gap_closed"] == pytest.approx(100.0)
 
 
+CONFIG_BLOCK = {
+    "eps": 0.0001,
+    "marker_default_binary": True,
+    "max_active_cuts": 5000,
+    "pool_park_after": 30,
+    "tail_tol": 0.0001,
+    "tail_window": 10,
+    "time_limit": 3600.0,
+}
+
+
+@pytest.mark.parametrize(
+    "mode, keys",
+    [
+        ("pe", {"mode": "pe"}),
+        ("pestar", {"mode": "pestar"}),
+        ("gmi-rounds", {"mode": "gmi", "rounds": 1}),
+    ],
+)
+def test_close_config_block_is_pinned(t1_path, tmp_path, capsys, mode, keys):
+    out = tmp_path / "report.json"
+    assert main(["close", t1_path, "--mode", mode, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"] == {**CONFIG_BLOCK, **keys}
+    assert report["termination_reason"]
+    assert f"reason        : {report['termination_reason']}\n" in (
+        capsys.readouterr().out
+    )
+
+
 def test_close_missing_file_exits_1(capsys):
     assert main(["close", "/nonexistent/foo.mps"]) == 1
     assert "error" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from liftproject import membership, simplex
+from liftproject import membership
 from liftproject.cli import main
 from liftproject.closure import (
     ClosureConfig,
@@ -14,13 +14,14 @@ from liftproject.closure import (
     optimize_closure,
 )
 from liftproject.cuts import CutRow
+from liftproject.instances import normalize, parse_mps
 from liftproject.membership import (
     DualContractError,
     FractionalPoint,
     build_membership_lp,
     membership_value,
 )
-from liftproject.standard_form import Basis, SingularBasisError
+from liftproject.standard_form import Basis, BasisFactors, SingularBasisError
 from liftproject.verify import random_milp
 
 from conftest import T1_MPS
@@ -366,39 +367,48 @@ def test_no_integer_variables_is_immediately_proved():
 
 
 def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
-    # every separation of a pass starts from one factored basis, and that
-    # start behaves bit for bit like the plain basis it was factored from
-    starts, marks, inverts, calls = [], [], [], []
-    factor, invert, separate = simplex.factor, simplex._invert, membership.separate
+    # every separation of a pass starts from one factored basis, whose
+    # explicit inverse the simplex computes once for the whole pass, and
+    # that start behaves bit for bit like the plain basis it came from
+    events, calls = [], []
+    init, inverse = BasisFactors.__init__, BasisFactors.inverse
+    separate = membership.separate
 
-    def recording_factor(a_eq, basis):
-        marks.append(len(inverts))
-        starts.append(factor(a_eq, basis))
-        return starts[-1]
+    def recording_init(self, a, basis):
+        events.append(("factor", self, a, basis.basic.copy()))
+        init(self, a, basis)
 
-    def recording_invert(a, basic):
-        inverts.append((a, basic.copy()))
-        return invert(a, basic)
+    def recording_inverse(self):
+        if self._inverse is None:
+            events.append(("invert", self, self.a, self.basis.basic.copy()))
+        return inverse(self)
 
     def recording_separate(*args, **kwargs):
         calls.append((args, kwargs))
         return separate(*args, **kwargs)
 
-    monkeypatch.setattr(simplex, "factor", recording_factor)
-    monkeypatch.setattr(simplex, "_invert", recording_invert)
+    monkeypatch.setattr(BasisFactors, "__init__", recording_init)
+    monkeypatch.setattr(BasisFactors, "inverse", recording_inverse)
     monkeypatch.setattr(membership, "separate", recording_separate)
     rep = optimize_closure(_knapsack(rng, rows=3, nb=15), ClosureConfig(mode="pe"))
     monkeypatch.undo()
 
+    starts = list({id(kw["start"]): kw["start"] for _, kw in calls}.values())
     passes = [it for it in rep.iterations if it.separations]
     assert len(starts) == len(passes) >= 2
     assert rep.num_separations > len(passes)
-    for fs, lo, hi in zip(starts, marks, marks[1:] + [len(inverts)]):
-        assert fs.binv is not None
-        assert sum(
-            a is fs.a_eq and np.array_equal(basic, fs.basis.basic)
-            for a, basic in inverts[lo:hi]
-        ) == 1
+    marks = [
+        next(i for i, (_, obj, _, _) in enumerate(events) if obj is fs)
+        for fs in starts
+    ]
+    for fs, lo, hi in zip(starts, marks, marks[1:] + [len(events)]):
+        assert isinstance(fs, BasisFactors)
+        assert [
+            obj for kind, obj, a, basic in events[lo:hi]
+            if kind == "invert"
+            and a is fs.a
+            and np.array_equal(basic, fs.basis.basic)
+        ] == [fs]
     moved = 0
     for args, kwargs in calls:
         fs = kwargs["start"]
@@ -446,3 +456,83 @@ def test_row_scaled_knapsack_raises_nothing():
     for mode in ("pe", "pestar"):
         rep = optimize_closure(nm, ClosureConfig(mode=mode))
         assert rep.termination in ("proved", "stalled", "numerical", "time_limit")
+        assert rep.termination_reason
+
+
+INFEASIBLE_MPS = (
+    "NAME IF\nROWS\n N obj\n G r1\n L r2\n"
+    "COLUMNS\n    MARKER 'MARKER' 'INTORG'\n"
+    "    x obj 1.0\n    x r1 1.0\n    x r2 1.0\n"
+    "    MARKER 'MARKER' 'INTEND'\nRHS\n"
+    "    rhs r1 0.2\n    rhs r2 0.8\nBOUNDS\n PL bnd x\nENDATA\n"
+)
+
+
+def _raise(error):
+    def broken(*args, **kwargs):
+        raise error
+
+    return broken
+
+
+def _pe(nm):
+    return optimize_closure(nm, ClosureConfig(mode="pe"))
+
+
+def _emptied(t1, monkeypatch):
+    nm = normalize(parse_mps(INFEASIBLE_MPS))
+    return optimize_closure(nm, ClosureConfig(mode="pestar"))
+
+
+def _inconclusive(t1, monkeypatch):
+    monkeypatch.setattr(membership, "tableau_row", _raise(SingularBasisError("x")))
+    return _pe(t1)
+
+
+def _all_active(t1, monkeypatch):
+    monkeypatch.setattr(CutPool, "add", lambda self, cut: "duplicate_active")
+    return _pe(t1)
+
+
+def _numerical(t1, monkeypatch):
+    monkeypatch.setattr(
+        FractionalPoint, "from_point", _raise(ValueError("violates by 1e4"))
+    )
+    return _pe(t1)
+
+
+def _time_limit(t1, monkeypatch):
+    return optimize_closure(t1, ClosureConfig(mode="pe", time_limit=0.0))
+
+
+def _gmi_time_limit(t1, monkeypatch):
+    return gmi_rounds(t1, 1, ClosureConfig(mode="gmi", time_limit=0.0))
+
+
+# every ending the other tests reach, with the start of its stated reason
+TERMINATIONS = {
+    "proved": (lambda t1, mp: _pe(t1), {"proved": "a full pass found no"}),
+    # the other ending is the one test_integer_infeasible_instance_is_certified
+    # allows
+    "emptied": (_emptied, {"proved": "master LP infeasible", "stalled": ""}),
+    "inconclusive": (_inconclusive, {"stalled": "1 inconclusive separations"}),
+    "all_active": (_all_active, {"stalled": "every violated cut already active"}),
+    "numerical": (_numerical, {"numerical": "master optimum rejected: violates"}),
+    "time_limit": (_time_limit, {"time_limit": "time limit of 0 s reached"}),
+    "gmi_time_limit": (_gmi_time_limit, {"time_limit": "time limit of 0 s"}),
+    "rounds": (lambda t1, mp: gmi_rounds(t1, 1), {"rounds_done": "round limit 1"}),
+    "no_new_gmi_cut": (
+        lambda t1, mp: gmi_rounds(t1, 3),
+        {"rounds_done": "round 2 added no new cut"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TERMINATIONS))
+def test_every_termination_states_its_reason(t1, monkeypatch, case):
+    run, expected = TERMINATIONS[case]
+    rep = run(t1, monkeypatch)
+    assert rep.termination in expected
+    assert rep.termination_reason
+    assert rep.termination_reason.startswith(expected[rep.termination])
+    assert rep.to_dict()["termination_reason"] == rep.termination_reason

@@ -3,9 +3,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from liftproject import simplex
 from liftproject.simplex import BoundedLp, Status, dual_objective, solve
-from liftproject.standard_form import Basis, to_standard
+from liftproject.standard_form import (
+    Basis,
+    BasisFactors,
+    SingularBasisError,
+    to_standard,
+)
 
 
 def make_lp(sense, c, a, d, lower=None, upper=None):
@@ -176,18 +180,25 @@ def test_warm_start_from_arbitrary_basis(rng):
         assert warm.status is cold.status
         if cold.status is Status.OPTIMAL:
             assert warm.value == pytest.approx(cold.value, abs=1e-7)
-        # a factored start acts bit for bit like its basis, leaves its
-        # inverse untouched, and counts as the plain basis for another
-        # matrix object; a singular one is factored as None
-        factored = simplex.factor(lp.a_eq, start)
-        kept = None if factored.binv is None else factored.binv.copy()
-        singular += kept is None
-        for fs in (factored, simplex.factor(lp.a_eq.copy(), start)):
+        # a factored start acts bit for bit like its basis and leaves its
+        # cached inverse untouched; for another matrix object it counts as
+        # the plain basis; a singular one cannot be factored and the
+        # caller starts from the crash basis instead, as the plain basis
+        # does
+        try:
+            factored = BasisFactors(lp.a_eq, start)
+        except SingularBasisError:
+            singular += 1
+            res = solve(lp, start=None)
+            assert (res.status, res.pivots) == (warm.status, warm.pivots)
+            assert res.x.tobytes() == warm.x.tobytes()
+            continue
+        kept = factored.inverse().copy()
+        for fs in (factored, BasisFactors(lp.a_eq.copy(), start)):
             res = solve(lp, start=fs)
             assert (res.status, res.pivots) == (warm.status, warm.pivots)
             assert res.x.tobytes() == warm.x.tobytes()
-        if kept is not None:
-            assert factored.binv.tobytes() == kept.tobytes()
+        assert factored.inverse().tobytes() == kept.tobytes()
     assert singular > 0
 
 
