@@ -669,14 +669,16 @@ def gmi_rounds(
         for k in targets:
             row = tableau_row(slp, res.basis, m + k, factors)
             try:
-                full = gmi_cut(row, integer_cols, slp, eps=cfg.eps)
+                full = gmi_cut(row, integer_cols, eps=cfg.eps)
                 cut = eliminate_slacks(full, slp)
             except (FractionalityError, DynamismError, EmptyDisjunctionError):
                 continue
             if not any(same_cut(cut, c) for c in cuts):
                 cuts.append(cut)
                 added += 1
+        report.num_separations += len(targets)
         report.num_cuts += added
+        report.num_no_cuts += len(targets) - added
         report.iterations.append(
             IterationLog(
                 index=len(report.iterations),

@@ -105,9 +105,7 @@ def _fractional_parts(row: TableauRow, eps: float):
     return f0
 
 
-def intersection_cut(
-    row: TableauRow, lp: StandardLp, *, eps: float = FRAC_EPS_DEFAULT
-) -> CutRow:
+def intersection_cut(row: TableauRow, *, eps: float = FRAC_EPS_DEFAULT) -> CutRow:
     """Simple intersection cut from the unit interval around the rhs.
 
     Nonbasic column j receives max{a_j (1-f0), -a_j f0}; the rhs is
@@ -130,7 +128,6 @@ def intersection_cut(
 def gmi_cut(
     row: TableauRow,
     integer_cols: np.ndarray,
-    lp: StandardLp,
     *,
     eps: float = FRAC_EPS_DEFAULT,
 ) -> CutRow:

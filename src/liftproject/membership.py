@@ -380,9 +380,9 @@ def separate(
     integer_cols = np.zeros(slp_ref.num_cols, dtype=bool)
     integer_cols[slp_ref.num_rows : slp_ref.num_rows + slp_ref.num_int] = True
     try:
-        plain = eliminate_slacks(intersection_cut(row, slp_ref, eps=1e-12), slp_ref)
+        plain = eliminate_slacks(intersection_cut(row, eps=1e-12), slp_ref)
         strengthened = eliminate_slacks(
-            gmi_cut(row, integer_cols, slp_ref, eps=1e-12), slp_ref
+            gmi_cut(row, integer_cols, eps=1e-12), slp_ref
         )
     except (EmptyDisjunctionError, DynamismError) as exc:
         # degenerate or numerically hopeless cut; never count this as a

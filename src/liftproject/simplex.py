@@ -240,16 +240,15 @@ class _Worker:
         return g - y @ self.a, y
 
     def _entering(self, cbar: np.ndarray) -> int | None:
-        eligible = ~self.inb & ~self.fixed
-        improving = eligible & (
-            (~self.atup & (cbar > self.dtol)) | (self.atup & (cbar < -self.dtol))
-        )
-        idx = np.nonzero(improving)[0]
-        if idx.size == 0:
-            return None
+        # improvement per unit of movement away from the active bound;
+        # basic and fixed columns cannot move
+        score = np.where(self.atup, -cbar, cbar)
+        score[self.inb | self.fixed] = -np.inf
         if self.bland:
-            return int(idx[0])
-        return int(idx[np.argmax(np.abs(cbar[idx]))])
+            e = int(np.argmax(score > self.dtol))
+        else:
+            e = int(np.argmax(score))
+        return e if score[e] > self.dtol else None
 
     def _ratio_test(self, sigma: float, w: np.ndarray, phase1: bool):
         """Largest step for entering movement sigma*t; returns
@@ -258,11 +257,11 @@ class _Worker:
         xb = self.x[self.basic]
         lb = self.l[self.basic]
         ub = self.u[self.basic]
-        ratios = np.full(self.r, np.inf)
-        to_upper = np.zeros(self.r, dtype=bool)
         up = delta > PIVOT_TOL
         dn = delta < -PIVOT_TOL
         if phase1:
+            ratios = np.full(self.r, np.inf)
+            to_upper = np.zeros(self.r, dtype=bool)
             too_low = xb < lb - self.ftol
             too_high = xb > ub + self.ftol
             # increasing: violated-low variables block at their lower bound,
@@ -278,11 +277,15 @@ class _Worker:
             blk = dn & ~too_high & ~too_low
             ratios[blk] = (lb[blk] - xb[blk]) / delta[blk]
         else:
-            blk = up & np.isfinite(ub)
-            ratios[blk] = (ub[blk] - xb[blk]) / delta[blk]
-            to_upper[blk] = True
-            blk = dn
-            ratios[blk] = (lb[blk] - xb[blk]) / delta[blk]
+            # rising basics block at their upper bound (an infinite one
+            # gives an infinite ratio), falling ones at their lower
+            to_upper = up
+            ratios = np.divide(
+                np.where(up, ub, lb) - xb,
+                delta,
+                out=np.full(self.r, np.inf),
+                where=up | dn,
+            )
         np.maximum(ratios, 0.0, out=ratios)  # degenerate, within tolerance
 
         e_range = self.u[self._enter] - self.l[self._enter]

@@ -185,9 +185,9 @@ def _equivalence_check(nm, basis, k, pt, *, strengthened: bool) -> CheckRecord:
         lifted = strengthen(cert, lifted, nm)
         integer_cols = np.zeros(slp.num_cols, dtype=bool)
         integer_cols[slp.num_rows : slp.num_rows + slp.num_int] = True
-        reference = gmi_cut(row, integer_cols, slp, eps=1e-12)
+        reference = gmi_cut(row, integer_cols, eps=1e-12)
     else:
-        reference = intersection_cut(row, slp, eps=1e-12)
+        reference = intersection_cut(row, eps=1e-12)
     a1, b1 = _normalized_pair(eliminate_slacks(lifted, slp))
     a2, b2 = _normalized_pair(eliminate_slacks(reference, slp))
     dev = max(float(np.abs(a1 - a2).max()), abs(b1 - b2))
@@ -254,14 +254,21 @@ def check_validity(
     """No cut may remove any integer-feasible point of the instance.
 
     Enumerates all integer assignments inside the domain; for mixed
-    instances each assignment's continuous completion polytope is probed
-    per cut by minimizing the cut activity exactly (same simplex, phase-1
-    feasibility included).  Every fiber LP shares the slack start, which
-    is factored once.  The row duals of the fiber LPs already solved for
-    a cut prove it at later points by weak duality: any pi >= 0 with
-    pi A'_C <= alpha_C gives alpha x >= alpha_I xi + pi (b - A'_I xi) on
-    the fiber of xi, empty or not, so the LP there is skipped once that
-    bound reaches the cut's rhs.
+    instances each assignment's continuous completion polytope (its
+    fiber) is probed per cut by minimizing the cut activity exactly (same
+    simplex, phase-1 feasibility included).  Every fiber LP shares the
+    slack start, which is factored once.  Two kinds of LP duals spare
+    fiber LPs, both checked exactly against A'_C with no tolerance:
+
+    * the row duals of the fiber LPs already solved for a cut prove it at
+      later points by weak duality: any pi >= 0 with pi A'_C <= alpha_C
+      gives alpha x >= alpha_I xi + pi (b - A'_I xi) on the fiber of xi,
+      empty or not, so the LP there is skipped once that bound reaches
+      the cut's rhs;
+    * Farkas rays pi in [0, 1]^m with pi A'_C <= 0, one found by a small
+      ray LP after each empty fiber, prove by Farkas' lemma that the fiber
+      of xi is empty when pi (b - A'_I xi) > tol; no cut can be violated
+      there, so the point is skipped.
     """
     if not cuts:
         return CheckRecord("validity", True, detail="no cuts to check")
@@ -277,6 +284,7 @@ def check_validity(
     a_int, a_cont = nm.a[:, :p], nm.a[:, p:]
     # per cut: the proving duals found so far, as rows keyed by their bytes
     proofs: list[dict[bytes, np.ndarray]] = [{} for _ in cuts]
+    rays = np.zeros((0, m))  # Farkas rays proving fibers empty
     witnesses = []
     for assignment in product(*(range(c + 1) for c in dom.caps)):
         xi = np.array(assignment, dtype=float)
@@ -291,6 +299,8 @@ def check_validity(
         lower[m : m + p] = xi
         upper[m : m + p] = xi
         residual = nm.b - a_int @ xi
+        if np.any(rays @ residual > tol):
+            continue  # empty fiber
         for idx, cut in enumerate(cuts):
             fixed_part = float(cut.coeffs[:p] @ xi)
             if proofs[idx]:
@@ -312,6 +322,9 @@ def check_validity(
                 if np.all(pi @ a_cont <= cut.coeffs[p:]):
                     proofs[idx].setdefault(pi.tobytes(), pi)
             if res.status is Status.INFEASIBLE:
+                ray = _farkas_ray(a_cont, residual, tol)
+                if ray is not None:
+                    rays = np.vstack([rays, ray])
                 break
             if res.status is Status.OPTIMAL and res.value < cut.rhs - tol:
                 witnesses.append((assignment, idx))
@@ -326,6 +339,34 @@ def check_validity(
             ),
         )
     return CheckRecord("validity", True, detail=f"{dom.num_points} points checked")
+
+
+def _farkas_ray(
+    a_cont: np.ndarray, residual: np.ndarray, tol: float
+) -> np.ndarray | None:
+    """pi in [0, 1]^m with pi A'_C <= 0 and pi r > tol, or None.
+
+    Such a pi proves {y >= 0 : A'_C y >= r} empty.  It maximizes pi r
+    over A'_C^T pi + t = 0, t >= 0 from the slack basis (pi = 0); the
+    inequality is then checked exactly, as the weak-duality proofs are.
+    """
+    m, nc = a_cont.shape
+    lp = BoundedLp(
+        sense="max",
+        objective=np.concatenate([residual, np.zeros(nc)]),
+        a_eq=np.hstack([a_cont.T, np.eye(nc)]),
+        rhs=np.zeros(nc),
+        lower=np.zeros(m + nc),
+        upper=np.concatenate([np.ones(m), np.full(nc, np.inf)]),
+    )
+    slack = Basis(m + np.arange(nc), np.zeros(m + nc, dtype=bool))
+    res = simplex.solve(lp, start=slack)
+    if res.status is not Status.OPTIMAL:
+        return None
+    pi = np.clip(res.x[:m], 0.0, 1.0)
+    if np.all(pi @ a_cont <= 0.0) and pi @ residual > tol:
+        return pi
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ def test_close_gmi_rounds(t1_path, optima_path, tmp_path):
     report = json.loads(out.read_text())
     assert report["termination"] == "rounds_done"
     assert report["gap_closed"] == pytest.approx(100.0)
+    seps = report["separations"]
+    assert seps["total"] == seps["cut"] + seps["no_cut"] + seps["inconclusive"]
+    assert seps["total"] >= 1
 
 
 CONFIG_BLOCK = {

@@ -27,20 +27,10 @@ def make_row(coeffs, rhs, basic_col, basic_cols=None):
     )
 
 
-class FakeLp:
-    """Stand-in with just enough surface for the cut formulas."""
-
-    def __init__(self, m, n, p=0):
-        self.num_rows = m
-        self.num_struct = n
-        self.num_int = p
-        self.num_cols = m + n
-
-
 def test_intersection_cut_arithmetic():
     # x_k + 0.5 x_a - 0.3 x_b = 2.7 (k basic in col 0)
     row = make_row([1.0, 0.5, -0.3], 2.7, basic_col=0)
-    cut = intersection_cut(row, FakeLp(0, 3))
+    cut = intersection_cut(row)
     np.testing.assert_allclose(cut.coeffs, [0.0, 0.15, 0.21], atol=1e-12)
     assert cut.rhs == pytest.approx(0.21)
 
@@ -49,7 +39,7 @@ def test_intersection_cut_t1_row_and_elimination(t1):
     slp = to_standard(t1)
     basis = Basis(np.array([2, 3]), np.zeros(4, bool))
     row = tableau_row(slp, basis, 2)
-    cut = intersection_cut(row, slp)
+    cut = intersection_cut(row)
     np.testing.assert_allclose(cut.coeffs, [0.125, 0.125, 0.0, 0.0], atol=1e-12)
     assert cut.rhs == pytest.approx(0.25)
     struct = eliminate_slacks(cut, slp)
@@ -61,20 +51,20 @@ def test_intersection_cut_t1_row_and_elimination(t1):
 def test_intersection_cut_rejects_integral_rhs():
     row = make_row([1.0, 0.5], 3.0 + 1e-9, basic_col=0)
     with pytest.raises(FractionalityError):
-        intersection_cut(row, FakeLp(0, 2))
+        intersection_cut(row)
 
 
 def test_empty_disjunction_signalled():
     row = make_row([1.0, 0.0, 0.0], 2.7, basic_col=0)
     with pytest.raises(EmptyDisjunctionError):
-        intersection_cut(row, FakeLp(0, 3))
+        intersection_cut(row)
 
 
 def test_gmi_cut_arithmetic():
     # x_k + 2.6 x_a - 0.3 x_b + 0.5 x_c = 2.7 with x_a, x_c integer
     row = make_row([1.0, 2.6, -0.3, 0.5], 2.7, basic_col=0)
     integer_cols = np.array([False, True, False, True])
-    cut = gmi_cut(row, integer_cols, FakeLp(0, 4))
+    cut = gmi_cut(row, integer_cols)
     np.testing.assert_allclose(cut.coeffs, [0.0, 0.18, 0.21, 0.15], atol=1e-12)
     assert cut.rhs == pytest.approx(0.21)
 
@@ -82,8 +72,8 @@ def test_gmi_cut_arithmetic():
 def test_gmi_equals_intersection_when_all_continuous():
     row = make_row([1.0, 0.7, -1.4, 0.2], 1.3, basic_col=0)
     nothing = np.zeros(4, bool)
-    gmi = gmi_cut(row, nothing, FakeLp(0, 4))
-    inter = intersection_cut(row, FakeLp(0, 4))
+    gmi = gmi_cut(row, nothing)
+    inter = intersection_cut(row)
     np.testing.assert_allclose(gmi.coeffs, inter.coeffs)
     assert gmi.rhs == pytest.approx(inter.rhs)
 
@@ -96,9 +86,8 @@ def test_gmi_dominates_intersection_on_random_rows(rng):
         rhs = float(rng.uniform(0.05, 0.95) + rng.integers(0, 4))
         integer_cols = np.concatenate([[False], rng.integers(0, 2, width) > 0])
         row = make_row(coeffs, rhs, basic_col=0)
-        lp = FakeLp(0, width + 1)
-        gmi = gmi_cut(row, integer_cols, lp)
-        inter = intersection_cut(row, lp)
+        gmi = gmi_cut(row, integer_cols)
+        inter = intersection_cut(row)
         assert np.all(gmi.coeffs <= inter.coeffs + 1e-12)
         cont = ~integer_cols
         np.testing.assert_allclose(gmi.coeffs[cont], inter.coeffs[cont])
@@ -138,7 +127,7 @@ def test_same_cut_is_scale_free():
 def test_violation_field_matches_definition(t1):
     slp = to_standard(t1)
     basis = Basis(np.array([2, 3]), np.zeros(4, bool))
-    cut = eliminate_slacks(intersection_cut(tableau_row(slp, basis, 2), slp), slp)
+    cut = eliminate_slacks(intersection_cut(tableau_row(slp, basis, 2)), slp)
     x = np.array([0.5, 1.0])
     cut.violation = cut.violation_at(x)
     assert cut.violation == pytest.approx(cut.rhs - cut.coeffs @ x, abs=1e-9)

@@ -388,7 +388,7 @@ def test_separate_vertex_matches_master_tableau_gmi(t1, t1_point):
     row = tableau_row(slp, res.basis, slp.num_rows + 0)
     integer_cols = np.zeros(slp.num_cols, bool)
     integer_cols[slp.num_rows : slp.num_rows + 1] = True
-    reference = eliminate_slacks(gmi_cut(row, integer_cols, slp), slp)
+    reference = eliminate_slacks(gmi_cut(row, integer_cols), slp)
     sep = separate(t1, t1_point, 0)
     np.testing.assert_allclose(sep.strengthened.coeffs, reference.coeffs, atol=1e-9)
     assert sep.strengthened.rhs == pytest.approx(reference.rhs, abs=1e-9)

@@ -54,6 +54,16 @@ def test_fault_injection_trips_validity():
     assert res.failed > 0
 
 
+def test_fault_injection_reference_run():
+    # the self-test of `verify --suite validity --count 30 --seed 7
+    # --corrupt-rhs 0.5`: pruning must not hide a single counterexample
+    res = run_suite("validity", count=30, seed=7, corrupt_rhs=0.5)
+    assert (res.cases, res.failed) == (30, 29)
+    assert res.failures[0].endswith(
+        "16 violations; first: integer part (3, 0, 3, 3, 0) violates cut #0"
+    )
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nonsense", count=1)
@@ -132,8 +142,8 @@ def _brute_force_minima(nm, caps, cuts):
 
 
 def test_validity_agrees_with_highs_brute_force():
-    # weak-duality pruning may skip fiber LPs but must never change the
-    # verdict or the number of (lattice point, cut) violations
+    # weak-duality and Farkas pruning may skip fiber LPs but must never
+    # change the verdict or the number of (lattice point, cut) violations
     from liftproject.closure import ClosureConfig, optimize_closure
     from liftproject.verify import VALIDITY_TOL
 
@@ -171,3 +181,50 @@ def test_validity_agrees_with_highs_brute_force():
             assert count == expected, (shift, rec.detail)
             violated += expected > 0
     assert violated >= 10
+
+
+def test_one_farkas_ray_proves_every_empty_fiber(monkeypatch):
+    # integer x in {0..4}^3 and continuous y >= 0 with y <= 7 - x1 - x2 - x3:
+    # the fibers with x1 + x2 + x3 > 7 are empty, and the row multiplier
+    # e_0 proves them all.  The cut involves x only, so LP duals prove it
+    # nowhere the fiber is empty; an oracle that pays one LP per empty
+    # fiber makes at least as many LPs as there are empty fibers.
+    from liftproject import simplex
+    from liftproject.instances import NormalizedMilp
+    from liftproject.verify import VALIDITY_TOL
+
+    nm = NormalizedMilp(
+        name="one-ray",
+        objective=np.ones(4),
+        a=np.vstack([-np.ones(4), -np.eye(4)]),
+        b=np.array([-7.0, -4.0, -4.0, -4.0, -10.0]),
+        num_integer=3,
+        objective_offset=0.0,
+        objective_sign=1.0,
+        perm=np.arange(4),
+        shift=np.zeros(4),
+        col_names=["x1", "x2", "x3", "y"],
+        row_labels=["sum", "box1", "box2", "box3", "box4"],
+    )
+    caps = [4, 4, 4]
+    solves = [0]
+    solve = simplex.solve
+
+    def counting_solve(*args, **kwargs):
+        solves[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", counting_solve)
+    for rhs in (-7.0, -6.5):  # valid, then violated on the 18 points of sum 7
+        cut = CutRow(coeffs=np.array([-1.0, -1.0, -1.0, 0.0]), rhs=rhs)
+        minima = _brute_force_minima(nm, caps, [cut])
+        empty = sum(row is None for row in minima)
+        expected = sum(
+            row[0] < rhs - VALIDITY_TOL for row in minima if row is not None
+        )
+        solves[0] = 0
+        rec = check_validity(nm, [cut], EnumerationDomain(caps=caps))
+        count = 0 if rec.passed else int(rec.detail.split()[0])
+        assert (empty, count) == (35, expected), rec.detail
+        assert (expected == 0) == (rhs == -7.0)
+        assert solves[0] < empty, (rhs, solves[0])
