@@ -322,34 +322,23 @@ class _Worker:
         too_low = xb < lb - self.ftol
         too_high = xb > ub + self.ftol
 
-        masks_targets = [
-            (up & too_low, lb, False),
-            (up & ~too_low & ~too_high & np.isfinite(ub), ub, True),
-            (dn & too_high, ub, True),
-            (dn & ~too_high & ~too_low, lb, False),
-        ]
-        ts, drops, poss, toups = [], [], [], []
-        for mask, target, toup in masks_targets:
-            idx = np.nonzero(mask)[0]
-            if idx.size == 0:
-                continue
-            t = (target[idx] - xb[idx]) / delta[idx]
-            ts.append(np.maximum(t, 0.0))
-            drops.append(np.abs(delta[idx]))
-            poss.append(idx)
-            toups.append(np.full(idx.size, toup))
+        # each row blocks at one bound at most: violated rows where they
+        # stop violating, feasible rows where they would leave the box
+        to_lower = (up & too_low) | (dn & ~too_high & ~too_low)
+        to_upper = (up & ~too_low & ~too_high & np.isfinite(ub)) | (dn & too_high)
+        poss = np.flatnonzero(to_lower | to_upper)
+        target = np.where(to_upper, ub, lb)[poss]
+        ts = np.maximum((target - xb[poss]) / delta[poss], 0.0)
+        drops = np.abs(delta[poss])
+        toups = to_upper[poss]
         e_range = self.u[self._enter] - self.l[self._enter]
         if np.isfinite(e_range):
-            ts.append(np.array([e_range]))
-            drops.append(np.array([np.inf]))
-            poss.append(np.array([-1]))
-            toups.append(np.array([False]))
-        if not ts:
+            ts = np.append(ts, e_range)
+            drops = np.append(drops, np.inf)
+            poss = np.append(poss, -1)
+            toups = np.append(toups, False)
+        if not ts.size:
             return np.inf, None, False
-        ts = np.concatenate(ts)
-        drops = np.concatenate(drops)
-        poss = np.concatenate(poss)
-        toups = np.concatenate(toups)
         order = np.lexsort((poss, ts))
         for i in order:
             slope -= drops[i]

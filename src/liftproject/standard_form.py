@@ -11,7 +11,6 @@ of the master system.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,8 @@ import scipy.linalg
 from .instances import NormalizedMilp
 
 SINGULAR_TOL = 1e-10
+# LAPACK's LU routines, looked up once rather than through scipy's wrappers
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 class SingularBasisError(ValueError):
@@ -62,8 +63,7 @@ class Basis:
     def fingerprint(self) -> str:
         h = hashlib.sha1()
         h.update(np.sort(self.basic).astype(np.int64).tobytes())
-        nonbasic = np.setdiff1d(np.arange(self.num_cols), self.basic)
-        h.update(self.at_upper[nonbasic].tobytes())
+        h.update(self.at_upper[~self.in_basis_mask()].tobytes())
         return h.hexdigest()[:16]
 
 
@@ -152,9 +152,12 @@ class BasisFactors:
         if basis.basic.shape[0] != m:
             raise ValueError("basis size does not match row count")
         bmat = a[:, basis.basic]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(bmat, check_finite=False)
+        if m:
+            # an exactly zero pivot sets getrf's info; the test below
+            # catches it with every near-zero one
+            lu, piv, _ = _GETRF(bmat)
+        else:
+            lu, piv = bmat, np.zeros(0, dtype=np.int32)
         diag = np.abs(np.diag(lu))
         scale = max(1.0, float(np.abs(bmat).max(initial=0.0)))
         if diag.size and diag.min() < SINGULAR_TOL * scale:
@@ -165,10 +168,16 @@ class BasisFactors:
         self._inverse = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
+        return self._solve(rhs, 0)
 
     def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu, rhs, trans=1, check_finite=False)
+        return self._solve(rhs, 1)
+
+    def _solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        if not self.a.shape[0]:
+            return np.zeros(np.shape(rhs))  # getrs rejects empty systems
+        x, _ = _GETRS(*self._lu, rhs, trans=trans)
+        return x
 
     def inverse(self) -> np.ndarray:
         """Explicit (A^B)^-1 in Fortran order, computed once; callers that

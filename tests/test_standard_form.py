@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liftproject.cuts import CutRow
 from liftproject.standard_form import (
     Basis,
+    BasisFactors,
     SingularBasisError,
     basic_point,
     tableau_row,
@@ -118,3 +122,41 @@ def test_tableau_columns_consistent(t1, rng):
     rows = [tableau_row(slp, basis, int(c)) for c in basis.basic]
     abar = np.vstack([r.coeffs for r in rows])
     np.testing.assert_allclose(bmat @ abar, slp.a, atol=1e-8)
+
+
+def test_fingerprint_matches_setdiff_formula(rng):
+    # the digest reads the nonbasic statuses through the basis mask; it
+    # must equal the sorted-setdiff formula it replaced, bit for bit
+    for _ in range(200):
+        cols = int(rng.integers(1, 40))
+        basic = rng.permutation(cols)[: int(rng.integers(0, cols + 1))]
+        basis = Basis(basic, rng.integers(0, 2, size=cols).astype(bool))
+        h = hashlib.sha1()
+        h.update(np.sort(basis.basic).astype(np.int64).tobytes())
+        nonbasic = np.setdiff1d(np.arange(cols), basis.basic)
+        h.update(basis.at_upper[nonbasic].tobytes())
+        assert basis.fingerprint() == h.hexdigest()[:16]
+
+
+def test_basis_factors_match_scipy_lu(rng):
+    # the direct LAPACK calls give the bytes of scipy's lu_factor/lu_solve
+    for m in (1, 10, 60):
+        a = rng.standard_normal((m, 3 * m))
+        basis = Basis(rng.permutation(3 * m)[:m], np.zeros(3 * m, bool))
+        factors = BasisFactors(a, basis)
+        lu = scipy.linalg.lu_factor(a[:, basis.basic])
+        rhs = rng.standard_normal(m)
+        inv = scipy.linalg.lu_solve(lu, np.eye(m))
+        assert factors.inverse().tobytes() == inv.tobytes()
+        assert factors.inverse().flags.f_contiguous
+        assert factors.solve(rhs).tobytes() == scipy.linalg.lu_solve(lu, rhs).tobytes()
+        assert (
+            factors.solve_transpose(rhs).tobytes()
+            == scipy.linalg.lu_solve(lu, rhs, trans=1).tobytes()
+        )
+    a = np.zeros((2, 3))
+    a[:, 0] = 1.0
+    with pytest.raises(SingularBasisError):
+        BasisFactors(a, Basis(np.array([0, 1]), np.zeros(3, bool)))
+    empty = BasisFactors(np.zeros((0, 3)), Basis(np.zeros(0, int), np.zeros(3, bool)))
+    assert empty.inverse().shape == (0, 0) and empty.solve(np.zeros(0)).shape == (0,)
