@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -90,6 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_close(args) -> int:
+    mode = {"pe": "pe", "pestar": "pestar", "gmi-rounds": "gmi"}[args.mode]
+    try:
+        cfg = ClosureConfig(
+            mode=mode,
+            eps=args.eps,
+            time_limit=args.time_limit,
+            rounds=args.rounds,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         inst = read_mps(args.instance)
     except OSError as exc:
@@ -123,13 +135,6 @@ def cmd_close(args) -> int:
                 file=sys.stderr,
             )
 
-    mode = {"pe": "pe", "pestar": "pestar", "gmi-rounds": "gmi"}[args.mode]
-    cfg = ClosureConfig(
-        mode=mode,
-        eps=args.eps,
-        time_limit=args.time_limit,
-        rounds=args.rounds,
-    )
     try:
         report = optimize_closure(nm, cfg)
     except ClosureError as exc:
@@ -194,6 +199,12 @@ def _print_human(report, nm) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 0:
+        print("error: count must be non-negative", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if not math.isfinite(args.corrupt_rhs):
+        print("error: corrupt-rhs must be finite", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     suites = (
         ["theorem3", "theorem4", "duality", "proposition3", "validity"]
         if args.suite == "all"

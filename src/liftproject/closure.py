@@ -64,8 +64,12 @@ class ClosureConfig:
     def __post_init__(self):
         if self.mode not in ("pe", "pestar", "gmi"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:  # NaN fails too
+            raise ValueError("eps must be positive and finite")
+        if np.isnan(self.time_limit):
+            raise ValueError("time_limit must be a number")
+        if self.rounds < 0:
+            raise ValueError("rounds must be non-negative")
 
 
 @dataclass

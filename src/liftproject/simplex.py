@@ -6,11 +6,18 @@ One solver serves the master problem, the membership separation LP and the
 explicit multiplier-space cut LP used for cross-checking.  Feasibility is
 restored from any starting basis by a composite phase 1 (maximize the
 negated total bound violation of the basic variables), so a stale basis is
-usable as a crash start.  Pricing is Dantzig with a switch to Bland's rule
-when the objective stalls.  The basis inverse is kept explicitly and
-updated in product form, with periodic refactorization; every explicit
-inverse comes from ``standard_form.BasisFactors``.  A start shared by many
-LPs over one matrix can be passed as its ``BasisFactors``, factored once.
+usable as a crash start.  Phase 1 prices by the largest reduced cost of
+the violation (Dantzig).  Phase 2 prices by devex: the entering column
+maximizes ``score_j**2 / w_j`` over the improving columns, where the
+reference weights ``w`` start at 1 and, on each basis change, grow to
+``(alpha_rj / alpha_re)**2 * w_e`` along the pivot row (the leaving column
+gets ``max(w_e / alpha_re**2, 1)``); a bound flip keeps them (Harris
+1973; Forrest and Goldfarb, Math. Prog. 57, 1992).  Both phases switch to
+Bland's rule when the objective stalls.  The basis inverse is kept
+explicitly and updated in product form, with periodic refactorization;
+every explicit inverse comes from ``standard_form.BasisFactors``.  A start
+shared by many LPs over one matrix can be passed as its ``BasisFactors``,
+factored once.
 """
 
 from __future__ import annotations
@@ -180,6 +187,7 @@ class _Worker:
         self._since_improve = 0
         self._best = -np.inf
         self._ger = None  # scratch buffer for the rank-1 inverse update
+        self.weights = np.ones(self.ncols)  # devex reference weights
         self._init_basis(start)
 
     # -- basis handling ----------------------------------------------------
@@ -239,13 +247,19 @@ class _Worker:
         y = g[self.basic] @ self.binv
         return g - y @ self.a, y
 
-    def _entering(self, cbar: np.ndarray) -> int | None:
+    def _entering(self, cbar: np.ndarray, devex: bool = False) -> int | None:
         # improvement per unit of movement away from the active bound;
         # basic and fixed columns cannot move
         score = np.where(self.atup, -cbar, cbar)
         score[self.inb | self.fixed] = -np.inf
         if self.bland:
             e = int(np.argmax(score > self.dtol))
+        elif devex:
+            # steepest edge as the reference weights estimate it
+            cand = np.flatnonzero(score > self.dtol)
+            if not cand.size:
+                return None
+            e = int(cand[np.argmax(score[cand] ** 2 / self.weights[cand])])
         else:
             e = int(np.argmax(score))
         return e if score[e] > self.dtol else None
@@ -330,28 +344,35 @@ class _Worker:
         target = np.where(to_upper, ub, lb)[poss]
         ts = np.maximum((target - xb[poss]) / delta[poss], 0.0)
         drops = np.abs(delta[poss])
-        toups = to_upper[poss]
+        # the entering column's own bound flip is a breakpoint whose drop
+        # is infinite: the walk ends there at the latest, and there first
+        # when a row breaks at the same step
         e_range = self.u[self._enter] - self.l[self._enter]
-        if np.isfinite(e_range):
-            ts = np.append(ts, e_range)
-            drops = np.append(drops, np.inf)
-            poss = np.append(poss, -1)
-            toups = np.append(toups, False)
-        if not ts.size:
-            return np.inf, None, False
         order = np.lexsort((poss, ts))
         for i in order:
+            if ts[i] >= e_range:
+                break
             slope -= drops[i]
             if slope <= 1e-12 * (1.0 + abs(slope)):
-                if poss[i] < 0:
-                    return float(ts[i]), None, False  # bound flip
-                return float(ts[i]), int(poss[i]), bool(toups[i])
+                return float(ts[i]), int(poss[i]), bool(to_upper[poss[i]])
+        if np.isfinite(e_range):
+            return float(e_range), None, False  # bound flip
+        if not poss.size:
+            return np.inf, None, False
         # numerically the slope should have been exhausted; stop at the
         # last breakpoint rather than diverging
         i = order[-1]
-        if poss[i] < 0:
-            return float(ts[i]), None, False
-        return float(ts[i]), int(poss[i]), bool(toups[i])
+        return float(ts[i]), int(poss[i]), bool(to_upper[poss[i]])
+
+    def _update_weights(self, w: np.ndarray, leave_pos: int) -> None:
+        """Devex update for a basis change at ``leave_pos``, read from the
+        pivot row of the inverse before it is updated."""
+        e = self._enter
+        wr = w[leave_pos]
+        ratio = (self.binv[leave_pos] @ self.a) / wr
+        we = self.weights[e]
+        np.maximum(self.weights, ratio * ratio * we, out=self.weights)
+        self.weights[self.basic[leave_pos]] = max(we / (wr * wr), 1.0)
 
     def _apply_pivot(self, sigma, t, w, leave_pos, leave_to_upper) -> None:
         e = self._enter
@@ -455,7 +476,7 @@ class _Worker:
         self._reset_progress()
         while not self._out_of_budget():
             cbar, _ = self._price(self.cmax)
-            e = self._entering(cbar)
+            e = self._entering(cbar, devex=True)
             if e is None:
                 return Status.OPTIMAL
             self._enter = e
@@ -464,6 +485,8 @@ class _Worker:
             t, pos, to_up = self._ratio_test(sigma, w, phase1=False)
             if not np.isfinite(t):
                 return Status.UNBOUNDED
+            if pos is not None:  # a bound flip keeps the weights
+                self._update_weights(w, pos)
             self._apply_pivot(sigma, t, w, pos, to_up)
             self._track_progress(float(self.cmax @ self.x))
             if self._phase1_needed():

@@ -161,6 +161,36 @@ def test_verify_cli_fault_injection_exits_3(capsys):
     assert "counterexample" in err.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--eps", "0"], "eps must be positive and finite"),
+        (["--eps", "inf"], "eps must be positive and finite"),
+        (["--time-limit", "nan"], "time_limit must be a number"),
+        (["--mode", "gmi-rounds", "--rounds", "-3"], "rounds must be non-negative"),
+    ],
+)
+def test_close_invalid_config_exits_1(t1_path, capsys, argv, message):
+    assert main(["close", t1_path, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--count", "-5"], "count must be non-negative"),
+        (["--corrupt-rhs", "nan"], "corrupt-rhs must be finite"),
+    ],
+)
+def test_verify_invalid_option_exits_1(capsys, argv, message):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_verify_count_zero_is_vacuous(capsys):
     code = main(["verify", "--suite", "theorem3", "--count", "0"])
     assert code == 0

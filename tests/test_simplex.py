@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from liftproject.simplex import BoundedLp, Status, dual_objective, solve
 from liftproject.standard_form import (
@@ -258,3 +259,79 @@ def test_bound_flip_path():
     res = solve(lp)
     assert res.status is Status.OPTIMAL
     assert res.value == pytest.approx(3.0)
+
+
+def covering_lp(rng) -> BoundedLp:
+    """min 1·x over A x - s = 1 with 0/1 rows of at least two ones,
+    0 <= x <= 1, s >= 0: unit costs make many ties."""
+    m = int(rng.integers(20, 41))
+    n = int(rng.integers(m, 2 * m))
+    a = (rng.random((m, n)) < 0.12).astype(float)
+    for row in a:
+        if row.sum() < 2:
+            row[rng.choice(n, 2, replace=False)] = 1.0
+    return BoundedLp(
+        "min",
+        np.concatenate([np.zeros(m), np.ones(n)]),
+        np.hstack([-np.eye(m), a]),
+        np.ones(m),
+        np.zeros(m + n),
+        np.concatenate([np.full(m, np.inf), np.ones(n)]),
+    )
+
+
+def boxed_lp(rng) -> BoundedLp:
+    """max c x over A x + s = d with small integer data, 0 <= x <= u."""
+    m = int(rng.integers(20, 41))
+    n = int(rng.integers(m // 2, m + 1))
+    a = rng.integers(-2, 3, size=(m, n)).astype(float)
+    return BoundedLp(
+        "max",
+        np.concatenate([rng.integers(-1, 3, size=n).astype(float), np.zeros(m)]),
+        np.hstack([a, np.eye(m)]),
+        rng.integers(-1, 4, size=m).astype(float),
+        np.zeros(n + m),
+        np.concatenate([rng.integers(1, 3, size=n).astype(float), np.full(m, np.inf)]),
+    )
+
+
+def test_degenerate_lps_match_highs():
+    # degenerate, tie-rich LPs from the crash basis and from the slack
+    # basis: status and optimum agree with HiGHS, the duals certify the
+    # optimum and every nonbasic reduced cost has its optimal sign
+    most_pivots = 0
+    optimal = 0
+    for seed in range(16):
+        rng = np.random.default_rng([2024, seed])
+        lp = covering_lp(rng) if seed % 2 == 0 else boxed_lp(rng)
+        sign = 1.0 if lp.sense == "max" else -1.0
+        ref = linprog(
+            -sign * lp.objective,
+            A_eq=lp.a_eq,
+            b_eq=lp.rhs,
+            bounds=list(zip(lp.lower, lp.upper)),
+            method="highs",
+        )
+        assert ref.status in (0, 2), f"seed {seed}: {ref.message}"
+        slack = np.flatnonzero(np.isinf(lp.upper))
+        for start in (None, Basis(slack, np.zeros(lp.num_cols, bool))):
+            res = solve(lp, start=start)
+            most_pivots = max(most_pivots, res.pivots - res.phase1_pivots)
+            if ref.status == 2:
+                assert res.status is Status.INFEASIBLE, f"seed {seed}"
+                continue
+            assert res.status is Status.OPTIMAL, f"seed {seed}: {res.status}"
+            z = -sign * ref.fun
+            tol = 1e-7 * (1.0 + abs(z))
+            assert abs(res.value - z) <= tol, f"seed {seed}"
+            assert abs(dual_objective(lp, res) - res.value) <= tol, f"seed {seed}"
+            nonbasic = np.ones(lp.num_cols, bool)
+            nonbasic[res.basis.basic] = False
+            nonbasic &= lp.upper > lp.lower
+            rc = sign * res.reduced_costs
+            up = res.basis.at_upper
+            assert np.all(rc[nonbasic & ~up] <= 1e-7), f"seed {seed}"
+            assert np.all(rc[nonbasic & up] >= -1e-7), f"seed {seed}"
+            optimal += 1
+    assert optimal >= 16
+    assert most_pivots >= 20  # phase 2, where the weighted pricing runs
