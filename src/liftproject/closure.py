@@ -104,6 +104,7 @@ class ClosureReport:
     cuts_active: int = 0
     cuts_parked: int = 0
     master_pivots: int = 0
+    master_phase1_pivots: int = 0
     separation_pivots: int = 0
     separation_phase1_pivots: int = 0
     master_time: float = 0.0
@@ -133,6 +134,7 @@ class ClosureReport:
             "cuts": {"active": self.cuts_active, "parked": self.cuts_parked},
             "pivots": {
                 "master": self.master_pivots,
+                "master_phase1": self.master_phase1_pivots,
                 "separation": self.separation_pivots,
                 "separation_phase1": self.separation_phase1_pivots,
                 "total": self.master_pivots + self.separation_pivots,
@@ -268,11 +270,17 @@ class _Master:
         self.basis: Basis | None = None
         self.result = None
         self.pivots = 0
+        self.phase1_pivots = 0
         self.solves = 0
         self.time = 0.0
         self._cuts: list[CutRow] = []
 
     def solve(self, cuts: list[CutRow], time_limit: float | None = None):
+        """Solve the master over the original rows and ``cuts``, from the
+        previous optimal basis carried over by ``_remap_basis`` (dual
+        feasible, so the simplex re-optimizes it by the dual simplex when
+        the new cuts cut off the old optimum), or from the slack basis on
+        the first solve."""
         t0 = time.perf_counter()
         old_slp = self.slp
         old_cuts = self._cuts
@@ -293,6 +301,7 @@ class _Master:
         self.result = simplex.solve(lp, start=start, time_limit=time_limit)
         self.basis = self.result.basis
         self.pivots += self.result.pivots
+        self.phase1_pivots += self.result.phase1_pivots
         self.solves += 1
         self.time += time.perf_counter() - t0
         return self.result
@@ -304,7 +313,11 @@ class _Master:
         their cut's new row position, structural columns shift by the
         row-count delta, and each genuinely new row enters with its own
         slack basic.  Dropped rows take their (basic) slack with them, so
-        the carried basis stays square and nonsingular.
+        the carried basis stays square and nonsingular.  Every added or
+        dropped row has its slack basic and a zero dual, so the reduced
+        costs of the previous optimum carry over unchanged: the carried
+        basis is dual feasible, and only the new cuts' slacks, negative
+        where a cut is violated, make it primal infeasible.
         """
         m_old = old_slp.num_rows
         m_new = self.slp.num_rows
@@ -541,6 +554,7 @@ def _finish_report(
         report.x_final = _structural_point(master.slp, master.result.x)
     report.num_master_solves = master.solves
     report.master_pivots = master.pivots
+    report.master_phase1_pivots = master.phase1_pivots
     report.master_time = master.time
     report.cuts_active = len(active)
     report.cuts_parked = len(parked)

@@ -3,17 +3,31 @@
     max/min  c x   s.t.  A x = d,   l <= x <= u   (l finite, u may be +inf).
 
 One solver serves the master problem, the membership separation LP and the
-explicit multiplier-space cut LP used for cross-checking.  Feasibility is
-restored from any starting basis by a composite phase 1 (maximize the
-negated total bound violation of the basic variables), so a stale basis is
-usable as a crash start.  Phase 1 prices by the largest reduced cost of
-the violation (Dantzig).  Phase 2 prices by devex: the entering column
-maximizes ``score_j**2 / w_j`` over the improving columns, where the
-reference weights ``w`` start at 1 and, on each basis change, grow to
-``(alpha_rj / alpha_re)**2 * w_e`` along the pivot row (the leaving column
-gets ``max(w_e / alpha_re**2, 1)``); a bound flip keeps them (Harris
-1973; Forrest and Goldfarb, Math. Prog. 57, 1992).  Both phases switch to
-Bland's rule when the objective stalls.  The basis inverse is kept
+explicit multiplier-space cut LP used for cross-checking.  A start whose
+basic variables violate their bounds but whose reduced costs price it
+optimal (the old optimum after new rows or a changed right-hand side) is
+re-optimized by a bounded dual simplex.  Its leaving row maximizes
+``v_r**2 / ||e_r B^-1||**2`` over the rows whose violation ``v_r`` exceeds
+the feasibility tolerance: exact dual steepest-edge weights, read off the
+explicit inverse at each pivot (Forrest and Goldfarb, Math. Prog. 57,
+1992).  Its entering column is the smallest dual ratio
+``|cbar_j| / |alpha_rj|`` among the columns that reduce the violation,
+ties going to the largest ``|alpha_rj|``, and the leaving variable lands
+on the bound it violates.  A row that no column can repair proves the LP
+infeasible (that row of the inverse is a Farkas ray); once the basis is
+primal feasible, phase 2 prices it again.  If the objective does not fall
+for ``BLAND_WINDOW`` dual pivots, the basis goes to the composite phase 1.
+Any other start goes through that composite phase 1 (maximize the negated
+total bound violation of the basic variables), so a stale basis is usable
+as a crash start.  ``phase1_pivots`` counts the pivots spent reaching
+primal feasibility, dual ones included.  Phase 1 prices by the largest
+reduced cost of the violation (Dantzig).  Phase 2 prices by devex: the
+entering column maximizes ``score_j**2 / w_j`` over the improving columns,
+where the reference weights ``w`` start at 1 and, on each basis change,
+grow to ``(alpha_rj / alpha_re)**2 * w_e`` along the pivot row (the
+leaving column gets ``max(w_e / alpha_re**2, 1)``); a bound flip keeps
+them (Harris 1973; Forrest and Goldfarb 1992).  Both primal phases switch
+to Bland's rule when the objective stalls.  The basis inverse is kept
 explicitly and updated in product form, with periodic refactorization;
 every explicit inverse comes from ``standard_form.BasisFactors``.  A start
 shared by many LPs over one matrix can be passed as its ``BasisFactors``,
@@ -35,7 +49,7 @@ REFRESH_EVERY = 100  # pivots between refactorizations
 PIVOT_TOL = 1e-9  # ratio-test pivot acceptance
 ETA_TOL = 1e-11  # product-form update pivot floor
 DEFAULT_MAX_ITER = 50_000
-BLAND_WINDOW = 1_000  # non-improving pivots before Bland's rule
+BLAND_WINDOW = 1_000  # non-improving pivots before Bland's rule or phase 1
 
 
 class Status(enum.Enum):
@@ -101,7 +115,7 @@ class SimplexResult:
     reduced_costs: np.ndarray | None
     duals: np.ndarray | None
     pivots: int
-    phase1_pivots: int
+    phase1_pivots: int  # spent reaching primal feasibility, dual ones included
 
     @property
     def optimal(self) -> bool:
@@ -502,8 +516,60 @@ class _Worker:
             return False
         return self._infeasibility() > 10.0 * self.ftol * self.r
 
+    def _dual(self) -> Status | None:
+        """Bounded dual simplex from a dual feasible start.
+
+        Returns OPTIMAL once the basis is primal feasible, INFEASIBLE when
+        the leaving row admits no entering column, and None when the
+        objective stalls, which hands the basis to the composite phase 1.
+        """
+        self._reset_progress()
+        while not self._out_of_budget():
+            xb = self.x[self.basic]
+            below = self.l[self.basic] - xb
+            viol = np.maximum(below, xb - self.u[self.basic])
+            rows = np.flatnonzero(viol > self.ftol)
+            if not rows.size:
+                return Status.OPTIMAL
+            # exact dual steepest-edge weights: the squared norms of the
+            # violated rows of the inverse
+            binv_rows = self.binv[rows]
+            norms = np.einsum("ij,ij->i", binv_rows, binv_rows)
+            r = int(rows[np.argmax(viol[rows] ** 2 / norms)])
+            rise = bool(below[r] > 0.0)  # leaves at the lower bound it violates
+            alpha = self.binv[r] @ self.a
+            cbar, _ = self._price(self.cmax)
+            sigma = np.where(self.atup, -1.0, 1.0)
+            # violation removed per unit move of each column off its bound;
+            # basic and fixed columns cannot move
+            gain = -sigma * alpha if rise else sigma * alpha
+            gain[self.inb | self.fixed] = 0.0
+            cand = np.flatnonzero(gain > PIVOT_TOL)
+            if not cand.size:
+                return Status.INFEASIBLE  # row r of the inverse is a Farkas ray
+            ratios = np.abs(cbar[cand]) / gain[cand]
+            t = float(ratios.min())
+            near = cand[ratios <= t + 1e-12 * (1.0 + t)]
+            e = int(near[np.argmax(gain[near])])
+            self._enter = e
+            w = self.binv @ self.a[:, e]
+            self._apply_pivot(sigma[e], viol[r] / gain[e], w, r, not rise)
+            self.phase1_pivots += 1
+            self._track_progress(-float(self.cmax @ self.x))
+            if self.bland:
+                return None
+        return Status.ITERATION_LIMIT
+
     def run(self) -> SimplexResult:
-        st = self._phase1()
+        st = None
+        xb = self.x[self.basic]
+        violated = np.any(xb < self.l[self.basic] - self.ftol) or np.any(
+            xb > self.u[self.basic] + self.ftol
+        )
+        if violated and self._entering(self._price(self.cmax)[0]) is None:
+            st = self._dual()
+        if st is None:
+            st = self._phase1()
         if st is Status.OPTIMAL:
             st = self._phase2()
         return self._finish(st)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from liftproject import membership
+from liftproject import closure, membership, simplex
 from liftproject.cli import main
 from liftproject.closure import (
     ClosureConfig,
@@ -21,11 +21,13 @@ from liftproject.membership import (
     build_membership_lp,
     membership_value,
 )
+from liftproject.simplex import BoundedLp, Status
 from liftproject.standard_form import Basis, BasisFactors, SingularBasisError
 from liftproject.verify import random_milp
 
 from conftest import T1_MPS
 from test_membership import plain_milp
+from test_simplex import record_dual_runs
 
 
 def test_t1_pe_closes_everything(t1):
@@ -339,6 +341,65 @@ def test_first_pass_separations_need_no_phase1(rng, monkeypatch):
         pivots = rep.to_dict()["pivots"]
         assert pivots["separation_phase1"] == rep.separation_phase1_pivots
     assert first_pass >= 10
+
+
+def _record_master_solves(monkeypatch):
+    """Every master solve's simplex result, next to a cold solve of the
+    same rows from the crash basis."""
+    solves = []
+    warm_solve = closure._Master.solve
+
+    def recording(self, cuts, time_limit=None):
+        warm = warm_solve(self, cuts, time_limit=time_limit)
+        n = self.slp.num_cols
+        lp = BoundedLp(
+            "max", self.slp.c, self.slp.a, self.slp.b, np.zeros(n), np.full(n, np.inf)
+        )
+        solves.append((warm, simplex.solve(lp)))
+        return warm
+
+    monkeypatch.setattr(closure._Master, "solve", recording)
+    return solves
+
+
+def _warm_start_models():
+    return [
+        _knapsack(np.random.default_rng(7), rows=4, nb=30),
+        random_milp(np.random.default_rng(11), n_range=(8, 8), m_range=(6, 6)).nm,
+    ]
+
+
+def test_master_phase1_pivots_are_summed(monkeypatch):
+    solves = _record_master_solves(monkeypatch)
+    for nm in _warm_start_models():
+        for run in (
+            lambda: optimize_closure(nm, ClosureConfig(mode="pestar")),
+            lambda: gmi_rounds(nm, 5),
+        ):
+            solves.clear()
+            rep = run()
+            phase1 = sum(warm.phase1_pivots for warm, _ in solves)
+            assert rep.master_phase1_pivots == phase1 > 0
+            assert rep.master_pivots == sum(warm.pivots for warm, _ in solves)
+            pivots = rep.to_dict()["pivots"]
+            assert pivots["master_phase1"] == rep.master_phase1_pivots
+            assert pivots["total"] == rep.master_pivots + rep.separation_pivots
+
+
+def test_warm_master_matches_cold_solve(monkeypatch):
+    # the carried master basis is dual feasible, so the re-solves after
+    # new cuts run the dual simplex; each optimum must be the one a cold
+    # solve of the same rows finds
+    solves = _record_master_solves(monkeypatch)
+    duals = record_dual_runs(monkeypatch)
+    for nm in _warm_start_models():
+        optimize_closure(nm, ClosureConfig(mode="pestar"))
+        gmi_rounds(nm, 5)
+    assert len(solves) >= 10 and len(duals) >= 5
+    for warm, cold in solves:
+        assert warm.status is cold.status
+        if warm.status is Status.OPTIMAL:
+            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from liftproject import simplex
 from liftproject.simplex import BoundedLp, Status, dual_objective, solve
 from liftproject.standard_form import (
     Basis,
@@ -295,6 +296,47 @@ def boxed_lp(rng) -> BoundedLp:
     )
 
 
+def highs(lp: BoundedLp):
+    sign = 1.0 if lp.sense == "max" else -1.0
+    ref = linprog(
+        -sign * lp.objective,
+        A_eq=lp.a_eq,
+        b_eq=lp.rhs,
+        bounds=list(zip(lp.lower, lp.upper)),
+        method="highs",
+    )
+    assert ref.status in (0, 2), ref.message
+    return ref
+
+
+def assert_matches_highs(lp: BoundedLp, res, ref, label: str) -> bool:
+    """Status and optimum agree with HiGHS, the duals certify the optimum
+    and every nonbasic reduced cost has its optimal sign.  Returns whether
+    the LP is feasible."""
+    if ref.status == 2:
+        assert res.status is Status.INFEASIBLE, label
+        return False
+    assert res.status is Status.OPTIMAL, f"{label}: {res.status}"
+    sign = 1.0 if lp.sense == "max" else -1.0
+    z = -sign * ref.fun
+    tol = 1e-7 * (1.0 + abs(z))
+    assert abs(res.value - z) <= tol, label
+    assert abs(dual_objective(lp, res) - res.value) <= tol, label
+    nonbasic = np.ones(lp.num_cols, bool)
+    nonbasic[res.basis.basic] = False
+    nonbasic &= lp.upper > lp.lower
+    rc = sign * res.reduced_costs
+    up = res.basis.at_upper
+    assert np.all(rc[nonbasic & ~up] <= 1e-7), label
+    assert np.all(rc[nonbasic & up] >= -1e-7), label
+    return True
+
+
+def degenerate_lp(seed: int) -> BoundedLp:
+    rng = np.random.default_rng([2024, seed])
+    return covering_lp(rng) if seed % 2 == 0 else boxed_lp(rng)
+
+
 def test_degenerate_lps_match_highs():
     # degenerate, tie-rich LPs from the crash basis and from the slack
     # basis: status and optimum agree with HiGHS, the duals certify the
@@ -302,36 +344,111 @@ def test_degenerate_lps_match_highs():
     most_pivots = 0
     optimal = 0
     for seed in range(16):
-        rng = np.random.default_rng([2024, seed])
-        lp = covering_lp(rng) if seed % 2 == 0 else boxed_lp(rng)
-        sign = 1.0 if lp.sense == "max" else -1.0
-        ref = linprog(
-            -sign * lp.objective,
-            A_eq=lp.a_eq,
-            b_eq=lp.rhs,
-            bounds=list(zip(lp.lower, lp.upper)),
-            method="highs",
-        )
-        assert ref.status in (0, 2), f"seed {seed}: {ref.message}"
+        lp = degenerate_lp(seed)
+        ref = highs(lp)
         slack = np.flatnonzero(np.isinf(lp.upper))
         for start in (None, Basis(slack, np.zeros(lp.num_cols, bool))):
             res = solve(lp, start=start)
             most_pivots = max(most_pivots, res.pivots - res.phase1_pivots)
-            if ref.status == 2:
-                assert res.status is Status.INFEASIBLE, f"seed {seed}"
-                continue
-            assert res.status is Status.OPTIMAL, f"seed {seed}: {res.status}"
-            z = -sign * ref.fun
-            tol = 1e-7 * (1.0 + abs(z))
-            assert abs(res.value - z) <= tol, f"seed {seed}"
-            assert abs(dual_objective(lp, res) - res.value) <= tol, f"seed {seed}"
-            nonbasic = np.ones(lp.num_cols, bool)
-            nonbasic[res.basis.basic] = False
-            nonbasic &= lp.upper > lp.lower
-            rc = sign * res.reduced_costs
-            up = res.basis.at_upper
-            assert np.all(rc[nonbasic & ~up] <= 1e-7), f"seed {seed}"
-            assert np.all(rc[nonbasic & up] >= -1e-7), f"seed {seed}"
-            optimal += 1
+            optimal += assert_matches_highs(lp, res, ref, f"seed {seed}")
     assert optimal >= 16
     assert most_pivots >= 20  # phase 2, where the weighted pricing runs
+
+
+def reoptimization_draws():
+    """The LPs of ``test_degenerate_lps_match_highs`` that have an optimum,
+    each cut by 1-3 new rows ``g x - s = h`` (``s >= 0``) over its bounded
+    columns that the optimum violates.  Yields the cut LP and the old
+    optimal basis with the new slacks basic: primal infeasible and dual
+    feasible."""
+    for seed in range(16):
+        lp = degenerate_lp(seed)
+        opt = solve(lp)
+        if opt.status is not Status.OPTIMAL:
+            continue
+        rng = np.random.default_rng([2025, seed])
+        k = int(rng.integers(1, 4))
+        n = lp.num_cols
+        g = rng.integers(-2, 3, size=(k, n)) * (rng.random((k, n)) < 0.4)
+        g = g * np.isfinite(lp.upper)
+        h = g @ opt.x + rng.uniform(0.05, 0.5, size=k)
+        cut = BoundedLp(
+            lp.sense,
+            np.concatenate([lp.objective, np.zeros(k)]),
+            np.block([[lp.a_eq, np.zeros((lp.num_rows, k))], [g, -np.eye(k)]]),
+            np.concatenate([lp.rhs, h]),
+            np.concatenate([lp.lower, np.zeros(k)]),
+            np.concatenate([lp.upper, np.full(k, np.inf)]),
+        )
+        start = Basis(
+            np.concatenate([opt.basis.basic, n + np.arange(k)]),
+            np.concatenate([opt.basis.at_upper, np.zeros(k, bool)]),
+        )
+        yield seed, cut, start
+
+
+def record_dual_runs(monkeypatch) -> list:
+    """Each dual simplex run's outcome: a Status, or None for a stall."""
+    runs = []
+    run_dual = simplex._Worker._dual
+
+    def recording(self):
+        runs.append(run_dual(self))
+        return runs[-1]
+
+    monkeypatch.setattr(simplex._Worker, "_dual", recording)
+    return runs
+
+
+def check_reoptimization(monkeypatch) -> list:
+    runs = record_dual_runs(monkeypatch)
+    feasible = infeasible = 0
+    for seed, lp, start in reoptimization_draws():
+        res = solve(lp, start=start)
+        if assert_matches_highs(lp, res, highs(lp), f"seed {seed}"):
+            feasible += 1
+        else:
+            infeasible += 1
+    assert feasible >= 8 and infeasible >= 1
+    # a warm start after new rows is dual feasible: the dual simplex runs
+    assert len(runs) == feasible + infeasible
+    return runs
+
+
+def test_dual_reoptimization_matches_highs(monkeypatch):
+    runs = check_reoptimization(monkeypatch)
+    assert Status.INFEASIBLE in runs
+
+
+def test_dual_stall_falls_back_to_phase1(monkeypatch):
+    # with no stall allowed, the first dual pivot that does not lower the
+    # objective hands the basis to the composite phase 1
+    monkeypatch.setattr(simplex, "BLAND_WINDOW", 0)
+    runs = check_reoptimization(monkeypatch)
+    assert None in runs
+
+
+def test_phase1_repairs_stale_dual_infeasible_basis(monkeypatch):
+    # a stale basis that is neither primal nor dual feasible goes through
+    # the composite phase 1, not the dual simplex
+    runs = record_dual_runs(monkeypatch)
+    repaired = 0
+    for seed in range(1, 16, 2):  # the boxed LPs
+        lp = degenerate_lp(seed)
+        opt = solve(lp)
+        if opt.status is not Status.OPTIMAL:
+            continue
+        rng = np.random.default_rng([2026, seed])
+        lp2 = BoundedLp(
+            lp.sense,
+            -lp.objective,
+            lp.a_eq,
+            lp.rhs + rng.integers(-3, 4, size=lp.num_rows),
+            lp.lower,
+            lp.upper,
+        )
+        res = solve(lp2, start=opt.basis)
+        assert_matches_highs(lp2, res, highs(lp2), f"seed {seed}")
+        repaired += res.phase1_pivots > 0
+    assert repaired >= 3
+    assert not runs
