@@ -574,12 +574,15 @@ def _separation_start(
     Basic original slacks and structurals keep their columns; cut slacks
     have no column there and are dropped.  With every cut slack basic the
     remaining columns form a basis whose solution, nonbasics at 0, is
-    y = f * xhat: primal feasible for every k, so no phase 1 is needed.
-    A cut whose slack is nonbasic leaves one column too many; the columns
-    kept, one per original row, are picked by pivoted QR on the columns
-    scaled by their membership range (xhat_j, or the row activity for a
-    slack), so the columns pinned to 0 there are dropped first.  Every
-    column starts at lower.
+    y = f * xhat: primal feasible for every k.  A cut whose slack is
+    nonbasic leaves one column too many; the columns kept, one per
+    original row, are picked by pivoted QR on the columns scaled by their
+    membership range (xhat_j, or the row activity for a slack), so the
+    columns pinned to 0 there are dropped first.  The basis is handed over
+    with every column at lower; every column of the membership LP is
+    boxed, so the simplex moves each nonbasic column whose reduced cost
+    favors its upper bound there and solves from that dual feasible start
+    by the dual simplex.
     """
     m0 = sep_slp.num_rows
     m = master_slp.num_rows

@@ -3,28 +3,38 @@
     max/min  c x   s.t.  A x = d,   l <= x <= u   (l finite, u may be +inf).
 
 One solver serves the master problem, the membership separation LP and the
-explicit multiplier-space cut LP used for cross-checking.  A start whose
-basic variables violate their bounds but whose reduced costs price it
-optimal (the old optimum after new rows or a changed right-hand side) is
-re-optimized by a bounded dual simplex.  Its leaving row maximizes
+explicit multiplier-space cut LP used for cross-checking.  The start is
+priced once.  A nonbasic column whose reduced cost favors its other bound
+is dual infeasible; when every such column is boxed (finite upper bound),
+each one moves to that bound, which makes the start dual feasible without
+a pivot.  Every start of a boxed LP, such as the membership LP
+(``0 <= y_j <= xhat_j``), therefore goes to a bounded dual simplex, and so
+does any start that already prices optimal but violates some bounds (the
+master after new cut rows).  The dual leaving row maximizes
 ``v_r**2 / ||e_r B^-1||**2`` over the rows whose violation ``v_r`` exceeds
 the feasibility tolerance: exact dual steepest-edge weights, read off the
 explicit inverse at each pivot (Forrest and Goldfarb, Math. Prog. 57,
-1992).  Its entering column is the smallest dual ratio
-``|cbar_j| / |alpha_rj|`` among the columns that reduce the violation,
-ties going to the largest ``|alpha_rj|``, and the leaving variable lands
-on the bound it violates.  A row that no column can repair proves the LP
-infeasible (that row of the inverse is a Farkas ray); once the basis is
-primal feasible, phase 2 prices it again.  If the objective does not fall
-for ``BLAND_WINDOW`` dual pivots, the basis goes to the composite phase 1.
-Any other start goes through that composite phase 1 (maximize the negated
-total bound violation of the basic variables), so a stale basis is usable
-as a crash start.  ``phase1_pivots`` counts the pivots spent reaching
-primal feasibility, dual ones included.  Phase 1 prices by the largest
-reduced cost of the violation (Dantzig).  Phase 2 prices by devex: the
-entering column maximizes ``score_j**2 / w_j`` over the improving columns,
-where the reference weights ``w`` start at 1 and, on each basis change,
-grow to ``(alpha_rj / alpha_re)**2 * w_e`` along the pivot row (the
+1992).  Its entering column comes from the bound-flipping ratio test
+(Fourer, "Notes on the dual simplex method", 1994; Maros, EJOR 149, 2003):
+the columns that reduce the violation are taken in order of the dual ratio
+``|cbar_j| / |alpha_rj|``, ties to the largest ``|alpha_rj|``; a boxed
+column whose whole range leaves some violation is flipped to its other
+bound, and the first one that would use the violation up, or is unboxed,
+enters.  The leaving variable lands on the bound it violates.  A row that
+every column at its best bound leaves violated proves the LP infeasible
+(that row of the inverse is a Farkas ray); once the basis is primal
+feasible, phase 2 prices it again.  If the objective does not fall for
+``BLAND_WINDOW`` dual pivots, the basis goes to the composite phase 1.  A
+start with an unboxed dual infeasible column keeps its bound statuses and
+goes through that composite phase 1 (maximize the negated total bound
+violation of the basic variables), so a stale basis is usable as a crash
+start.  A dual iteration counts as one pivot whatever it flips, and flips
+at the start count as none; ``phase1_pivots`` counts the pivots spent
+reaching primal feasibility, dual ones included.  Phase 1 prices by the
+largest reduced cost of the violation (Dantzig).  Phase 2 prices by devex:
+the entering column maximizes ``score_j**2 / w_j`` over the improving
+columns, where the reference weights ``w`` start at 1 and, on each basis
+change, grow to ``(alpha_rj / alpha_re)**2 * w_e`` along the pivot row (the
 leaving column gets ``max(w_e / alpha_re**2, 1)``); a bound flip keeps
 them (Harris 1973; Forrest and Goldfarb 1992).  Both primal phases switch
 to Bland's rule when the objective stalls.  The basis inverse is kept
@@ -183,6 +193,7 @@ class _Worker:
         self.r, self.ncols = self.a.shape
         self.cmax = lp.objective if lp.sense == "max" else -lp.objective
         self.fixed = self.u - self.l <= 0.0
+        self.boxed = np.isfinite(self.u) & ~self.fixed  # movable to either bound
         self.deadline = None
         if time_limit is not None:
             self.deadline = time.perf_counter() + max(time_limit, 0.0)
@@ -261,11 +272,15 @@ class _Worker:
         y = g[self.basic] @ self.binv
         return g - y @ self.a, y
 
-    def _entering(self, cbar: np.ndarray, devex: bool = False) -> int | None:
+    def _scores(self, cbar: np.ndarray) -> np.ndarray:
         # improvement per unit of movement away from the active bound;
         # basic and fixed columns cannot move
         score = np.where(self.atup, -cbar, cbar)
         score[self.inb | self.fixed] = -np.inf
+        return score
+
+    def _entering(self, cbar: np.ndarray, devex: bool = False) -> int | None:
+        score = self._scores(cbar)
         if self.bland:
             e = int(np.argmax(score > self.dtol))
         elif devex:
@@ -520,8 +535,8 @@ class _Worker:
         """Bounded dual simplex from a dual feasible start.
 
         Returns OPTIMAL once the basis is primal feasible, INFEASIBLE when
-        the leaving row admits no entering column, and None when the
-        objective stalls, which hands the basis to the composite phase 1.
+        the leaving row cannot be repaired, and None when the objective
+        stalls, which hands the basis to the composite phase 1.
         """
         self._reset_progress()
         while not self._out_of_budget():
@@ -545,34 +560,77 @@ class _Worker:
             gain = -sigma * alpha if rise else sigma * alpha
             gain[self.inb | self.fixed] = 0.0
             cand = np.flatnonzero(gain > PIVOT_TOL)
-            if not cand.size:
+            flip, e, rest = self._bound_flipping_ratio_test(cand, gain, cbar, viol[r])
+            if e is None:
                 return Status.INFEASIBLE  # row r of the inverse is a Farkas ray
-            ratios = np.abs(cbar[cand]) / gain[cand]
-            t = float(ratios.min())
-            near = cand[ratios <= t + 1e-12 * (1.0 + t)]
-            e = int(near[np.argmax(gain[near])])
+            if flip.size:
+                step = self._flip(flip)
+                self.x[self.basic] -= self.binv @ (self.a[:, flip] @ step)
             self._enter = e
             w = self.binv @ self.a[:, e]
-            self._apply_pivot(sigma[e], viol[r] / gain[e], w, r, not rise)
+            self._apply_pivot(sigma[e], rest / gain[e], w, r, not rise)
             self.phase1_pivots += 1
             self._track_progress(-float(self.cmax @ self.x))
             if self.bland:
                 return None
         return Status.ITERATION_LIMIT
 
+    def _bound_flipping_ratio_test(
+        self, cand: np.ndarray, gain: np.ndarray, cbar: np.ndarray, viol: float
+    ):
+        """Walk the breakpoints of the candidate columns in dual ratio order
+        ``|cbar_j| / gain_j``, ties to the larger gain.  A boxed column whose
+        whole range leaves more than ``ftol`` of the violation is passed; the
+        first one that would use the violation up, or is unboxed, enters.
+
+        Returns the passed columns, the entering column (None when every
+        candidate is passed: the row cannot be repaired) and the violation
+        left for it."""
+        cand = cand[np.lexsort((-gain[cand], np.abs(cbar[cand]) / gain[cand]))]
+        left = viol - np.cumsum(gain[cand] * (self.u[cand] - self.l[cand]))
+        k = int(np.count_nonzero(left > self.ftol))  # left only falls
+        rest = float(left[k - 1]) if k else float(viol)
+        if k == cand.size:
+            return cand, None, rest
+        return cand[:k], int(cand[k]), rest
+
     def run(self) -> SimplexResult:
         st = None
-        xb = self.x[self.basic]
-        violated = np.any(xb < self.l[self.basic] - self.ftol) or np.any(
-            xb > self.u[self.basic] + self.ftol
-        )
-        if violated and self._entering(self._price(self.cmax)[0]) is None:
-            st = self._dual()
+        if (self.boxed.any() or self._violated()) and self._flip_to_dual_feasible():
+            st = self._dual()  # OPTIMAL at once if the start is primal feasible
         if st is None:
             st = self._phase1()
         if st is Status.OPTIMAL:
             st = self._phase2()
         return self._finish(st)
+
+    def _flip_to_dual_feasible(self) -> bool:
+        """Price the start once and move every dual infeasible nonbasic to
+        its other bound.  Returns whether the start is now dual feasible;
+        an unboxed dual infeasible column leaves every status unchanged."""
+        wrong = self._scores(self._price(self.cmax)[0]) > self.dtol
+        if not self.boxed[wrong].all():
+            return False
+        if wrong.any():
+            self._flip(wrong)
+            self._recompute_basics()
+        return True
+
+    def _flip(self, cols: np.ndarray) -> np.ndarray:
+        """Move nonbasic boxed columns to their other bound; returns the
+        move of each."""
+        self.atup[cols] = ~self.atup[cols]
+        to = np.where(self.atup[cols], self.u[cols], self.l[cols])
+        step = to - self.x[cols]
+        self.x[cols] = to
+        return step
+
+    def _violated(self) -> bool:
+        xb = self.x[self.basic]
+        return bool(
+            np.any(xb < self.l[self.basic] - self.ftol)
+            or np.any(xb > self.u[self.basic] + self.ftol)
+        )
 
     def _finish(self, st: Status) -> SimplexResult:
         cbar, y = self._price(self.cmax)

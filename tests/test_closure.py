@@ -402,6 +402,30 @@ def test_warm_master_matches_cold_solve(monkeypatch):
             assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
 
 
+def test_warm_membership_matches_cold_solve(monkeypatch):
+    # every membership LP starts from the master's basis, flipped to dual
+    # feasibility by the simplex; each optimum must be the one a solve of
+    # the same LP from the crash basis finds
+    solves = []
+    warm_value = membership.membership_value
+
+    def recording(prob, start=None, **kwargs):
+        value, warm = warm_value(prob, start=start, **kwargs)
+        solves.append((start is not None, warm, simplex.solve(prob.lp)))
+        return value, warm
+
+    monkeypatch.setattr(membership, "membership_value", recording)
+    knapsack = _warm_start_models()[0]
+    milp = random_milp(np.random.default_rng(4), n_range=(12, 12), m_range=(8, 8)).nm
+    for nm, mode in ((knapsack, "pe"), (milp, "pestar")):
+        solves.clear()
+        optimize_closure(nm, ClosureConfig(mode=mode))
+        assert len(solves) >= 20 and all(started for started, _, _ in solves)
+        for _, warm, cold in solves:
+            assert warm.status is cold.status is Status.OPTIMAL
+            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+
+
 @pytest.mark.parametrize(
     "target, error",
     [("tableau_row", SingularBasisError), ("certificate_from_basis", DualContractError)],

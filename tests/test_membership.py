@@ -407,10 +407,11 @@ def test_separate_inconclusive_on_iteration_limit(t1, t1_point):
     assert sep.inconclusive
 
 
-def test_warm_start_reuses_basis_for_equal_values():
+def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
     # two integer coordinates with the same fractional value share the
-    # whole constraint system, so the previous terminal basis is primal
-    # feasible and phase 1 has nothing to repair
+    # whole constraint system, so the previous terminal basis is a usable
+    # start: it is kept (no crash basis, no composite phase 1), reaches the
+    # cold optimum and takes no more pivots than the cold solve
     nm = plain_milp(
         [[1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [-1.0, 1.0, 2.0]],
         [0.0, -3.0, 0.2],
@@ -422,9 +423,22 @@ def test_warm_start_reuses_basis_for_equal_values():
     _, res0 = membership_value(prob0)
     assert res0.status is Status.OPTIMAL
     prob1 = build_membership_lp(nm, pt, 1)
-    _, res1 = membership_value(prob1, start=res0.basis)
+    cold_value, cold = membership_value(prob1)
+    assert cold.status is Status.OPTIMAL
+    calls = []
+    for name in ("_crash_basis", "_phase1"):
+        original = getattr(simplex._Worker, name)
+
+        def spy(self, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(simplex._Worker, name, spy)
+    value1, res1 = membership_value(prob1, start=res0.basis)
     assert res1.status is Status.OPTIMAL
-    assert res1.phase1_pivots == 0
+    assert not calls
+    assert value1 == pytest.approx(cold_value, abs=1e-9)
+    assert res1.pivots <= cold.pivots
 
 
 def test_strengthening_changes_integer_nonbasic_coefficient(rng):

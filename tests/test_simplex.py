@@ -235,16 +235,40 @@ def test_optimality_certificates(rng):
         assert np.all(res.reduced_costs[res.basis.basic] == 0.0)
 
 
-def test_phase1_repairs_stale_basis(t1):
-    slp = to_standard(t1)
-    lp = make_lp("max", slp.c, slp.a, slp.b)
-    opt = solve(lp, start=slp.slack_basis())
-    # perturb the rhs so the old optimal basis is primal infeasible
-    lp2 = make_lp("max", slp.c, slp.a, slp.b - np.array([3.0, 1.0]))
-    res = solve(lp2, start=opt.basis)
-    assert res.status is Status.OPTIMAL
-    cold = solve(lp2)
-    assert res.value == pytest.approx(cold.value, abs=1e-9)
+def record_phase1_starts(monkeypatch) -> list:
+    """The bound statuses each composite phase 1 run starts from."""
+    starts = []
+    run_phase1 = simplex._Worker._phase1
+
+    def recording(self):
+        starts.append(self.atup.copy())
+        return run_phase1(self)
+
+    monkeypatch.setattr(simplex._Worker, "_phase1", recording)
+    return starts
+
+
+def test_phase1_repairs_stale_basis(monkeypatch):
+    # x1 + x2 + x3 + s1 = b1, x1 - x2 + s2 = 1 with 0 <= x1, x2 <= 2 and
+    # x3, s >= 0.  The slack basis with x1 and x2 at upper is optimal for
+    # max x1 + x2 - x3 at b1 = 6; after b1 falls to 3 and the objective
+    # turns to x1 + 2 x2 + x3 it is primal infeasible (s1 = -1) and the
+    # unboxed x3 prices dual infeasible, so no bound flip can repair it
+    a = [[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 1.0]]
+    upper = [2.0, 2.0, np.inf, np.inf, np.inf]
+    stale = Basis(np.array([3, 4]), np.array([True, True, False, False, False]))
+    old = make_lp("max", [1.0, 1.0, -1.0, 0.0, 0.0], a, [6.0, 1.0], upper=upper)
+    opt = solve(old, start=stale)
+    assert (opt.status, opt.pivots) == (Status.OPTIMAL, 0)
+    lp = make_lp("max", [1.0, 2.0, 1.0, 0.0, 0.0], a, [3.0, 1.0], upper=upper)
+    starts = record_phase1_starts(monkeypatch)
+    runs = record_dual_runs(monkeypatch)
+    res = solve(lp, start=opt.basis)
+    assert res.phase1_pivots > 0
+    assert not runs
+    np.testing.assert_array_equal(starts[0], stale.at_upper)  # no status flips
+    assert_matches_highs(lp, res, highs(lp), "stale basis")
+    assert res.value == pytest.approx(5.0)
 
 
 def test_bound_flip_path():
@@ -451,4 +475,133 @@ def test_phase1_repairs_stale_dual_infeasible_basis(monkeypatch):
         assert_matches_highs(lp2, res, highs(lp2), f"seed {seed}")
         repaired += res.phase1_pivots > 0
     assert repaired >= 3
+    assert not runs
+
+
+def implied_box(lp: BoundedLp) -> BoundedLp:
+    """``lp`` with each unbounded slack given the upper bound its row
+    implies over the box of the other columns: the feasible set is the
+    same and every column is boxed."""
+    upper = lp.upper.copy()
+    for j in np.flatnonzero(np.isinf(lp.upper)):
+        i = int(np.argmax(np.abs(lp.a_eq[:, j])))
+        coef = -lp.a_eq[i] / lp.a_eq[i, j]
+        coef[j] = 0.0
+        on = coef != 0.0
+        reach = np.maximum(coef[on] * lp.lower[on], coef[on] * lp.upper[on]).sum()
+        upper[j] = max(lp.rhs[i] / lp.a_eq[i, j] + reach, lp.lower[j])
+    return BoundedLp(lp.sense, lp.objective, lp.a_eq, lp.rhs, lp.lower, upper)
+
+
+def random_starts(lp: BoundedLp, rng, count: int):
+    """``count`` nonsingular bases reached from the slack basis by random
+    well-conditioned column swaps, with random bound statuses."""
+    slack = np.flatnonzero(np.isinf(lp.upper))
+    for _ in range(count):
+        basic = slack.copy()
+        for _ in range(int(rng.integers(1, lp.num_rows + 1))):
+            j = int(rng.choice(np.setdiff1d(np.arange(lp.num_cols), basic)))
+            w = np.linalg.solve(lp.a_eq[:, basic], lp.a_eq[:, j])
+            rows = np.flatnonzero(np.abs(w) > 0.1)
+            if rows.size:
+                basic[rng.choice(rows)] = j
+        yield Basis(np.sort(basic), rng.random(lp.num_cols) < 0.5)
+
+
+def start_kind(lp: BoundedLp, start: Basis) -> tuple[bool, np.ndarray]:
+    """Whether ``start`` is primal feasible, and its dual infeasible
+    nonbasic columns."""
+    a, basic = lp.a_eq, start.basic
+    up = start.at_upper & np.isfinite(lp.upper)
+    x = np.where(up, lp.upper, lp.lower)
+    x[basic] = 0.0
+    bmat = a[:, basic]
+    xb = np.linalg.solve(bmat, lp.rhs - a @ x)
+    feasible = np.all(xb >= lp.lower[basic] - 1e-9) and np.all(
+        xb <= lp.upper[basic] + 1e-9
+    )
+    cmax = lp.objective if lp.sense == "max" else -lp.objective
+    cbar = cmax - np.linalg.solve(bmat.T, cmax[basic]) @ a
+    score = np.where(up, -cbar, cbar)
+    score[basic] = -np.inf
+    score[lp.upper <= lp.lower] = -np.inf
+    return bool(feasible), score > 1e-7
+
+
+def record_walks(monkeypatch) -> list:
+    """(columns passed, whether a column entered) per ratio test."""
+    walks = []
+    walk = simplex._Worker._bound_flipping_ratio_test
+
+    def recording(self, *args):
+        out = walk(self, *args)
+        walks.append((out[0].size, out[1] is not None))
+        return out
+
+    monkeypatch.setattr(simplex._Worker, "_bound_flipping_ratio_test", recording)
+    return walks
+
+
+def test_boxed_start_from_any_basis_matches_highs(monkeypatch):
+    # every column boxed: the start flips each dual infeasible column to
+    # its other bound and the dual simplex solves from there, whatever the
+    # basis; phase 1 never runs.  Starts: random bases, and the optimal
+    # basis for a redrawn objective (primal feasible)
+    phase1 = record_phase1_starts(monkeypatch)
+    walks = record_walks(monkeypatch)
+    kinds = set()
+    exhausted = 0
+    for seed in range(16):
+        lp = implied_box(degenerate_lp(seed))
+        ref = highs(lp)
+        rng = np.random.default_rng([2027, seed])
+        starts = list(random_starts(degenerate_lp(seed), rng, 3))
+        other = BoundedLp(lp.sense, rng.integers(-2, 3, size=lp.num_cols),
+                          lp.a_eq, lp.rhs, lp.lower, lp.upper)
+        found = solve(other)
+        if found.status is Status.OPTIMAL:
+            starts.append(found.basis)
+        for i, start in enumerate(starts):
+            feasible, wrong = start_kind(lp, start)
+            kinds.add("feasible" if feasible else "infeasible")
+            if wrong.any():
+                kinds.add("dual infeasible")
+            before = len(walks)
+            res = solve(lp, start=start)
+            if not assert_matches_highs(lp, res, ref, f"seed {seed} start {i}"):
+                passed, entered = walks[-1]
+                exhausted += passed > 0 and not entered
+            # one walk per dual pivot, whatever it flips, and one more for
+            # the row that proves infeasibility; start flips are no pivots
+            infeasible = res.status is Status.INFEASIBLE
+            assert len(walks) - before == res.phase1_pivots + infeasible
+    assert not phase1
+    assert kinds == {"feasible", "infeasible", "dual infeasible"}
+    assert any(passed and entered for passed, entered in walks)
+    assert exhausted > 0
+
+
+def test_unboxed_dual_infeasible_start_keeps_phase1(monkeypatch):
+    # an unbounded slack that prices dual infeasible leaves every bound
+    # status as the start has it, and the composite phase 1 runs
+    phase1 = record_phase1_starts(monkeypatch)
+    runs = record_dual_runs(monkeypatch)
+    checked = 0
+    for seed in range(16):
+        lp = degenerate_lp(seed)
+        ref = highs(lp)
+        rng = np.random.default_rng([2028, seed])
+        for i, start in enumerate(random_starts(lp, rng, 3)):
+            _, wrong = start_kind(lp, start)
+            if not np.any(wrong & np.isinf(lp.upper)):
+                continue
+            before = len(phase1)
+            res = solve(lp, start=start)
+            assert_matches_highs(lp, res, ref, f"seed {seed} start {i}")
+            assert len(phase1) == before + 1
+            kept = start.at_upper & np.isfinite(lp.upper)
+            kept[start.basic] = False
+            np.testing.assert_array_equal(phase1[-1], kept)
+            checked += 1
+    assert checked >= 8
     assert not runs
