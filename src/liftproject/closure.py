@@ -34,6 +34,7 @@ from .simplex import BoundedLp, SimplexResult, Status
 from .standard_form import (
     Basis,
     BasisFactors,
+    ColumnBounds,
     SingularBasisError,
     StandardLp,
     tableau_row,
@@ -219,12 +220,13 @@ class CutPool:
         self.inactivity.append(0)
         return "added"
 
-    def maintain(self, x: np.ndarray, basis: Basis, num_orig_rows: int, eps: float):
+    def maintain(self, x: np.ndarray, basis: Basis, num_base_rows: int, eps: float):
         """Update activity counters; park stale cuts; reactivate violated ones.
 
         Returns the number of cuts parked and reactivated.  Only cuts
         whose slack is basic in the current master basis are parked, so
-        dropping their row keeps the remaining basis nonsingular.
+        dropping their row keeps the remaining basis nonsingular.  The
+        master's cut slacks follow its ``num_base_rows`` other rows.
         """
         in_basis = basis.in_basis_mask() if basis is not None else None
         keep: list[CutRow] = []
@@ -237,7 +239,7 @@ class CutPool:
             else:
                 self.inactivity[i] = 0
             slack_col_basic = (
-                in_basis is not None and in_basis[num_orig_rows + i]
+                in_basis is not None and in_basis[num_base_rows + i]
             )
             if self.inactivity[i] >= self.park_after and slack_col_basic:
                 self.parked.append(cut)
@@ -262,11 +264,23 @@ class CutPool:
 
 
 class _Master:
-    """Master LP over the canonical rows plus the active cuts."""
+    """Master LP: the original rows that are not column bounds, the active
+    cuts, and ``0 <= x <= u`` on the structurals.
+
+    ``standard_form.ColumnBounds`` reads each bound row -x_j >= -u_j as the
+    column bound x_j <= u_j, so every bounded structural is boxed and the
+    dual simplex moves it between its bounds by bound flips rather than
+    basis changes.  Its other rows come first, then the cuts (``slp``).
+    The consumers that read the canonical rows (separation starts, GMI
+    tableau rows) get the same vertex from ``canonical_basis`` and
+    ``canonical_system``; with no bound row both are the master's own.
+    """
 
     def __init__(self, nm: NormalizedMilp):
         self.nm = nm
+        self.bounds = ColumnBounds.of(nm)
         self.slp: StandardLp | None = None
+        self.upper: np.ndarray | None = None  # column bounds of the master LP
         self.basis: Basis | None = None
         self.result = None
         self.pivots = 0
@@ -275,28 +289,37 @@ class _Master:
         self.time = 0.0
         self._cuts: list[CutRow] = []
 
+    @property
+    def num_base_rows(self) -> int:
+        """Rows of the master before its cuts."""
+        return self.bounds.keep.size
+
     def solve(self, cuts: list[CutRow], time_limit: float | None = None):
-        """Solve the master over the original rows and ``cuts``, from the
-        previous optimal basis carried over by ``_remap_basis`` (dual
+        """Solve the master over the kept original rows and ``cuts``, from
+        the previous optimal basis carried over by ``_remap_basis`` (dual
         feasible, so the simplex re-optimizes it by the dual simplex when
         the new cuts cut off the old optimum), or from the slack basis on
-        the first solve."""
+        the first solve, which the simplex makes dual feasible by moving
+        the profitable bounded columns to their upper bounds."""
         t0 = time.perf_counter()
         old_slp = self.slp
         old_cuts = self._cuts
         self._cuts = list(cuts)
-        self.slp = to_standard(self.nm, self._cuts)
+        self.slp = to_standard(self.nm, self._cuts, rows=self.bounds.keep)
         if self.basis is not None and old_slp is not None:
             start = self._remap_basis(old_slp, old_cuts)
         else:
             start = self.slp.slack_basis()
+        self.upper = np.concatenate(
+            [np.full(self.slp.num_rows, np.inf), self.bounds.upper]
+        )
         lp = BoundedLp(
             sense="max",
             objective=self.slp.c,
             a_eq=self.slp.a,
             rhs=self.slp.b,
             lower=np.zeros(self.slp.num_cols),
-            upper=np.full(self.slp.num_cols, np.inf),
+            upper=self.upper,
         )
         self.result = simplex.solve(lp, start=start, time_limit=time_limit)
         self.basis = self.result.basis
@@ -306,22 +329,42 @@ class _Master:
         self.time += time.perf_counter() - t0
         return self.result
 
+    @property
+    def num_canonical_rows(self) -> int:
+        """Rows of the canonical system plus the master's cuts."""
+        return self.nm.num_rows + len(self._cuts)
+
+    def canonical_basis(self) -> Basis:
+        """The optimal basis as a basis of the canonical rows plus cuts."""
+        if not self.bounds.rows.size:
+            return self.basis
+        return self.bounds.canonical_basis(
+            self.basis, len(self._cuts), self.result.reduced_costs
+        )
+
+    def canonical_system(self) -> StandardLp:
+        """The canonical rows plus cuts, slack-augmented."""
+        if not self.bounds.rows.size:
+            return self.slp
+        return to_standard(self.nm, self._cuts)
+
     def _remap_basis(self, old_slp: StandardLp, old_cuts: list[CutRow]) -> Basis:
         """Carry the previous optimal basis over to the current row set.
 
         Original slacks keep their index, surviving cut slacks follow
         their cut's new row position, structural columns shift by the
-        row-count delta, and each genuinely new row enters with its own
-        slack basic.  Dropped rows take their (basic) slack with them, so
-        the carried basis stays square and nonsingular.  Every added or
-        dropped row has its slack basic and a zero dual, so the reduced
-        costs of the previous optimum carry over unchanged: the carried
-        basis is dual feasible, and only the new cuts' slacks, negative
-        where a cut is violated, make it primal infeasible.
+        row-count delta and keep their bound statuses, and each genuinely
+        new row enters with its own slack basic.  Dropped rows take their
+        (basic) slack with them, so the carried basis stays square and
+        nonsingular.  Every added or dropped row has its slack basic and a
+        zero dual, so the reduced costs of the previous optimum carry over
+        unchanged: the carried basis is dual feasible, and only the new
+        cuts' slacks, negative where a cut is violated, make it primal
+        infeasible.
         """
         m_old = old_slp.num_rows
         m_new = self.slp.num_rows
-        m0 = self.nm.num_rows
+        m0 = self.num_base_rows
         new_pos = {id(cut): i for i, cut in enumerate(self._cuts)}
         basic = []
         for col in self.basis.basic:
@@ -340,7 +383,10 @@ class _Master:
                 basic.append(m0 + i)
         if len(basic) != m_new or len(set(basic)) != m_new:
             return self.slp.slack_basis()  # defensive recrash
-        return Basis(np.array(sorted(basic)), np.zeros(self.slp.num_cols, bool))
+        at_upper = np.zeros(self.slp.num_cols, bool)
+        at_upper[m_new:] = self.basis.at_upper[m_old:]
+        at_upper[basic] = False
+        return Basis(np.array(sorted(basic)), at_upper)
 
 
 def _structural_point(slp: StandardLp, x: np.ndarray) -> np.ndarray:
@@ -400,7 +446,7 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
             break
         xhat = _structural_point(master.slp, res.x)
         parked, reactivated = pool.maintain(
-            xhat, master.basis, nm.num_rows, cfg.eps
+            xhat, master.basis, master.num_base_rows, cfg.eps
         )
         if reactivated:
             # master must honor reactivated rows before the next pass
@@ -565,12 +611,14 @@ def _finish_report(
 
 def _separation_start(
     sep_slp: StandardLp,
-    master_slp: StandardLp,
     basis: Basis,
+    m: int,
     pt: membership.FractionalPoint,
 ) -> Basis:
     """The master's optimal basis carried over to the separation system.
 
+    ``basis`` is that basis over the ``m`` canonical rows plus cuts
+    (``_Master.canonical_basis``), so it names bound-row slacks too.
     Basic original slacks and structurals keep their columns; cut slacks
     have no column there and are dropped.  With every cut slack basic the
     remaining columns form a basis whose solution, nonbasics at 0, is
@@ -585,7 +633,6 @@ def _separation_start(
     by the dual simplex.
     """
     m0 = sep_slp.num_rows
-    m = master_slp.num_rows
     basic = np.sort(basis.basic)
     keep = (basic < m0) | (basic >= m)
     cols = np.where(basic < m0, basic, basic - m + m0)[keep]
@@ -613,7 +660,9 @@ def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start):
     t0 = time.perf_counter()
     if not order:
         return outcomes, 0.0, False
-    basis = _separation_start(sep_slp, master.slp, master.basis, pt)
+    basis = _separation_start(
+        sep_slp, master.canonical_basis(), master.num_canonical_rows, pt
+    )
     try:
         start = BasisFactors(sep_slp.a, basis)
     except SingularBasisError:
@@ -673,22 +722,22 @@ def gmi_rounds(
             report.termination = "time_limit"
             report.termination_reason = _time_limit_reason(cfg)
             break
-        slp = master.slp
+        slp = master.canonical_system()
+        basis = master.canonical_basis()
         m = slp.num_rows
-        xhat = _structural_point(slp, res.x)
+        xhat = _structural_point(master.slp, res.x)
         fr = xhat[: nm.num_integer] - np.floor(xhat[: nm.num_integer])
         targets = [
             k
             for k in range(nm.num_integer)
-            if min(fr[k], 1.0 - fr[k]) >= cfg.eps
-            and np.any(res.basis.basic == m + k)
+            if min(fr[k], 1.0 - fr[k]) >= cfg.eps and np.any(basis.basic == m + k)
         ]
         integer_cols = np.zeros(slp.num_cols, dtype=bool)
         integer_cols[m : m + nm.num_integer] = True
         added = 0
-        factors = BasisFactors(slp.a, res.basis) if targets else None
+        factors = BasisFactors(slp.a, basis) if targets else None
         for k in targets:
-            row = tableau_row(slp, res.basis, m + k, factors)
+            row = tableau_row(slp, basis, m + k, factors)
             try:
                 full = gmi_cut(row, integer_cols, eps=cfg.eps)
                 cut = eliminate_slacks(full, slp)

@@ -113,16 +113,17 @@ class TableauRow:
     basic_cols: np.ndarray | None = None
 
 
-def to_standard(nm: NormalizedMilp, extra_cuts=()) -> StandardLp:
+def to_standard(nm: NormalizedMilp, extra_cuts=(), rows=None) -> StandardLp:
     """Slack-augment A'x >= b (plus optional cut rows alpha x >= beta).
 
     Cut rows are appended after the original rows, before slack
     augmentation; separation always uses the cut-free system so that
-    generated cuts stay rank 1.
+    generated cuts stay rank 1.  ``rows`` keeps only those original rows
+    (the master drops the rows it reads as column bounds).
     """
     n = nm.num_cols
-    blocks = [nm.a]
-    rhs = [nm.b]
+    blocks = [nm.a if rows is None else nm.a[rows]]
+    rhs = [nm.b if rows is None else nm.b[rows]]
     for cut in extra_cuts:
         coeffs = np.asarray(cut.coeffs, dtype=float)
         if coeffs.shape[0] != n:
@@ -135,6 +136,71 @@ def to_standard(nm: NormalizedMilp, extra_cuts=()) -> StandardLp:
     a = np.hstack([-np.eye(m), a_struct])
     c = np.concatenate([np.zeros(m), nm.objective])
     return StandardLp(a=a, b=b, c=c, num_struct=n, num_int=nm.num_integer)
+
+
+@dataclass
+class ColumnBounds:
+    """Original rows -x_j >= -u_j read as column bounds 0 <= x_j <= u_j.
+
+    A row is read as a bound when its only nonzero is -1 at column j and
+    b_i <= 0; when several rows bound one column, only the first is, and
+    the others stay rows.  The system over the rows kept (``keep``) plus
+    cuts, with these bounds on its structurals, has the feasible set of
+    the canonical system; ``canonical_basis`` names the same vertex as a
+    basis of the canonical rows plus cuts.
+    """
+
+    keep: np.ndarray  # original rows that stay rows
+    rows: np.ndarray  # original rows read as bounds, ascending
+    cols: np.ndarray  # the structural column each of them bounds
+    upper: np.ndarray  # (n,) structural upper bounds, inf where none
+    num_rows: int  # original rows
+
+    @classmethod
+    def of(cls, nm: NormalizedMilp) -> "ColumnBounds":
+        a, b = nm.a, nm.b
+        m, n = a.shape
+        single = np.flatnonzero((np.count_nonzero(a, axis=1) == 1) & (b <= 0.0))
+        cols = np.nonzero(a[single])[1]  # one per row, in row order
+        unit = a[single, cols] == -1.0
+        single, cols = single[unit], cols[unit]
+        cols, first = np.unique(cols, return_index=True)  # first row per column
+        order = np.argsort(single[first])
+        rows, cols = single[first][order], cols[order]
+        upper = np.full(n, np.inf)
+        upper[cols] = -b[rows]
+        keep = np.setdiff1d(np.arange(m), rows)
+        return cls(keep=keep, rows=rows, cols=cols, upper=upper, num_rows=m)
+
+    def canonical_basis(
+        self, basis: Basis, num_cuts: int, reduced_costs: np.ndarray
+    ) -> Basis:
+        """Basis of the canonical rows plus ``num_cuts`` cuts at the vertex
+        of ``basis``, a basis of the kept rows plus those cuts.
+
+        Kept rows, cut slacks and structurals keep their columns.  For the
+        row i that bounds x_j: if x_j is nonbasic at its upper bound, x_j is
+        basic and slack i nonbasic at 0; otherwise slack i is basic.  A
+        fixed column (u_j = 0) counts as at its upper bound when its
+        reduced cost (``reduced_costs``, max sense) is positive, so an
+        optimal ``basis`` maps to an optimal one.  Row i then holds one
+        basic column of its own, so the result is nonsingular whenever
+        ``basis`` is.
+        """
+        m0, n = self.num_rows, self.upper.size
+        m = self.keep.size + num_cuts
+        mc = m0 + num_cuts
+        to_canonical = np.concatenate(
+            [self.keep, m0 + np.arange(num_cuts), mc + np.arange(n)]
+        )
+        j = m + self.cols
+        nonbasic = ~basis.in_basis_mask()[j]
+        fixed = self.upper[self.cols] <= 0.0
+        up = nonbasic & np.where(fixed, reduced_costs[j] > 0.0, basis.at_upper[j])
+        basic = np.concatenate(
+            [to_canonical[basis.basic], mc + self.cols[up], self.rows[~up]]
+        )
+        return Basis(np.sort(basic), np.zeros(mc + n, dtype=bool))
 
 
 class BasisFactors:

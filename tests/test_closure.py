@@ -22,7 +22,12 @@ from liftproject.membership import (
     membership_value,
 )
 from liftproject.simplex import BoundedLp, Status
-from liftproject.standard_form import Basis, BasisFactors, SingularBasisError
+from liftproject.standard_form import (
+    Basis,
+    BasisFactors,
+    SingularBasisError,
+    to_standard,
+)
 from liftproject.verify import random_milp
 
 from conftest import T1_MPS
@@ -343,19 +348,29 @@ def test_first_pass_separations_need_no_phase1(rng, monkeypatch):
     assert first_pass >= 10
 
 
+def _cold_solve(slp, upper):
+    lp = BoundedLp("max", slp.c, slp.a, slp.b, np.zeros(slp.num_cols), upper)
+    return simplex.solve(lp)
+
+
 def _record_master_solves(monkeypatch):
     """Every master solve's simplex result, next to a cold solve of the
-    same rows from the crash basis."""
+    same LP (the master's rows and column bounds) from the crash basis and
+    a cold solve of the canonical rows plus the same cuts, bound rows kept
+    as rows."""
     solves = []
     warm_solve = closure._Master.solve
 
     def recording(self, cuts, time_limit=None):
         warm = warm_solve(self, cuts, time_limit=time_limit)
-        n = self.slp.num_cols
-        lp = BoundedLp(
-            "max", self.slp.c, self.slp.a, self.slp.b, np.zeros(n), np.full(n, np.inf)
+        canonical = to_standard(self.nm, cuts)
+        solves.append(
+            (
+                warm,
+                _cold_solve(self.slp, self.upper),
+                _cold_solve(canonical, np.full(canonical.num_cols, np.inf)),
+            )
         )
-        solves.append((warm, simplex.solve(lp)))
         return warm
 
     monkeypatch.setattr(closure._Master, "solve", recording)
@@ -378,9 +393,9 @@ def test_master_phase1_pivots_are_summed(monkeypatch):
         ):
             solves.clear()
             rep = run()
-            phase1 = sum(warm.phase1_pivots for warm, _ in solves)
+            phase1 = sum(warm.phase1_pivots for warm, _, _ in solves)
             assert rep.master_phase1_pivots == phase1 > 0
-            assert rep.master_pivots == sum(warm.pivots for warm, _ in solves)
+            assert rep.master_pivots == sum(warm.pivots for warm, _, _ in solves)
             pivots = rep.to_dict()["pivots"]
             assert pivots["master_phase1"] == rep.master_phase1_pivots
             assert pivots["total"] == rep.master_pivots + rep.separation_pivots
@@ -389,17 +404,20 @@ def test_master_phase1_pivots_are_summed(monkeypatch):
 def test_warm_master_matches_cold_solve(monkeypatch):
     # the carried master basis is dual feasible, so the re-solves after
     # new cuts run the dual simplex; each optimum must be the one a cold
-    # solve of the same rows finds
+    # solve of the same rows and column bounds finds, and the one of the
+    # canonical rows, whose bound rows the master reads as column bounds
     solves = _record_master_solves(monkeypatch)
     duals = record_dual_runs(monkeypatch)
     for nm in _warm_start_models():
         optimize_closure(nm, ClosureConfig(mode="pestar"))
         gmi_rounds(nm, 5)
     assert len(solves) >= 10 and len(duals) >= 5
-    for warm, cold in solves:
-        assert warm.status is cold.status
-        if warm.status is Status.OPTIMAL:
-            assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+    for warm, *colds in solves:
+        for cold in colds:
+            assert warm.status is cold.status
+            if warm.status is Status.OPTIMAL:
+                tol = 1e-9 * (1.0 + abs(cold.value))
+                assert abs(warm.value - cold.value) <= tol
 
 
 def test_warm_membership_matches_cold_solve(monkeypatch):
