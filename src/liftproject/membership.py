@@ -132,6 +132,7 @@ class Separation:
     inconclusive: bool = False
     pivots: int = 0
     phase1_pivots: int = 0
+    dual_pivots: int = 0
 
 
 def build_membership_lp(
@@ -340,7 +341,10 @@ def separate(
         prob, start=start, max_iter=max_iter, time_limit=time_limit
     )
     outcome = functools.partial(
-        Separation, pivots=result.pivots, phase1_pivots=result.phase1_pivots
+        Separation,
+        pivots=result.pivots,
+        phase1_pivots=result.phase1_pivots,
+        dual_pivots=result.dual_pivots,
     )
     if value is None:
         return outcome(

@@ -30,7 +30,8 @@ goes through that composite phase 1 (maximize the negated total bound
 violation of the basic variables), so a stale basis is usable as a crash
 start.  A dual iteration counts as one pivot whatever it flips, and flips
 at the start count as none; ``phase1_pivots`` counts the pivots spent
-reaching primal feasibility, dual ones included.  Phase 1 prices by the
+reaching primal feasibility, dual ones included, and ``dual_pivots`` the
+dual ones alone.  Phase 1 prices by the
 largest reduced cost of the violation (Dantzig).  Phase 2 prices by devex:
 the entering column maximizes ``score_j**2 / w_j`` over the improving
 columns, where the reference weights ``w`` start at 1 and, on each basis
@@ -126,6 +127,7 @@ class SimplexResult:
     duals: np.ndarray | None
     pivots: int
     phase1_pivots: int  # spent reaching primal feasibility, dual ones included
+    dual_pivots: int = 0  # of those, the ones the dual simplex took
 
     @property
     def optimal(self) -> bool:
@@ -208,10 +210,12 @@ class _Worker:
         self.max_iter = max_iter
         self.pivots = 0
         self.phase1_pivots = 0
+        self.dual_pivots = 0
         self.bland = False
         self._since_improve = 0
         self._best = -np.inf
         self._ger = None  # scratch buffer for the rank-1 inverse update
+        self.factorizations = 0  # refactorizations since the start
         self.weights = np.ones(self.ncols)  # devex reference weights
         self._init_basis(start)
 
@@ -421,8 +425,7 @@ class _Worker:
         self.inb[lv] = False
         wr = w[leave_pos]
         if abs(wr) < ETA_TOL:
-            self.binv = _inverse(self.a, self.basic)
-            self._recompute_basics()
+            self._refactor()
         else:
             br = self.binv[leave_pos] / wr
             if self._ger is None:
@@ -433,8 +436,12 @@ class _Worker:
             self.binv[leave_pos] = br
         self.pivots += 1
         if self.pivots % REFRESH_EVERY == 0:
-            self.binv = _inverse(self.a, self.basic)
-            self._recompute_basics()
+            self._refactor()
+
+    def _refactor(self) -> None:
+        self.binv = _inverse(self.a, self.basic)
+        self.factorizations += 1
+        self._recompute_basics()
 
     def _track_progress(self, obj: float) -> None:
         if obj > self._best + 1e-10 * (1.0 + abs(self._best)):
@@ -539,7 +546,11 @@ class _Worker:
         stalls, which hands the basis to the composite phase 1.
         """
         self._reset_progress()
+        cbar, priced_at = None, -1
         while not self._out_of_budget():
+            if self.factorizations != priced_at:
+                # from scratch at each refactorization, else updated below
+                cbar, priced_at = self._price(self.cmax)[0], self.factorizations
             xb = self.x[self.basic]
             below = self.l[self.basic] - xb
             viol = np.maximum(below, xb - self.u[self.basic])
@@ -553,7 +564,6 @@ class _Worker:
             r = int(rows[np.argmax(viol[rows] ** 2 / norms)])
             rise = bool(below[r] > 0.0)  # leaves at the lower bound it violates
             alpha = self.binv[r] @ self.a
-            cbar, _ = self._price(self.cmax)
             sigma = np.where(self.atup, -1.0, 1.0)
             # violation removed per unit move of each column off its bound;
             # basic and fixed columns cannot move
@@ -568,8 +578,11 @@ class _Worker:
                 self.x[self.basic] -= self.binv @ (self.a[:, flip] @ step)
             self._enter = e
             w = self.binv @ self.a[:, e]
+            cbar -= (cbar[e] / alpha[e]) * alpha
+            cbar[e] = 0.0
             self._apply_pivot(sigma[e], rest / gain[e], w, r, not rise)
             self.phase1_pivots += 1
+            self.dual_pivots += 1
             self._track_progress(-float(self.cmax @ self.x))
             if self.bland:
                 return None
@@ -654,6 +667,7 @@ class _Worker:
             duals=y,
             pivots=self.pivots,
             phase1_pivots=self.phase1_pivots,
+            dual_pivots=self.dual_pivots,
         )
 
 

@@ -25,7 +25,9 @@ from liftproject.simplex import BoundedLp, Status
 from liftproject.standard_form import (
     Basis,
     BasisFactors,
+    ColumnBounds,
     SingularBasisError,
+    basic_point,
     to_standard,
 )
 from liftproject.verify import random_milp
@@ -418,6 +420,217 @@ def test_warm_master_matches_cold_solve(monkeypatch):
             if warm.status is Status.OPTIMAL:
                 tol = 1e-9 * (1.0 + abs(cold.value))
                 assert abs(warm.value - cold.value) <= tol
+
+
+def _multi_knapsack(rng, rows, nb):
+    """Binary multi-dimensional knapsack, W ~ U{5..39}, half-full rows."""
+    w = rng.integers(5, 40, size=(rows, nb)).astype(float)
+    profit = rng.integers(10, 60, size=nb).astype(float)
+    cap = np.floor(0.5 * w.sum(axis=1))
+    return plain_milp(
+        np.vstack([-w, -np.eye(nb)]),
+        np.concatenate([-cap, -np.ones(nb)]),
+        profit,
+        p=nb,
+        name="mkp",
+    )
+
+
+def _bound_row_models():
+    # a column bounded twice (the tighter second row stays a row), and a
+    # fixed column with a positive objective next to free ones
+    twice = plain_milp(
+        [[-2.0, -3.0, -1.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+        [-7.5, -3.0, -1.5, -2.0],
+        [3.0, 2.0, 1.0],
+        p=3,
+        name="twice",
+    )
+    fixed = plain_milp(
+        [[-3.0, -2.0, -4.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+        [-9.5, 0.0, -2.0, -1.0],
+        [2.0, 5.0, 3.0],
+        p=3,
+        name="fixed",
+    )
+    return [
+        _knapsack(np.random.default_rng(3), rows=3, nb=20),
+        random_milp(np.random.default_rng(5), n_range=(8, 8), m_range=(5, 5)).nm,
+        twice,
+        fixed,
+    ]
+
+
+def test_column_bounds_read_only_unit_bound_rows():
+    nm = plain_milp(
+        [
+            [-1.0, 0.0, 0.0],  # x0 <= 3
+            [-1.0, 0.0, 0.0],  # second bound on x0: stays a row
+            [0.0, -2.0, 0.0],  # not a unit coefficient
+            [0.0, 0.0, -1.0],  # b > 0: stays a row
+            [0.0, -1.0, -1.0],  # two nonzeros
+            [0.0, -1.0, 0.0],  # x1 <= 0: fixed
+        ],
+        [-3.0, -1.0, -4.0, 1.0, -5.0, 0.0],
+        [1.0, 1.0, 1.0],
+        p=3,
+    )
+    bounds = ColumnBounds.of(nm)
+    assert bounds.rows.tolist() == [0, 5]
+    assert bounds.cols.tolist() == [0, 1]
+    assert bounds.keep.tolist() == [1, 2, 3, 4]
+    assert bounds.upper.tolist() == [3.0, 0.0, np.inf]
+
+
+def _check_canonical_basis(master):
+    slp, basis = master.canonical_system(), master.canonical_basis()
+    m = slp.num_rows
+    assert m == master.num_canonical_rows
+    assert slp.b.tobytes() == to_standard(master.nm, master._cuts).b.tobytes()
+    factors = BasisFactors(slp.a, basis)  # raises when singular
+    x = basic_point(slp, basis)
+    xm = master.result.x
+    assert np.abs(x[m:] - xm[master.slp.num_rows :]).max() <= 1e-9
+    assert np.abs(x[:m] - (slp.structural_part() @ x[m:] - slp.b)).max() <= 1e-9
+    # every canonical column sits at its lower bound 0 when nonbasic, so
+    # dual feasibility asks for nonpositive reduced costs (max sense)
+    y = factors.solve_transpose(slp.c[basis.basic])
+    cbar = slp.c - y @ slp.a
+    nonbasic = ~basis.in_basis_mask()
+    assert cbar[nonbasic].max(initial=0.0) <= 1e-9 * (1.0 + np.abs(slp.c).max())
+
+
+def test_canonical_basis_is_an_optimal_basis_of_the_same_vertex(monkeypatch):
+    checked = []
+    warm_solve = closure._Master.solve
+
+    def checking(self, cuts, time_limit=None):
+        res = warm_solve(self, cuts, time_limit=time_limit)
+        if res.status is Status.OPTIMAL:
+            _check_canonical_basis(self)
+            checked.append((self.nm.name, len(cuts)))
+        return res
+
+    monkeypatch.setattr(closure._Master, "solve", checking)
+    for nm in _bound_row_models():
+        assert ColumnBounds.of(nm).rows.size
+        optimize_closure(nm, ClosureConfig(mode="pestar"))
+        gmi_rounds(nm, 3)
+    names = {name for name, _ in checked}
+    assert names == {"knap", "random", "twice", "fixed"}
+    assert sum(num_cuts > 0 for _, num_cuts in checked) >= 10
+
+
+def test_first_master_solve_flips_bounds_instead_of_pivoting():
+    # 65 canonical rows, 60 of them bound rows; over the canonical rows
+    # the first solve took 45 pivots
+    master = closure._Master(_multi_knapsack(np.random.default_rng(0), 5, 60))
+    res = master.solve([])
+    assert res.status is Status.OPTIMAL
+    assert master.slp.num_rows == 5
+    assert res.pivots <= 15
+
+
+def test_master_without_bound_rows_solves_the_canonical_system(monkeypatch):
+    nm = plain_milp(
+        [[-3.0, -5.0, -4.0], [-6.0, -2.0, -3.0]], [-10.5, -11.5], [4.0, 6.0, 5.0], p=3
+    )
+    built = []
+    standard = closure.to_standard
+
+    def counting(*args, **kwargs):
+        built.append(standard(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(closure, "to_standard", counting)
+    master = closure._Master(nm)
+    assert not master.bounds.rows.size
+    master.solve([])
+    assert master.canonical_system() is master.slp
+    assert master.canonical_basis() is master.basis
+    canonical = standard(nm)
+    assert master.slp.a.tobytes() == canonical.a.tobytes()
+    assert master.slp.b.tobytes() == canonical.b.tobytes()
+    built.clear()
+    rep = gmi_rounds(nm, 3)
+    assert rep.num_cuts > 0
+    assert len(built) == rep.num_master_solves  # no second system per round
+
+
+def test_dual_pivots_are_counted_apart(monkeypatch):
+    solves = _record_master_solves(monkeypatch)
+    seps = []
+    separate = membership.separate
+
+    def recording(*args, **kwargs):
+        seps.append(separate(*args, **kwargs))
+        return seps[-1]
+
+    monkeypatch.setattr(membership, "separate", recording)
+    rep = optimize_closure(
+        _multi_knapsack(np.random.default_rng(1), 4, 30), ClosureConfig(mode="pe")
+    )
+    warm = [w for w, _, _ in solves]
+    # the relaxation solve flips the profitable columns to their upper
+    # bounds and repairs the rows they overfill by the dual simplex
+    assert warm[0].dual_pivots > 0
+    assert all(w.dual_pivots <= w.phase1_pivots for w in warm)
+    assert all(s.dual_pivots <= s.phase1_pivots for s in seps)
+    assert rep.master_dual_pivots == sum(w.dual_pivots for w in warm)
+    assert rep.separation_dual_pivots == sum(s.dual_pivots for s in seps) > 0
+    pivots = rep.to_dict()["pivots"]
+    assert pivots["master_dual"] == rep.master_dual_pivots
+    assert pivots["separation_dual"] == rep.separation_dual_pivots
+    assert pivots["master_phase1"] == rep.master_phase1_pivots
+
+
+def test_loose_cuts_are_parked_by_their_master_slack(monkeypatch):
+    # a loose cut has a positive, hence basic, slack in the master, which
+    # ``maintain`` finds after the master's kept rows, not after every
+    # original row
+    monkeypatch.setattr(closure, "POOL_PARK_AFTER", 1)
+    seen = []
+    maintain = CutPool.maintain
+
+    def maintaining(self, x, basis, num_base_rows, eps):
+        out = maintain(self, x, basis, num_base_rows, eps)
+        seen.append(out[0])
+        slacks = [cut.coeffs @ x - cut.rhs for cut in self.active]
+        assert max(slacks, default=0.0) <= self.slack_threshold
+        return out
+
+    monkeypatch.setattr(CutPool, "maintain", maintaining)
+    optimize_closure(_knapsack(np.random.default_rng(2), rows=3, nb=20), ClosureConfig())
+    assert sum(seen) >= 3
+
+
+def test_carried_master_start_needs_no_flips(monkeypatch):
+    # the first solve flips the profitable columns to their upper bounds;
+    # every re-solve starts from the carried basis, statuses included,
+    # which is dual feasible as it stands
+    wrong, in_master = [], []
+    warm_solve = closure._Master.solve
+    flip = simplex._Worker._flip_to_dual_feasible
+
+    def solving(self, cuts, time_limit=None):
+        in_master.append(True)
+        try:
+            return warm_solve(self, cuts, time_limit=time_limit)
+        finally:
+            in_master.pop()
+
+    def flipping(self):
+        if in_master:
+            scores = self._scores(self._price(self.cmax)[0])
+            wrong.append(int(np.count_nonzero(scores > self.dtol)))
+        return flip(self)
+
+    monkeypatch.setattr(closure._Master, "solve", solving)
+    monkeypatch.setattr(simplex._Worker, "_flip_to_dual_feasible", flipping)
+    nm = _knapsack(np.random.default_rng(4), rows=3, nb=20)
+    rep = optimize_closure(nm, ClosureConfig(mode="pe"))
+    assert len(wrong) == rep.num_master_solves >= 3
+    assert wrong[0] > 0 and not any(wrong[1:])
 
 
 def test_warm_membership_matches_cold_solve(monkeypatch):

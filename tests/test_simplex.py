@@ -605,3 +605,34 @@ def test_unboxed_dual_infeasible_start_keeps_phase1(monkeypatch):
             checked += 1
     assert checked >= 8
     assert not runs
+
+
+@pytest.mark.parametrize("refresh", [2, simplex.REFRESH_EVERY])
+def test_dual_updates_reduced_costs_along_the_pivot_row(monkeypatch, refresh):
+    # the dual simplex prices once per factorization and then updates the
+    # reduced costs from the pivot row; each ratio test must see the
+    # reduced costs a fresh pricing gives, and each pivot counts as dual
+    monkeypatch.setattr(simplex, "REFRESH_EVERY", refresh)
+    seen = []
+    walk = simplex._Worker._bound_flipping_ratio_test
+
+    def checking(self, cand, gain, cbar, viol):
+        fresh = self._price(self.cmax)[0]
+        off = ~self.inb
+        scale = 1.0 + np.abs(self.cmax).max()
+        assert np.abs(cbar[off] - fresh[off]).max() <= 1e-9 * scale
+        out = walk(self, cand, gain, cbar, viol)
+        seen.append(out[1] is not None)
+        return out
+
+    monkeypatch.setattr(simplex._Worker, "_bound_flipping_ratio_test", checking)
+    longest = 0
+    for seed in range(16):
+        lp = implied_box(degenerate_lp(seed))
+        rng = np.random.default_rng([2029, seed])
+        for start in random_starts(degenerate_lp(seed), rng, 3):
+            before = len(seen)
+            res = solve(lp, start=start)
+            assert res.dual_pivots == sum(seen[before:]) <= res.phase1_pivots
+            longest = max(longest, res.dual_pivots)
+    assert longest > 2  # updates chain, across refactorizations at refresh 2
