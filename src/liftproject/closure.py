@@ -8,6 +8,13 @@ repeat.  Separation always runs against the original rows only, so every
 emitted cut is rank 1.  ``gmi_rounds`` is the textbook comparison
 baseline: read GMI cuts straight from the optimal tableau of the growing
 master, letting the rank increase round by round.
+
+The master LP reads each bound row -x_j >= -u_j of the canonical form as
+the column bound x_j <= u_j (``standard_form.ColumnBounds``) and solves
+over the other rows plus the cuts, so the dual simplex moves bounded
+columns by bound flips.  Everything else (separation, GMI tableau rows,
+the cut formulas) keeps the canonical rows: the master hands it its
+optimal vertex as a basis of the canonical rows plus cuts.
 """
 
 from __future__ import annotations
@@ -391,7 +398,6 @@ class _Master:
             return self.slp.slack_basis()  # defensive recrash
         at_upper = np.zeros(self.slp.num_cols, bool)
         at_upper[m_new:] = self.basis.at_upper[m_old:]
-        at_upper[basic] = False
         return Basis(np.array(sorted(basic)), at_upper)
 
 
@@ -702,7 +708,9 @@ def gmi_rounds(
 
     Cuts from earlier rounds stay in the master used for generation, so
     the cut rank grows with the round number (unlike the closure loop,
-    which only ever separates against the original rows).
+    which only ever separates against the original rows).  The tableau is
+    that of the canonical rows plus cuts, at the master's canonical basis;
+    with no bound row in the model it is the master's own system.
     """
     if cfg is None:
         cfg = ClosureConfig(mode="gmi", rounds=rounds)

@@ -8,9 +8,10 @@ priced once.  A nonbasic column whose reduced cost favors its other bound
 is dual infeasible; when every such column is boxed (finite upper bound),
 each one moves to that bound, which makes the start dual feasible without
 a pivot.  Every start of a boxed LP, such as the membership LP
-(``0 <= y_j <= xhat_j``), therefore goes to a bounded dual simplex, and so
-does any start that already prices optimal but violates some bounds (the
-master after new cut rows).  The dual leaving row maximizes
+(``0 <= y_j <= xhat_j``) or the master with its column bounds, therefore
+goes to a bounded dual simplex, and so does any start that already prices
+optimal but violates some bounds (the master after new cut rows).  The
+dual leaving row maximizes
 ``v_r**2 / ||e_r B^-1||**2`` over the rows whose violation ``v_r`` exceeds
 the feasibility tolerance: exact dual steepest-edge weights, read off the
 explicit inverse at each pivot (Forrest and Goldfarb, Math. Prog. 57,
@@ -20,7 +21,9 @@ the columns that reduce the violation are taken in order of the dual ratio
 ``|cbar_j| / |alpha_rj|``, ties to the largest ``|alpha_rj|``; a boxed
 column whose whole range leaves some violation is flipped to its other
 bound, and the first one that would use the violation up, or is unboxed,
-enters.  The leaving variable lands on the bound it violates.  A row that
+enters.  The leaving variable lands on the bound it violates.  The dual
+simplex prices once per factorization and then updates its reduced costs
+along the pivot row: ``cbar -= (cbar_e / alpha_re) * alpha_r``.  A row that
 every column at its best bound leaves violated proves the LP infeasible
 (that row of the inverse is a Farkas ray); once the basis is primal
 feasible, phase 2 prices it again.  If the objective does not fall for
@@ -31,8 +34,8 @@ violation of the basic variables), so a stale basis is usable as a crash
 start.  A dual iteration counts as one pivot whatever it flips, and flips
 at the start count as none; ``phase1_pivots`` counts the pivots spent
 reaching primal feasibility, dual ones included, and ``dual_pivots`` the
-dual ones alone.  Phase 1 prices by the
-largest reduced cost of the violation (Dantzig).  Phase 2 prices by devex:
+dual ones alone.  Phase 1 prices by the largest reduced cost of the
+violation (Dantzig).  Phase 2 prices by devex:
 the entering column maximizes ``score_j**2 / w_j`` over the improving
 columns, where the reference weights ``w`` start at 1 and, on each basis
 change, grow to ``(alpha_rj / alpha_re)**2 * w_e`` along the pivot row (the
@@ -543,7 +546,10 @@ class _Worker:
 
         Returns OPTIMAL once the basis is primal feasible, INFEASIBLE when
         the leaving row cannot be repaired, and None when the objective
-        stalls, which hands the basis to the composite phase 1.
+        stalls, which hands the basis to the composite phase 1.  The
+        reduced costs are priced from scratch after each factorization and
+        updated from the pivot row ``alpha`` in between; bound flips leave
+        them unchanged.
         """
         self._reset_progress()
         cbar, priced_at = None, -1
