@@ -112,11 +112,9 @@ class ClosureReport:
     cuts_active: int = 0
     cuts_parked: int = 0
     master_pivots: int = 0
-    master_phase1_pivots: int = 0  # dual pivots included
-    master_dual_pivots: int = 0
+    master_phase1_pivots: int = 0  # dual simplex pivots
     separation_pivots: int = 0
-    separation_phase1_pivots: int = 0  # dual pivots included
-    separation_dual_pivots: int = 0
+    separation_phase1_pivots: int = 0  # dual simplex pivots
     master_time: float = 0.0
     separation_time: float = 0.0
     total_time: float = 0.0
@@ -145,10 +143,8 @@ class ClosureReport:
             "pivots": {
                 "master": self.master_pivots,
                 "master_phase1": self.master_phase1_pivots,
-                "master_dual": self.master_dual_pivots,
                 "separation": self.separation_pivots,
                 "separation_phase1": self.separation_phase1_pivots,
-                "separation_dual": self.separation_dual_pivots,
                 "total": self.master_pivots + self.separation_pivots,
             },
             "time": {
@@ -296,7 +292,6 @@ class _Master:
         self.result = None
         self.pivots = 0
         self.phase1_pivots = 0
-        self.dual_pivots = 0
         self.solves = 0
         self.time = 0.0
         self._cuts: list[CutRow] = []
@@ -337,7 +332,6 @@ class _Master:
         self.basis = self.result.basis
         self.pivots += self.result.pivots
         self.phase1_pivots += self.result.phase1_pivots
-        self.dual_pivots += self.result.dual_pivots
         self.solves += 1
         self.time += time.perf_counter() - t0
         return self.result
@@ -507,7 +501,6 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
             report.num_separations += 1
             report.separation_pivots += sep.pivots
             report.separation_phase1_pivots += sep.phase1_pivots
-            report.separation_dual_pivots += sep.dual_pivots
             if sep.found:
                 n_cut += 1
                 K.add(k)
@@ -614,7 +607,6 @@ def _finish_report(
     report.num_master_solves = master.solves
     report.master_pivots = master.pivots
     report.master_phase1_pivots = master.phase1_pivots
-    report.master_dual_pivots = master.dual_pivots
     report.master_time = master.time
     report.cuts_active = len(active)
     report.cuts_parked = len(parked)

@@ -132,7 +132,6 @@ class Separation:
     inconclusive: bool = False
     pivots: int = 0
     phase1_pivots: int = 0
-    dual_pivots: int = 0
 
 
 def build_membership_lp(
@@ -344,7 +343,6 @@ def separate(
         Separation,
         pivots=result.pivots,
         phase1_pivots=result.phase1_pivots,
-        dual_pivots=result.dual_pivots,
     )
     if value is None:
         return outcome(

@@ -3,49 +3,50 @@
     max/min  c x   s.t.  A x = d,   l <= x <= u   (l finite, u may be +inf).
 
 One solver serves the master problem, the membership separation LP and the
-explicit multiplier-space cut LP used for cross-checking.  The start is
-priced once.  A nonbasic column whose reduced cost favors its other bound
-is dual infeasible; when every such column is boxed (finite upper bound),
-each one moves to that bound, which makes the start dual feasible without
-a pivot.  Every start of a boxed LP, such as the membership LP
-(``0 <= y_j <= xhat_j``) or the master with its column bounds, therefore
-goes to a bounded dual simplex, and so does any start that already prices
-optimal but violates some bounds (the master after new cut rows).  The
-dual leaving row maximizes
-``v_r**2 / ||e_r B^-1||**2`` over the rows whose violation ``v_r`` exceeds
-the feasibility tolerance: exact dual steepest-edge weights, read off the
-explicit inverse at each pivot (Forrest and Goldfarb, Math. Prog. 57,
-1992).  Its entering column comes from the bound-flipping ratio test
-(Fourer, "Notes on the dual simplex method", 1994; Maros, EJOR 149, 2003):
-the columns that reduce the violation are taken in order of the dual ratio
-``|cbar_j| / |alpha_rj|``, ties to the largest ``|alpha_rj|``; a boxed
-column whose whole range leaves some violation is flipped to its other
-bound, and the first one that would use the violation up, or is unboxed,
-enters.  The leaving variable lands on the bound it violates.  The dual
-simplex prices once per factorization and then updates its reduced costs
-along the pivot row: ``cbar -= (cbar_e / alpha_re) * alpha_r``.  A row that
-every column at its best bound leaves violated proves the LP infeasible
-(that row of the inverse is a Farkas ray); once the basis is primal
-feasible, phase 2 prices it again.  If the objective does not fall for
-``BLAND_WINDOW`` dual pivots, the basis goes to the composite phase 1.  A
-start with an unboxed dual infeasible column keeps its bound statuses and
-goes through that composite phase 1 (maximize the negated total bound
-violation of the basic variables), so a stale basis is usable as a crash
-start.  A dual iteration counts as one pivot whatever it flips, and flips
-at the start count as none; ``phase1_pivots`` counts the pivots spent
-reaching primal feasibility, dual ones included, and ``dual_pivots`` the
-dual ones alone.  Phase 1 prices by the largest reduced cost of the
-violation (Dantzig).  Phase 2 prices by devex:
-the entering column maximizes ``score_j**2 / w_j`` over the improving
-columns, where the reference weights ``w`` start at 1 and, on each basis
-change, grow to ``(alpha_rj / alpha_re)**2 * w_e`` along the pivot row (the
-leaving column gets ``max(w_e / alpha_re**2, 1)``); a bound flip keeps
-them (Harris 1973; Forrest and Goldfarb 1992).  Both primal phases switch
-to Bland's rule when the objective stalls.  The basis inverse is kept
-explicitly and updated in product form, with periodic refactorization;
-every explicit inverse comes from ``standard_form.BasisFactors``.  A start
-shared by many LPs over one matrix can be passed as its ``BasisFactors``,
-factored once.
+explicit multiplier-space cut LP used for cross-checking.  Every solve
+takes one road: make the start dual feasible, run the dual simplex to
+primal feasibility, then run phase 2 on the true costs.
+
+The start is priced once.  A nonbasic column whose reduced cost favors its
+other bound is dual infeasible.  A boxed one (finite upper bound) moves to
+that bound.  An unboxed one keeps its status, and its cost is shifted in a
+private copy of the costs so that its reduced cost is 0 (Koberstein, "The
+dual simplex method", PhD thesis, 2005, ch. 4).  When nothing is shifted,
+the dual simplex prices the true costs themselves.  Its leaving row
+maximizes ``v_r**2 / ||e_r B^-1||**2`` over the rows whose violation
+``v_r`` exceeds the feasibility tolerance: exact dual steepest-edge
+weights, read off the explicit inverse at each pivot (Forrest and
+Goldfarb, Math. Prog. 57, 1992).  Its entering column comes from the
+bound-flipping ratio test (Fourer, "Notes on the dual simplex method",
+1994; Maros, EJOR 149, 2003): the columns that reduce the violation are
+taken in order of the dual ratio ``|cbar_j| / |alpha_rj|``, ties to the
+largest ``|alpha_rj|``; a boxed column whose whole range leaves some
+violation is flipped to its other bound, and the first one that would use
+the violation up, or is unboxed, enters.  The leaving variable lands on
+the bound it violates.  The dual simplex prices once per factorization and
+then updates its reduced costs along the pivot row:
+``cbar -= (cbar_e / alpha_re) * alpha_r``.  If its objective does not fall
+for ``BLAND_WINDOW`` pivots, the private cost of every nonbasic column
+moves by about ``1e-7 (1 + |c_j|)`` further to its dual feasible side and
+the pricing starts afresh.  A row that every column at its best bound
+leaves violated proves the LP infeasible: that row of the inverse, signed
+by the bound it violates, is a Farkas ray, returned as
+``SimplexResult.farkas``.
+
+Phase 2 prices the true costs, which undoes any shift or perturbation, by
+devex: the entering column maximizes ``score_j**2 / w_j`` over the
+improving columns, where the reference weights ``w`` start at 1 and, on
+each basis change, grow to ``(alpha_rj / alpha_re)**2 * w_e`` along the
+pivot row (the leaving column gets ``max(w_e / alpha_re**2, 1)``); a bound
+flip keeps them (Harris 1973; Forrest and Goldfarb 1992).  It switches to
+Bland's rule when the objective stalls, and goes back through the dual
+phase if numerical drift leaves the basis primal infeasible.  A dual
+iteration counts as one pivot whatever it flips, and flips at the start
+count as none; ``phase1_pivots`` counts the dual pivots, the ones spent
+reaching primal feasibility.  The basis inverse is kept explicitly and
+updated in product form, with periodic refactorization; every explicit
+inverse comes from ``standard_form.BasisFactors``.  A start shared by many
+LPs over one matrix can be passed as its ``BasisFactors``, factored once.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ REFRESH_EVERY = 100  # pivots between refactorizations
 PIVOT_TOL = 1e-9  # ratio-test pivot acceptance
 ETA_TOL = 1e-11  # product-form update pivot floor
 DEFAULT_MAX_ITER = 50_000
-BLAND_WINDOW = 1_000  # non-improving pivots before Bland's rule or phase 1
+BLAND_WINDOW = 1_000  # non-improving pivots before Bland's rule or perturbing
 
 
 class Status(enum.Enum):
@@ -129,8 +130,9 @@ class SimplexResult:
     reduced_costs: np.ndarray | None
     duals: np.ndarray | None
     pivots: int
-    phase1_pivots: int  # spent reaching primal feasibility, dual ones included
-    dual_pivots: int = 0  # of those, the ones the dual simplex took
+    phase1_pivots: int  # dual simplex pivots, spent reaching primal feasibility
+    # when INFEASIBLE: y with min y A x > y d over the bounds l <= x <= u
+    farkas: np.ndarray | None = None
 
     @property
     def optimal(self) -> bool:
@@ -213,7 +215,8 @@ class _Worker:
         self.max_iter = max_iter
         self.pivots = 0
         self.phase1_pivots = 0
-        self.dual_pivots = 0
+        self.cost = self.cmax  # what the dual phase prices: shifted, perturbed
+        self.farkas = None
         self.bland = False
         self._since_improve = 0
         self._best = -np.inf
@@ -286,56 +289,30 @@ class _Worker:
         score[self.inb | self.fixed] = -np.inf
         return score
 
-    def _entering(self, cbar: np.ndarray, devex: bool = False) -> int | None:
+    def _entering(self, cbar: np.ndarray) -> int | None:
         score = self._scores(cbar)
+        cand = np.flatnonzero(score > self.dtol)
+        if not cand.size:
+            return None
         if self.bland:
-            e = int(np.argmax(score > self.dtol))
-        elif devex:
-            # steepest edge as the reference weights estimate it
-            cand = np.flatnonzero(score > self.dtol)
-            if not cand.size:
-                return None
-            e = int(cand[np.argmax(score[cand] ** 2 / self.weights[cand])])
-        else:
-            e = int(np.argmax(score))
-        return e if score[e] > self.dtol else None
+            return int(cand[0])
+        # steepest edge as the reference weights estimate it
+        return int(cand[np.argmax(score[cand] ** 2 / self.weights[cand])])
 
-    def _ratio_test(self, sigma: float, w: np.ndarray, phase1: bool):
+    def _ratio_test(self, sigma: float, w: np.ndarray):
         """Largest step for entering movement sigma*t; returns
         (t, leave_pos, leave_to_upper) with leave_pos None for a bound flip."""
         delta = -sigma * w  # basic movement per unit step
         xb = self.x[self.basic]
-        lb = self.l[self.basic]
-        ub = self.u[self.basic]
         up = delta > PIVOT_TOL
-        dn = delta < -PIVOT_TOL
-        if phase1:
-            ratios = np.full(self.r, np.inf)
-            to_upper = np.zeros(self.r, dtype=bool)
-            too_low = xb < lb - self.ftol
-            too_high = xb > ub + self.ftol
-            # increasing: violated-low variables block at their lower bound,
-            # feasible ones at a finite upper; violated-high run free.
-            blk = up & too_low
-            ratios[blk] = (lb[blk] - xb[blk]) / delta[blk]
-            blk = up & ~too_low & ~too_high & np.isfinite(ub)
-            ratios[blk] = (ub[blk] - xb[blk]) / delta[blk]
-            to_upper[blk] = True
-            blk = dn & too_high
-            ratios[blk] = (ub[blk] - xb[blk]) / delta[blk]
-            to_upper[blk] = True
-            blk = dn & ~too_high & ~too_low
-            ratios[blk] = (lb[blk] - xb[blk]) / delta[blk]
-        else:
-            # rising basics block at their upper bound (an infinite one
-            # gives an infinite ratio), falling ones at their lower
-            to_upper = up
-            ratios = np.divide(
-                np.where(up, ub, lb) - xb,
-                delta,
-                out=np.full(self.r, np.inf),
-                where=up | dn,
-            )
+        # rising basics block at their upper bound (an infinite one gives
+        # an infinite ratio), falling ones at their lower
+        ratios = np.divide(
+            np.where(up, self.u[self.basic], self.l[self.basic]) - xb,
+            delta,
+            out=np.full(self.r, np.inf),
+            where=up | (delta < -PIVOT_TOL),
+        )
         np.maximum(ratios, 0.0, out=ratios)  # degenerate, within tolerance
 
         e_range = self.u[self._enter] - self.l[self._enter]
@@ -350,55 +327,7 @@ class _Worker:
             pos = cand[np.argmin(self.basic[cand])]
         else:
             pos = cand[np.argmax(np.abs(delta[cand]))]
-        return float(max(ratios[pos], 0.0)), int(pos), bool(to_upper[pos])
-
-    def _ratio_test_long(self, sigma: float, w: np.ndarray, slope: float):
-        """Piecewise phase-1 ratio test: pass breakpoints while the
-        infeasibility keeps decreasing, stop at the one where the
-        directional slope turns non-positive.
-
-        Every bound crossing of a basic variable changes the slope by
-        |delta_i|: violated variables reaching the bound they violate stop
-        contributing, feasible ones crossing outward start counting
-        against.  The walk must terminate because the violated rows'
-        favorable contributions are all consumed eventually.
-        """
-        delta = -sigma * w
-        xb = self.x[self.basic]
-        lb = self.l[self.basic]
-        ub = self.u[self.basic]
-        up = delta > PIVOT_TOL
-        dn = delta < -PIVOT_TOL
-        too_low = xb < lb - self.ftol
-        too_high = xb > ub + self.ftol
-
-        # each row blocks at one bound at most: violated rows where they
-        # stop violating, feasible rows where they would leave the box
-        to_lower = (up & too_low) | (dn & ~too_high & ~too_low)
-        to_upper = (up & ~too_low & ~too_high & np.isfinite(ub)) | (dn & too_high)
-        poss = np.flatnonzero(to_lower | to_upper)
-        target = np.where(to_upper, ub, lb)[poss]
-        ts = np.maximum((target - xb[poss]) / delta[poss], 0.0)
-        drops = np.abs(delta[poss])
-        # the entering column's own bound flip is a breakpoint whose drop
-        # is infinite: the walk ends there at the latest, and there first
-        # when a row breaks at the same step
-        e_range = self.u[self._enter] - self.l[self._enter]
-        order = np.lexsort((poss, ts))
-        for i in order:
-            if ts[i] >= e_range:
-                break
-            slope -= drops[i]
-            if slope <= 1e-12 * (1.0 + abs(slope)):
-                return float(ts[i]), int(poss[i]), bool(to_upper[poss[i]])
-        if np.isfinite(e_range):
-            return float(e_range), None, False  # bound flip
-        if not poss.size:
-            return np.inf, None, False
-        # numerically the slope should have been exhausted; stop at the
-        # last breakpoint rather than diverging
-        i = order[-1]
-        return float(ts[i]), int(poss[i]), bool(to_upper[poss[i]])
+        return float(max(ratios[pos], 0.0)), int(pos), bool(up[pos])
 
     def _update_weights(self, w: np.ndarray, leave_pos: int) -> None:
         """Devex update for a basis change at ``leave_pos``, read from the
@@ -478,85 +407,70 @@ class _Worker:
             and time.perf_counter() > self.deadline
         )
 
-    def _phase1(self) -> Status:
-        self._reset_progress()
-        while not self._out_of_budget():
-            xb = self.x[self.basic]
-            low = xb < self.l[self.basic] - self.ftol
-            high = xb > self.u[self.basic] + self.ftol
-            if not (low.any() or high.any()):
-                return Status.OPTIMAL
-            # the violation gradient lives on few basic positions: price
-            # through those rows of the inverse directly
-            y = self.binv[low].sum(axis=0) - self.binv[high].sum(axis=0)
-            cbar = -(y @ self.a)
-            cbar[self.basic[low]] += 1.0
-            cbar[self.basic[high]] -= 1.0
-            e = self._entering(cbar)
-            if e is None:
-                return Status.INFEASIBLE
-            self._enter = e
-            sigma = -1.0 if self.atup[e] else 1.0
-            w = self.binv @ self.a[:, e]
-            if self.bland:
-                # short, provably non-cycling steps under Bland's rule
-                t, pos, to_up = self._ratio_test(sigma, w, phase1=True)
-            else:
-                t, pos, to_up = self._ratio_test_long(sigma, w, abs(cbar[e]))
-            if not np.isfinite(t):
-                # cannot happen for an improving phase-1 direction
-                return Status.INFEASIBLE
-            self._apply_pivot(sigma, t, w, pos, to_up)
-            self.phase1_pivots += 1
-            self._track_progress(-self._infeasibility())
-        return Status.ITERATION_LIMIT
-
     def _phase2(self) -> Status:
         self._reset_progress()
         while not self._out_of_budget():
             cbar, _ = self._price(self.cmax)
-            e = self._entering(cbar, devex=True)
+            e = self._entering(cbar)
             if e is None:
                 return Status.OPTIMAL
             self._enter = e
             sigma = -1.0 if self.atup[e] else 1.0
             w = self.binv @ self.a[:, e]
-            t, pos, to_up = self._ratio_test(sigma, w, phase1=False)
+            t, pos, to_up = self._ratio_test(sigma, w)
             if not np.isfinite(t):
                 return Status.UNBOUNDED
             if pos is not None:  # a bound flip keeps the weights
                 self._update_weights(w, pos)
             self._apply_pivot(sigma, t, w, pos, to_up)
             self._track_progress(float(self.cmax @ self.x))
-            if self._phase1_needed():
-                st = self._phase1()
+            if self._drifted():
+                st = self._dual()
                 if st is not Status.OPTIMAL:
                     return st
                 self._reset_progress()
         return Status.ITERATION_LIMIT
 
-    def _phase1_needed(self) -> bool:
+    def _drifted(self) -> bool:
         # numerical drift check, only worth doing occasionally
         if self.pivots % REFRESH_EVERY:
             return False
         return self._infeasibility() > 10.0 * self.ftol * self.r
 
-    def _dual(self) -> Status | None:
-        """Bounded dual simplex from a dual feasible start.
+    def _dual(self) -> Status:
+        """Make the basis dual feasible, then run the bounded dual simplex
+        to primal feasibility.
 
-        Returns OPTIMAL once the basis is primal feasible, INFEASIBLE when
-        the leaving row cannot be repaired, and None when the objective
-        stalls, which hands the basis to the composite phase 1.  The
+        Each dual infeasible nonbasic column moves to its other bound when
+        it is boxed; otherwise its cost in ``self.cost``, the private costs
+        this phase prices against, is shifted to make its reduced cost 0.
+        With nothing shifted ``self.cost`` is ``self.cmax`` itself, so the
+        pivot path is the one the true costs give.  Returns
+        OPTIMAL once the basis is primal feasible, and INFEASIBLE when the
+        leaving row cannot be repaired; that row of the inverse, signed by
+        the bound it violates, is then kept as ``self.farkas``.  The
         reduced costs are priced from scratch after each factorization and
         updated from the pivot row ``alpha`` in between; bound flips leave
         them unchanged.
         """
+        cbar = self._price(self.cmax)[0]
+        wrong = self._scores(cbar) > self.dtol
+        flip = wrong & self.boxed
+        if flip.any():
+            self._flip(flip)
+            self._recompute_basics()
+        self.cost = self.cmax
+        shift = wrong & ~self.boxed
+        if shift.any():
+            self.cost = self.cmax.copy()
+            self.cost[shift] -= cbar[shift]
+            cbar[shift] = 0.0
+        priced_at = self.factorizations
         self._reset_progress()
-        cbar, priced_at = None, -1
         while not self._out_of_budget():
             if self.factorizations != priced_at:
                 # from scratch at each refactorization, else updated below
-                cbar, priced_at = self._price(self.cmax)[0], self.factorizations
+                cbar, priced_at = self._price(self.cost)[0], self.factorizations
             xb = self.x[self.basic]
             below = self.l[self.basic] - xb
             viol = np.maximum(below, xb - self.u[self.basic])
@@ -578,7 +492,8 @@ class _Worker:
             cand = np.flatnonzero(gain > PIVOT_TOL)
             flip, e, rest = self._bound_flipping_ratio_test(cand, gain, cbar, viol[r])
             if e is None:
-                return Status.INFEASIBLE  # row r of the inverse is a Farkas ray
+                self.farkas = (1.0 if rise else -1.0) * self.binv[r]
+                return Status.INFEASIBLE
             if flip.size:
                 step = self._flip(flip)
                 self.x[self.basic] -= self.binv @ (self.a[:, flip] @ step)
@@ -588,11 +503,23 @@ class _Worker:
             cbar[e] = 0.0
             self._apply_pivot(sigma[e], rest / gain[e], w, r, not rise)
             self.phase1_pivots += 1
-            self.dual_pivots += 1
-            self._track_progress(-float(self.cmax @ self.x))
-            if self.bland:
-                return None
+            self._track_progress(-float(self.cost @ self.x))
+            if self.bland:  # stalled: perturb the costs and price again
+                self._perturb()
+                priced_at = -1
         return Status.ITERATION_LIMIT
+
+    def _perturb(self) -> None:
+        """Move the private cost of every movable nonbasic column by about
+        ``1e-7 (1 + |c_j|)`` to the side its reduced cost already has, which
+        keeps the basis dual feasible and breaks the ties that stall the
+        dual simplex; phase 2 prices the true costs again."""
+        if self.cost is self.cmax:
+            self.cost = self.cmax.copy()
+        step = 1e-7 * (1.0 + np.abs(self.cmax))
+        move = ~(self.inb | self.fixed)
+        self.cost[move] += np.where(self.atup, step, -step)[move]
+        self._reset_progress()
 
     def _bound_flipping_ratio_test(
         self, cand: np.ndarray, gain: np.ndarray, cbar: np.ndarray, viol: float
@@ -614,26 +541,10 @@ class _Worker:
         return cand[:k], int(cand[k]), rest
 
     def run(self) -> SimplexResult:
-        st = None
-        if (self.boxed.any() or self._violated()) and self._flip_to_dual_feasible():
-            st = self._dual()  # OPTIMAL at once if the start is primal feasible
-        if st is None:
-            st = self._phase1()
+        st = self._dual()  # OPTIMAL at once if the start is primal feasible
         if st is Status.OPTIMAL:
             st = self._phase2()
         return self._finish(st)
-
-    def _flip_to_dual_feasible(self) -> bool:
-        """Price the start once and move every dual infeasible nonbasic to
-        its other bound.  Returns whether the start is now dual feasible;
-        an unboxed dual infeasible column leaves every status unchanged."""
-        wrong = self._scores(self._price(self.cmax)[0]) > self.dtol
-        if not self.boxed[wrong].all():
-            return False
-        if wrong.any():
-            self._flip(wrong)
-            self._recompute_basics()
-        return True
 
     def _flip(self, cols: np.ndarray) -> np.ndarray:
         """Move nonbasic boxed columns to their other bound; returns the
@@ -643,13 +554,6 @@ class _Worker:
         step = to - self.x[cols]
         self.x[cols] = to
         return step
-
-    def _violated(self) -> bool:
-        xb = self.x[self.basic]
-        return bool(
-            np.any(xb < self.l[self.basic] - self.ftol)
-            or np.any(xb > self.u[self.basic] + self.ftol)
-        )
 
     def _finish(self, st: Status) -> SimplexResult:
         cbar, y = self._price(self.cmax)
@@ -673,7 +577,7 @@ class _Worker:
             duals=y,
             pivots=self.pivots,
             phase1_pivots=self.phase1_pivots,
-            dual_pivots=self.dual_pivots,
+            farkas=self.farkas,
         )
 
 

@@ -256,19 +256,19 @@ def check_validity(
     Enumerates all integer assignments inside the domain; for mixed
     instances each assignment's continuous completion polytope (its
     fiber) is probed per cut by minimizing the cut activity exactly (same
-    simplex, phase-1 feasibility included).  Every fiber LP shares the
-    slack start, which is factored once.  Two kinds of LP duals spare
-    fiber LPs, both checked exactly against A'_C with no tolerance:
+    simplex).  Every fiber LP shares the slack start, which is factored
+    once.  Two kinds of LP duals spare fiber LPs, both checked exactly
+    against A'_C with no tolerance:
 
     * the row duals of the fiber LPs already solved for a cut prove it at
       later points by weak duality: any pi >= 0 with pi A'_C <= alpha_C
       gives alpha x >= alpha_I xi + pi (b - A'_I xi) on the fiber of xi,
       empty or not, so the LP there is skipped once that bound reaches
       the cut's rhs;
-    * Farkas rays pi in [0, 1]^m with pi A'_C <= 0, one found by a small
-      ray LP after each empty fiber, prove by Farkas' lemma that the fiber
-      of xi is empty when pi (b - A'_I xi) > tol; no cut can be violated
-      there, so the point is skipped.
+    * Farkas rays pi in [0, 1]^m with pi A'_C <= 0, one read off the
+      simplex certificate of each empty fiber, prove by Farkas' lemma that
+      the fiber of xi is empty when pi (b - A'_I xi) > tol; no cut can be
+      violated there, so the point is skipped.
     """
     if not cuts:
         return CheckRecord("validity", True, detail="no cuts to check")
@@ -322,7 +322,7 @@ def check_validity(
                 if np.all(pi @ a_cont <= cut.coeffs[p:]):
                     proofs[idx].setdefault(pi.tobytes(), pi)
             if res.status is Status.INFEASIBLE:
-                ray = _farkas_ray(a_cont, residual, tol)
+                ray = _fiber_ray(res.farkas, a_cont, residual, tol)
                 if ray is not None:
                     rays = np.vstack([rays, ray])
                 break
@@ -341,29 +341,21 @@ def check_validity(
     return CheckRecord("validity", True, detail=f"{dom.num_points} points checked")
 
 
-def _farkas_ray(
-    a_cont: np.ndarray, residual: np.ndarray, tol: float
+def _fiber_ray(
+    farkas: np.ndarray, a_cont: np.ndarray, residual: np.ndarray, tol: float
 ) -> np.ndarray | None:
     """pi in [0, 1]^m with pi A'_C <= 0 and pi r > tol, or None.
 
-    Such a pi proves {y >= 0 : A'_C y >= r} empty.  It maximizes pi r
-    over A'_C^T pi + t = 0, t >= 0 from the slack basis (pi = 0); the
-    inequality is then checked exactly, as the weak-duality proofs are.
+    Such a pi proves {y >= 0 : A'_C y >= r} empty.  The fiber LP's
+    certificate y (min y A x > y b over the bounds, with the slack block
+    -I of A) gives pi = max(-y, 0), scaled into [0, 1]^m; the inequality
+    is then checked exactly, as the weak-duality proofs are.
     """
-    m, nc = a_cont.shape
-    lp = BoundedLp(
-        sense="max",
-        objective=np.concatenate([residual, np.zeros(nc)]),
-        a_eq=np.hstack([a_cont.T, np.eye(nc)]),
-        rhs=np.zeros(nc),
-        lower=np.zeros(m + nc),
-        upper=np.concatenate([np.ones(m), np.full(nc, np.inf)]),
-    )
-    slack = Basis(m + np.arange(nc), np.zeros(m + nc, dtype=bool))
-    res = simplex.solve(lp, start=slack)
-    if res.status is not Status.OPTIMAL:
+    pi = np.maximum(-farkas, 0.0)
+    top = float(pi.max(initial=0.0))
+    if top <= 0.0:
         return None
-    pi = np.clip(res.x[:m], 0.0, 1.0)
+    pi /= top
     if np.all(pi @ a_cont <= 0.0) and pi @ residual > tol:
         return pi
     return None

@@ -557,7 +557,7 @@ def test_master_without_bound_rows_solves_the_canonical_system(monkeypatch):
     assert len(built) == rep.num_master_solves  # no second system per round
 
 
-def test_dual_pivots_are_counted_apart(monkeypatch):
+def test_dual_pivots_are_counted_as_phase1(monkeypatch):
     solves = _record_master_solves(monkeypatch)
     seps = []
     separate = membership.separate
@@ -572,16 +572,15 @@ def test_dual_pivots_are_counted_apart(monkeypatch):
     )
     warm = [w for w, _, _ in solves]
     # the relaxation solve flips the profitable columns to their upper
-    # bounds and repairs the rows they overfill by the dual simplex
-    assert warm[0].dual_pivots > 0
-    assert all(w.dual_pivots <= w.phase1_pivots for w in warm)
-    assert all(s.dual_pivots <= s.phase1_pivots for s in seps)
-    assert rep.master_dual_pivots == sum(w.dual_pivots for w in warm)
-    assert rep.separation_dual_pivots == sum(s.dual_pivots for s in seps) > 0
+    # bounds and repairs the rows they overfill by the dual simplex, whose
+    # pivots are the phase-1 pivots
+    assert warm[0].phase1_pivots > 0
+    assert rep.master_phase1_pivots == sum(w.phase1_pivots for w in warm)
+    assert rep.separation_phase1_pivots == sum(s.phase1_pivots for s in seps) > 0
     pivots = rep.to_dict()["pivots"]
-    assert pivots["master_dual"] == rep.master_dual_pivots
-    assert pivots["separation_dual"] == rep.separation_dual_pivots
     assert pivots["master_phase1"] == rep.master_phase1_pivots
+    assert pivots["separation_phase1"] == rep.separation_phase1_pivots
+    assert not {"master_dual", "separation_dual"} & set(pivots)
 
 
 def test_loose_cuts_are_parked_by_their_master_slack(monkeypatch):
@@ -610,7 +609,7 @@ def test_carried_master_start_needs_no_flips(monkeypatch):
     # which is dual feasible as it stands
     wrong, in_master = [], []
     warm_solve = closure._Master.solve
-    flip = simplex._Worker._flip_to_dual_feasible
+    dual = simplex._Worker._dual
 
     def solving(self, cuts, time_limit=None):
         in_master.append(True)
@@ -623,10 +622,11 @@ def test_carried_master_start_needs_no_flips(monkeypatch):
         if in_master:
             scores = self._scores(self._price(self.cmax)[0])
             wrong.append(int(np.count_nonzero(scores > self.dtol)))
-        return flip(self)
+            assert not np.any(scores[~self.boxed] > self.dtol)  # no shift
+        return dual(self)
 
     monkeypatch.setattr(closure._Master, "solve", solving)
-    monkeypatch.setattr(simplex._Worker, "_flip_to_dual_feasible", flipping)
+    monkeypatch.setattr(simplex._Worker, "_dual", flipping)
     nm = _knapsack(np.random.default_rng(4), rows=3, nb=20)
     rep = optimize_closure(nm, ClosureConfig(mode="pe"))
     assert len(wrong) == rep.num_master_solves >= 3

@@ -410,8 +410,9 @@ def test_separate_inconclusive_on_iteration_limit(t1, t1_point):
 def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
     # two integer coordinates with the same fractional value share the
     # whole constraint system, so the previous terminal basis is a usable
-    # start: it is kept (no crash basis, no composite phase 1), reaches the
-    # cold optimum and takes no more pivots than the cold solve
+    # start: it is kept (no crash basis) and made dual feasible by bound
+    # flips alone (no cost shift), reaches the cold optimum and takes no
+    # more pivots than the cold solve
     nm = plain_milp(
         [[1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [-1.0, 1.0, 2.0]],
         [0.0, -3.0, 0.2],
@@ -426,14 +427,21 @@ def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
     cold_value, cold = membership_value(prob1)
     assert cold.status is Status.OPTIMAL
     calls = []
-    for name in ("_crash_basis", "_phase1"):
-        original = getattr(simplex._Worker, name)
+    crash = simplex._Worker._crash_basis
+    dual = simplex._Worker._dual
 
-        def spy(self, _name=name, _original=original):
-            calls.append(_name)
-            return _original(self)
+    def crashing(self):
+        calls.append("crash")
+        return crash(self)
 
-        monkeypatch.setattr(simplex._Worker, name, spy)
+    def dualing(self):
+        st = dual(self)
+        if np.any(self.cost != self.cmax):
+            calls.append("shift")
+        return st
+
+    monkeypatch.setattr(simplex._Worker, "_crash_basis", crashing)
+    monkeypatch.setattr(simplex._Worker, "_dual", dualing)
     value1, res1 = membership_value(prob1, start=res0.basis)
     assert res1.status is Status.OPTIMAL
     assert not calls

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -41,6 +42,37 @@ def test_infeasible_system():
         [1.0, 0.0],
     )
     assert solve(lp).status is Status.INFEASIBLE
+
+
+def assert_farkas_ray(lp: BoundedLp, res) -> None:
+    """``res.farkas`` is a y with min y A x > y d over the bounds of x,
+    up to the rounding of y A."""
+    g = res.farkas @ lp.a_eq
+    g[np.abs(g) <= 1e-9 * (1.0 + np.abs(res.farkas).max())] = 0.0
+    assert np.all(np.isfinite(lp.upper[g < 0.0]))  # bounded below
+    low = np.where(g > 0.0, lp.lower, np.where(g < 0.0, lp.upper, 0.0))
+    assert g @ low > res.farkas @ lp.rhs + 1e-9
+
+
+def test_infeasible_lps_return_a_farkas_ray():
+    # every INFEASIBLE ends at a dual row that no column can repair; that
+    # row of the inverse, signed by the bound it violates, proves it
+    a = [[-1.0, 0.0, 1.0], [0.0, -1.0, -1.0]]  # x >= 1 and -x >= 0
+    lp = make_lp("max", [0.0, 0.0, 1.0], a, [1.0, 0.0])
+    res = solve(lp)
+    assert res.status is Status.INFEASIBLE
+    assert_farkas_ray(lp, res)
+    draws = [(degenerate_lp(seed), None) for seed in range(16)]
+    draws += [(cut, start) for _, cut, start in reoptimization_draws()]
+    infeasible = 0
+    for lp, start in draws:
+        res = solve(lp, start=start)
+        if res.status is Status.INFEASIBLE:
+            assert_farkas_ray(lp, res)
+            infeasible += 1
+        else:
+            assert res.farkas is None
+    assert infeasible >= 4
 
 
 def test_unbounded_no_rows():
@@ -235,25 +267,13 @@ def test_optimality_certificates(rng):
         assert np.all(res.reduced_costs[res.basis.basic] == 0.0)
 
 
-def record_phase1_starts(monkeypatch) -> list:
-    """The bound statuses each composite phase 1 run starts from."""
-    starts = []
-    run_phase1 = simplex._Worker._phase1
-
-    def recording(self):
-        starts.append(self.atup.copy())
-        return run_phase1(self)
-
-    monkeypatch.setattr(simplex._Worker, "_phase1", recording)
-    return starts
-
-
 def test_phase1_repairs_stale_basis(monkeypatch):
     # x1 + x2 + x3 + s1 = b1, x1 - x2 + s2 = 1 with 0 <= x1, x2 <= 2 and
     # x3, s >= 0.  The slack basis with x1 and x2 at upper is optimal for
     # max x1 + x2 - x3 at b1 = 6; after b1 falls to 3 and the objective
     # turns to x1 + 2 x2 + x3 it is primal infeasible (s1 = -1) and the
-    # unboxed x3 prices dual infeasible, so no bound flip can repair it
+    # unboxed x3 prices dual infeasible, so no bound flip can repair it:
+    # its cost is shifted instead, and phase 1 is the dual simplex
     a = [[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0, 1.0]]
     upper = [2.0, 2.0, np.inf, np.inf, np.inf]
     stale = Basis(np.array([3, 4]), np.array([True, True, False, False, False]))
@@ -261,12 +281,12 @@ def test_phase1_repairs_stale_basis(monkeypatch):
     opt = solve(old, start=stale)
     assert (opt.status, opt.pivots) == (Status.OPTIMAL, 0)
     lp = make_lp("max", [1.0, 2.0, 1.0, 0.0, 0.0], a, [3.0, 1.0], upper=upper)
-    starts = record_phase1_starts(monkeypatch)
     runs = record_dual_runs(monkeypatch)
     res = solve(lp, start=opt.basis)
-    assert res.phase1_pivots > 0
-    assert not runs
-    np.testing.assert_array_equal(starts[0], stale.at_upper)  # no status flips
+    assert [(run.status, run.shifted.tolist()) for run in runs] == [
+        (Status.OPTIMAL, [2])
+    ]
+    assert res.phase1_pivots == runs[0].pivots > 0
     assert_matches_highs(lp, res, highs(lp), "stale basis")
     assert res.value == pytest.approx(5.0)
 
@@ -361,22 +381,32 @@ def degenerate_lp(seed: int) -> BoundedLp:
     return covering_lp(rng) if seed % 2 == 0 else boxed_lp(rng)
 
 
-def test_degenerate_lps_match_highs():
-    # degenerate, tie-rich LPs from the crash basis and from the slack
-    # basis: status and optimum agree with HiGHS, the duals certify the
-    # optimum and every nonbasic reduced cost has its optimal sign
+def check_degenerate_lps() -> int:
+    """Solve the degenerate LPs from the crash basis, the slack basis and
+    two random stale bases, checking each against HiGHS.  Returns the
+    most phase-2 pivots one solve took."""
     most_pivots = 0
     optimal = 0
     for seed in range(16):
         lp = degenerate_lp(seed)
         ref = highs(lp)
         slack = np.flatnonzero(np.isinf(lp.upper))
-        for start in (None, Basis(slack, np.zeros(lp.num_cols, bool))):
+        rng = np.random.default_rng([2030, seed])
+        starts = [None, Basis(slack, np.zeros(lp.num_cols, bool))]
+        for i, start in enumerate(starts + list(random_starts(lp, rng, 2))):
             res = solve(lp, start=start)
             most_pivots = max(most_pivots, res.pivots - res.phase1_pivots)
-            optimal += assert_matches_highs(lp, res, ref, f"seed {seed}")
+            optimal += assert_matches_highs(lp, res, ref, f"seed {seed} start {i}")
     assert optimal >= 16
-    assert most_pivots >= 20  # phase 2, where the weighted pricing runs
+    return most_pivots
+
+
+def test_degenerate_lps_match_highs():
+    # degenerate, tie-rich LPs: status and optimum agree with HiGHS, the
+    # duals certify the optimum and every nonbasic reduced cost has its
+    # optimal sign.  The stale starts price some unboxed columns dual
+    # infeasible; phase 2 undoes their cost shifts
+    assert check_degenerate_lps() >= 20  # phase 2, where devex pricing runs
 
 
 def reoptimization_draws():
@@ -411,23 +441,34 @@ def reoptimization_draws():
         yield seed, cut, start
 
 
-def record_dual_runs(monkeypatch) -> list:
-    """Each dual simplex run's outcome: a Status, or None for a stall."""
+@dataclass
+class DualRun:
+    status: Status
+    pivots: int  # dual pivots this run took
+    shifted: np.ndarray  # columns whose private cost ended off the true one
+
+
+def record_dual_runs(monkeypatch) -> list[DualRun]:
+    """Each run of the dual phase, in order."""
     runs = []
     run_dual = simplex._Worker._dual
 
     def recording(self):
-        runs.append(run_dual(self))
-        return runs[-1]
+        before = self.phase1_pivots
+        st = run_dual(self)
+        shifted = np.flatnonzero(self.cost != self.cmax)
+        runs.append(DualRun(st, self.phase1_pivots - before, shifted))
+        return st
 
     monkeypatch.setattr(simplex._Worker, "_dual", recording)
     return runs
 
 
 def check_reoptimization(monkeypatch) -> list:
+    draws = list(reoptimization_draws())
     runs = record_dual_runs(monkeypatch)
     feasible = infeasible = 0
-    for seed, lp, start in reoptimization_draws():
+    for seed, lp, start in draws:
         res = solve(lp, start=start)
         if assert_matches_highs(lp, res, highs(lp), f"seed {seed}"):
             feasible += 1
@@ -441,22 +482,60 @@ def check_reoptimization(monkeypatch) -> list:
 
 def test_dual_reoptimization_matches_highs(monkeypatch):
     runs = check_reoptimization(monkeypatch)
-    assert Status.INFEASIBLE in runs
+    assert any(run.status is Status.INFEASIBLE for run in runs)
+    # a dual feasible start shifts no cost
+    assert not any(run.shifted.size for run in runs)
 
 
-def test_dual_stall_falls_back_to_phase1(monkeypatch):
-    # with no stall allowed, the first dual pivot that does not lower the
-    # objective hands the basis to the composite phase 1
+def test_dual_stall_perturbs_costs(monkeypatch):
+    # with no stall allowed, every dual pivot that does not lower the
+    # objective perturbs the private costs; phase 2 on the true costs
+    # still ends at the HiGHS optimum on every draw and degenerate LP
     monkeypatch.setattr(simplex, "BLAND_WINDOW", 0)
-    runs = check_reoptimization(monkeypatch)
-    assert None in runs
+    perturbed = []
+    perturb = simplex._Worker._perturb
+
+    def recording(self):
+        perturbed.append(self.pivots)
+        return perturb(self)
+
+    monkeypatch.setattr(simplex._Worker, "_perturb", recording)
+    check_reoptimization(monkeypatch)
+    assert perturbed
+    before = len(perturbed)
+    check_degenerate_lps()
+    assert len(perturbed) > before
+
+
+def test_forced_drift_reentry_matches_highs(monkeypatch):
+    # the phase-2 drift check fires once per solve, at its first phase-2
+    # pivot: the basis goes through the dual phase again (flips, shifts,
+    # dual pivots) and phase 2 then ends at the HiGHS optimum
+    drifted = simplex._Worker._drifted
+    forced = []  # per forced check: the worker and its count of dual runs
+    runs = record_dual_runs(monkeypatch)
+
+    def once(self):
+        if all(worker is not self for worker, _ in forced):
+            forced.append((self, len(runs)))
+            return True
+        return drifted(self)
+
+    monkeypatch.setattr(simplex._Worker, "_drifted", once)
+    check_degenerate_lps()
+    assert len(forced) >= 20
+    assert len(runs) == 16 * 4 + len(forced)  # one re-entry per forced check
+    reentries = [runs[at] for _, at in forced]
+    assert all(run.status is Status.OPTIMAL for run in reentries)
+    assert any(run.pivots > 0 for run in reentries)
 
 
 def test_phase1_repairs_stale_dual_infeasible_basis(monkeypatch):
-    # a stale basis that is neither primal nor dual feasible goes through
-    # the composite phase 1, not the dual simplex
+    # a stale basis that is neither primal nor dual feasible: boxed
+    # columns flip, unboxed ones have their costs shifted, and the dual
+    # simplex repairs it
     runs = record_dual_runs(monkeypatch)
-    repaired = 0
+    repaired = shifted = 0
     for seed in range(1, 16, 2):  # the boxed LPs
         lp = degenerate_lp(seed)
         opt = solve(lp)
@@ -471,11 +550,13 @@ def test_phase1_repairs_stale_dual_infeasible_basis(monkeypatch):
             lp.lower,
             lp.upper,
         )
+        before = len(runs)
         res = solve(lp2, start=opt.basis)
         assert_matches_highs(lp2, res, highs(lp2), f"seed {seed}")
         repaired += res.phase1_pivots > 0
+        shifted += runs[before].shifted.size > 0
     assert repaired >= 3
-    assert not runs
+    assert shifted >= 1
 
 
 def implied_box(lp: BoundedLp) -> BoundedLp:
@@ -545,9 +626,9 @@ def record_walks(monkeypatch) -> list:
 def test_boxed_start_from_any_basis_matches_highs(monkeypatch):
     # every column boxed: the start flips each dual infeasible column to
     # its other bound and the dual simplex solves from there, whatever the
-    # basis; phase 1 never runs.  Starts: random bases, and the optimal
+    # basis; no cost is shifted.  Starts: random bases, and the optimal
     # basis for a redrawn objective (primal feasible)
-    phase1 = record_phase1_starts(monkeypatch)
+    runs = record_dual_runs(monkeypatch)
     walks = record_walks(monkeypatch)
     kinds = set()
     exhausted = 0
@@ -575,16 +656,16 @@ def test_boxed_start_from_any_basis_matches_highs(monkeypatch):
             # the row that proves infeasibility; start flips are no pivots
             infeasible = res.status is Status.INFEASIBLE
             assert len(walks) - before == res.phase1_pivots + infeasible
-    assert not phase1
+    assert not any(run.shifted.size for run in runs)
     assert kinds == {"feasible", "infeasible", "dual infeasible"}
     assert any(passed and entered for passed, entered in walks)
     assert exhausted > 0
 
 
-def test_unboxed_dual_infeasible_start_keeps_phase1(monkeypatch):
-    # an unbounded slack that prices dual infeasible leaves every bound
-    # status as the start has it, and the composite phase 1 runs
-    phase1 = record_phase1_starts(monkeypatch)
+def test_unboxed_dual_infeasible_start_shifts_costs(monkeypatch):
+    # an unbounded slack that prices dual infeasible keeps its status and
+    # has its cost shifted; only unboxed columns are shifted, and the dual
+    # simplex and phase 2 reach the HiGHS optimum
     runs = record_dual_runs(monkeypatch)
     checked = 0
     for seed in range(16):
@@ -593,18 +674,17 @@ def test_unboxed_dual_infeasible_start_keeps_phase1(monkeypatch):
         rng = np.random.default_rng([2028, seed])
         for i, start in enumerate(random_starts(lp, rng, 3)):
             _, wrong = start_kind(lp, start)
-            if not np.any(wrong & np.isinf(lp.upper)):
+            unboxed = np.isinf(lp.upper)
+            if not np.any(wrong & unboxed):
                 continue
-            before = len(phase1)
+            before = len(runs)
             res = solve(lp, start=start)
             assert_matches_highs(lp, res, ref, f"seed {seed} start {i}")
-            assert len(phase1) == before + 1
-            kept = start.at_upper & np.isfinite(lp.upper)
-            kept[start.basic] = False
-            np.testing.assert_array_equal(phase1[-1], kept)
+            shifted = runs[before].shifted
+            assert set(np.flatnonzero(wrong & unboxed)) <= set(shifted)
+            assert np.all(unboxed[shifted])
             checked += 1
     assert checked >= 8
-    assert not runs
 
 
 @pytest.mark.parametrize("refresh", [2, simplex.REFRESH_EVERY])
@@ -617,7 +697,7 @@ def test_dual_updates_reduced_costs_along_the_pivot_row(monkeypatch, refresh):
     walk = simplex._Worker._bound_flipping_ratio_test
 
     def checking(self, cand, gain, cbar, viol):
-        fresh = self._price(self.cmax)[0]
+        fresh = self._price(self.cost)[0]
         off = ~self.inb
         scale = 1.0 + np.abs(self.cmax).max()
         assert np.abs(cbar[off] - fresh[off]).max() <= 1e-9 * scale
@@ -633,6 +713,6 @@ def test_dual_updates_reduced_costs_along_the_pivot_row(monkeypatch, refresh):
         for start in random_starts(degenerate_lp(seed), rng, 3):
             before = len(seen)
             res = solve(lp, start=start)
-            assert res.dual_pivots == sum(seen[before:]) <= res.phase1_pivots
-            longest = max(longest, res.dual_pivots)
+            assert res.phase1_pivots == sum(seen[before:])
+            longest = max(longest, res.phase1_pivots)
     assert longest > 2  # updates chain, across refactorizations at refresh 2
