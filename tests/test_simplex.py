@@ -496,7 +496,7 @@ def test_dual_stall_perturbs_costs(monkeypatch):
     perturb = simplex._Worker._perturb
 
     def recording(self):
-        perturbed.append(self.pivots)
+        perturbed.append(self)
         return perturb(self)
 
     monkeypatch.setattr(simplex._Worker, "_perturb", recording)
@@ -556,7 +556,7 @@ def test_phase1_repairs_stale_dual_infeasible_basis(monkeypatch):
         repaired += res.phase1_pivots > 0
         shifted += runs[before].shifted.size > 0
     assert repaired >= 3
-    assert shifted >= 1
+    assert shifted >= 3
 
 
 def implied_box(lp: BoundedLp) -> BoundedLp:
@@ -671,10 +671,10 @@ def test_unboxed_dual_infeasible_start_shifts_costs(monkeypatch):
     for seed in range(16):
         lp = degenerate_lp(seed)
         ref = highs(lp)
+        unboxed = np.isinf(lp.upper)
         rng = np.random.default_rng([2028, seed])
         for i, start in enumerate(random_starts(lp, rng, 3)):
             _, wrong = start_kind(lp, start)
-            unboxed = np.isinf(lp.upper)
             if not np.any(wrong & unboxed):
                 continue
             before = len(runs)
