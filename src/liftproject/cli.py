@@ -15,6 +15,7 @@ import os
 import sys
 
 from .closure import ClosureConfig, ClosureError, gap_closed, optimize_closure
+from .cuts import FRAC_EPS_DEFAULT
 from .instances import MpsParseError, NormalizeError, load_optima, normalize, read_mps
 from .verify import run_suite
 
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "approximation; gmi-rounds: textbook tableau GMI rounds",
     )
     close.add_argument("--rounds", type=int, default=1, help="rounds for gmi-rounds mode")
-    close.add_argument("--eps", type=float, default=1e-4, help="separation tolerance")
+    close.add_argument("--eps", type=float, default=FRAC_EPS_DEFAULT, help="separation tolerance")
     close.add_argument("--time-limit", type=float, default=3600.0, help="seconds")
     close.add_argument("--optima", help="reference optima file (name value per line)")
     close.add_argument("--json", dest="json_out", help="write JSON report to this path ('-' for stdout)")

@@ -12,9 +12,8 @@ master, letting the rank increase round by round.
 The master LP reads each bound row -x_j >= -u_j of the canonical form as
 the column bound x_j <= u_j (``standard_form.ColumnBounds``) and solves
 over the other rows plus the cuts, so the dual simplex moves bounded
-columns by bound flips.  Everything else (separation, GMI tableau rows,
-the cut formulas) keeps the canonical rows: the master hands it its
-optimal vertex as a basis of the canonical rows plus cuts.
+columns by bound flips.  Separation starts and GMI tableau rows are read
+from the master's own basis through ``ColumnBounds``.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import scipy.linalg
 from . import membership, simplex
 from .cuts import (
     DUPLICATE_TOL,
+    FRAC_EPS_DEFAULT,
     CutRow,
     DynamismError,
     EmptyDisjunctionError,
@@ -65,7 +65,7 @@ class ClosureError(ValueError):
 @dataclass
 class ClosureConfig:
     mode: str = "pestar"  # 'pe', 'pestar' or 'gmi'
-    eps: float = 1e-4
+    eps: float = FRAC_EPS_DEFAULT
     time_limit: float = 3600.0
     rounds: int = 1  # gmi mode only
 
@@ -105,10 +105,6 @@ class ClosureReport:
     termination_reason: str = ""  # why the loop stopped, in words
     iterations: list[IterationLog] = field(default_factory=list)
     num_master_solves: int = 0
-    num_separations: int = 0
-    num_cuts: int = 0
-    num_no_cuts: int = 0
-    num_inconclusive: int = 0
     cuts_active: int = 0
     cuts_parked: int = 0
     master_pivots: int = 0
@@ -121,6 +117,22 @@ class ClosureReport:
     config: dict = field(default_factory=dict)
     cut_rows: list[CutRow] = field(default_factory=list, repr=False)
     x_final: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def num_separations(self) -> int:
+        return sum(it.separations for it in self.iterations)
+
+    @property
+    def num_cuts(self) -> int:
+        return sum(it.cuts_found for it in self.iterations)
+
+    @property
+    def num_no_cuts(self) -> int:
+        return sum(it.no_cuts for it in self.iterations)
+
+    @property
+    def num_inconclusive(self) -> int:
+        return sum(it.inconclusive for it in self.iterations)
 
     def to_dict(self) -> dict:
         return {
@@ -278,9 +290,8 @@ class _Master:
     column bound x_j <= u_j, so every bounded structural is boxed and the
     dual simplex moves it between its bounds by bound flips rather than
     basis changes.  Its other rows come first, then the cuts (``slp``).
-    The consumers that read the canonical rows (separation starts, GMI
-    tableau rows) get the same vertex from ``canonical_basis`` and
-    ``canonical_system``; with no bound row both are the master's own.
+    Separation starts and GMI tableau rows are read from this system and
+    ``basis`` through ``bounds``; no canonical copy of the master is kept.
     """
 
     def __init__(self, nm: NormalizedMilp):
@@ -335,25 +346,6 @@ class _Master:
         self.solves += 1
         self.time += time.perf_counter() - t0
         return self.result
-
-    @property
-    def num_canonical_rows(self) -> int:
-        """Rows of the canonical system plus the master's cuts."""
-        return self.nm.num_rows + len(self._cuts)
-
-    def canonical_basis(self) -> Basis:
-        """The optimal basis as a basis of the canonical rows plus cuts."""
-        if not self.bounds.rows.size:
-            return self.basis
-        return self.bounds.canonical_basis(
-            self.basis, len(self._cuts), self.result.reduced_costs
-        )
-
-    def canonical_system(self) -> StandardLp:
-        """The canonical rows plus cuts, slack-augmented."""
-        if not self.bounds.rows.size:
-            return self.slp
-        return to_standard(self.nm, self._cuts)
 
     def _remap_basis(self, old_slp: StandardLp, old_cuts: list[CutRow]) -> Basis:
         """Carry the previous optimal basis over to the current row set.
@@ -498,7 +490,6 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
         n_cut = n_nocut = n_inconcl = 0
         new_rows = 0
         for k, sep in outcomes:
-            report.num_separations += 1
             report.separation_pivots += sep.pivots
             report.separation_phase1_pivots += sep.phase1_pivots
             if sep.found:
@@ -511,9 +502,6 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
                 n_inconcl += 1
             else:
                 n_nocut += 1
-        report.num_cuts += n_cut
-        report.num_no_cuts += n_nocut
-        report.num_inconclusive += n_inconcl
         report.iterations.append(
             IterationLog(
                 index=len(report.iterations),
@@ -617,18 +605,15 @@ def _finish_report(
 
 def _separation_start(
     sep_slp: StandardLp,
-    basis: Basis,
-    m: int,
+    master: _Master,
     pt: membership.FractionalPoint,
 ) -> Basis:
     """The master's optimal basis carried over to the separation system.
 
-    ``basis`` is that basis over the ``m`` canonical rows plus cuts
-    (``_Master.canonical_basis``), so it names bound-row slacks too.
-    Basic original slacks and structurals keep their columns; cut slacks
-    have no column there and are dropped.  With every cut slack basic the
-    remaining columns form a basis whose solution, nonbasics at 0, is
-    y = f * xhat: primal feasible for every k.  A cut whose slack is
+    Its columns are those of the master's vertex over the cut-free
+    canonical rows (``ColumnBounds.canonical_columns``).  With every cut
+    slack basic they form a basis whose solution, nonbasics at 0, is
+    y = f * xhat: primal feasible for every k.  Each cut whose slack is
     nonbasic leaves one column too many; the columns kept, one per
     original row, are picked by pivoted QR on the columns scaled by their
     membership range (xhat_j, or the row activity for a slack), so the
@@ -639,9 +624,7 @@ def _separation_start(
     by the dual simplex.
     """
     m0 = sep_slp.num_rows
-    basic = np.sort(basis.basic)
-    keep = (basic < m0) | (basic >= m)
-    cols = np.where(basic < m0, basic, basic - m + m0)[keep]
+    cols = master.bounds.canonical_columns(master.basis, master.result.reduced_costs)
     if cols.size > m0:
         ranges = np.concatenate([pt.activities, pt.x])[cols]
         # columns with no range only fill out the rank
@@ -666,9 +649,7 @@ def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start):
     t0 = time.perf_counter()
     if not order:
         return outcomes, 0.0, False
-    basis = _separation_start(
-        sep_slp, master.canonical_basis(), master.num_canonical_rows, pt
-    )
+    basis = _separation_start(sep_slp, master, pt)
     try:
         start = BasisFactors(sep_slp.a, basis)
     except SingularBasisError:
@@ -701,8 +682,10 @@ def gmi_rounds(
     Cuts from earlier rounds stay in the master used for generation, so
     the cut rank grows with the round number (unlike the closure loop,
     which only ever separates against the original rows).  The tableau is
-    that of the canonical rows plus cuts, at the master's canonical basis;
-    with no bound row in the model it is the master's own system.
+    the master's own with each column at its upper bound complemented
+    (``ColumnBounds.at_upper``), which makes its rows those of the
+    canonical rows plus cuts; the complement counts as continuous, like
+    the bound-row slack it stands for.
     """
     if cfg is None:
         cfg = ClosureConfig(mode="gmi", rounds=rounds)
@@ -730,9 +713,10 @@ def gmi_rounds(
             report.termination = "time_limit"
             report.termination_reason = _time_limit_reason(cfg)
             break
-        slp = master.canonical_system()
-        basis = master.canonical_basis()
+        slp, basis = master.slp, master.basis
         m = slp.num_rows
+        up = master.bounds.cols[master.bounds.at_upper(basis, res.reduced_costs)]
+        flip, u = m + up, master.bounds.upper[up]
         xhat = _structural_point(master.slp, res.x)
         fr = xhat[: nm.num_integer] - np.floor(xhat[: nm.num_integer])
         targets = [
@@ -742,21 +726,21 @@ def gmi_rounds(
         ]
         integer_cols = np.zeros(slp.num_cols, dtype=bool)
         integer_cols[m : m + nm.num_integer] = True
+        integer_cols[flip] = False
         added = 0
         factors = BasisFactors(slp.a, basis) if targets else None
         for k in targets:
             row = tableau_row(slp, basis, m + k, factors)
+            _complement(row, flip, u)
             try:
                 full = gmi_cut(row, integer_cols, eps=cfg.eps)
+                _complement(full, flip, u)
                 cut = eliminate_slacks(full, slp)
             except (FractionalityError, DynamismError, EmptyDisjunctionError):
                 continue
             if not any(same_cut(cut, c) for c in cuts):
                 cuts.append(cut)
                 added += 1
-        report.num_separations += len(targets)
-        report.num_cuts += added
-        report.num_no_cuts += len(targets) - added
         report.iterations.append(
             IterationLog(
                 index=len(report.iterations),
@@ -783,6 +767,13 @@ def gmi_rounds(
         history.append(res.value)
 
     return _finish_report(report, nm, master, history, t_start, cuts, [])
+
+
+def _complement(row, cols: np.ndarray, upper: np.ndarray) -> None:
+    """Substitute x_j = u_j - xbar_j for ``cols`` in ``row`` (a tableau row
+    or a full-space cut), in place; a second call undoes it."""
+    row.rhs -= float(row.coeffs[cols] @ upper)
+    row.coeffs[cols] *= -1.0
 
 
 def _config_dict(cfg: ClosureConfig) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .standard_form import StandardLp, TableauRow
 
-FRAC_EPS_DEFAULT = 1e-4  # disjunction usefulness threshold on f0
+FRAC_EPS_DEFAULT = 1e-4  # the package's default eps: least fractionality and depth
 DYNAMISM_LIMIT = 1e8  # max|alpha| / min nonzero |alpha| rejection
 ZERO_COEF_TOL = 1e-12
 DUPLICATE_TOL = 1e-7

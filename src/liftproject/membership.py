@@ -28,6 +28,7 @@ import numpy as np
 
 from . import simplex
 from .cuts import (
+    FRAC_EPS_DEFAULT,
     CutRow,
     DynamismError,
     EmptyDisjunctionError,
@@ -50,7 +51,6 @@ from .standard_form import (
 
 ACTIVITY_TOL = 1e-7
 DUAL_SIGN_TOL = 1e-6
-DEFAULT_EPS = 1e-4
 
 
 class DualContractError(RuntimeError):
@@ -140,7 +140,7 @@ def build_membership_lp(
     k: int,
     slp: StandardLp | None = None,
     *,
-    eps: float = DEFAULT_EPS,
+    eps: float = FRAC_EPS_DEFAULT,
 ) -> MembershipProblem:
     """Set up the membership LP for integer variable k at point pt.
 
@@ -321,7 +321,7 @@ def separate(
     start: Basis | BasisFactors | None = None,
     slp: StandardLp | None = None,
     *,
-    eps: float = DEFAULT_EPS,
+    eps: float = FRAC_EPS_DEFAULT,
     max_iter: int = simplex.DEFAULT_MAX_ITER,
     time_limit: float | None = None,
 ) -> Separation:
@@ -330,10 +330,11 @@ def separate(
     Returns a cut pair (plain intersection / strengthened GMI, both in
     structural space, max-norm normalized) when the membership value is
     <= -eps; otherwise a no-cut outcome.  The emitted cuts are read from
-    the terminal tableau row of the master system; the certificate path
-    is exercised separately by the verification oracles.  A singular
-    terminal basis or a broken dual sign pattern ends as an inconclusive
-    outcome whose reason names the error.
+    the terminal tableau row of the separation system, after the dual
+    certificate of that row passed its sign and unit-window checks; only
+    the verification oracles assemble cuts from the certificate itself.
+    A singular terminal basis or a broken dual sign pattern ends as an
+    inconclusive outcome whose reason names the error.
     """
     prob = build_membership_lp(nm, pt, k, slp=slp, eps=eps)
     value, result = membership_value(
@@ -443,7 +444,7 @@ def build_cglp(
     pi: np.ndarray,
     pi0: float,
     *,
-    eps: float = DEFAULT_EPS,
+    eps: float = FRAC_EPS_DEFAULT,
 ) -> CglpProblem:
     """Multiplier-space cut LP with normalization u0 + v0 = 1.
 

@@ -3,9 +3,10 @@
 The canonical model A'x >= b, x >= 0 becomes Ax = b with A = (-I A'):
 slack variables occupy columns 0..m-1, structural variables columns
 m..m+n-1, and the integer structural variables are the first p of those.
-Both the master LP and the membership separation LP share this matrix,
-which is what lets a terminal separation basis be reinterpreted as a basis
-of the master system.
+The membership separation LP solves over this matrix of the original
+rows.  The master LP drops the rows that only bound one column and keeps
+those bounds as column bounds instead (``ColumnBounds``), which also maps
+its bases back onto the canonical rows.
 """
 
 from __future__ import annotations
@@ -146,8 +147,10 @@ class ColumnBounds:
     b_i <= 0; when several rows bound one column, only the first is, and
     the others stay rows.  The system over the rows kept (``keep``) plus
     cuts, with these bounds on its structurals, has the feasible set of
-    the canonical system; ``canonical_basis`` names the same vertex as a
-    basis of the canonical rows plus cuts.
+    the canonical system plus those cuts, and this class alone maps its
+    bases onto the canonical rows: ``canonical_columns`` as a basis of the
+    cut-free rows, ``at_upper`` as the columns whose complement
+    u_j - x_j takes the place of the bound-row slack in a tableau row.
     """
 
     keep: np.ndarray  # original rows that stay rows
@@ -172,35 +175,35 @@ class ColumnBounds:
         keep = np.setdiff1d(np.arange(m), rows)
         return cls(keep=keep, rows=rows, cols=cols, upper=upper, num_rows=m)
 
-    def canonical_basis(
-        self, basis: Basis, num_cuts: int, reduced_costs: np.ndarray
-    ) -> Basis:
-        """Basis of the canonical rows plus ``num_cuts`` cuts at the vertex
-        of ``basis``, a basis of the kept rows plus those cuts.
-
-        Kept rows, cut slacks and structurals keep their columns.  For the
-        row i that bounds x_j: if x_j is nonbasic at its upper bound, x_j is
-        basic and slack i nonbasic at 0; otherwise slack i is basic.  A
-        fixed column (u_j = 0) counts as at its upper bound when its
-        reduced cost (``reduced_costs``, max sense) is positive, so an
-        optimal ``basis`` maps to an optimal one.  Row i then holds one
-        basic column of its own, so the result is nonsingular whenever
-        ``basis`` is.
-        """
-        m0, n = self.num_rows, self.upper.size
-        m = self.keep.size + num_cuts
-        mc = m0 + num_cuts
-        to_canonical = np.concatenate(
-            [self.keep, m0 + np.arange(num_cuts), mc + np.arange(n)]
-        )
-        j = m + self.cols
+    def at_upper(self, basis: Basis, reduced_costs: np.ndarray) -> np.ndarray:
+        """Mask over ``cols`` of the columns nonbasic at their upper bound
+        in ``basis``, a basis of the kept rows plus cuts.  A fixed column
+        (u_j = 0) counts as at upper when its reduced cost (max sense) is
+        positive, so an optimal ``basis`` maps to an optimal one."""
+        j = basis.num_cols - self.upper.size + self.cols
         nonbasic = ~basis.in_basis_mask()[j]
         fixed = self.upper[self.cols] <= 0.0
-        up = nonbasic & np.where(fixed, reduced_costs[j] > 0.0, basis.at_upper[j])
-        basic = np.concatenate(
-            [to_canonical[basis.basic], mc + self.cols[up], self.rows[~up]]
+        return nonbasic & np.where(fixed, reduced_costs[j] > 0.0, basis.at_upper[j])
+
+    def canonical_columns(self, basis: Basis, reduced_costs: np.ndarray) -> np.ndarray:
+        """Basic columns, ascending, of the cut-free canonical system at the
+        vertex of ``basis``, a basis of the kept rows plus cuts.
+
+        Kept-row slacks and structurals keep their columns; cut slacks have
+        none there and are dropped.  For the row i that bounds x_j, x_j is
+        basic if it sits at its upper bound (``at_upper``), and slack i
+        otherwise, so row i holds one basic column of its own.
+        """
+        m0, n = self.num_rows, self.upper.size
+        m = basis.num_cols - n
+        to_canonical = np.concatenate(
+            [self.keep, np.full(m - self.keep.size, -1), m0 + np.arange(n)]
         )
-        return Basis(np.sort(basic), np.zeros(mc + n, dtype=bool))
+        up = self.at_upper(basis, reduced_costs)
+        basic = to_canonical[basis.basic]
+        return np.sort(
+            np.concatenate([basic[basic >= 0], m0 + self.cols[up], self.rows[~up]])
+        )
 
 
 class BasisFactors:

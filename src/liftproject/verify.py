@@ -27,7 +27,9 @@ import numpy as np
 
 from . import simplex
 from .closure import ClosureConfig, optimize_closure
-from .cuts import CutRow, eliminate_slacks, gmi_cut, intersection_cut, strengthen
+from .cuts import (
+    FRAC_EPS_DEFAULT, CutRow, eliminate_slacks, gmi_cut, intersection_cut, strengthen
+)
 from .instances import NormalizedMilp
 from .membership import (
     DualCertificate,
@@ -384,7 +386,7 @@ def _master_vertex(nm: NormalizedMilp, objective: np.ndarray | None = None):
     return res.x[slp.num_rows :]
 
 
-def _fractional_ks(pt: FractionalPoint, eps: float = 1e-4) -> list[int]:
+def _fractional_ks(pt: FractionalPoint, eps: float = FRAC_EPS_DEFAULT) -> list[int]:
     return [
         k
         for k, f in enumerate(pt.fracs)

@@ -13,7 +13,7 @@ from liftproject.closure import (
     gmi_rounds,
     optimize_closure,
 )
-from liftproject.cuts import CutRow
+from liftproject.cuts import CutRow, eliminate_slacks, gmi_cut, same_cut
 from liftproject.instances import normalize, parse_mps
 from liftproject.membership import (
     DualContractError,
@@ -28,6 +28,7 @@ from liftproject.standard_form import (
     ColumnBounds,
     SingularBasisError,
     basic_point,
+    tableau_row,
     to_standard,
 )
 from liftproject.verify import random_milp
@@ -482,43 +483,110 @@ def test_column_bounds_read_only_unit_bound_rows():
     assert bounds.upper.tolist() == [3.0, 0.0, np.inf]
 
 
-def _check_canonical_basis(master):
-    slp, basis = master.canonical_system(), master.canonical_basis()
-    m = slp.num_rows
-    assert m == master.num_canonical_rows
-    assert slp.b.tobytes() == to_standard(master.nm, master._cuts).b.tobytes()
-    factors = BasisFactors(slp.a, basis)  # raises when singular
-    x = basic_point(slp, basis)
-    xm = master.result.x
-    assert np.abs(x[m:] - xm[master.slp.num_rows :]).max() <= 1e-9
-    assert np.abs(x[:m] - (slp.structural_part() @ x[m:] - slp.b)).max() <= 1e-9
-    # every canonical column sits at its lower bound 0 when nonbasic, so
-    # dual feasibility asks for nonpositive reduced costs (max sense)
-    y = factors.solve_transpose(slp.c[basis.basic])
-    cbar = slp.c - y @ slp.a
-    nonbasic = ~basis.in_basis_mask()
-    assert cbar[nonbasic].max(initial=0.0) <= 1e-9 * (1.0 + np.abs(slp.c).max())
+def _fractional_ks(master):
+    x = master.result.x[master.slp.num_rows :]
+    f = x[: master.nm.num_integer] - np.floor(x[: master.nm.num_integer])
+    return np.flatnonzero(np.minimum(f, 1.0 - f) >= ClosureConfig().eps)
 
 
-def test_canonical_basis_is_an_optimal_basis_of_the_same_vertex(monkeypatch):
+def _check_separation_start(master, sep_slp):
+    """The start names m0 of the master vertex's canonical columns and is
+    nonsingular; when those columns need no trim (every cut slack basic),
+    its basic solution is f * (activities, xhat) for every fractional k.
+    Returns whether that solution was checked."""
+    pt = FractionalPoint.from_point(
+        master.nm, master.result.x[master.slp.num_rows :], tol=1e-6
+    )
+    cols = master.bounds.canonical_columns(master.basis, master.result.reduced_costs)
+    basis = closure._separation_start(sep_slp, master, pt)
+    m0 = sep_slp.num_rows
+    assert basis.basic.size == m0 and np.isin(basis.basic, cols).all()
+    assert np.all(np.diff(basis.basic) > 0)
+    factors = BasisFactors(sep_slp.a, basis)  # raises when singular
+    if cols.size > m0:
+        return False
+    yhat = np.concatenate([pt.activities, pt.x])
+    for k in _fractional_ks(master):
+        f = pt.fracs[k]
+        y = np.zeros(sep_slp.num_cols)
+        y[basis.basic] = factors.solve(f * sep_slp.b)
+        assert np.abs(y - f * yhat).max() <= 1e-9
+    return True
+
+
+def _loose_cuts(nm):
+    # each original row relaxed by one: valid, and slack at every master
+    # optimum, so the cut slacks stay basic
+    return [CutRow(nm.a[i], nm.b[i] - 1.0) for i in range(nm.num_rows)]
+
+
+def test_separation_start_is_a_basis_at_the_master_vertex(monkeypatch):
+    # separation starts straight from the master's own basis, bound rows
+    # included: the twice-bounded column and the fixed column too
     checked = []
     warm_solve = closure._Master.solve
 
     def checking(self, cuts, time_limit=None):
         res = warm_solve(self, cuts, time_limit=time_limit)
-        if res.status is Status.OPTIMAL:
-            _check_canonical_basis(self)
-            checked.append((self.nm.name, len(cuts)))
+        if res.status is Status.OPTIMAL and cuts:
+            exact = _check_separation_start(self, to_standard(self.nm))
+            checked.append((self.nm.name, exact))
         return res
 
     monkeypatch.setattr(closure._Master, "solve", checking)
     for nm in _bound_row_models():
         assert ColumnBounds.of(nm).rows.size
-        optimize_closure(nm, ClosureConfig(mode="pestar"))
-        gmi_rounds(nm, 3)
+        for mode in ("pe", "pestar"):
+            optimize_closure(nm, ClosureConfig(mode=mode))
+        master = closure._Master(nm)
+        master.solve(_loose_cuts(nm))
     names = {name for name, _ in checked}
     assert names == {"knap", "random", "twice", "fixed"}
-    assert sum(num_cuts > 0 for _, num_cuts in checked) >= 10
+    assert len(checked) >= 20
+    assert {name for name, exact in checked if exact} == names
+
+
+def test_first_gmi_round_matches_the_canonical_tableau():
+    # the master's basis mapped by ``canonical_columns`` is an optimal basis
+    # of the canonical rows at the same vertex, and the first round's cuts,
+    # read from the master's own tableau with the columns at upper
+    # complemented, are the GMI cuts of that canonical basis
+    for nm in _bound_row_models():
+        master = closure._Master(nm)
+        res = master.solve([])
+        slp = to_standard(nm)
+        m = slp.num_rows
+        cols = master.bounds.canonical_columns(master.basis, res.reduced_costs)
+        basis = Basis(cols, np.zeros(slp.num_cols, dtype=bool))
+        factors = BasisFactors(slp.a, basis)  # raises when singular
+        x = basic_point(slp, basis)
+        assert np.abs(x[m:] - res.x[master.slp.num_rows :]).max() <= 1e-9
+        # every canonical column sits at its lower bound 0 when nonbasic,
+        # so dual feasibility asks for nonpositive reduced costs (max sense)
+        y = factors.solve_transpose(slp.c[basis.basic])
+        cbar = slp.c - y @ slp.a
+        assert cbar[~basis.in_basis_mask()].max(initial=0.0) <= 1e-9 * (
+            1.0 + np.abs(slp.c).max()
+        )
+        integer_cols = np.zeros(slp.num_cols, dtype=bool)
+        integer_cols[m : m + nm.num_integer] = True
+        expected = []
+        for k in _fractional_ks(master):
+            if m + k not in cols:
+                continue
+            row = tableau_row(slp, basis, m + k, factors)
+            try:
+                cut = eliminate_slacks(gmi_cut(row, integer_cols), slp)
+            except ValueError:  # the errors gmi_rounds skips
+                continue
+            if not any(same_cut(cut, c) for c in expected):
+                expected.append(cut)
+        rep = gmi_rounds(nm, 1)
+        assert len(rep.cut_rows) == len(expected) == rep.num_cuts
+        for got, want in zip(rep.cut_rows, expected):
+            assert np.abs(got.coeffs - want.coeffs).max() <= 1e-9
+            assert abs(got.rhs - want.rhs) <= 1e-9
+        assert expected and master.bounds.at_upper(master.basis, res.reduced_costs).any()
 
 
 def test_first_master_solve_flips_bounds_instead_of_pivoting():
@@ -531,7 +599,10 @@ def test_first_master_solve_flips_bounds_instead_of_pivoting():
     assert res.pivots <= 15
 
 
-def test_master_without_bound_rows_solves_the_canonical_system(monkeypatch):
+def test_gmi_rounds_build_one_system_per_master_solve(monkeypatch):
+    # without bound rows the master's system is the canonical one; with
+    # them, GMI rows still come from the master's own system, so no round
+    # builds a second one
     nm = plain_milp(
         [[-3.0, -5.0, -4.0], [-6.0, -2.0, -3.0]], [-10.5, -11.5], [4.0, 6.0, 5.0], p=3
     )
@@ -546,15 +617,14 @@ def test_master_without_bound_rows_solves_the_canonical_system(monkeypatch):
     master = closure._Master(nm)
     assert not master.bounds.rows.size
     master.solve([])
-    assert master.canonical_system() is master.slp
-    assert master.canonical_basis() is master.basis
     canonical = standard(nm)
     assert master.slp.a.tobytes() == canonical.a.tobytes()
     assert master.slp.b.tobytes() == canonical.b.tobytes()
-    built.clear()
-    rep = gmi_rounds(nm, 3)
-    assert rep.num_cuts > 0
-    assert len(built) == rep.num_master_solves  # no second system per round
+    for model in [nm, *_bound_row_models()]:
+        built.clear()
+        rep = gmi_rounds(model, 3)
+        assert rep.num_cuts > 0
+        assert len(built) == rep.num_master_solves
 
 
 def test_dual_pivots_are_counted_as_phase1(monkeypatch):
