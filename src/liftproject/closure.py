@@ -291,7 +291,7 @@ class _Master:
     dual simplex moves it between its bounds by bound flips rather than
     basis changes.  Its other rows come first, then the cuts (``slp``).
     Separation starts and GMI tableau rows are read from this system and
-    ``basis`` through ``bounds``; no canonical copy of the master is kept.
+    ``basis`` through ``bounds``.
     """
 
     def __init__(self, nm: NormalizedMilp):
