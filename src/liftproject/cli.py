@@ -185,7 +185,9 @@ def _print_human(report, nm) -> None:
         (
             "separations",
             f"{report.num_separations} ({report.num_cuts} cut, "
-            f"{report.num_no_cuts} no-cut, {report.num_inconclusive} inconclusive)",
+            f"{report.num_no_cuts} no-cut, {report.num_inconclusive} inconclusive; "
+            f"{report.num_remembered} from own factors), "
+            f"{report.num_reused} reused",
         ),
         ("pivots", f"master {report.master_pivots}, separation {report.separation_pivots}"),
         (

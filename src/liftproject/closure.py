@@ -13,11 +13,14 @@ The master LP reads each bound row -x_j >= -u_j of the canonical form as
 the column bound x_j <= u_j (``standard_form.ColumnBounds``) and solves
 over the other rows plus the cuts, so the dual simplex moves bounded
 columns by bound flips.  Separation starts and GMI tableau rows are read
-from the master's own basis through ``ColumnBounds``.
+from the master's own basis through ``ColumnBounds``; a variable whose
+last separation ended with no cut starts from that LP's terminal factors
+instead.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -90,6 +93,8 @@ class IterationLog:
     inconclusive: int
     reactivated: int
     wall_time: float
+    remembered: int = 0  # LPs started from the variable's own last factors
+    reused: int = 0  # outcomes carried at an unchanged master point, no LP
 
 
 @dataclass
@@ -134,6 +139,14 @@ class ClosureReport:
     def num_inconclusive(self) -> int:
         return sum(it.inconclusive for it in self.iterations)
 
+    @property
+    def num_remembered(self) -> int:
+        return sum(it.remembered for it in self.iterations)
+
+    @property
+    def num_reused(self) -> int:
+        return sum(it.reused for it in self.iterations)
+
     def to_dict(self) -> dict:
         return {
             "instance": self.instance,
@@ -150,6 +163,8 @@ class ClosureReport:
                 "cut": self.num_cuts,
                 "no_cut": self.num_no_cuts,
                 "inconclusive": self.num_inconclusive,
+                "remembered": self.num_remembered,
+                "reused": self.num_reused,
             },
             "cuts": {"active": self.cuts_active, "parked": self.cuts_parked},
             "pivots": {
@@ -312,6 +327,12 @@ class _Master:
         """Rows of the master before its cuts."""
         return self.bounds.keep.size
 
+    def holds(self, cuts: list[CutRow]) -> bool:
+        """Whether the last solve ran over exactly these cuts, in order."""
+        return len(cuts) == len(self._cuts) and all(
+            a is b for a, b in zip(cuts, self._cuts)
+        )
+
     def solve(self, cuts: list[CutRow], time_limit: float | None = None):
         """Solve the master over the kept original rows and ``cuts``, from
         the previous optimal basis carried over by ``_remap_basis`` (dual
@@ -400,10 +421,21 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
     separate the fractional ones in increasing order of their value, add
     every violated cut at the end of the pass, and stop once a full pass
     produced no cut, which certifies the master optimum up to eps.
-    Tailing off of the master objective forces a full pass.  Every
-    membership LP of a pass starts from the master's optimal basis, so
-    the separations of a pass are independent of each other and of
-    their order.
+    Tailing off of the master objective forces a full pass.
+
+    The loop remembers, for each integer variable, its last separation
+    and the master solve it ran at; the record lives as long as this
+    call.  A variable already separated at the current master point is
+    not separated again: its outcome is reused.  A pass that finds no
+    cut and parks nothing leaves the master's rows as they were, so the
+    master is not re-solved and the next pass runs at the same point;
+    the bound is proved once every fractional variable has a no-cut
+    outcome there.  A variable whose last outcome was no-cut starts its
+    next membership LP from that LP's terminal basis and inverse, which
+    stay dual feasible because the LP keeps its matrix and costs; every
+    other one starts from the master's optimal basis (see
+    ``_run_separations``).  No LP of a pass depends on another LP of the
+    same pass, nor on their order.
     """
     if cfg.mode == "gmi":
         return gmi_rounds(nm, cfg.rounds, cfg=cfg)
@@ -437,6 +469,8 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
 
     K = set(range(p))
     reinit = True
+    # k -> (master solve index, outcome) of k's last separation
+    last: dict[int, tuple[int, membership.Separation]] = {}
     while True:
         iter_t0 = time.perf_counter()
         if time.perf_counter() - t_start > cfg.time_limit:
@@ -475,15 +509,20 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
             termination, reason = "numerical", f"master optimum rejected: {exc}"
             break
         fr = pt.fracs
+        here = master.solves
         candidates = [
             k for k in sorted(K) if min(fr[k], 1.0 - fr[k]) >= cfg.eps
         ]
-        order = sorted(candidates, key=lambda k: (pt.x[k], k))
+        # outcomes found at this point already are reused; none is a cut,
+        # since a cut changes the rows and the master is solved again
+        seen = {k for k in candidates if last.get(k, (None,))[0] == here}
+        reused = [last[k][1] for k in sorted(seen)]
+        order = sorted(set(candidates) - seen, key=lambda k: (pt.x[k], k))
         K = set()
 
         assert sep_slp.row_fingerprint() == sep_fingerprint  # rank-1 discipline
-        outcomes, pass_time, timed_out = _run_separations(
-            nm, pt, order, sep_slp, master, cfg, t_start
+        outcomes, remembered, pass_time, timed_out = _run_separations(
+            nm, pt, order, sep_slp, master, cfg, t_start, last
         )
         report.separation_time += pass_time
 
@@ -512,8 +551,13 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
                 inconclusive=n_inconcl,
                 reactivated=0,
                 wall_time=time.perf_counter() - iter_t0,
+                remembered=remembered,
+                reused=len(reused),
             )
         )
+        outcomes.clear()  # factors the next pass replaces must not outlive it
+        # an inconclusive outcome at this point still bars a proof
+        n_inconcl += sum(sep.inconclusive for sep in reused)
 
         if timed_out:
             termination, reason = "time_limit", _time_limit_reason(cfg)
@@ -541,6 +585,10 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
         else:
             reinit = False
 
+        if master.holds(pool.active):
+            # no cut found and nothing parked: the next pass runs here
+            history.append(res.value)
+            continue
         res = master.solve(pool.active, time_limit=remaining())
         if res.status is not Status.OPTIMAL:
             termination, reason = _master_ending(res, remaining())
@@ -636,33 +684,45 @@ def _separation_start(
     return Basis(cols, np.zeros(sep_slp.num_cols, dtype=bool))
 
 
-def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start):
-    """Separate every k in ``order``, each one started from the master's
-    optimal basis (see ``_separation_start``).  Every membership LP of the
-    pass shares the separation matrix, so that start is factored once; a
-    singular one leaves every LP of the pass to its crash basis.
+def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start, last):
+    """Separate every k in ``order``.  A k whose last separation ended
+    no-cut (``last[k]``, see ``optimize_closure``) starts from that LP's
+    terminal factors.  Every other k starts from the master's optimal
+    basis (see ``_separation_start``), built and factored once, when the
+    first LP of the pass needs it: every membership LP shares the
+    separation matrix.  A singular one leaves those LPs to their crash
+    basis.
 
-    Returns the outcomes in pass order, the time spent and whether the
-    time limit cut the pass short.
+    Records each outcome in ``last`` as it comes.  Returns the outcomes
+    in pass order, how many LPs started from their own factors, the time
+    spent and whether the time limit cut the pass short.
     """
     outcomes: list[tuple[int, membership.Separation]] = []
+    remembered = 0
     t0 = time.perf_counter()
-    if not order:
-        return outcomes, 0.0, False
-    basis = _separation_start(sep_slp, master, pt)
-    try:
-        start = BasisFactors(sep_slp.a, basis)
-    except SingularBasisError:
-        start = None
+
+    @functools.cache
+    def pass_start() -> BasisFactors | None:
+        try:
+            return BasisFactors(sep_slp.a, _separation_start(sep_slp, master, pt))
+        except SingularBasisError:
+            return None
+
     for k in order:
         budget = cfg.time_limit - (time.perf_counter() - t_start)
         if budget <= 0:
-            return outcomes, time.perf_counter() - t0, True
+            return outcomes, remembered, time.perf_counter() - t0, True
+        start = last[k][1].factors if k in last else None
+        if start is None:
+            start = pass_start()
+        else:
+            remembered += 1
         sep = membership.separate(
             nm, pt, k, start=start, slp=sep_slp, eps=cfg.eps, time_limit=budget
         )
+        last[k] = (master.solves, sep)  # drops k's earlier factors
         outcomes.append((k, sep))
-    return outcomes, time.perf_counter() - t0, False
+    return outcomes, remembered, time.perf_counter() - t0, False
 
 
 def _tailing_off(history: list[float]) -> bool:

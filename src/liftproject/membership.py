@@ -132,6 +132,9 @@ class Separation:
     inconclusive: bool = False
     pivots: int = 0
     phase1_pivots: int = 0
+    # a no-cut outcome's terminal basis and inverse, a start for the next
+    # membership LP of the same k (same matrix and costs)
+    factors: BasisFactors | None = field(default=None, repr=False)
 
 
 def build_membership_lp(
@@ -329,7 +332,9 @@ def separate(
 
     Returns a cut pair (plain intersection / strengthened GMI, both in
     structural space, max-norm normalized) when the membership value is
-    <= -eps; otherwise a no-cut outcome.  The emitted cuts are read from
+    <= -eps; otherwise a no-cut outcome, which keeps the LP's terminal
+    factors (``Separation.factors``) as a start for the next membership LP
+    of k.  The emitted cuts are read from
     the terminal tableau row of the separation system, after the dual
     certificate of that row passed its sign and unit-window checks; only
     the verification oracles assemble cuts from the certificate itself.
@@ -353,7 +358,12 @@ def separate(
             inconclusive=True,
         )
     if value > -eps:
-        return outcome(found=False, value=value, reason="membership value above -eps")
+        return outcome(
+            found=False,
+            value=value,
+            reason="membership value above -eps",
+            factors=result.factors,
+        )
     # below -eps a certificate must exist (nonbasic-at-upper and outside-
     # window bases both imply a non-negative value); extraction can still
     # decline defensively on numerical edge cases

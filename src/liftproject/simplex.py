@@ -47,6 +47,13 @@ reaching primal feasibility.  The basis inverse is kept explicitly and
 updated in product form, with periodic refactorization; every explicit
 inverse comes from ``standard_form.BasisFactors``.  A start shared by many
 LPs over one matrix can be passed as its ``BasisFactors``, factored once.
+Every solve hands its terminal basis and explicit inverse back as
+``SimplexResult.factors``, with the count of product-form updates that
+inverse carries since its last factorization.  Passed back as a start on
+the same matrix, it is copied rather than factored, and its carried
+updates count toward the next refactorization: a start that carries
+``REFRESH_EVERY`` of them is factored afresh, and one that carries ``c``
+is refactored after ``REFRESH_EVERY - c`` pivots.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ import scipy.linalg
 
 from .standard_form import Basis, BasisFactors, SingularBasisError
 
-REFRESH_EVERY = 100  # pivots between refactorizations
+REFRESH_EVERY = 100  # pivots between refactorizations, carried updates included
 PIVOT_TOL = 1e-9  # ratio-test pivot acceptance
 ETA_TOL = 1e-11  # product-form update pivot floor
 DEFAULT_MAX_ITER = 50_000
@@ -133,6 +140,8 @@ class SimplexResult:
     phase1_pivots: int  # dual simplex pivots, spent reaching primal feasibility
     # when INFEASIBLE: y with min y A x > y d over the bounds l <= x <= u
     farkas: np.ndarray | None = None
+    # the terminal basis with the worker's explicit inverse, over lp.a_eq
+    factors: BasisFactors | None = None
 
     @property
     def optimal(self) -> bool:
@@ -222,6 +231,8 @@ class _Worker:
         self._best = -np.inf
         self._ger = None  # scratch buffer for the rank-1 inverse update
         self.factorizations = 0  # refactorizations since the start
+        self.carried = 0  # product-form updates the start's inverse carried
+        self.updates = 0  # product-form updates since the last factorization
         self.weights = np.ones(self.ncols)  # devex reference weights
         self._init_basis(start)
 
@@ -249,11 +260,12 @@ class _Worker:
     def _start_factors(self, start):
         """Basic columns and inverse of a usable start, else (None, None)."""
         if isinstance(start, BasisFactors):
-            if start.a is self.a:
+            if start.a is self.a and start.updates < REFRESH_EVERY:
+                self.carried = self.updates = start.updates
                 # order="K" keeps the Fortran layout, and with it the BLAS
                 # paths and the bits of every product with the inverse
                 return start.basis.basic.copy(), start.inverse().copy(order="K")
-            start = start.basis
+            start = start.basis  # another matrix, or drifted: factor afresh
         if start is None or not _valid_basic(start.basic, self.r, self.ncols):
             return None, None
         try:
@@ -366,13 +378,15 @@ class _Worker:
             np.multiply(w[:, None], br[None, :], out=self._ger)
             self.binv -= self._ger
             self.binv[leave_pos] = br
+            self.updates += 1
         self.pivots += 1
-        if self.pivots % REFRESH_EVERY == 0:
+        if (self.pivots + self.carried) % REFRESH_EVERY == 0:
             self._refactor()
 
     def _refactor(self) -> None:
         self.binv = _inverse(self.a, self.basic)
         self.factorizations += 1
+        self.updates = 0
         self._recompute_basics()
 
     def _track_progress(self, obj: float) -> None:
@@ -578,6 +592,7 @@ class _Worker:
             pivots=self.pivots,
             phase1_pivots=self.phase1_pivots,
             farkas=self.farkas,
+            factors=BasisFactors.from_inverse(self.a, basis, self.binv, self.updates),
         )
 
 

@@ -213,8 +213,13 @@ class BasisFactors:
     start, refactorizations), tableau rows and basic points all go
     through it.  It keeps the matrix and the basis it was built from, so
     ``simplex.solve`` can take it as a start and skip the factorization
-    when the LP's matrix is that very array object.
+    when the LP's matrix is that very array object.  ``from_inverse``
+    wraps an explicit inverse the simplex already holds instead;
+    ``updates`` counts the product-form updates that inverse carries
+    since its last factorization (0 for LU factors).
     """
+
+    updates = 0
 
     def __init__(self, a: np.ndarray, basis: Basis):
         m = a.shape[0]
@@ -236,6 +241,18 @@ class BasisFactors:
         self._lu = (lu, piv)
         self._inverse = None
 
+    @classmethod
+    def from_inverse(
+        cls, a: np.ndarray, basis: Basis, inverse: np.ndarray, updates: int
+    ) -> "BasisFactors":
+        """Factors of ``basis`` given its explicit inverse: no LU runs, and
+        solves multiply by the inverse."""
+        self = cls.__new__(cls)
+        self.a, self.basis = a, basis
+        self._lu, self._inverse = None, inverse
+        self.updates = updates
+        return self
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._solve(rhs, 0)
 
@@ -245,6 +262,8 @@ class BasisFactors:
     def _solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
         if not self.a.shape[0]:
             return np.zeros(np.shape(rhs))  # getrs rejects empty systems
+        if self._lu is None:
+            return (self._inverse.T if trans else self._inverse) @ rhs
         x, _ = _GETRS(*self._lu, rhs, trans=trans)
         return x
 

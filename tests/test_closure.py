@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from liftproject.cuts import (
     gmi_cut,
     same_cut,
 )
-from liftproject.instances import normalize, parse_mps
+from liftproject.instances import normalize, parse_mps, read_mps
 from liftproject.membership import (
     DualContractError,
     FractionalPoint,
@@ -44,6 +47,8 @@ from liftproject.verify import random_milp
 from conftest import T1_MPS
 from test_membership import plain_milp
 from test_simplex import record_dual_runs
+
+GENERATORS = Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
 
 
 def test_t1_pe_closes_everything(t1):
@@ -761,11 +766,16 @@ def test_no_integer_variables_is_immediately_proved():
 
 
 def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
-    # every separation of a pass starts from one factored basis, whose
-    # explicit inverse the simplex computes once for the whole pass, and
-    # that start behaves bit for bit like the plain basis it came from
-    events, calls = [], []
+    # the separations of a pass that start from the master's basis share
+    # one factored start, whose explicit inverse the simplex computes once
+    # for the whole pass, and that start behaves bit for bit like the plain
+    # basis it came from; a variable whose last separation ended no-cut
+    # starts from that LP's terminal factors instead, with no LU at the
+    # start unless they carry REFRESH_EVERY updates, and reaches the
+    # optimum a solve from the plain remembered basis reaches
+    events, calls, opened = [], [], []
     init, inverse = BasisFactors.__init__, BasisFactors.inverse
+    init_basis = simplex._Worker._init_basis
     separate = membership.separate
 
     def recording_init(self, a, basis):
@@ -777,26 +787,37 @@ def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
             events.append(("invert", self, self.a, self.basis.basic.copy()))
         return inverse(self)
 
+    def recording_init_basis(self, start):
+        before = len(events)
+        init_basis(self, start)
+        lus = sum(kind == "factor" for kind, *_ in events[before:])
+        opened.append((start, lus))
+
     def recording_separate(*args, **kwargs):
-        calls.append((args, kwargs))
-        return separate(*args, **kwargs)
+        calls.append((args, kwargs, separate(*args, **kwargs)))
+        return calls[-1][2]
 
     monkeypatch.setattr(BasisFactors, "__init__", recording_init)
     monkeypatch.setattr(BasisFactors, "inverse", recording_inverse)
+    monkeypatch.setattr(simplex._Worker, "_init_basis", recording_init_basis)
     monkeypatch.setattr(membership, "separate", recording_separate)
     rep = optimize_closure(_knapsack(rng, rows=3, nb=15), ClosureConfig(mode="pe"))
     monkeypatch.undo()
 
-    starts = list({id(kw["start"]): kw["start"] for _, kw in calls}.values())
+    factored = {id(obj) for kind, obj, _, _ in events if kind == "factor"}
+    assert all(isinstance(kw["start"], BasisFactors) for _, kw, _ in calls)
+    shared = [c for c in calls if id(c[1]["start"]) in factored]
+    own = [c for c in calls if id(c[1]["start"]) not in factored]
+    starts = list({id(kw["start"]): kw["start"] for _, kw, _ in shared}.values())
     passes = [it for it in rep.iterations if it.separations]
-    assert len(starts) == len(passes) >= 2
+    assert len(starts) == sum(it.separations > it.remembered for it in passes) >= 2
+    assert len(own) == rep.num_remembered > 0
     assert rep.num_separations > len(passes)
     marks = [
         next(i for i, (_, obj, _, _) in enumerate(events) if obj is fs)
         for fs in starts
     ]
     for fs, lo, hi in zip(starts, marks, marks[1:] + [len(events)]):
-        assert isinstance(fs, BasisFactors)
         assert [
             obj for kind, obj, a, basic in events[lo:hi]
             if kind == "invert"
@@ -804,7 +825,7 @@ def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
             and np.array_equal(basic, fs.basis.basic)
         ] == [fs]
     moved = 0
-    for args, kwargs in calls:
+    for args, kwargs, _ in shared:
         fs = kwargs["start"]
         plain = membership.separate(*args, **{**kwargs, "start": fs.basis})
         again = membership.separate(*args, **kwargs)
@@ -819,6 +840,113 @@ def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
                 assert x.coeffs.tobytes() == y.coeffs.tobytes() and x.rhs == y.rhs
         moved += plain.pivots > 0
     assert moved > 0
+    lus = {id(start): n for start, n in opened}
+    for args, kwargs, sep in own:
+        fs = kwargs["start"]
+        assert lus[id(fs)] == (fs.updates >= simplex.REFRESH_EVERY)
+        plain = membership.separate(*args, **{**kwargs, "start": fs.basis})
+        assert sep.found == plain.found
+        assert abs(sep.value - plain.value) <= 1e-9 * (1.0 + abs(plain.value))
+
+
+def _perfbench_generators(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_generators", GENERATORS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_steiner_cover_separates_each_variable_once_per_master_point(
+    tmp_path, monkeypatch
+):
+    # the Steiner triple covering on 15 points in pestar ends with passes
+    # that find no cut; the master is not solved again over the same rows,
+    # and no variable is separated twice at one master point
+    gen = _perfbench_generators(monkeypatch)
+    path = tmp_path / "stein15.mps"
+    gen.write_mps(gen.bose_steiner(2, "stein15"), path)
+    nm = normalize(read_mps(path))
+    row_sets, seen = [], []
+    solve, separate = closure._Master.solve, membership.separate
+
+    def solving(self, cuts, time_limit=None):
+        row_sets.append([id(cut) for cut in cuts])
+        return solve(self, cuts, time_limit=time_limit)
+
+    def separating(nm, pt, k, *args, **kwargs):
+        seen.append((len(row_sets), k))
+        return separate(nm, pt, k, *args, **kwargs)
+
+    monkeypatch.setattr(closure._Master, "solve", solving)
+    monkeypatch.setattr(membership, "separate", separating)
+    rep = optimize_closure(nm, ClosureConfig(mode="pestar"))
+    assert rep.termination == "proved"
+    assert rep.z_cut == pytest.approx(45.0 / 7.0, rel=0.0, abs=1e-9)
+    assert len(seen) == len(set(seen)) == rep.num_separations
+    assert all(a != b for a, b in zip(row_sets, row_sets[1:]))
+    assert rep.num_master_solves == len(row_sets)
+    assert rep.num_reused > 0
+
+
+def test_remembered_starts_refactor_past_the_refresh_interval(monkeypatch):
+    # a remembered start carries the product-form updates of the LP that
+    # left it; once they reach REFRESH_EVERY the next LP factors its basis
+    # afresh, below that it takes the inverse as it is, and either way it
+    # reaches the optimum a cold solve finds.  The interval alternates
+    # between 100 and 2 from pass to pass, so the starts left by a pass at
+    # 100 may carry 2 updates or more into a pass at 2.
+    factored, opened, solves = set(), [], []
+    init = BasisFactors.__init__
+    init_basis = simplex._Worker._init_basis
+    value_of, run = membership.membership_value, closure._run_separations
+
+    def recording_init(self, a, basis):
+        factored.add(id(self))
+        init(self, a, basis)
+        kept.append(self)  # keeps every id unique
+
+    def recording_init_basis(self, start):
+        before = len(kept)
+        init_basis(self, start)
+        if isinstance(start, BasisFactors) and id(start) not in factored:
+            opened.append((start.updates, simplex.REFRESH_EVERY, len(kept) - before))
+
+    def recording_value(prob, start=None, **kwargs):
+        value, result = value_of(prob, start=start, **kwargs)
+        if isinstance(start, BasisFactors) and id(start) not in factored:
+            solves.append((result, simplex.solve(prob.lp)))
+        return value, result
+
+    def alternating(*args):
+        out = run(*args)
+        monkeypatch.setattr(simplex, "REFRESH_EVERY", 102 - simplex.REFRESH_EVERY)
+        return out
+
+    kept = []
+    monkeypatch.setattr(BasisFactors, "__init__", recording_init)
+    monkeypatch.setattr(simplex._Worker, "_init_basis", recording_init_basis)
+    monkeypatch.setattr(membership, "membership_value", recording_value)
+    monkeypatch.setattr(closure, "_run_separations", alternating)
+    models = _bound_row_models() + [
+        random_milp(
+            np.random.default_rng(seed), n_range=(12, 16), m_range=(8, 10)
+        ).nm
+        for seed in range(10)
+    ]
+    for nm in models:
+        for mode in ("pe", "pestar"):
+            monkeypatch.setattr(simplex, "REFRESH_EVERY", 100)
+            try:
+                optimize_closure(nm, ClosureConfig(mode=mode))
+            except ClosureError:
+                continue
+    assert all(lus == (updates >= limit) for updates, limit, lus in opened)
+    assert any(lus for *_, lus in opened) and not all(lus for *_, lus in opened)
+    assert len(solves) == len(opened)
+    for warm, cold in solves:
+        assert warm.status is cold.status is Status.OPTIMAL
+        assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
 
 
 def test_relaxation_violation_ends_numerical(t1, tmp_path, monkeypatch):

@@ -160,3 +160,16 @@ def test_basis_factors_match_scipy_lu(rng):
         BasisFactors(a, Basis(np.array([0, 1]), np.zeros(3, bool)))
     empty = BasisFactors(np.zeros((0, 3)), Basis(np.zeros(0, int), np.zeros(3, bool)))
     assert empty.inverse().shape == (0, 0) and empty.solve(np.zeros(0)).shape == (0,)
+
+
+def test_factors_from_a_known_inverse_solve_like_lu_factors(rng):
+    a = rng.normal(size=(4, 7))
+    basis = Basis(np.array([0, 2, 5, 6]), np.zeros(7, dtype=bool))
+    lu = BasisFactors(a, basis)
+    known = BasisFactors.from_inverse(a, basis, lu.inverse().copy(), updates=3)
+    assert (lu.updates, known.updates) == (0, 3)
+    rhs = rng.normal(size=4)
+    assert np.allclose(known.solve(rhs), lu.solve(rhs), rtol=0, atol=1e-12)
+    assert np.allclose(
+        known.solve_transpose(rhs), lu.solve_transpose(rhs), rtol=0, atol=1e-12
+    )

@@ -1,0 +1,163 @@
+"""Record the benchmark of two git revisions side by side.
+
+    python3 tools/bench_record.py PARENT CHANGE --seeds 1 2 3 --held-out 8 \\
+        --seconds 20 --out BENCH_12.json
+
+Each revision is exported with ``git archive`` into a temporary directory,
+so only committed files take part.  For every workload of the change's
+BENCHMARK.json and every seed (the held-out seed last), ``perfbench/run.py``
+runs on both trees back to back; which side runs first alternates from one
+pair to the next.  The record keeps the last output line of each run, the
+JSON object with its end-to-end metrics, under
+``runs[workload][seed]["parent" | "change"]``.  Run it from inside the
+repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+ENV_KEYS = ("python", "numpy", "scipy", "nproc", "blas_threads")
+DESCRIPTION = (
+    "Before/after record of perfbench/run.py: the last JSON line of each "
+    "run, per workload and seed, for the parent and the change. Runs of one "
+    "workload and seed were made back to back, alternating which side ran "
+    "first. Seed {held_out} was not used while building the change."
+)
+
+
+def command(seconds: float, workload="<workload>", seed="<seed>") -> list[str]:
+    return [
+        "python3", "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
+    ]
+
+
+def resolve(rev: str) -> str:
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+def export(sha: str, dest: Path) -> None:
+    """The committed tree of ``sha``, unpacked into ``dest``."""
+    tar = subprocess.run(["git", "archive", sha], capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> str:
+    """Stdout of one benchmark run in ``tree``; a failed run raises."""
+    argv = [sys.executable, *command(seconds, workload, seed)[1:]]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"{workload} seed {seed} in {tree} exited {done.returncode}:\n"
+            + done.stderr[-2000:]
+        )
+    return done.stdout
+
+
+def last_json(stdout: str) -> dict:
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def environment(stdout: str) -> dict:
+    """The versions and thread counts of a run's ``env`` line."""
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("env "))
+    pairs = dict(field.split("=", 1) for field in line.split()[1:])
+    env = {key: pairs[key] for key in ENV_KEYS}
+    env["machine"] = f"{platform.machine()}, {pairs['nproc']} CPUs"
+    return env
+
+
+def assemble(
+    outputs: dict[tuple[str, int, str], str],
+    *,
+    revisions: dict[str, str],
+    seeds: list[int],
+    held_out: int,
+    seconds: float,
+    note: str = "",
+) -> dict:
+    """The record of ``outputs``, each run's stdout keyed by (workload,
+    seed, side), in the layout of the committed BENCH_*.json files."""
+    runs: dict[str, dict[str, dict]] = {}
+    for (workload, seed, side), stdout in outputs.items():
+        runs.setdefault(workload, {}).setdefault(str(seed), {})[side] = last_json(
+            stdout
+        )
+    description = DESCRIPTION.format(held_out=held_out)
+    return {
+        "description": f"{description} {note}".strip(),
+        "command": " ".join(command(seconds)),
+        "seconds": seconds,
+        "seeds": seeds,
+        "held_out_seed": held_out,
+        "environment": environment(next(iter(outputs.values()))),
+        "revisions": revisions,
+        "runs": {
+            w: {s: {side: pair[side] for side in SIDES} for s, pair in by_seed.items()}
+            for w, by_seed in runs.items()
+        },
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--held-out", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--note", default="", help="what the change claims, in words")
+    args = ap.parse_args(argv)
+    revisions = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    seeds = [s for s in args.seeds if s != args.held_out] + [args.held_out]
+    seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
+    outputs: dict[tuple[str, int, str], str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side, tree in trees.items():
+            export(revisions[side], tree)
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        pair = 0
+        for workload in (w["name"] for w in spec["workloads"]):
+            for seed in seeds:
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                pair += 1
+                for side in order:
+                    stdout = run(trees[side], workload, seed, seconds)
+                    outputs[workload, seed, side] = stdout
+                    metrics = last_json(stdout)["metrics"]
+                    print(
+                        f"{workload} seed {seed} {side}: pivots_total "
+                        f"{metrics['pivots_total']['value']}, solve_s "
+                        f"{metrics['solve_s']['value']:.4f}",
+                        flush=True,
+                    )
+    record = assemble(
+        outputs,
+        revisions=revisions,
+        seeds=seeds,
+        held_out=args.held_out,
+        seconds=seconds,
+        note=args.note,
+    )
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
