@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     close.add_argument("--eps", type=float, default=FRAC_EPS_DEFAULT, help="separation tolerance")
     close.add_argument("--time-limit", type=float, default=3600.0, help="seconds")
     close.add_argument("--optima", help="reference optima file (name value per line)")
-    close.add_argument("--json", dest="json_out", help="write JSON report to this path ('-' for stdout)")
+    close.add_argument("--json", dest="json_out", help="write JSON report to this path ('-' for stdout, with the table on stderr)")
     close.add_argument(
         "--omit-times",
         action="store_true",
@@ -155,7 +155,9 @@ def cmd_close(args) -> int:
         payload["config"].pop("time_limit", None)
     payload = _round_floats(payload)
 
-    _print_human(report, nm)
+    # with the JSON on stdout, the table goes to stderr, so stdout is one
+    # JSON document
+    _print_human(report, nm, sys.stderr if args.json_out == "-" else sys.stdout)
     if args.json_out:
         text = json.dumps(payload, indent=2, sort_keys=True)
         if args.json_out == "-":
@@ -169,7 +171,7 @@ def cmd_close(args) -> int:
     return EXIT_NOT_PROVED
 
 
-def _print_human(report, nm) -> None:
+def _print_human(report, nm, out) -> None:
     rows = [
         ("instance", report.instance or "(unnamed)"),
         ("mode", report.mode),
@@ -198,7 +200,7 @@ def _print_human(report, nm) -> None:
     ]
     width = max(len(k) for k, _ in rows)
     for key, val in rows:
-        print(f"{key:<{width}} : {val}")
+        print(f"{key:<{width}} : {val}", file=out)
 
 
 def cmd_verify(args) -> int:

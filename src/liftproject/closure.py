@@ -12,10 +12,11 @@ master, letting the rank increase round by round.
 The master LP reads each bound row -x_j >= -u_j of the canonical form as
 the column bound x_j <= u_j (``standard_form.ColumnBounds``) and solves
 over the other rows plus the cuts, so the dual simplex moves bounded
-columns by bound flips.  Separation starts and GMI tableau rows are read
-from the master's own basis through ``ColumnBounds``; a variable whose
-last separation ended with no cut starts from that LP's terminal factors
-instead.
+columns by bound flips.  The membership LP drops the same rows
+(``membership.SeparationSystem``).  Separation starts and GMI tableau
+rows are read from the master's own basis through ``ColumnBounds``; a
+variable whose last separation ended with no cut starts from that LP's
+terminal factors instead.
 """
 
 from __future__ import annotations
@@ -441,9 +442,10 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
         return gmi_rounds(nm, cfg.rounds, cfg=cfg)
     t_start = time.perf_counter()
     p = nm.num_integer
-    sep_slp = to_standard(nm)  # separation system: original rows, always
-    sep_fingerprint = sep_slp.row_fingerprint()
     master = _Master(nm)
+    # separation systems: the cut-free original rows, always (rank 1)
+    system = membership.SeparationSystem.of(nm, master.bounds)
+    sep_fingerprint = system.slp.row_fingerprint()
     pool = CutPool(
         slack_threshold=POOL_SLACK_SCALE
         * (1.0 + float(np.abs(nm.b).max(initial=0.0))),
@@ -520,9 +522,9 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
         order = sorted(set(candidates) - seen, key=lambda k: (pt.x[k], k))
         K = set()
 
-        assert sep_slp.row_fingerprint() == sep_fingerprint  # rank-1 discipline
+        assert system.slp.row_fingerprint() == sep_fingerprint  # rank-1 discipline
         outcomes, remembered, pass_time, timed_out = _run_separations(
-            nm, pt, order, sep_slp, master, cfg, t_start, last
+            nm, pt, order, system, master, cfg, t_start, last
         )
         report.separation_time += pass_time
 
@@ -656,7 +658,8 @@ def _separation_start(
     master: _Master,
     pt: membership.FractionalPoint,
 ) -> Basis:
-    """The master's optimal basis carried over to the separation system.
+    """The master's optimal basis carried over to the canonical
+    separation system ``sep_slp``, every original row.
 
     Its columns are those of the master's vertex over the cut-free
     canonical rows (``ColumnBounds.canonical_columns``).  With every cut
@@ -666,10 +669,13 @@ def _separation_start(
     original row, are picked by pivoted QR on the columns scaled by their
     membership range (xhat_j, or the row activity for a slack), so the
     columns pinned to 0 there are dropped first.  The basis is handed over
-    with every column at lower; every column of the membership LP is
-    boxed, so the simplex moves each nonbasic column whose reduced cost
-    favors its upper bound there and solves from that dual feasible start
-    by the dual simplex.
+    with every column at lower.  ``_run_separations`` maps it onto the
+    kept rows the LP is solved over (``ColumnBounds.kept_basis``), where
+    every column is boxed, so the simplex moves each nonbasic column whose
+    reduced cost favors its other bound there and solves from that dual
+    feasible start by the dual simplex.  Trimming the master's basis over
+    the kept rows directly, instead of trimming here and mapping, costs
+    more pivots.
     """
     m0 = sep_slp.num_rows
     cols = master.bounds.canonical_columns(master.basis, master.result.reduced_costs)
@@ -684,14 +690,15 @@ def _separation_start(
     return Basis(cols, np.zeros(sep_slp.num_cols, dtype=bool))
 
 
-def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start, last):
-    """Separate every k in ``order``.  A k whose last separation ended
+def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
+    """Separate every k in ``order`` over ``system``, whose kept rows every
+    membership LP of the call shares.  A k whose last separation ended
     no-cut (``last[k]``, see ``optimize_closure``) starts from that LP's
     terminal factors.  Every other k starts from the master's optimal
-    basis (see ``_separation_start``), built and factored once, when the
-    first LP of the pass needs it: every membership LP shares the
-    separation matrix.  A singular one leaves those LPs to their crash
-    basis.
+    basis over the canonical rows (see ``_separation_start``) mapped onto
+    the kept rows (``ColumnBounds.kept_basis``), built and factored once,
+    when the first LP of the pass needs it.  A singular one leaves those
+    LPs to their crash basis.
 
     Records each outcome in ``last`` as it comes.  Returns the outcomes
     in pass order, how many LPs started from their own factors, the time
@@ -703,8 +710,9 @@ def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start, last):
 
     @functools.cache
     def pass_start() -> BasisFactors | None:
+        start = _separation_start(system.canonical, master, pt)
         try:
-            return BasisFactors(sep_slp.a, _separation_start(sep_slp, master, pt))
+            return BasisFactors(system.slp.a, system.bounds.kept_basis(start))
         except SingularBasisError:
             return None
 
@@ -718,7 +726,7 @@ def _run_separations(nm, pt, order, sep_slp, master, cfg, t_start, last):
         else:
             remembered += 1
         sep = membership.separate(
-            nm, pt, k, start=start, slp=sep_slp, eps=cfg.eps, time_limit=budget
+            nm, pt, k, start=start, system=system, eps=cfg.eps, time_limit=budget
         )
         last[k] = (master.solves, sep)  # drops k's earlier factors
         outcomes.append((k, sep))

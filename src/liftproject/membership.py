@@ -16,10 +16,17 @@ terminal tableau row of y_k, from which both the plain (intersection) cut
 and the strengthened (GMI) cut are assembled.  The explicit multiplier
 LP with normalization u0 + v0 = 1 is also built here, solely as a
 cross-check oracle.
+
+``separate`` solves the same LP over fewer rows (``SeparationSystem``):
+each original row -y_j >= -u_j that only bounds one column folds into
+that column's bounds, as in the master LP, so the LP keeps only the
+other rows.  Its terminal basis is mapped back onto every original row,
+and the multipliers and cuts are read there.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -42,6 +49,7 @@ from .simplex import BoundedLp, SimplexResult, Status
 from .standard_form import (
     Basis,
     BasisFactors,
+    ColumnBounds,
     SingularBasisError,
     StandardLp,
     TableauRow,
@@ -135,6 +143,84 @@ class Separation:
     # a no-cut outcome's terminal basis and inverse, a start for the next
     # membership LP of the same k (same matrix and costs)
     factors: BasisFactors | None = field(default=None, repr=False)
+
+
+@dataclass
+class SeparationSystem:
+    """The two systems every membership LP of one model shares.
+
+    The LP is solved over ``slp``, the original rows that are not column
+    bounds (``bounds.keep``): the bound row i on column j folds into the
+    bounds of y_j, and its slack s_i = f u_j - y_j drops out.  Cuts are
+    read over ``canonical``, every original row, the system of
+    ``build_membership_lp``.  Without bound rows the two are one object.
+    """
+
+    bounds: ColumnBounds
+    slp: StandardLp
+    canonical: StandardLp
+
+    @classmethod
+    def of(cls, nm: NormalizedMilp, bounds: ColumnBounds | None = None):
+        if bounds is None:
+            bounds = ColumnBounds.of(nm)
+        slp = to_standard(nm, rows=bounds.keep)
+        return cls(bounds, slp, to_standard(nm) if bounds.rows.size else slp)
+
+    def kept_problem(self, prob: MembershipProblem) -> MembershipProblem:
+        """``prob``, a membership LP over ``canonical``, over ``slp``.
+
+        Kept-row slacks keep their range [0, activity_i] and the columns
+        without a bound row [0, xh_j].  The column j that bound row i
+        bounds lies in [max(0, f u_j - activity_i), min(xh_j, f u_j)], the
+        range that 0 <= s_i <= activity_i leaves it inside [0, xh_j]; a
+        crossing of rounding size fixes it at the upper end.  The
+        right-hand side is f b over the kept rows.  Only the LP is over
+        ``slp``: certificates are read over ``canonical`` (``separate``).
+        """
+        if self.slp is self.canonical:
+            return prob
+        b, pt, f = self.bounds, prob.point, prob.f
+        m0 = b.keep.size
+        j = m0 + b.cols
+        fu = f * b.upper[b.cols]
+        upper = np.concatenate([pt.activities[b.keep], pt.x])
+        upper[j] = np.minimum(pt.x[b.cols], fu)
+        lower = np.zeros(upper.size)
+        lower[j] = np.minimum(np.maximum(fu - pt.activities[b.rows], 0.0), upper[j])
+        obj = np.zeros(upper.size)
+        obj[m0 + prob.k] = 1.0
+        lp = BoundedLp(
+            sense="max",
+            objective=obj,
+            a_eq=self.slp.a,
+            rhs=self.slp.b * f,
+            lower=lower,
+            upper=upper,
+        )
+        return dataclasses.replace(prob, lp=lp, slp=self.slp)
+
+    def canonical_basis(self, result: SimplexResult, kept: MembershipProblem) -> Basis:
+        """The terminal basis of ``kept`` (``kept_problem``) mapped onto
+        ``canonical`` by ``ColumnBounds.canonical_basis``.
+
+        The bound of y_j its bound-row slack sets is f u_j above and
+        f u_j - activity_i below; where that one binds (f u_j <= xh_j, or
+        f u_j - activity_i >= 0) slack i takes y_j's place among the
+        nonbasics.  A fixed y_j sits at the bound its reduced cost favors,
+        so an optimal basis maps to a dual feasible one.
+        """
+        if self.slp is self.canonical:
+            return result.basis
+        b, pt, lp = self.bounds, kept.point, kept.lp
+        j = b.keep.size + b.cols
+        fixed = lp.upper[j] <= lp.lower[j]
+        up = np.where(fixed, result.reduced_costs[j] > 0.0, result.basis.at_upper[j])
+        fu = kept.f * b.upper[b.cols]
+        via_slack = np.where(
+            up, fu <= pt.x[b.cols], fu - pt.activities[b.rows] >= 0.0
+        )
+        return b.canonical_basis(result.basis, up, via_slack)
 
 
 def build_membership_lp(
@@ -322,7 +408,7 @@ def separate(
     pt: FractionalPoint,
     k: int,
     start: Basis | BasisFactors | None = None,
-    slp: StandardLp | None = None,
+    system: SeparationSystem | None = None,
     *,
     eps: float = FRAC_EPS_DEFAULT,
     max_iter: int = simplex.DEFAULT_MAX_ITER,
@@ -330,20 +416,27 @@ def separate(
 ) -> Separation:
     """Full separation for variable k: build, solve, extract, assemble.
 
-    Returns a cut pair (plain intersection / strengthened GMI, both in
-    structural space, max-norm normalized) when the membership value is
-    <= -eps; otherwise a no-cut outcome, which keeps the LP's terminal
-    factors (``Separation.factors``) as a start for the next membership LP
-    of k.  The emitted cuts are read from
-    the terminal tableau row of the separation system, after the dual
-    certificate of that row passed its sign and unit-window checks; only
-    the verification oracles assemble cuts from the certificate itself.
-    A singular terminal basis or a broken dual sign pattern ends as an
-    inconclusive outcome whose reason names the error.
+    The membership LP is solved over the rows of ``system`` that are not
+    column bounds (``SeparationSystem.kept_problem``), from ``start``, a
+    basis of those rows.  Returns a cut pair (plain intersection /
+    strengthened GMI, both in structural space, max-norm normalized) when
+    the membership value is <= -eps; otherwise a no-cut outcome, which
+    keeps the LP's terminal factors (``Separation.factors``) as a start
+    for the next membership LP of k.  For a cut, the terminal basis is
+    mapped onto every original row (``SeparationSystem.canonical_basis``)
+    and the emitted cuts are read from the tableau row of y_k there,
+    after the dual certificate of that row passed its sign and
+    unit-window checks; only the verification oracles assemble cuts from
+    the certificate itself.  A singular basis or a broken dual sign
+    pattern ends as an inconclusive outcome whose reason names the error.
+    ``system`` defaults to the one ``nm`` defines.
     """
-    prob = build_membership_lp(nm, pt, k, slp=slp, eps=eps)
+    if system is None:
+        system = SeparationSystem.of(nm)
+    prob = build_membership_lp(nm, pt, k, slp=system.canonical, eps=eps)
+    kept = system.kept_problem(prob)
     value, result = membership_value(
-        prob, start=start, max_iter=max_iter, time_limit=time_limit
+        kept, start=start, max_iter=max_iter, time_limit=time_limit
     )
     outcome = functools.partial(
         Separation,
@@ -368,7 +461,8 @@ def separate(
     # window bases both imply a non-negative value); extraction can still
     # decline defensively on numerical edge cases
     try:
-        cert = extract_dual_certificate(result, prob)
+        basis = system.canonical_basis(result, kept)
+        cert = certificate_from_basis(basis, prob, value=value)
     except (DualContractError, SingularBasisError) as exc:
         return outcome(
             found=False,

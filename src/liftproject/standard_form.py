@@ -3,10 +3,10 @@
 The canonical model A'x >= b, x >= 0 becomes Ax = b with A = (-I A'):
 slack variables occupy columns 0..m-1, structural variables columns
 m..m+n-1, and the integer structural variables are the first p of those.
-The membership separation LP solves over this matrix of the original
-rows.  The master LP drops the rows that only bound one column and keeps
-those bounds as column bounds instead (``ColumnBounds``), which also maps
-its bases back onto the canonical rows.
+Cuts and their certificates are read over this matrix of the original
+rows.  The master LP and the membership separation LP drop the rows that
+only bound one column and keep those bounds as column bounds instead
+(``ColumnBounds``), which also maps bases between the two row sets.
 """
 
 from __future__ import annotations
@@ -147,10 +147,12 @@ class ColumnBounds:
     b_i <= 0; when several rows bound one column, only the first is, and
     the others stay rows.  The system over the rows kept (``keep``) plus
     cuts, with these bounds on its structurals, has the feasible set of
-    the canonical system plus those cuts, and this class alone maps its
-    bases onto the canonical rows: ``canonical_columns`` as a basis of the
-    cut-free rows, ``at_upper`` as the columns whose complement
-    u_j - x_j takes the place of the bound-row slack in a tableau row.
+    the canonical system plus those cuts, and this class alone maps bases
+    between the two row sets: ``canonical_columns`` a master basis onto
+    the cut-free rows, ``at_upper`` the columns whose complement u_j - x_j
+    takes the place of the bound-row slack in a tableau row, and
+    ``kept_basis`` and ``canonical_basis`` a basis of the cut-free rows to
+    one of the kept rows and back.
     """
 
     keep: np.ndarray  # original rows that stay rows
@@ -204,6 +206,68 @@ class ColumnBounds:
         return np.sort(
             np.concatenate([basic[basic >= 0], m0 + self.cols[up], self.rows[~up]])
         )
+
+    def kept_basis(self, basis: Basis) -> Basis:
+        """A basis of the cut-free canonical rows mapped onto the kept rows.
+
+        Bound-row slacks have no column there and are dropped.  For the row
+        i that bounds x_j, a basic x_j whose slack i is nonbasic leaves the
+        basis for the bound that slack sets: its upper bound when slack i
+        sits at 0, its lower bound when slack i sits at its upper bound.
+        Every other column keeps its role and status.  Row i held x_j or
+        slack i or both, so the columns left form a basis, and wherever
+        its basic point lies inside the kept system's bounds it is the
+        canonical basic point.
+        """
+        m, m0, n = self.num_rows, self.keep.size, self.upper.size
+        in_basis = basis.in_basis_mask()
+        leave = in_basis[m + self.cols] & ~in_basis[self.rows]
+        at_upper = np.concatenate([basis.at_upper[self.keep], basis.at_upper[m:]])
+        at_upper[m0 + self.cols[leave]] = ~basis.at_upper[self.rows[leave]]
+        to_kept = np.full(m + n, -1)
+        to_kept[self.keep] = np.arange(m0)
+        to_kept[m:] = m0 + np.arange(n)
+        to_kept[m + self.cols[leave]] = -1
+        basic = to_kept[basis.basic]
+        return Basis(basic[basic >= 0], at_upper)
+
+    def canonical_basis(
+        self, basis: Basis, up: np.ndarray, via_slack: np.ndarray
+    ) -> Basis:
+        """A basis of the kept rows (no cuts) mapped onto the cut-free
+        canonical rows; the inverse of ``kept_basis``.
+
+        ``up`` and ``via_slack`` are masks over ``cols``: whether a
+        nonbasic x_j sits at its upper bound, and whether the slack of its
+        bound row i sets that bound.  For bound row i on column j:
+
+        - a basic x_j makes x_j and slack i both basic;
+        - x_j at a bound slack i sets makes x_j basic and slack i nonbasic,
+          at 0 for x_j's upper bound and at its own upper bound for x_j's
+          lower bound;
+        - x_j at a bound of its own stays nonbasic there, and slack i is
+          basic.
+
+        Kept-row slacks and the other structurals keep their role and
+        status.  Each bound row gets one basic column of its own, so the
+        result is a basis whenever ``basis`` is one.
+        """
+        m, m0, n = self.num_rows, self.keep.size, self.upper.size
+        to_canonical = np.concatenate([self.keep, m + np.arange(n)])
+        nonbasic = ~basis.in_basis_mask()[m0 + self.cols]
+        slack_out = nonbasic & via_slack
+        at_upper = np.zeros(m + n, dtype=bool)
+        at_upper[to_canonical] = basis.at_upper
+        at_upper[m + self.cols] = nonbasic & ~via_slack & up
+        at_upper[self.rows] = slack_out & ~up
+        basic = np.concatenate(
+            [
+                to_canonical[basis.basic],
+                m + self.cols[slack_out],
+                self.rows[~slack_out],
+            ]
+        )
+        return Basis(np.sort(basic), at_upper)
 
 
 class BasisFactors:

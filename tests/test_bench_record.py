@@ -14,7 +14,7 @@ def _tool():
     return module
 
 
-def _stdout(pivots: int, solve_s: float) -> str:
+def _stdout(pivots: int, solve_s: float, seps: int = 37) -> str:
     last = {
         "correct": True,
         "attempted": 75,
@@ -28,8 +28,9 @@ def _stdout(pivots: int, solve_s: float) -> str:
         [
             "env python=3.11.7 numpy=2.4.6 scipy=1.17.1 nproc=2 blas_threads=1 "
             "workload=knapsack-pe seed=8 seconds=20.0 trace=0",
-            "instance knapsack-pe-0-s8 rows=65 term=proved pivots=31+37 cuts=15",
-            "passes untraced=[0.08, 0.081]",
+            f"instance knapsack-pe-0-s8 rows=65 term=proved pivots=31+{seps} cuts=15",
+            "instance knapsack-pe-1-s8 rows=86 term=proved pivots=56+81 cuts=31",
+            f"passes untraced=[0.08, {solve_s}]",
             json.dumps(last),
             "",
         ]
@@ -49,7 +50,7 @@ def test_two_canned_runs_assemble_into_the_committed_layout():
     )
     assert list(record) == [
         "description", "command", "seconds", "seeds", "held_out_seed",
-        "environment", "revisions", "runs",
+        "environment", "revisions", "runs", "lines",
     ]
     assert record["description"].endswith(
         "Seed 8 was not used while building the change. "
@@ -71,3 +72,46 @@ def test_two_canned_runs_assemble_into_the_committed_layout():
     assert runs["parent"] == json.loads(parent.splitlines()[-1])
     assert runs["change"]["metrics"]["pivots_total"]["value"] == 375
     json.dumps(record)  # serializable as it stands
+
+
+def test_differing_output_lines_are_listed(capsys):
+    # the two sides differ in one instance line and in lines the record
+    # does not keep (the pass times); only that instance line is listed
+    tool = _tool()
+    record = tool.assemble(
+        {
+            ("knapsack-pe", 8, "parent"): _stdout(461, 0.081, seps=37),
+            ("knapsack-pe", 8, "change"): _stdout(375, 0.077, seps=29),
+            ("gint-gmi", 8, "parent"): _stdout(519, 1.4),
+            ("gint-gmi", 8, "change"): _stdout(519, 1.3),
+        },
+        revisions={"parent": "a" * 40, "change": "b" * 40},
+        seeds=[8],
+        held_out=8,
+        seconds=20,
+    )
+    lines = record["lines"]["knapsack-pe"]["8"]
+    assert [len(lines[side]) for side in ("parent", "change")] == [2, 2]
+    assert lines["parent"][1] == lines["change"][1]
+    assert tool.differing_lines(record) == {
+        ("knapsack-pe", "8"): [
+            (
+                "instance knapsack-pe-0-s8 rows=65 term=proved pivots=31+37 cuts=15",
+                "instance knapsack-pe-0-s8 rows=65 term=proved pivots=31+29 cuts=15",
+            )
+        ],
+        ("gint-gmi", "8"): [],
+    }
+    tool.print_differences(record)
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "knapsack-pe seed 8: 1 of 2 lines differ",
+        "  - instance knapsack-pe-0-s8 rows=65 term=proved pivots=31+37 cuts=15",
+        "  + instance knapsack-pe-0-s8 rows=65 term=proved pivots=31+29 cuts=15",
+        "gint-gmi seed 8: 0 of 2 lines differ",
+    ]
+    # suite and validity lines are kept too
+    verify = "suite theorem3 cases=56 passed=56 failed=0 skipped=0"
+    assert tool.result_lines(
+        f"env x=1\n{verify}\nvalidity closures checked=40 with_gap=12\n{{}}"
+    ) == [verify, "validity closures checked=40 with_gap=12"]

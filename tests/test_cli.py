@@ -57,6 +57,21 @@ def test_close_reports_are_deterministic(t1_path, optima_path, tmp_path):
     assert outs[0] == outs[1]  # byte-identical without wall-clock fields
 
 
+def test_close_json_to_stdout_is_one_document(capsys):
+    # with --json - the human table goes to stderr, so stdout parses as a
+    # whole, and reruns print the same bytes
+    path = os.path.join(DATA_DIR, "t1.mps")
+    outs = []
+    for _ in range(2):
+        assert main(["close", path, "--json", "-", "--omit-times"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["termination"] == "proved" and "time" not in report
+        assert "termination" in captured.err and "z_cut" in captured.err
+        outs.append(captured.out.encode())
+    assert outs[0] == outs[1]
+
+
 def test_close_gmi_rounds(t1_path, optima_path, tmp_path):
     out = tmp_path / "gmi.json"
     code = main(

@@ -23,13 +23,16 @@ from liftproject.cuts import (
     FractionalityError,
     eliminate_slacks,
     gmi_cut,
+    intersection_cut,
     same_cut,
 )
 from liftproject.instances import normalize, parse_mps, read_mps
 from liftproject.membership import (
     DualContractError,
     FractionalPoint,
+    SeparationSystem,
     build_membership_lp,
+    extract_dual_certificate,
     membership_value,
 )
 from liftproject.simplex import BoundedLp, Status
@@ -42,7 +45,7 @@ from liftproject.standard_form import (
     tableau_row,
     to_standard,
 )
-from liftproject.verify import random_milp
+from liftproject.verify import check_theorem3, check_theorem4, random_milp
 
 from conftest import T1_MPS
 from test_membership import plain_milp
@@ -516,14 +519,26 @@ def _check_separation_start(master, sep_slp):
     assert basis.basic.size == m0 and np.isin(basis.basic, cols).all()
     assert np.all(np.diff(basis.basic) > 0)
     factors = BasisFactors(sep_slp.a, basis)  # raises when singular
+    # its image on the kept rows, the start the LP is solved from
+    system = SeparationSystem.of(master.nm, master.bounds)
+    kept = master.bounds.kept_basis(basis)
+    assert kept.basic.size == system.slp.num_rows
+    kept_factors = BasisFactors(system.slp.a, kept)  # raises when singular
     if cols.size > m0:
         return False
     yhat = np.concatenate([pt.activities, pt.x])
+    kept_cols = np.concatenate([master.bounds.keep, m0 + np.arange(pt.x.size)])
     for k in _fractional_ks(master):
         f = pt.fracs[k]
         y = np.zeros(sep_slp.num_cols)
         y[basis.basic] = factors.solve(f * sep_slp.b)
         assert np.abs(y - f * yhat).max() <= 1e-9
+        # the same point, inside the kept LP's bounds: its basic point
+        lp = system.kept_problem(build_membership_lp(master.nm, pt, k)).lp
+        x = np.where(kept.at_upper, lp.upper, lp.lower)
+        x[kept.basic] = 0.0
+        x[kept.basic] = kept_factors.solve(lp.rhs - lp.a_eq @ x)
+        assert np.abs(x - f * yhat[kept_cols]).max() <= 1e-9
     return True
 
 
@@ -557,6 +572,144 @@ def test_separation_start_is_a_basis_at_the_master_vertex(monkeypatch):
     assert names == {"knap", "random", "twice", "fixed"}
     assert len(checked) >= 20
     assert {name for name, exact in checked if exact} == names
+
+
+def _expanded_point(system, kept, x):
+    """The kept LP's point ``x`` over every original row: the bound-row
+    slack s_i = f u_j - y_j of bound row i on column j."""
+    b, m = system.bounds, system.canonical.num_rows
+    y = np.zeros(system.canonical.num_cols)
+    y[b.keep] = x[: b.keep.size]
+    y[m:] = x[b.keep.size :]
+    y[b.rows] = kept.f * b.upper[b.cols] - y[m + b.cols]
+    return y
+
+
+def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
+    # each separation solves its LP over the rows that are not bounds; the
+    # optimum is the canonical LP's, and a cut is read from the terminal
+    # basis mapped onto every original row: a nonsingular basis whose
+    # basic point is the LP's optimum, and whose certificate cut matches
+    # the intersection and GMI cuts of its row (Theorems 3 and 4)
+    lps, mapped, seps = [], [], []
+    value_of, separate = membership.membership_value, membership.separate
+    to_canonical = SeparationSystem.canonical_basis
+
+    def solving(prob, start=None, **kwargs):
+        value, result = value_of(prob, start=start, **kwargs)
+        lps.append((prob, result))
+        return value, result
+
+    def mapping(self, result, kept):
+        basis = to_canonical(self, result, kept)
+        mapped.append((self, result, kept, basis))
+        return basis
+
+    def separating(nm, pt, k, *args, **kwargs):
+        before = len(mapped)
+        sep = separate(nm, pt, k, *args, **kwargs)
+        seps.append((nm, pt, k, sep, mapped[before:]))
+        return sep
+
+    monkeypatch.setattr(membership, "membership_value", solving)
+    monkeypatch.setattr(SeparationSystem, "canonical_basis", mapping)
+    monkeypatch.setattr(membership, "separate", separating)
+    models = _bound_row_models() + [
+        random_milp(np.random.default_rng(seed), n_range=(6, 10)).nm
+        for seed in range(10)
+    ]
+    cuts = 0
+    for nm in models:
+        rows = ColumnBounds.of(nm).keep.size
+        canonical = to_standard(nm)
+        for mode in ("pe", "pestar"):
+            lps.clear()
+            seps.clear()
+            try:
+                optimize_closure(nm, ClosureConfig(mode=mode))
+            except ClosureError:
+                continue
+            assert len(lps) == len(seps)
+            for (_, pt, k, _, _), (prob, result) in zip(seps, lps):
+                assert prob.lp.num_rows == rows
+                value, exact = membership_value(
+                    build_membership_lp(nm, pt, k, slp=canonical)
+                )
+                assert result.status is exact.status is Status.OPTIMAL
+                z = prob.constant + result.value
+                assert abs(z - value) <= 1e-9 * (1.0 + abs(value))
+            for nm_, pt, k, sep, calls in seps:
+                if not sep.found:
+                    continue
+                cuts += 1
+                [(system, result, kept, basis)] = calls
+                slp = system.canonical
+                factors = BasisFactors(slp.a, basis)  # raises when singular
+                lp = build_membership_lp(nm, pt, k, slp=slp).lp
+                y = np.where(basis.at_upper, lp.upper, lp.lower)
+                y[basis.basic] = 0.0
+                y[basis.basic] = factors.solve(lp.rhs - slp.a @ y)
+                expected = _expanded_point(system, kept, result.x)
+                assert np.abs(y - expected).max() <= 1e-9 * (
+                    1.0 + np.abs(expected).max()
+                )
+                for check in (check_theorem3, check_theorem4):
+                    rec = check(nm, basis, k, pt)
+                    assert rec.passed and rec.skipped is None, rec.detail
+    assert cuts >= 50
+
+
+def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
+    # without bound rows the kept rows are every row: the separation
+    # system, every membership LP and every cut are a canonical solve's,
+    # bit for bit
+    rng = np.random.default_rng(6)
+    w = rng.integers(20, 900, size=(4, 12)).astype(float)
+    nm = plain_milp(-w, -np.floor(0.35 * w.sum(axis=1)), rng.integers(10, 300, 12), p=12)
+    assert not ColumnBounds.of(nm).rows.size
+    calls, lps = [], []
+    separate, value_of = membership.separate, membership.membership_value
+
+    def separating(*args, **kwargs):
+        calls.append((args, kwargs, separate(*args, **kwargs)))
+        return calls[-1][2]
+
+    def solving(prob, start=None, **kwargs):
+        lps.append((prob, start, value_of(prob, start=start, **kwargs)[1]))
+        return lps[-1][2].value + prob.constant, lps[-1][2]
+
+    monkeypatch.setattr(membership, "separate", separating)
+    monkeypatch.setattr(membership, "membership_value", solving)
+    rep = optimize_closure(nm, ClosureConfig(mode="pestar"))
+    monkeypatch.undo()
+    assert rep.num_cuts > 0 and len(calls) == len(lps) == rep.num_separations
+    canonical = to_standard(nm)
+    found = 0
+    for (args, kwargs, sep), (prob, start, result) in zip(calls, lps):
+        system = kwargs["system"]
+        assert system.slp is system.canonical
+        assert system.slp.a.tobytes() == canonical.a.tobytes()
+        assert system.slp.b.tobytes() == canonical.b.tobytes()
+        nm_, pt, k = args
+        exact = build_membership_lp(nm, pt, k, slp=system.canonical)
+        for name in ("objective", "rhs", "lower", "upper"):
+            assert getattr(prob.lp, name).tobytes() == getattr(exact.lp, name).tobytes()
+        assert prob.lp.a_eq is exact.lp.a_eq
+        _, again = membership_value(exact, start=start)
+        assert again.x.tobytes() == result.x.tobytes()
+        assert (again.pivots, again.value) == (result.pivots, result.value)
+        if not sep.found:
+            continue
+        found += 1
+        cert = extract_dual_certificate(again, exact)
+        integer_cols = np.zeros(canonical.num_cols, dtype=bool)
+        integer_cols[canonical.num_rows : canonical.num_rows + nm.num_integer] = True
+        plain = eliminate_slacks(intersection_cut(cert.row, eps=1e-12), canonical)
+        strong = eliminate_slacks(gmi_cut(cert.row, integer_cols, eps=1e-12), canonical)
+        for got, want in ((sep.plain, plain), (sep.strengthened, strong)):
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.rhs == want.rhs
+    assert found == rep.num_cuts
 
 
 def test_first_gmi_round_matches_the_canonical_tableau():
@@ -719,13 +872,23 @@ def test_carried_master_start_needs_no_flips(monkeypatch):
 def test_warm_membership_matches_cold_solve(monkeypatch):
     # every membership LP starts from the master's basis, flipped to dual
     # feasibility by the simplex; each optimum must be the one a solve of
-    # the same LP from the crash basis finds
+    # the same LP from the crash basis finds, and the one of the canonical
+    # LP, whose bound rows the solved LP reads as column bounds
     solves = []
     warm_value = membership.membership_value
 
     def recording(prob, start=None, **kwargs):
         value, warm = warm_value(prob, start=start, **kwargs)
-        solves.append((start is not None, warm, simplex.solve(prob.lp)))
+        canonical = build_membership_lp(nm, prob.point, prob.k).lp
+        solves.append(
+            (
+                start is not None,
+                warm,
+                simplex.solve(prob.lp),
+                simplex.solve(canonical),
+                prob.lp.num_rows,
+            )
+        )
         return value, warm
 
     monkeypatch.setattr(membership, "membership_value", recording)
@@ -734,10 +897,14 @@ def test_warm_membership_matches_cold_solve(monkeypatch):
     for nm, mode in ((knapsack, "pe"), (milp, "pestar")):
         solves.clear()
         optimize_closure(nm, ClosureConfig(mode=mode))
-        assert len(solves) >= 20 and all(started for started, _, _ in solves)
-        for _, warm, cold in solves:
-            assert warm.status is cold.status is Status.OPTIMAL
+        assert len(solves) >= 20 and all(started for started, *_ in solves)
+        rows = ColumnBounds.of(nm).keep.size
+        for _, warm, cold, canonical, lp_rows in solves:
+            assert warm.status is cold.status is canonical.status is Status.OPTIMAL
             assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+            tol = 1e-9 * (1.0 + abs(canonical.value))
+            assert abs(warm.value - canonical.value) <= tol
+            assert lp_rows == rows < nm.num_rows
 
 
 @pytest.mark.parametrize(
@@ -806,6 +973,9 @@ def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
 
     factored = {id(obj) for kind, obj, _, _ in events if kind == "factor"}
     assert all(isinstance(kw["start"], BasisFactors) for _, kw, _ in calls)
+    # every start is a basis of the kept rows the LPs share
+    assert all(kw["start"].a is kw["system"].slp.a for _, kw, _ in calls)
+    assert calls[0][1]["system"].slp.num_rows == 3
     shared = [c for c in calls if id(c[1]["start"]) in factored]
     own = [c for c in calls if id(c[1]["start"]) not in factored]
     starts = list({id(kw["start"]): kw["start"] for _, kw, _ in shared}.values())

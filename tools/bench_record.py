@@ -9,8 +9,11 @@ BENCHMARK.json and every seed (the held-out seed last), ``perfbench/run.py``
 runs on both trees back to back; which side runs first alternates from one
 pair to the next.  The record keeps the last output line of each run, the
 JSON object with its end-to-end metrics, under
-``runs[workload][seed]["parent" | "change"]``.  Run it from inside the
-repository.
+``runs[workload][seed]["parent" | "change"]``, and the run's ``instance``,
+``suite`` and ``validity closures`` lines under
+``lines[workload][seed]["parent" | "change"]``.  Once every run is done,
+it prints, for each workload and seed, the lines that differ between the
+two sides.  Run it from inside the repository.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 ENV_KEYS = ("python", "numpy", "scipy", "nproc", "blas_threads")
+# the output lines a bit-identity claim compares: one per instance or suite
+LINE_PREFIXES = ("instance ", "suite ", "validity closures ")
 DESCRIPTION = (
     "Before/after record of perfbench/run.py: the last JSON line of each "
-    "run, per workload and seed, for the parent and the change. Runs of one "
+    "run, per workload and seed, for the parent and the change, and the "
+    "instance, suite and validity lines of each run. Runs of one "
     "workload and seed were made back to back, alternating which side ran "
     "first. Seed {held_out} was not used while building the change."
 )
@@ -72,6 +78,36 @@ def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def result_lines(stdout: str) -> list[str]:
+    """The ``instance``, ``suite`` and ``validity closures`` lines of a run."""
+    return [ln for ln in stdout.splitlines() if ln.startswith(LINE_PREFIXES)]
+
+
+def differing_lines(record: dict) -> dict[tuple[str, str], list[tuple]]:
+    """(parent line, change line) pairs that differ, by (workload, seed);
+    lines are paired in output order, and a side that ran out of lines
+    pairs with None."""
+    out = {}
+    for workload, by_seed in record["lines"].items():
+        for seed, sides in by_seed.items():
+            parent, change = sides["parent"], sides["change"]
+            pairs = [
+                (parent[i] if i < len(parent) else None,
+                 change[i] if i < len(change) else None)
+                for i in range(max(len(parent), len(change)))
+            ]
+            out[workload, seed] = [(a, b) for a, b in pairs if a != b]
+    return out
+
+
+def print_differences(record: dict) -> None:
+    for (workload, seed), pairs in differing_lines(record).items():
+        total = len(record["lines"][workload][seed]["change"])
+        print(f"{workload} seed {seed}: {len(pairs)} of {total} lines differ")
+        for parent, change in pairs:
+            print(f"  - {parent}\n  + {change}")
+
+
 def environment(stdout: str) -> dict:
     """The versions and thread counts of a run's ``env`` line."""
     line = next(ln for ln in stdout.splitlines() if ln.startswith("env "))
@@ -93,10 +129,21 @@ def assemble(
     """The record of ``outputs``, each run's stdout keyed by (workload,
     seed, side), in the layout of the committed BENCH_*.json files."""
     runs: dict[str, dict[str, dict]] = {}
+    lines: dict[str, dict[str, dict]] = {}
     for (workload, seed, side), stdout in outputs.items():
         runs.setdefault(workload, {}).setdefault(str(seed), {})[side] = last_json(
             stdout
         )
+        lines.setdefault(workload, {}).setdefault(str(seed), {})[side] = (
+            result_lines(stdout)
+        )
+
+    def by_side(table):
+        return {
+            w: {s: {side: pair[side] for side in SIDES} for s, pair in by_seed.items()}
+            for w, by_seed in table.items()
+        }
+
     description = DESCRIPTION.format(held_out=held_out)
     return {
         "description": f"{description} {note}".strip(),
@@ -106,10 +153,8 @@ def assemble(
         "held_out_seed": held_out,
         "environment": environment(next(iter(outputs.values()))),
         "revisions": revisions,
-        "runs": {
-            w: {s: {side: pair[side] for side in SIDES} for s, pair in by_seed.items()}
-            for w, by_seed in runs.items()
-        },
+        "runs": by_side(runs),
+        "lines": by_side(lines),
     }
 
 
@@ -156,6 +201,7 @@ def main(argv=None) -> int:
         note=args.note,
     )
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    print_differences(record)
     return 0
 
 
