@@ -638,7 +638,7 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
                 assert result.status is exact.status is Status.OPTIMAL
                 z = prob.constant + result.value
                 assert abs(z - value) <= 1e-9 * (1.0 + abs(value))
-            for nm_, pt, k, sep, calls in seps:
+            for _, pt, k, sep, calls in seps:
                 if not sep.found:
                     continue
                 cuts += 1
@@ -665,7 +665,8 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
     # bit for bit
     rng = np.random.default_rng(6)
     w = rng.integers(20, 900, size=(4, 12)).astype(float)
-    nm = plain_milp(-w, -np.floor(0.35 * w.sum(axis=1)), rng.integers(10, 300, 12), p=12)
+    cap = np.floor(0.35 * w.sum(axis=1))
+    nm = plain_milp(-w, -cap, rng.integers(10, 300, 12), p=12)
     assert not ColumnBounds.of(nm).rows.size
     calls, lps = [], []
     separate, value_of = membership.separate, membership.membership_value
@@ -690,7 +691,7 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
         assert system.slp is system.canonical
         assert system.slp.a.tobytes() == canonical.a.tobytes()
         assert system.slp.b.tobytes() == canonical.b.tobytes()
-        nm_, pt, k = args
+        _, pt, k = args
         exact = build_membership_lp(nm, pt, k, slp=system.canonical)
         for name in ("objective", "rhs", "lower", "upper"):
             assert getattr(prob.lp, name).tobytes() == getattr(exact.lp, name).tobytes()

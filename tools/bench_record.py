@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import platform
 import subprocess
@@ -90,12 +91,7 @@ def differing_lines(record: dict) -> dict[tuple[str, str], list[tuple]]:
     out = {}
     for workload, by_seed in record["lines"].items():
         for seed, sides in by_seed.items():
-            parent, change = sides["parent"], sides["change"]
-            pairs = [
-                (parent[i] if i < len(parent) else None,
-                 change[i] if i < len(change) else None)
-                for i in range(max(len(parent), len(change)))
-            ]
+            pairs = itertools.zip_longest(sides["parent"], sides["change"])
             out[workload, seed] = [(a, b) for a, b in pairs if a != b]
     return out
 
