@@ -163,8 +163,12 @@ def cmd_close(args) -> int:
         if args.json_out == "-":
             print(text)
         else:
-            with open(args.json_out, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.json_out, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"error: cannot write {args.json_out}: {exc}", file=sys.stderr)
+                return EXIT_INPUT_ERROR
 
     if report.termination in ("proved", "rounds_done"):
         return EXIT_OK

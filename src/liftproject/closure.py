@@ -13,10 +13,12 @@ The master LP reads each bound row -x_j >= -u_j of the canonical form as
 the column bound x_j <= u_j (``standard_form.ColumnBounds``) and solves
 over the other rows plus the cuts, so the dual simplex moves bounded
 columns by bound flips.  The membership LP drops the same rows
-(``membership.SeparationSystem``).  Separation starts and GMI tableau
-rows are read from the master's own basis through ``ColumnBounds``; a
-variable whose last separation ended with no cut starts from that LP's
-terminal factors instead.
+(``membership.SeparationSystem``).  Separation starts are read from the
+master's own basis through ``ColumnBounds``; a variable whose last
+separation ended with no cut starts from that LP's terminal factors
+instead.  Every cut, GMI round or membership, is read from the basis of
+the LP it comes from, with the columns at a bound that a dropped row
+sets complemented (``cuts.complemented_cut``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .cuts import (
     DynamismError,
     EmptyDisjunctionError,
     FractionalityError,
+    complement,
+    complemented_cut,
     eliminate_slacks,
     gmi_cut,
     same_cut,
@@ -753,7 +757,7 @@ def gmi_rounds(
     the master's own with each column at its upper bound complemented
     (``ColumnBounds.at_upper``), which makes its rows those of the
     canonical rows plus cuts; the complement counts as continuous, like
-    the bound-row slack it stands for.
+    the bound-row slack it stands for (``cuts.complemented_cut``).
     """
     if cfg is None:
         cfg = ClosureConfig(mode="gmi", rounds=rounds)
@@ -794,15 +798,15 @@ def gmi_rounds(
         ]
         integer_cols = np.zeros(slp.num_cols, dtype=bool)
         integer_cols[m : m + nm.num_integer] = True
-        integer_cols[flip] = False
         added = 0
         factors = BasisFactors(slp.a, basis) if targets else None
         for k in targets:
             row = tableau_row(slp, basis, m + k, factors)
-            _complement(row, flip, u)
+            complement(row, flip, u)
             try:
-                full = gmi_cut(row, integer_cols, eps=cfg.eps)
-                _complement(full, flip, u)
+                full = complemented_cut(
+                    gmi_cut, row, flip, u, integer_cols, eps=cfg.eps
+                )
                 cut = eliminate_slacks(full, slp)
             except (FractionalityError, DynamismError, EmptyDisjunctionError):
                 continue
@@ -835,13 +839,6 @@ def gmi_rounds(
         history.append(res.value)
 
     return _finish_report(report, nm, master, history, t_start, cuts, [])
-
-
-def _complement(row, cols: np.ndarray, upper: np.ndarray) -> None:
-    """Substitute x_j = u_j - xbar_j for ``cols`` in ``row`` (a tableau row
-    or a full-space cut), in place; a second call undoes it."""
-    row.rhs -= float(row.coeffs[cols] @ upper)
-    row.coeffs[cols] *= -1.0
 
 
 def _config_dict(cfg: ClosureConfig) -> dict:

@@ -1,5 +1,7 @@
 """Cut formulas: intersection cut, GMI cut, multiplier strengthening and
-slack elimination into the structural space.
+slack elimination into the structural space.  A tableau row read from a
+system that keeps some variables as column bounds is cut with its at-bound
+columns complemented (``complemented_cut``).
 
 Conventions: a cut is alpha x >= beta.  Cuts read from a tableau row live
 over all slack+structural columns until ``eliminate_slacks`` substitutes
@@ -153,6 +155,30 @@ def gmi_cut(
         source_var=row.basic_col,
         strengthened=True,
     )
+
+
+def complement(row, cols: np.ndarray, upper: np.ndarray) -> None:
+    """Substitute x_j = u_j - xbar_j for ``cols`` in ``row`` (a tableau row
+    or a full-space cut), in place; a second call undoes it."""
+    row.rhs -= float(row.coeffs[cols] @ upper)
+    row.coeffs[cols] *= -1.0
+
+
+def complemented_cut(formula, row, cols, upper, integer_cols=None, *, eps) -> CutRow:
+    """The cut ``formula`` (``intersection_cut``, or ``gmi_cut`` over
+    ``integer_cols``) of ``row``, a tableau row read with ``cols`` at their
+    upper bounds ``upper`` complemented (``complement``), mapped back over
+    x_j.  Each xbar_j counts as continuous, like the bound-row slack
+    s_i = u_j - x_j it stands for.
+    """
+    if integer_cols is None:
+        cut = formula(row, eps=eps)
+    else:
+        integer_cols = integer_cols.copy()
+        integer_cols[cols] = False
+        cut = formula(row, integer_cols, eps=eps)
+    complement(cut, cols, upper)
+    return cut
 
 
 def _zero_basic(coeffs: np.ndarray, row: TableauRow) -> None:

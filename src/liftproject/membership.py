@@ -20,13 +20,15 @@ cross-check oracle.
 ``separate`` solves the same LP over fewer rows (``SeparationSystem``):
 each original row -y_j >= -u_j that only bounds one column folds into
 that column's bounds, as in the master LP, so the LP keeps only the
-other rows.  Its terminal basis is mapped back onto every original row,
-and the multipliers and cuts are read there.
+other rows.  The multipliers and cuts are read from that LP's own
+terminal basis: a column at a bound its bound-row slack s_i sets is
+complemented, y_j = u_j - s_i, which makes the row of y_k the row of the
+basis over every original row with s_i nonbasic in y_j's place
+(Balas-Perregaard), and its multiplier row i's.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -40,6 +42,8 @@ from .cuts import (
     DynamismError,
     EmptyDisjunctionError,
     FractionalityError,
+    complement,
+    complemented_cut,
     eliminate_slacks,
     gmi_cut,
     intersection_cut,
@@ -101,11 +105,14 @@ class MembershipProblem:
     constant: float  # -ceil(xh_k) * f, kept out of the LP objective
     point: FractionalPoint
     slp: StandardLp
+    bounds: ColumnBounds | None = None  # bound rows read as column bounds
 
 
 @dataclass
 class DualCertificate:
-    """Multipliers (u, v, s, t, u0, v0) read from a terminal tableau row."""
+    """Multipliers (u, v, s, t, u0, v0) read from a terminal tableau row,
+    u and v over every original row; ``row`` is read with the columns
+    ``complemented`` complemented (``certificate_from_basis``)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -119,6 +126,7 @@ class DualCertificate:
     ceil_k: float
     basis_fingerprint: str
     row: TableauRow
+    complemented: np.ndarray
 
 
 @dataclass
@@ -149,11 +157,13 @@ class Separation:
 class SeparationSystem:
     """The two systems every membership LP of one model shares.
 
-    The LP is solved over ``slp``, the original rows that are not column
-    bounds (``bounds.keep``): the bound row i on column j folds into the
-    bounds of y_j, and its slack s_i = f u_j - y_j drops out.  Cuts are
-    read over ``canonical``, every original row, the system of
-    ``build_membership_lp``.  Without bound rows the two are one object.
+    The LP is solved, and its cuts read, over ``slp``, the original rows
+    that are not column bounds (``bounds.keep``): the bound row i on
+    column j folds into the bounds of y_j, and its slack s_i = f u_j - y_j
+    drops out.  ``canonical`` holds every original row, the system of
+    ``build_membership_lp``; only the pass start is trimmed over it
+    (``closure._separation_start``).  Without bound rows the two are one
+    object.
     """
 
     bounds: ColumnBounds
@@ -167,60 +177,27 @@ class SeparationSystem:
         slp = to_standard(nm, rows=bounds.keep)
         return cls(bounds, slp, to_standard(nm) if bounds.rows.size else slp)
 
-    def kept_problem(self, prob: MembershipProblem) -> MembershipProblem:
-        """``prob``, a membership LP over ``canonical``, over ``slp``.
+    def kept_problem(
+        self, pt: FractionalPoint, k: int, *, eps: float = FRAC_EPS_DEFAULT
+    ) -> MembershipProblem:
+        """The membership LP for integer variable k at pt over ``slp``.
 
         Kept-row slacks keep their range [0, activity_i] and the columns
         without a bound row [0, xh_j].  The column j that bound row i
         bounds lies in [max(0, f u_j - activity_i), min(xh_j, f u_j)], the
         range that 0 <= s_i <= activity_i leaves it inside [0, xh_j]; a
         crossing of rounding size fixes it at the upper end.  The
-        right-hand side is f b over the kept rows.  Only the LP is over
-        ``slp``: certificates are read over ``canonical`` (``separate``).
+        right-hand side is f b over the kept rows.  Without bound rows it
+        is ``build_membership_lp``'s LP, array for array.
         """
-        if self.slp is self.canonical:
-            return prob
-        b, pt, f = self.bounds, prob.point, prob.f
-        m0 = b.keep.size
-        j = m0 + b.cols
+        b, f = self.bounds, float(pt.fracs[k])
+        j = b.keep.size + b.cols
         fu = f * b.upper[b.cols]
         upper = np.concatenate([pt.activities[b.keep], pt.x])
         upper[j] = np.minimum(pt.x[b.cols], fu)
         lower = np.zeros(upper.size)
         lower[j] = np.minimum(np.maximum(fu - pt.activities[b.rows], 0.0), upper[j])
-        obj = np.zeros(upper.size)
-        obj[m0 + prob.k] = 1.0
-        lp = BoundedLp(
-            sense="max",
-            objective=obj,
-            a_eq=self.slp.a,
-            rhs=self.slp.b * f,
-            lower=lower,
-            upper=upper,
-        )
-        return dataclasses.replace(prob, lp=lp, slp=self.slp)
-
-    def canonical_basis(self, result: SimplexResult, kept: MembershipProblem) -> Basis:
-        """The terminal basis of ``kept`` (``kept_problem``) mapped onto
-        ``canonical`` by ``ColumnBounds.canonical_basis``.
-
-        The bound of y_j its bound-row slack sets is f u_j above and
-        f u_j - activity_i below; where that one binds (f u_j <= xh_j, or
-        f u_j - activity_i >= 0) slack i takes y_j's place among the
-        nonbasics.  A fixed y_j sits at the bound its reduced cost favors,
-        so an optimal basis maps to a dual feasible one.
-        """
-        if self.slp is self.canonical:
-            return result.basis
-        b, pt, lp = self.bounds, kept.point, kept.lp
-        j = b.keep.size + b.cols
-        fixed = lp.upper[j] <= lp.lower[j]
-        up = np.where(fixed, result.reduced_costs[j] > 0.0, result.basis.at_upper[j])
-        fu = kept.f * b.upper[b.cols]
-        via_slack = np.where(
-            up, fu <= pt.x[b.cols], fu - pt.activities[b.rows] >= 0.0
-        )
-        return b.canonical_basis(result.basis, up, via_slack)
+        return _membership_problem(self.slp, pt, k, lower, upper, eps, b)
 
 
 def build_membership_lp(
@@ -236,19 +213,20 @@ def build_membership_lp(
     Tight rows (zero activity) keep their slack fixed at 0 rather than
     being dropped, so terminal bases stay bases of the master system.
     """
+    if slp is None:
+        slp = to_standard(nm)
+    upper = np.concatenate([pt.activities, pt.x])
+    return _membership_problem(slp, pt, k, np.zeros(upper.size), upper, eps)
+
+
+def _membership_problem(slp, pt, k, lower, upper, eps, bounds=None):
     f = float(pt.fracs[k])
     if min(f, 1.0 - f) < eps:
         raise FractionalityError(
             f"x[{k}] = {pt.x[k]} is integral within eps={eps}"
         )
-    if slp is None:
-        slp = to_standard(nm)
-    m = slp.num_rows
-    n = slp.num_struct
-    lower = np.zeros(m + n)
-    upper = np.concatenate([pt.activities, pt.x])
-    obj = np.zeros(m + n)
-    obj[m + k] = 1.0
+    obj = np.zeros(upper.size)
+    obj[slp.num_rows + k] = 1.0
     lp = BoundedLp(
         sense="max",
         objective=obj,
@@ -267,6 +245,7 @@ def build_membership_lp(
         constant=-(floor_k + 1.0) * f,
         point=pt,
         slp=slp,
+        bounds=bounds,
     )
 
 
@@ -305,13 +284,22 @@ def extract_dual_certificate(
 def certificate_from_basis(
     basis: Basis, prob: MembershipProblem, value: float | None = None
 ) -> DualCertificate | NoCut:
-    """Multipliers defined by any dual-feasible basis (case split on y_k).
+    """Multipliers defined by any dual-feasible basis of ``prob`` (case
+    split on y_k).
 
     If y_k is nonbasic it must sit at its upper bound and no inequality
     can be generated.  Otherwise the tableau row of y_k against the
     master right-hand side supplies the multipliers: nonbasic-at-upper
     columns feed u (rows) and s (structurals), nonbasic-at-lower feed v
-    and t.  Certificates failing u0 > 0, v0 > 0 cannot cut the point.
+    and t.  In a problem over the rows that are not bounds
+    (``prob.bounds``), a column y_j nonbasic at a bound that the slack
+    s_i of its bound row sets, f u_j above or f u_j - activity_i below,
+    is complemented in the row, y_j = u_j - s_i: the row becomes the one
+    of the basis over every original row with y_j basic and s_i nonbasic,
+    and y_j's multiplier becomes v_i (above) or u_i (below).  A fixed
+    column takes the side its reduced cost -abar_j favors.  u0 is ceil_k
+    less the row's right-hand side.  Certificates failing u0 > 0, v0 > 0
+    cannot cut the point.
     """
     slp = prob.slp
     m = slp.num_rows
@@ -344,8 +332,22 @@ def certificate_from_basis(
     neg_part = np.where(minus, np.maximum(abar, 0.0), 0.0)
     u, s = pos_part[:m], pos_part[m:]
     v, t = neg_part[:m], neg_part[m:]
+    flip = np.zeros(0, dtype=int)
+    b = prob.bounds
+    if b is not None:
+        j, pt = m + b.cols, prob.point
+        fu = prob.f * b.upper[b.cols]
+        sets = nonbasic[j] & np.where(
+            plus[j], fu <= pt.x[b.cols], fu - pt.activities[b.rows] >= 0.0
+        )
+        flip, rows = j[sets], b.rows[sets]
+        u, v = np.zeros(b.num_rows), np.zeros(b.num_rows)
+        u[b.keep], v[b.keep] = pos_part[:m], neg_part[:m]
+        u[rows], v[rows] = neg_part[flip], pos_part[flip]
+        s[flip - m] = t[flip - m] = 0.0
+        complement(row, flip, b.upper[b.cols[sets]])
 
-    u0 = prob.ceil_k + float((v - u) @ slp.b)
+    u0 = prob.ceil_k - row.rhs
     v0 = 1.0 - u0
     if u0 <= 0.0 or v0 <= 0.0:
         return NoCut(
@@ -365,6 +367,7 @@ def certificate_from_basis(
         ceil_k=prob.ceil_k,
         basis_fingerprint=basis.fingerprint(),
         row=row,
+        complemented=flip,
     )
 
 
@@ -422,21 +425,21 @@ def separate(
     strengthened GMI, both in structural space, max-norm normalized) when
     the membership value is <= -eps; otherwise a no-cut outcome, which
     keeps the LP's terminal factors (``Separation.factors``) as a start
-    for the next membership LP of k.  For a cut, the terminal basis is
-    mapped onto every original row (``SeparationSystem.canonical_basis``)
-    and the emitted cuts are read from the tableau row of y_k there,
-    after the dual certificate of that row passed its sign and
-    unit-window checks; only the verification oracles assemble cuts from
-    the certificate itself.  A singular basis or a broken dual sign
-    pattern ends as an inconclusive outcome whose reason names the error.
-    ``system`` defaults to the one ``nm`` defines.
+    for the next membership LP of k.  For a cut, the dual certificate is
+    read from the LP's own terminal basis (``certificate_from_basis``),
+    and once it passed its sign and unit-window checks, the emitted cuts
+    are read from its row of y_k, complemented columns counted as
+    continuous and complemented back (``cuts.complemented_cut``); only
+    the verification oracles assemble cuts from the certificate itself.
+    A singular basis or a broken dual sign pattern ends as an
+    inconclusive outcome whose reason names the error.  ``system``
+    defaults to the one ``nm`` defines.
     """
     if system is None:
         system = SeparationSystem.of(nm)
-    prob = build_membership_lp(nm, pt, k, slp=system.canonical, eps=eps)
-    kept = system.kept_problem(prob)
+    prob = system.kept_problem(pt, k, eps=eps)
     value, result = membership_value(
-        kept, start=start, max_iter=max_iter, time_limit=time_limit
+        prob, start=start, max_iter=max_iter, time_limit=time_limit
     )
     outcome = functools.partial(
         Separation,
@@ -461,8 +464,7 @@ def separate(
     # window bases both imply a non-negative value); extraction can still
     # decline defensively on numerical edge cases
     try:
-        basis = system.canonical_basis(result, kept)
-        cert = certificate_from_basis(basis, prob, value=value)
+        cert = certificate_from_basis(result.basis, prob, value=value)
     except (DualContractError, SingularBasisError) as exc:
         return outcome(
             found=False,
@@ -474,7 +476,7 @@ def separate(
         return outcome(
             found=False, value=value, reason=cert.reason, inconclusive=True
         )
-    slp_ref = prob.slp
+    slp = system.slp
     row = cert.row
     f0 = row.rhs - math.floor(row.rhs)
     if min(f0, 1.0 - f0) < 1e-12:
@@ -484,12 +486,17 @@ def separate(
             reason="terminal basic value numerically integral",
             inconclusive=True,
         )
-    integer_cols = np.zeros(slp_ref.num_cols, dtype=bool)
-    integer_cols[slp_ref.num_rows : slp_ref.num_rows + slp_ref.num_int] = True
+    flip = cert.complemented
+    upper = system.bounds.upper[flip - slp.num_rows]
+    integer_cols = np.zeros(slp.num_cols, dtype=bool)
+    integer_cols[slp.num_rows : slp.num_rows + slp.num_int] = True
     try:
-        plain = eliminate_slacks(intersection_cut(row, eps=1e-12), slp_ref)
+        plain = eliminate_slacks(
+            complemented_cut(intersection_cut, row, flip, upper, eps=1e-12), slp
+        )
         strengthened = eliminate_slacks(
-            gmi_cut(row, integer_cols, eps=1e-12), slp_ref
+            complemented_cut(gmi_cut, row, flip, upper, integer_cols, eps=1e-12),
+            slp,
         )
     except (EmptyDisjunctionError, DynamismError) as exc:
         # degenerate or numerically hopeless cut; never count this as a

@@ -3,10 +3,12 @@
 The canonical model A'x >= b, x >= 0 becomes Ax = b with A = (-I A'):
 slack variables occupy columns 0..m-1, structural variables columns
 m..m+n-1, and the integer structural variables are the first p of those.
-Cuts and their certificates are read over this matrix of the original
-rows.  The master LP and the membership separation LP drop the rows that
-only bound one column and keep those bounds as column bounds instead
-(``ColumnBounds``), which also maps bases between the two row sets.
+The verification oracles read cuts and their certificates over this
+matrix of the original rows.  The master LP and the membership separation
+LP drop the rows that only bound one column and keep those bounds as
+column bounds instead (``ColumnBounds``); their cuts are read from their
+own bases, with the columns at a bound that a dropped row sets
+complemented.
 """
 
 from __future__ import annotations
@@ -147,12 +149,12 @@ class ColumnBounds:
     b_i <= 0; when several rows bound one column, only the first is, and
     the others stay rows.  The system over the rows kept (``keep``) plus
     cuts, with these bounds on its structurals, has the feasible set of
-    the canonical system plus those cuts, and this class alone maps bases
-    between the two row sets: ``canonical_columns`` a master basis onto
-    the cut-free rows, ``at_upper`` the columns whose complement u_j - x_j
-    takes the place of the bound-row slack in a tableau row, and
-    ``kept_basis`` and ``canonical_basis`` a basis of the cut-free rows to
-    one of the kept rows and back.
+    the canonical system plus those cuts.  ``canonical_columns`` maps a
+    master basis onto the cut-free rows, ``at_upper`` names the columns
+    whose complement u_j - x_j takes the place of the bound-row slack in
+    a master tableau row, and ``kept_basis`` maps a basis of the cut-free
+    rows onto the kept rows.  No basis is mapped back: cuts are read over
+    the kept rows (``membership.certificate_from_basis``).
     """
 
     keep: np.ndarray  # original rows that stay rows
@@ -230,44 +232,6 @@ class ColumnBounds:
         to_kept[m + self.cols[leave]] = -1
         basic = to_kept[basis.basic]
         return Basis(basic[basic >= 0], at_upper)
-
-    def canonical_basis(
-        self, basis: Basis, up: np.ndarray, via_slack: np.ndarray
-    ) -> Basis:
-        """A basis of the kept rows (no cuts) mapped onto the cut-free
-        canonical rows; the inverse of ``kept_basis``.
-
-        ``up`` and ``via_slack`` are masks over ``cols``: whether a
-        nonbasic x_j sits at its upper bound, and whether the slack of its
-        bound row i sets that bound.  For bound row i on column j:
-
-        - a basic x_j makes x_j and slack i both basic;
-        - x_j at a bound slack i sets makes x_j basic and slack i nonbasic,
-          at 0 for x_j's upper bound and at its own upper bound for x_j's
-          lower bound;
-        - x_j at a bound of its own stays nonbasic there, and slack i is
-          basic.
-
-        Kept-row slacks and the other structurals keep their role and
-        status.  Each bound row gets one basic column of its own, so the
-        result is a basis whenever ``basis`` is one.
-        """
-        m, m0, n = self.num_rows, self.keep.size, self.upper.size
-        to_canonical = np.concatenate([self.keep, m + np.arange(n)])
-        nonbasic = ~basis.in_basis_mask()[m0 + self.cols]
-        slack_out = nonbasic & via_slack
-        at_upper = np.zeros(m + n, dtype=bool)
-        at_upper[to_canonical] = basis.at_upper
-        at_upper[m + self.cols] = nonbasic & ~via_slack & up
-        at_upper[self.rows] = slack_out & ~up
-        basic = np.concatenate(
-            [
-                to_canonical[basis.basic],
-                m + self.cols[slack_out],
-                self.rows[~slack_out],
-            ]
-        )
-        return Basis(np.sort(basic), at_upper)
 
 
 class BasisFactors:

@@ -14,11 +14,11 @@ def _tool():
     return module
 
 
-def _stdout(pivots: int, solve_s: float, seps: int = 37) -> str:
+def _stdout(pivots: int, solve_s: float, seps: int = 37, failed: int = 0) -> str:
     last = {
-        "correct": True,
+        "correct": failed == 0,
         "attempted": 75,
-        "failed": 0,
+        "failed": failed,
         "metrics": {
             "solve_s": {"value": solve_s, "unit": "s"},
             "pivots_total": {"value": pivots, "unit": "count"},
@@ -115,3 +115,41 @@ def test_differing_output_lines_are_listed(capsys):
     assert tool.result_lines(
         f"env x=1\n{verify}\nvalidity closures checked=40 with_gap=12\n{{}}"
     ) == [verify, "validity closures checked=40 with_gap=12"]
+
+
+def test_incorrect_runs_are_shown_and_fail_the_tool(capsys):
+    # run.py exits 0 when its own check fails; the tool reads the check
+    tool = _tool()
+    bad = _stdout(375, 0.077, failed=2)
+    assert tool.progress("knapsack-pe", 8, "change", bad) == (
+        "knapsack-pe seed 8 change: correct False, failed 2, "
+        "pivots_total 375, solve_s 0.0770"
+    )
+    outputs = {
+        ("knapsack-pe", 8, "parent"): _stdout(461, 0.081),
+        ("knapsack-pe", 8, "change"): bad,
+        ("gint-gmi", 8, "parent"): _stdout(519, 1.4),
+        ("gint-gmi", 8, "change"): _stdout(519, 1.3),
+    }
+    record = tool.assemble(
+        outputs,
+        revisions={"parent": "a" * 40, "change": "b" * 40},
+        seeds=[8],
+        held_out=8,
+        seconds=20,
+    )
+    capsys.readouterr()
+    assert tool.report_incorrect(record) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "INCORRECT knapsack-pe seed 8 change: correct false, failed 2"
+    ]
+    outputs["knapsack-pe", 8, "change"] = _stdout(375, 0.077)
+    good = tool.assemble(
+        outputs,
+        revisions={"parent": "a" * 40, "change": "b" * 40},
+        seeds=[8],
+        held_out=8,
+        seconds=20,
+    )
+    assert tool.report_incorrect(good) == 0
+    assert capsys.readouterr().out == ""

@@ -127,6 +127,14 @@ def test_close_missing_file_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_close_unwritable_json_exits_1(t1_path, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "out.json"
+    assert main(["close", t1_path, "--mode", "pe", "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_close_malformed_mps_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.mps"
     bad.write_text("NAME X\nROWS\n N obj\nCOLUMNS\n    x nosuch 1.0\nENDATA\n")

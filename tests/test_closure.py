@@ -25,12 +25,14 @@ from liftproject.cuts import (
     gmi_cut,
     intersection_cut,
     same_cut,
+    strengthen,
 )
 from liftproject.instances import normalize, parse_mps, read_mps
 from liftproject.membership import (
     DualContractError,
     FractionalPoint,
     SeparationSystem,
+    assemble_cut,
     build_membership_lp,
     extract_dual_certificate,
     membership_value,
@@ -45,7 +47,7 @@ from liftproject.standard_form import (
     tableau_row,
     to_standard,
 )
-from liftproject.verify import check_theorem3, check_theorem4, random_milp
+from liftproject.verify import random_milp
 
 from conftest import T1_MPS
 from test_membership import plain_milp
@@ -534,7 +536,7 @@ def _check_separation_start(master, sep_slp):
         y[basis.basic] = factors.solve(f * sep_slp.b)
         assert np.abs(y - f * yhat).max() <= 1e-9
         # the same point, inside the kept LP's bounds: its basic point
-        lp = system.kept_problem(build_membership_lp(master.nm, pt, k)).lp
+        lp = system.kept_problem(pt, k).lp
         x = np.where(kept.at_upper, lp.upper, lp.lower)
         x[kept.basic] = 0.0
         x[kept.basic] = kept_factors.solve(lp.rhs - lp.a_eq @ x)
@@ -574,63 +576,65 @@ def test_separation_start_is_a_basis_at_the_master_vertex(monkeypatch):
     assert {name for name, exact in checked if exact} == names
 
 
-def _expanded_point(system, kept, x):
-    """The kept LP's point ``x`` over every original row: the bound-row
-    slack s_i = f u_j - y_j of bound row i on column j."""
-    b, m = system.bounds, system.canonical.num_rows
-    y = np.zeros(system.canonical.num_cols)
-    y[b.keep] = x[: b.keep.size]
-    y[m:] = x[b.keep.size :]
-    y[b.rows] = kept.f * b.upper[b.cols] - y[m + b.cols]
-    return y
-
-
 def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
-    # each separation solves its LP over the rows that are not bounds; the
-    # optimum is the canonical LP's, and a cut is read from the terminal
-    # basis mapped onto every original row: a nonsingular basis whose
-    # basic point is the LP's optimum, and whose certificate cut matches
-    # the intersection and GMI cuts of its row (Theorems 3 and 4)
-    lps, mapped, seps = [], [], []
+    # each separation solves its LP over the rows that are not bounds and
+    # reads its certificate from that LP's own basis, the columns at a
+    # bound their bound-row slack sets complemented: the optimum is the
+    # canonical LP's, every factorization is over the kept rows, and the
+    # certificate's multipliers over every original row assemble the
+    # emitted cuts (Theorems 3 and 4) with u0 = ceil_k - rhs
+    lps, certs, seps, sizes = [], [], [], []
     value_of, separate = membership.membership_value, membership.separate
-    to_canonical = SeparationSystem.canonical_basis
+    read, factor = membership.certificate_from_basis, BasisFactors.__init__
 
     def solving(prob, start=None, **kwargs):
         value, result = value_of(prob, start=start, **kwargs)
         lps.append((prob, result))
         return value, result
 
-    def mapping(self, result, kept):
-        basis = to_canonical(self, result, kept)
-        mapped.append((self, result, kept, basis))
-        return basis
+    def reading(basis, prob, value=None):
+        certs.append((prob, read(basis, prob, value=value)))
+        return certs[-1][1]
 
     def separating(nm, pt, k, *args, **kwargs):
-        before = len(mapped)
-        sep = separate(nm, pt, k, *args, **kwargs)
-        seps.append((nm, pt, k, sep, mapped[before:]))
+        before = len(certs)
+        sizes.append([])
+        try:
+            sep = separate(nm, pt, k, *args, **kwargs)
+        finally:
+            sizes.append(None)  # closes the call's list
+        seps.append((pt, k, sep, certs[before:]))
         return sep
 
+    def factoring(self, a, basis):
+        if sizes and sizes[-1] is not None:
+            sizes[-1].append(a.shape[0])
+        factor(self, a, basis)
+
     monkeypatch.setattr(membership, "membership_value", solving)
-    monkeypatch.setattr(SeparationSystem, "canonical_basis", mapping)
+    monkeypatch.setattr(membership, "certificate_from_basis", reading)
     monkeypatch.setattr(membership, "separate", separating)
+    monkeypatch.setattr(BasisFactors, "__init__", factoring)
     models = _bound_row_models() + [
         random_milp(np.random.default_rng(seed), n_range=(6, 10)).nm
         for seed in range(10)
     ]
-    cuts = 0
+    cuts = complemented = 0
     for nm in models:
         rows = ColumnBounds.of(nm).keep.size
         canonical = to_standard(nm)
         for mode in ("pe", "pestar"):
             lps.clear()
             seps.clear()
+            sizes.clear()
             try:
                 optimize_closure(nm, ClosureConfig(mode=mode))
             except ClosureError:
                 continue
-            assert len(lps) == len(seps)
-            for (_, pt, k, _, _), (prob, result) in zip(seps, lps):
+            built = sizes[::2]
+            assert len(lps) == len(seps) == len(built)
+            assert {size for sizes_of in built for size in sizes_of} <= {rows}
+            for (pt, k, _, _), (prob, result) in zip(seps, lps):
                 assert prob.lp.num_rows == rows
                 value, exact = membership_value(
                     build_membership_lp(nm, pt, k, slp=canonical)
@@ -638,25 +642,25 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
                 assert result.status is exact.status is Status.OPTIMAL
                 z = prob.constant + result.value
                 assert abs(z - value) <= 1e-9 * (1.0 + abs(value))
-            for _, pt, k, sep, calls in seps:
+            for (_, k, sep, read_here), sizes_of in zip(seps, built):
                 if not sep.found:
                     continue
                 cuts += 1
-                [(system, result, kept, basis)] = calls
-                slp = system.canonical
-                factors = BasisFactors(slp.a, basis)  # raises when singular
-                lp = build_membership_lp(nm, pt, k, slp=slp).lp
-                y = np.where(basis.at_upper, lp.upper, lp.lower)
-                y[basis.basic] = 0.0
-                y[basis.basic] = factors.solve(lp.rhs - slp.a @ y)
-                expected = _expanded_point(system, kept, result.x)
-                assert np.abs(y - expected).max() <= 1e-9 * (
-                    1.0 + np.abs(expected).max()
-                )
-                for check in (check_theorem3, check_theorem4):
-                    rec = check(nm, basis, k, pt)
-                    assert rec.passed and rec.skipped is None, rec.detail
-    assert cuts >= 50
+                assert sizes_of  # the LU of the row of y_k, over the kept rows
+                [(prob, cert)] = read_here
+                assert cert.u.size == cert.v.size == nm.num_rows
+                assert cert.s.size == cert.t.size == nm.num_cols
+                assert cert.u0 == prob.ceil_k - cert.row.rhs
+                u0 = prob.ceil_k + float((cert.v - cert.u) @ nm.b)
+                assert abs(cert.u0 - u0) <= 1e-9 * (1.0 + np.abs(nm.b).max())
+                complemented += cert.complemented.size > 0
+                plain = assemble_cut(cert, nm)
+                strong = strengthen(cert, plain, nm)
+                for got, want in ((sep.plain, plain), (sep.strengthened, strong)):
+                    want = want.normalized()
+                    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-9
+                    assert abs(got.rhs - want.rhs) <= 1e-9
+    assert cuts >= 50 and complemented >= 10
 
 
 def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):

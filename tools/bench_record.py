@@ -13,7 +13,10 @@ JSON object with its end-to-end metrics, under
 ``suite`` and ``validity closures`` lines under
 ``lines[workload][seed]["parent" | "change"]``.  Once every run is done,
 it prints, for each workload and seed, the lines that differ between the
-two sides.  Run it from inside the repository.
+two sides.  ``perfbench/run.py`` exits 0 even when its own check of the
+outputs fails, so each progress line shows the run's ``correct`` flag and
+``failed`` count, and once the record is written, every run whose check
+failed is listed and the tool exits 1.  Run it from inside the repository.
 """
 
 from __future__ import annotations
@@ -77,6 +80,31 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> str:
 
 def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def progress(workload: str, seed: int, side: str, stdout: str) -> str:
+    """One progress line for a finished run."""
+    result = last_json(stdout)
+    metrics = result["metrics"]
+    return (
+        f"{workload} seed {seed} {side}: correct {result['correct']}, failed "
+        f"{result['failed']}, pivots_total {metrics['pivots_total']['value']}, "
+        f"solve_s {metrics['solve_s']['value']:.4f}"
+    )
+
+
+def report_incorrect(record: dict) -> int:
+    """Print each run of ``record`` whose own check failed; 1 if any did."""
+    bad = [
+        f"{workload} seed {seed} {side}: correct false, failed {run['failed']}"
+        for workload, by_seed in record["runs"].items()
+        for seed, sides in by_seed.items()
+        for side, run in sides.items()
+        if not run["correct"]
+    ]
+    for line in bad:
+        print(f"INCORRECT {line}")
+    return 1 if bad else 0
 
 
 def result_lines(stdout: str) -> list[str]:
@@ -181,13 +209,7 @@ def main(argv=None) -> int:
                 for side in order:
                     stdout = run(trees[side], workload, seed, seconds)
                     outputs[workload, seed, side] = stdout
-                    metrics = last_json(stdout)["metrics"]
-                    print(
-                        f"{workload} seed {seed} {side}: pivots_total "
-                        f"{metrics['pivots_total']['value']}, solve_s "
-                        f"{metrics['solve_s']['value']:.4f}",
-                        flush=True,
-                    )
+                    print(progress(workload, seed, side, stdout), flush=True)
     record = assemble(
         outputs,
         revisions=revisions,
@@ -198,7 +220,7 @@ def main(argv=None) -> int:
     )
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print_differences(record)
-    return 0
+    return report_incorrect(record)
 
 
 if __name__ == "__main__":
