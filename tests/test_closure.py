@@ -583,7 +583,7 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
     # canonical LP's, every factorization is over the kept rows, and the
     # certificate's multipliers over every original row assemble the
     # emitted cuts (Theorems 3 and 4) with u0 = ceil_k - rhs
-    lps, certs, seps, sizes = [], [], [], []
+    lps, certs, seps, sizes, inside = [], [], [], [], []
     value_of, separate = membership.membership_value, membership.separate
     read, factor = membership.certificate_from_basis, BasisFactors.__init__
 
@@ -598,16 +598,17 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
 
     def separating(nm, pt, k, *args, **kwargs):
         before = len(certs)
-        sizes.append([])
+        sizes.append([])  # rows of each basis factored inside this call
+        inside.append(True)
         try:
             sep = separate(nm, pt, k, *args, **kwargs)
         finally:
-            sizes.append(None)  # closes the call's list
+            inside.pop()
         seps.append((pt, k, sep, certs[before:]))
         return sep
 
     def factoring(self, a, basis):
-        if sizes and sizes[-1] is not None:
+        if inside:
             sizes[-1].append(a.shape[0])
         factor(self, a, basis)
 
@@ -631,9 +632,8 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
                 optimize_closure(nm, ClosureConfig(mode=mode))
             except ClosureError:
                 continue
-            built = sizes[::2]
-            assert len(lps) == len(seps) == len(built)
-            assert {size for sizes_of in built for size in sizes_of} <= {rows}
+            assert len(lps) == len(seps) == len(sizes)
+            assert {size for sizes_of in sizes for size in sizes_of} <= {rows}
             for (pt, k, _, _), (prob, result) in zip(seps, lps):
                 assert prob.lp.num_rows == rows
                 value, exact = membership_value(
@@ -642,7 +642,7 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
                 assert result.status is exact.status is Status.OPTIMAL
                 z = prob.constant + result.value
                 assert abs(z - value) <= 1e-9 * (1.0 + abs(value))
-            for (_, k, sep, read_here), sizes_of in zip(seps, built):
+            for (_, _, sep, read_here), sizes_of in zip(seps, sizes):
                 if not sep.found:
                     continue
                 cuts += 1
