@@ -532,6 +532,26 @@ class CglpProblem:
     m: int
     offsets: dict = field(default_factory=dict)
 
+    def trivial_cut_basis(self) -> Basis:
+        """The basis of the trivial cut: ``s``, ``t``, ``bm``, ``u0p`` and
+        ``v0m`` basic, row by row.
+
+        Its matrix is ``[[-I, C], [0, D]]`` with ``D`` the 3x3 block of
+        ``bm``, ``u0p`` and ``v0m`` on the last three rows, and
+        ``det D = 1`` whatever ``pi`` and ``pi0`` are, so it is never
+        singular.  Its point is ``u0 = pi0 + 1``, ``v0 = -pi0``,
+        ``beta = -pi0 (pi0 + 1)``, ``s = (pi0 + 1) pi`` and ``t = pi0 pi``
+        with ``alpha``, ``u`` and ``v`` at 0: primal feasible when
+        ``pi >= 0`` and ``pi0 >= 0``.
+        """
+        o, n = self.offsets, self.n
+        basic = np.concatenate([
+            o["s"] + np.arange(n),
+            o["t"] + np.arange(n),
+            [o["bm"], o["u0p"], o["v0m"]],
+        ])
+        return Basis(basic, np.zeros(self.lp.num_cols, dtype=bool))
+
     def unsplit(self, x: np.ndarray) -> dict:
         o = self.offsets
         n, m = self.n, self.m
@@ -643,7 +663,8 @@ def build_cglp(
 def solve_cglp(
     cglp: CglpProblem, *, max_iter: int = simplex.DEFAULT_MAX_ITER
 ) -> tuple[float | None, SimplexResult]:
-    result = simplex.solve(cglp.lp, max_iter=max_iter)
+    """Solve the multiplier LP from its trivial-cut basis."""
+    result = simplex.solve(cglp.lp, start=cglp.trivial_cut_basis(), max_iter=max_iter)
     if result.status is not Status.OPTIMAL:
         return None, result
     return float(result.value), result

@@ -274,8 +274,9 @@ class _Worker:
             return None, None
 
     def _crash_basis(self) -> np.ndarray:
-        # QR with column pivoting yields a deterministic independent set.
-        _, rmat, perm = scipy.linalg.qr(self.a, pivoting=True, mode="economic")
+        # QR with column pivoting yields a deterministic independent set;
+        # only R and the permutation are read, so Q is never formed
+        rmat, perm = scipy.linalg.qr(self.a, pivoting=True, mode="r")
         diag = np.abs(np.diag(rmat))
         scale = max(1.0, float(np.abs(self.a).max(initial=0.0)))
         rank = int(np.sum(diag > 1e-10 * scale))

@@ -1,6 +1,6 @@
 """Independent oracles for the structural guarantees of the method.
 
-Four families of checks, each runnable over a seeded corpus of small
+Five families of checks, each runnable over a seeded corpus of small
 random instances:
 
 * theorem3 - the cut assembled from a terminal separation certificate
@@ -10,11 +10,17 @@ random instances:
   that row;
 * duality  - the membership optimum equals the optimum of the explicit
   multiplier LP with normalization u0 + v0 = 1;
+* proposition3 - at a vertex of the relaxation the membership optimum is
+  y = f x with value (f - 1) f;
 * validity - no emitted cut removes any integer-feasible point, checked
   by exhaustive lattice enumeration with exact continuous completions.
 
 The random instances use integer data and explicit box rows so both the
-vertex and the lattice enumerations stay exact.
+vertex and the lattice enumerations stay exact.  The oracles' own LPs
+start where their structure puts them, never from the membership LP or
+the closure code they check: the vertex LP from the slack basis of the
+rows that are not bounds, the multiplier LP from its trivial cut, and
+each fiber LP from the last optimal fiber basis of the same cut.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .membership import (
     solve_cglp,
 )
 from .simplex import BoundedLp, Status
-from .standard_form import Basis, BasisFactors, to_standard
+from .standard_form import Basis, BasisFactors, ColumnBounds, to_standard
 
 COEFF_TOL = 1e-7
 PROP3_Y_TOL = 1e-8
@@ -258,9 +264,12 @@ def check_validity(
     Enumerates all integer assignments inside the domain; for mixed
     instances each assignment's continuous completion polytope (its
     fiber) is probed per cut by minimizing the cut activity exactly (same
-    simplex).  Every fiber LP shares the slack start, which is factored
-    once.  Two kinds of LP duals spare fiber LPs, both checked exactly
-    against A'_C with no tolerance:
+    simplex).  The fiber LPs of a cut start from the terminal factors of
+    its last optimal fiber LP: between lattice points only the fixed
+    bounds of x_I change, so that basis stays dual feasible and the dual
+    simplex repairs it.  Until a cut has one, its LPs start from the
+    slack basis, factored once for all cuts.  Two kinds of LP duals spare
+    fiber LPs, both checked exactly against A'_C with no tolerance:
 
     * the row duals of the fiber LPs already solved for a cut prove it at
       later points by weak duality: any pi >= 0 with pi A'_C <= alpha_C
@@ -282,10 +291,12 @@ def check_validity(
         )
     slp = to_standard(nm)
     m = slp.num_rows
-    start = BasisFactors(slp.a, slp.slack_basis())
     a_int, a_cont = nm.a[:, :p], nm.a[:, p:]
     # per cut: the proving duals found so far, as rows keyed by their bytes
     proofs: list[dict[bytes, np.ndarray]] = [{} for _ in cuts]
+    # per cut: the start of its next fiber LP, the factors of its last
+    # optimal one once it has one
+    starts = [BasisFactors(slp.a, slp.slack_basis())] * len(cuts)
     rays = np.zeros((0, m))  # Farkas rays proving fibers empty
     witnesses = []
     for assignment in product(*(range(c + 1) for c in dom.caps)):
@@ -318,7 +329,7 @@ def check_validity(
                 lower=lower,
                 upper=upper,
             )
-            res = simplex.solve(lp, start=start)
+            res = simplex.solve(lp, start=starts[idx])
             if res.duals is not None:  # None: unbounded with no rows
                 pi = np.maximum(res.duals, 0.0)
                 if np.all(pi @ a_cont <= cut.coeffs[p:]):
@@ -328,8 +339,10 @@ def check_validity(
                 if ray is not None:
                     rays = np.vstack([rays, ray])
                 break
-            if res.status is Status.OPTIMAL and res.value < cut.rhs - tol:
-                witnesses.append((assignment, idx))
+            if res.status is Status.OPTIMAL:
+                starts[idx] = res.factors
+                if res.value < cut.rhs - tol:
+                    witnesses.append((assignment, idx))
     if witnesses:
         a0, i0 = witnesses[0]
         return CheckRecord(
@@ -368,7 +381,11 @@ def _fiber_ray(
 
 
 def _master_vertex(nm: NormalizedMilp, objective: np.ndarray | None = None):
-    slp = to_standard(nm)
+    """A vertex of the relaxation maximizing ``objective`` (default: the
+    instance's own), solved over the rows that are not bounds with the
+    bound rows read as column bounds, from the slack basis."""
+    bounds = ColumnBounds.of(nm)
+    slp = to_standard(nm, rows=bounds.keep)
     obj = slp.c if objective is None else np.concatenate(
         [np.zeros(slp.num_rows), objective]
     )
@@ -378,7 +395,7 @@ def _master_vertex(nm: NormalizedMilp, objective: np.ndarray | None = None):
         a_eq=slp.a,
         rhs=slp.b,
         lower=np.zeros(slp.num_cols),
-        upper=np.full(slp.num_cols, np.inf),
+        upper=np.concatenate([np.full(slp.num_rows, np.inf), bounds.upper]),
     )
     res = simplex.solve(lp, start=slp.slack_basis())
     if res.status is not Status.OPTIMAL:

@@ -473,3 +473,62 @@ def test_strengthening_changes_integer_nonbasic_coefficient(rng):
                 found += 1
                 assert sep.strengthened.strengthened
                 assert sep.strengthened.violation > 0
+
+
+def _cglp_crash_value(cglp):
+    res = simplex.solve(cglp.lp)
+    assert res.status is Status.OPTIMAL
+    return res.value
+
+
+def test_solve_cglp_starts_from_the_trivial_cut(t1, t1_point):
+    # for an elementary split the trivial-cut basis is primal feasible, so
+    # the multiplier LP needs no pivot to reach feasibility, and it ends at
+    # the value of a crash-start solve
+    from liftproject.verify import _case_points
+
+    def check(nm, pt, k):
+        pi = np.zeros(nm.num_cols)
+        pi[k] = 1.0
+        cglp = build_cglp(nm, pt, pi, math.floor(pt.x[k]))
+        value, res = solve_cglp(cglp)
+        assert res.phase1_pivots == 0
+        crash = _cglp_crash_value(cglp)
+        assert abs(value - crash) <= 1e-9 * (1.0 + abs(crash))
+
+    check(t1, t1_point, 0)
+    rng = np.random.default_rng(7)  # the duality suite's draws
+    checked = 0
+    for _ in range(60):
+        inst = random_milp(rng)
+        for pt, _ in _case_points(inst, rng):
+            for k in _fractional_ks(pt)[:2]:
+                check(inst.nm, pt, k)
+                checked += 1
+    assert checked >= 40
+
+
+def test_solve_cglp_with_a_negative_split_reaches_the_crash_value():
+    # a pi with a negative entry makes the trivial-cut start primal
+    # infeasible; the simplex must still reach the crash-start optimum
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 15:
+        nm = random_milp(rng).nm
+        x = _master_vertex(nm)
+        if x is None:
+            continue
+        pt = FractionalPoint.from_point(nm, x)
+        pi = rng.integers(-2, 3, size=nm.num_cols).astype(float)
+        if pi.min() >= 0:
+            continue
+        gap = float(pi @ pt.x)
+        pi0 = math.floor(gap)
+        if min(gap - pi0, 1.0 - (gap - pi0)) < 1e-4:
+            continue
+        cglp = build_cglp(nm, pt, pi, pi0)
+        value, res = solve_cglp(cglp)
+        crash = _cglp_crash_value(cglp)
+        assert value is not None
+        assert abs(value - crash) <= 1e-9 * (1.0 + abs(crash))
+        checked += 1

@@ -716,3 +716,27 @@ def test_dual_updates_reduced_costs_along_the_pivot_row(monkeypatch, refresh):
             assert res.phase1_pivots == sum(seen[before:])
             longest = max(longest, res.phase1_pivots)
     assert longest > 2  # updates chain, across refactorizations at refresh 2
+
+
+def test_crash_basis_is_the_pivoted_qr_choice():
+    # the crash basis reads only R and the column permutation of a pivoted
+    # QR, so it must be the basis that the full economic QR picks
+    import scipy.linalg
+
+    rng = np.random.default_rng(2031)
+    for _ in range(60):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 16))
+        a = np.hstack([-np.eye(m), rng.integers(-5, 6, size=(m, n)).astype(float)])
+        if rng.random() < 0.5:  # no identity block: the columns compete
+            a = a[:, rng.permutation(m + n)] @ np.diag(rng.uniform(0.5, 2.0, m + n))
+        lp = make_lp("max", np.zeros(m + n), a, np.zeros(m))
+        basic = simplex._Worker(lp, None, max_iter=1).basic
+        _, _, perm = scipy.linalg.qr(a, pivoting=True, mode="economic")
+        np.testing.assert_array_equal(basic, np.sort(perm[:m]))
+
+
+def test_crash_basis_rejects_a_rank_deficient_matrix():
+    a = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
+    lp = make_lp("max", [1.0, 0.0, 0.0], a, [1.0, 1.0, 2.0], upper=[5.0] * 3)
+    with pytest.raises(ValueError, match="rank deficient"):
+        solve(lp)

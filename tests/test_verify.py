@@ -141,14 +141,13 @@ def _brute_force_minima(nm, caps, cuts):
     return minima
 
 
-def test_validity_agrees_with_highs_brute_force():
-    # weak-duality and Farkas pruning may skip fiber LPs but must never
-    # change the verdict or the number of (lattice point, cut) violations
+def _brute_force_draws():
+    """Ten mixed draws with their closure cuts and lattice domain, small
+    enough for a HiGHS solve per (lattice point, cut)."""
     from liftproject.closure import ClosureConfig, optimize_closure
-    from liftproject.verify import VALIDITY_TOL
 
     rng = np.random.default_rng(2024)
-    draws = violated = 0
+    draws = 0
     while draws < 10:
         inst = random_milp(rng, n_range=(3, 5), m_range=(2, 4), box_range=(1, 3))
         nm = inst.nm
@@ -165,6 +164,16 @@ def test_validity_agrees_with_highs_brute_force():
         if not cuts or dom.num_points * len(cuts) > 120:
             continue
         draws += 1
+        yield nm, caps, cuts, dom
+
+
+def test_validity_agrees_with_highs_brute_force():
+    # weak-duality and Farkas pruning may skip fiber LPs but must never
+    # change the verdict or the number of (lattice point, cut) violations
+    from liftproject.verify import VALIDITY_TOL
+
+    violated = 0
+    for nm, caps, cuts, dom in _brute_force_draws():
         minima = _brute_force_minima(nm, caps, cuts)
         for shift in (0.0, 1e-5, 0.5):
             shifted = [
@@ -228,3 +237,74 @@ def test_one_farkas_ray_proves_every_empty_fiber(monkeypatch):
         assert (empty, count) == (35, expected), rec.detail
         assert (expected == 0) == (rhs == -7.0)
         assert solves[0] < empty, (rhs, solves[0])
+
+
+def test_fiber_lps_from_per_cut_starts_match_the_slack_start(monkeypatch):
+    # each fiber LP of a cut starts from that cut's last optimal fiber
+    # factors; solved again from the slack basis it must end with the same
+    # status and value
+    from liftproject import simplex
+    from liftproject.standard_form import Basis
+
+    solve = simplex.solve
+    carried = [0]
+
+    def both_starts(lp, start=None, **kwargs):
+        res = solve(lp, start=start, **kwargs)
+        m = lp.num_rows
+        slack = Basis(np.arange(m), np.zeros(lp.num_cols, dtype=bool))
+        ref = solve(lp, start=slack, **kwargs)
+        assert res.status is ref.status
+        if ref.status is simplex.Status.OPTIMAL:
+            assert abs(res.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value))
+        carried[0] += not np.array_equal(start.basis.basic, np.arange(m))
+        return res
+
+    for nm, _, cuts, dom in _brute_force_draws():
+        for shift in (0.0, 0.5):
+            shifted = [
+                CutRow(coeffs=c.coeffs.copy(), rhs=c.rhs + shift) for c in cuts
+            ]
+            with monkeypatch.context() as mp:
+                mp.setattr(simplex, "solve", both_starts)
+                check_validity(nm, shifted, dom)
+    assert carried[0] > 0  # some fiber LPs start from a carried basis
+
+
+def test_master_vertex_is_a_vertex_of_the_canonical_rows():
+    # the vertex LP solves the kept rows with bound rows as column bounds;
+    # its point must be an optimal vertex of the canonical system, which
+    # Proposition 3 needs
+    from liftproject import simplex
+    from liftproject.standard_form import to_standard
+    from liftproject.verify import _master_vertex
+
+    rng = np.random.default_rng(77)
+    checked = 0
+    for _ in range(40):
+        nm = random_milp(rng).nm
+        n = nm.num_cols
+        for objective in (None, rng.integers(-5, 6, size=n).astype(float)):
+            x = _master_vertex(nm, objective)
+            slp = to_standard(nm)
+            c = slp.c if objective is None else np.concatenate(
+                [np.zeros(slp.num_rows), objective]
+            )
+            canonical = simplex.solve(
+                simplex.BoundedLp(
+                    "max", c, slp.a, slp.b,
+                    np.zeros(slp.num_cols), np.full(slp.num_cols, np.inf),
+                ),
+                start=slp.slack_basis(),
+            )
+            assert (x is None) == (canonical.status is not simplex.Status.OPTIMAL)
+            if x is None:
+                continue
+            activity = nm.a @ x - nm.b
+            assert activity.min() >= -1e-9 and x.min() >= -1e-9
+            z = canonical.value
+            assert abs(c[slp.num_rows :] @ x - z) <= 1e-9 * (1.0 + abs(z))
+            active = np.vstack([nm.a[np.abs(activity) <= 1e-9], np.eye(n)[x <= 1e-9]])
+            assert np.linalg.matrix_rank(active) == n
+            checked += 1
+    assert checked >= 60
