@@ -13,9 +13,10 @@ and merely changes bounds and right-hand side:
 Its optimum is >= 0 exactly when xh lies in the disjunctive hull.  A
 negative optimum yields multipliers (u, v, s, t, u0, v0) read from the
 terminal tableau row of y_k, from which both the plain (intersection) cut
-and the strengthened (GMI) cut are assembled.  The explicit multiplier
-LP with normalization u0 + v0 = 1 is also built here, solely as a
-cross-check oracle.
+and the strengthened (GMI) cut are assembled.  The multiplier LP with
+normalization u0 + v0 = 1, its dual, is also built here, solely as a
+cross-check oracle: with alpha, beta, u0 and v0 substituted out it keeps
+one row per structural column (``build_cglp``).
 
 ``separate`` solves the same LP over fewer rows (``SeparationSystem``):
 each original row -y_j >= -u_j that only bounds one column folds into
@@ -24,7 +25,9 @@ other rows.  The multipliers and cuts are read from that LP's own
 terminal basis: a column at a bound its bound-row slack s_i sets is
 complemented, y_j = u_j - s_i, which makes the row of y_k the row of the
 basis over every original row with s_i nonbasic in y_j's place
-(Balas-Perregaard), and its multiplier row i's.
+(Balas-Perregaard), and its multiplier row i's.  The verification
+oracles solve that LP too; ``build_membership_lp``, the LP over every
+original row, is kept as the reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -515,57 +518,57 @@ def separate(
 
 
 # ---------------------------------------------------------------------------
-# Explicit multiplier-space LP (cross-check oracle only)
+# Multiplier-space LP (cross-check oracle only)
 
 
 @dataclass
 class CglpProblem:
-    """Literal encoding of the normalized multiplier LP.
+    """The normalized multiplier LP over (u, v, s, t) >= 0, in n rows.
 
-    Free variables (alpha, beta, u0, v0) are encoded as differences of
-    non-negative pairs so the bounded simplex can solve it; ``unsplit``
-    recovers the natural variables from a solution vector.
+    The literal LP, min alpha xh - beta over alpha = A'^T u + s - u0 pi =
+    A'^T v + t + v0 pi, beta = u b - u0 pi0 = v b + v0 (pi0 + 1) and
+    u0 + v0 = 1 with alpha, beta, u0 and v0 free, loses those variables
+    and equalities: u0 = pi0 + 1 - (u - v) b, and what is left is
+
+        min  u (A'xh - b + g b) - v (g b) + s xh - g (1 + pi0)
+        s.t. A'^T (u - v) + s - t = pi,   u, v, s, t >= 0,
+
+    with g = pi xh - pi0 and the constant kept out of the LP objective.
+    ``unsplit`` recovers every variable of the literal LP.
     """
 
     lp: BoundedLp
-    n: int
-    m: int
-    offsets: dict = field(default_factory=dict)
+    a: np.ndarray  # A'
+    b: np.ndarray
+    pi: np.ndarray
+    pi0: float
+    constant: float  # -g (1 + pi0)
 
     def trivial_cut_basis(self) -> Basis:
-        """The basis of the trivial cut: ``s``, ``t``, ``bm``, ``u0p`` and
-        ``v0m`` basic, row by row.
+        """``s_i`` basic where ``pi_i >= 0`` and ``t_i`` where ``pi_i < 0``.
 
-        Its matrix is ``[[-I, C], [0, D]]`` with ``D`` the 3x3 block of
-        ``bm``, ``u0p`` and ``v0m`` on the last three rows, and
-        ``det D = 1`` whatever ``pi`` and ``pi0`` are, so it is never
-        singular.  Its point is ``u0 = pi0 + 1``, ``v0 = -pi0``,
-        ``beta = -pi0 (pi0 + 1)``, ``s = (pi0 + 1) pi`` and ``t = pi0 pi``
-        with ``alpha``, ``u`` and ``v`` at 0: primal feasible when
-        ``pi >= 0`` and ``pi0 >= 0``.
+        Its matrix is diagonal with entries +-1, and its point
+        ``s = max(pi, 0)``, ``t = max(-pi, 0)`` with u and v at 0 is primal
+        feasible for every split; for ``pi >= 0`` it is the trivial cut
+        ``alpha = -pi0 pi``, ``beta = -pi0 (pi0 + 1)``.
         """
-        o, n = self.offsets, self.n
-        basic = np.concatenate([
-            o["s"] + np.arange(n),
-            o["t"] + np.arange(n),
-            [o["bm"], o["u0p"], o["v0m"]],
-        ])
+        m, n = self.a.shape
+        basic = 2 * m + np.arange(n) + n * (self.pi < 0.0)
         return Basis(basic, np.zeros(self.lp.num_cols, dtype=bool))
 
     def unsplit(self, x: np.ndarray) -> dict:
-        o = self.offsets
-        n, m = self.n, self.m
-        alpha = x[o["ap"] : o["ap"] + n] - x[o["am"] : o["am"] + n]
-        beta = x[o["bp"]] - x[o["bm"]]
+        m, n = self.a.shape
+        u, v, s, t = x[:m], x[m : 2 * m], x[2 * m : 2 * m + n], x[2 * m + n :]
+        u0 = self.pi0 + 1.0 - float((u - v) @ self.b)
         return {
-            "alpha": alpha,
-            "beta": float(beta),
-            "u": x[o["u"] : o["u"] + m],
-            "v": x[o["v"] : o["v"] + m],
-            "s": x[o["s"] : o["s"] + n],
-            "t": x[o["t"] : o["t"] + n],
-            "u0": float(x[o["u0p"]] - x[o["u0m"]]),
-            "v0": float(x[o["v0p"]] - x[o["v0m"]]),
+            "alpha": self.a.T @ u + s - u0 * self.pi,
+            "beta": float(u @ self.b) - self.pi0 * u0,
+            "u": u,
+            "v": v,
+            "s": s,
+            "t": t,
+            "u0": u0,
+            "v0": 1.0 - u0,
         }
 
 
@@ -585,86 +588,33 @@ def build_cglp(
     the closure loop itself only ever uses elementary ones.
     """
     pi = np.asarray(pi, dtype=float)
-    n = nm.num_cols
-    m = nm.num_rows
     gap = float(pi @ pt.x) - pi0
     if min(gap, 1.0 - gap) < eps:
         raise FractionalityError(
             f"pi.xh - pi0 = {gap} is not strictly inside (0, 1)"
         )
-
-    sizes = [("ap", n), ("am", n), ("bp", 1), ("bm", 1), ("u", m), ("v", m),
-             ("s", n), ("t", n), ("u0p", 1), ("u0m", 1), ("v0p", 1), ("v0m", 1)]
-    offsets = {}
-    pos = 0
-    for name, size in sizes:
-        offsets[name] = pos
-        pos += size
-    ncols = pos
-    rows = 2 * n + 3
-    a = np.zeros((rows, ncols))
-    rhs = np.zeros(rows)
+    a, b = nm.a, nm.b
+    m, n = a.shape
     eye = np.eye(n)
-    # alpha - A'^T u - s + u0 pi = 0
-    for i in range(n):
-        a[i, offsets["ap"] + i] = 1.0
-        a[i, offsets["am"] + i] = -1.0
-    a[:n, offsets["u"] : offsets["u"] + m] = -nm.a.T
-    a[:n, offsets["s"] : offsets["s"] + n] = -eye
-    a[:n, offsets["u0p"]] = pi
-    a[:n, offsets["u0m"]] = -pi
-    # alpha - A'^T v - t - v0 pi = 0
-    for i in range(n):
-        a[n + i, offsets["ap"] + i] = 1.0
-        a[n + i, offsets["am"] + i] = -1.0
-    a[n : 2 * n, offsets["v"] : offsets["v"] + m] = -nm.a.T
-    a[n : 2 * n, offsets["t"] : offsets["t"] + n] = -eye
-    a[n : 2 * n, offsets["v0p"]] = -pi
-    a[n : 2 * n, offsets["v0m"]] = pi
-    # beta - u b + pi0 u0 = 0
-    r = 2 * n
-    a[r, offsets["bp"]] = 1.0
-    a[r, offsets["bm"]] = -1.0
-    a[r, offsets["u"] : offsets["u"] + m] = -nm.b
-    a[r, offsets["u0p"]] = pi0
-    a[r, offsets["u0m"]] = -pi0
-    # beta - v b - (pi0 + 1) v0 = 0
-    r = 2 * n + 1
-    a[r, offsets["bp"]] = 1.0
-    a[r, offsets["bm"]] = -1.0
-    a[r, offsets["v"] : offsets["v"] + m] = -nm.b
-    a[r, offsets["v0p"]] = -(pi0 + 1.0)
-    a[r, offsets["v0m"]] = pi0 + 1.0
-    # u0 + v0 = 1
-    r = 2 * n + 2
-    a[r, offsets["u0p"]] = 1.0
-    a[r, offsets["u0m"]] = -1.0
-    a[r, offsets["v0p"]] = 1.0
-    a[r, offsets["v0m"]] = -1.0
-    rhs[r] = 1.0
-
-    obj = np.zeros(ncols)
-    obj[offsets["ap"] : offsets["ap"] + n] = pt.x
-    obj[offsets["am"] : offsets["am"] + n] = -pt.x
-    obj[offsets["bp"]] = -1.0
-    obj[offsets["bm"]] = 1.0
-
     lp = BoundedLp(
         sense="min",
-        objective=obj,
-        a_eq=a,
-        rhs=rhs,
-        lower=np.zeros(ncols),
-        upper=np.full(ncols, np.inf),
+        objective=np.concatenate(
+            [a @ pt.x - b + gap * b, -gap * b, pt.x, np.zeros(n)]
+        ),
+        a_eq=np.hstack([a.T, -a.T, eye, -eye]),
+        rhs=pi,
+        lower=np.zeros(2 * (m + n)),
+        upper=np.full(2 * (m + n), np.inf),
     )
-    return CglpProblem(lp=lp, n=n, m=m, offsets=offsets)
+    return CglpProblem(lp, a, b, pi, float(pi0), -gap * (1.0 + pi0))
 
 
 def solve_cglp(
     cglp: CglpProblem, *, max_iter: int = simplex.DEFAULT_MAX_ITER
 ) -> tuple[float | None, SimplexResult]:
-    """Solve the multiplier LP from its trivial-cut basis."""
+    """Optimum of the multiplier LP plus its constant, solved from the
+    trivial-cut basis."""
     result = simplex.solve(cglp.lp, start=cglp.trivial_cut_basis(), max_iter=max_iter)
     if result.status is not Status.OPTIMAL:
         return None, result
-    return float(result.value), result
+    return float(result.value + cglp.constant), result

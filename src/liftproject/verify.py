@@ -8,19 +8,24 @@ random instances:
   intersection cut read from the same basis and tableau row;
 * theorem4 - the strengthened certificate cut equals the GMI cut from
   that row;
-* duality  - the membership optimum equals the optimum of the explicit
-  multiplier LP with normalization u0 + v0 = 1;
+* duality  - the membership optimum equals the optimum of the multiplier
+  LP with normalization u0 + v0 = 1;
 * proposition3 - at a vertex of the relaxation the membership optimum is
   y = f x with value (f - 1) f;
 * validity - no emitted cut removes any integer-feasible point, checked
   by exhaustive lattice enumeration with exact continuous completions.
 
 The random instances use integer data and explicit box rows so both the
-vertex and the lattice enumerations stay exact.  The oracles' own LPs
-start where their structure puts them, never from the membership LP or
-the closure code they check: the vertex LP from the slack basis of the
-rows that are not bounds, the multiplier LP from its trivial cut, and
-each fiber LP from the last optimal fiber basis of the same cut.
+vertex and the lattice enumerations stay exact.  The first four families
+check the membership LP that separation solves: the LP over the rows
+that are not bounds (``SeparationSystem.kept_problem``), its certificate
+read with the columns at a bound-row bound complemented, and Theorems 3
+and 4 compare against the cut formulas over those complemented columns
+(``cuts.complemented_cut``).  The oracles' own LPs start where their
+structure puts them, never from a basis of the closure code they check:
+the vertex LP and every membership LP from the slack basis of the rows
+that are not bounds, the multiplier LP (n rows) from its trivial cut,
+and each fiber LP from the last optimal fiber basis of the same cut.
 """
 
 from __future__ import annotations
@@ -34,15 +39,16 @@ import numpy as np
 from . import simplex
 from .closure import ClosureConfig, optimize_closure
 from .cuts import (
-    FRAC_EPS_DEFAULT, CutRow, eliminate_slacks, gmi_cut, intersection_cut, strengthen
+    FRAC_EPS_DEFAULT, CutRow, complemented_cut, eliminate_slacks, gmi_cut,
+    intersection_cut, strengthen,
 )
 from .instances import NormalizedMilp
 from .membership import (
     DualCertificate,
     FractionalPoint,
+    SeparationSystem,
     assemble_cut,
     build_cglp,
-    build_membership_lp,
     certificate_from_basis,
     membership_value,
     solve_cglp,
@@ -162,6 +168,16 @@ def _normalized_pair(cut: CutRow) -> tuple[np.ndarray, float]:
     return norm.coeffs, norm.rhs
 
 
+def _kept_membership(nm: NormalizedMilp, pt: FractionalPoint, k: int):
+    """The membership LP of k at pt over the rows that are not bounds
+    (``SeparationSystem.kept_problem``), the LP ``separate`` solves, solved
+    from the slack basis of those rows; returns the problem, its value and
+    the simplex result."""
+    prob = SeparationSystem.of(nm).kept_problem(pt, k)
+    value, res = membership_value(prob, start=prob.slp.slack_basis())
+    return prob, value, res
+
+
 def check_theorem3(
     nm: NormalizedMilp, basis: Basis, k: int, pt: FractionalPoint
 ) -> CheckRecord:
@@ -177,9 +193,14 @@ def check_theorem4(
 
 
 def _equivalence_check(nm, basis, k, pt, *, strengthened: bool) -> CheckRecord:
+    """``basis`` is a basis of the kept-row membership LP of k at pt.  The
+    certificate is read from it with the columns at a bound-row bound
+    complemented (``certificate_from_basis``), and the reference cut is the
+    formula of its row over those complemented columns
+    (``cuts.complemented_cut``)."""
     name = "theorem4" if strengthened else "theorem3"
-    slp = to_standard(nm)
-    prob = build_membership_lp(nm, pt, k, slp=slp)
+    system = SeparationSystem.of(nm)
+    prob = system.kept_problem(pt, k)
     cert = certificate_from_basis(basis, prob)
     if not isinstance(cert, DualCertificate):
         return CheckRecord(name, True, skipped=cert.reason)
@@ -188,14 +209,18 @@ def _equivalence_check(nm, basis, k, pt, *, strengthened: bool) -> CheckRecord:
     if min(f0, 1.0 - f0) < 1e-12:
         return CheckRecord(name, True, skipped="terminal rhs numerically integral")
 
+    slp, flip = system.slp, cert.complemented
+    upper = system.bounds.upper[flip - slp.num_rows]
     lifted = assemble_cut(cert, nm)
     if strengthened:
         lifted = strengthen(cert, lifted, nm)
         integer_cols = np.zeros(slp.num_cols, dtype=bool)
         integer_cols[slp.num_rows : slp.num_rows + slp.num_int] = True
-        reference = gmi_cut(row, integer_cols, eps=1e-12)
+        reference = complemented_cut(
+            gmi_cut, row, flip, upper, integer_cols, eps=1e-12
+        )
     else:
-        reference = intersection_cut(row, eps=1e-12)
+        reference = complemented_cut(intersection_cut, row, flip, upper, eps=1e-12)
     a1, b1 = _normalized_pair(eliminate_slacks(lifted, slp))
     a2, b2 = _normalized_pair(eliminate_slacks(reference, slp))
     dev = max(float(np.abs(a1 - a2).max()), abs(b1 - b2))
@@ -208,9 +233,9 @@ def _equivalence_check(nm, basis, k, pt, *, strengthened: bool) -> CheckRecord:
 
 
 def check_duality(nm: NormalizedMilp, pt: FractionalPoint, k: int) -> CheckRecord:
-    """Membership optimum against the explicit multiplier-LP optimum."""
-    prob = build_membership_lp(nm, pt, k)
-    value, res = membership_value(prob)
+    """Membership optimum against the optimum of the multiplier LP of the
+    elementary split on k."""
+    _, value, res = _kept_membership(nm, pt, k)
     if value is None:
         return CheckRecord("duality", True, skipped=f"membership {res.status.value}")
     pi = np.zeros(nm.num_cols)
@@ -233,15 +258,13 @@ def check_proposition3(
     nm: NormalizedMilp, pt: FractionalPoint, k: int
 ) -> CheckRecord:
     """At a vertex the membership optimum is y = f x with value (f-1)f."""
-    prob = build_membership_lp(nm, pt, k)
-    value, res = membership_value(prob)
+    prob, value, res = _kept_membership(nm, pt, k)
     if value is None:
         return CheckRecord(
             "proposition3", True, skipped=f"membership {res.status.value}"
         )
     f = pt.fracs[k]
-    m = prob.slp.num_rows
-    y = res.x[m:]
+    y = res.x[prob.slp.num_rows :]
     ydev = float(np.abs(y - f * pt.x).max())
     vdev = abs(value - (f - 1.0) * f)
     return CheckRecord(
@@ -484,8 +507,7 @@ def _run_instance(suite: str, inst: RandomMilp, rng, corrupt_rhs: float = 0.0):
                 if is_vertex:
                     recs.append(check_proposition3(nm, pt, k))
                 continue
-            prob = build_membership_lp(nm, pt, k)
-            _, res = membership_value(prob)
+            _, _, res = _kept_membership(nm, pt, k)
             if res.status is not Status.OPTIMAL:
                 continue
             if suite == "theorem3":

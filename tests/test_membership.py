@@ -478,42 +478,30 @@ def test_strengthening_changes_integer_nonbasic_coefficient(rng):
 def _cglp_crash_value(cglp):
     res = simplex.solve(cglp.lp)
     assert res.status is Status.OPTIMAL
-    return res.value
+    return res.value + cglp.constant
 
 
-def test_solve_cglp_starts_from_the_trivial_cut(t1, t1_point):
-    # for an elementary split the trivial-cut basis is primal feasible, so
-    # the multiplier LP needs no pivot to reach feasibility, and it ends at
-    # the value of a crash-start solve
+def _elementary_split_draws():
+    """(nm, pt, pi, pi0) of every elementary split the duality suite draws:
+    its random instances, points and first two fractional variables."""
     from liftproject.verify import _case_points
 
-    def check(nm, pt, k):
-        pi = np.zeros(nm.num_cols)
-        pi[k] = 1.0
-        cglp = build_cglp(nm, pt, pi, math.floor(pt.x[k]))
-        value, res = solve_cglp(cglp)
-        assert res.phase1_pivots == 0
-        crash = _cglp_crash_value(cglp)
-        assert abs(value - crash) <= 1e-9 * (1.0 + abs(crash))
-
-    check(t1, t1_point, 0)
-    rng = np.random.default_rng(7)  # the duality suite's draws
-    checked = 0
+    rng = np.random.default_rng(7)
     for _ in range(60):
         inst = random_milp(rng)
         for pt, _ in _case_points(inst, rng):
             for k in _fractional_ks(pt)[:2]:
-                check(inst.nm, pt, k)
-                checked += 1
-    assert checked >= 40
+                pi = np.zeros(inst.nm.num_cols)
+                pi[k] = 1.0
+                yield inst.nm, pt, pi, math.floor(pt.x[k])
 
 
-def test_solve_cglp_with_a_negative_split_reaches_the_crash_value():
-    # a pi with a negative entry makes the trivial-cut start primal
-    # infeasible; the simplex must still reach the crash-start optimum
+def _negative_split_draws(count):
+    """(nm, pt, pi, pi0) of ``count`` general splits with a negative entry
+    at relaxation vertices."""
     rng = np.random.default_rng(11)
-    checked = 0
-    while checked < 15:
+    drawn = 0
+    while drawn < count:
         nm = random_milp(rng).nm
         x = _master_vertex(nm)
         if x is None:
@@ -526,9 +514,144 @@ def test_solve_cglp_with_a_negative_split_reaches_the_crash_value():
         pi0 = math.floor(gap)
         if min(gap - pi0, 1.0 - (gap - pi0)) < 1e-4:
             continue
+        drawn += 1
+        yield nm, pt, pi, pi0
+
+
+def literal_cglp(nm, pt, pi, pi0):
+    """The multiplier LP as the paper states it, the reference for
+    ``build_cglp``: 2n + 3 rows over alpha, beta, u0 and v0 split into
+    non-negative pairs and u, v, s, t >= 0,
+
+        min alpha xh - beta
+        s.t. alpha - A'^T u - s + u0 pi = 0,  alpha - A'^T v - t - v0 pi = 0,
+             beta - u b + u0 pi0 = 0,  beta - v b - v0 (pi0 + 1) = 0,
+             u0 + v0 = 1.
+
+    Returns the LP and the map of a point of it onto its variables."""
+    n, m = nm.num_cols, nm.num_rows
+    sizes = {"ap": n, "am": n, "bp": 1, "bm": 1, "u": m, "v": m, "s": n,
+             "t": n, "u0p": 1, "u0m": 1, "v0p": 1, "v0m": 1}
+    at = dict(zip(sizes, np.cumsum([0, *sizes.values()])))
+    a = np.zeros((2 * n + 3, sum(sizes.values())))
+
+    def put(rows, name, block):
+        a[rows, at[name] : at[name] + sizes[name]] = block
+
+    top, bottom, col = slice(0, n), slice(n, 2 * n), pi[:, None]
+    for rows in (top, bottom):
+        put(rows, "ap", np.eye(n))
+        put(rows, "am", -np.eye(n))
+    put(top, "u", -nm.a.T)
+    put(top, "s", -np.eye(n))
+    put(top, "u0p", col)
+    put(top, "u0m", -col)
+    put(bottom, "v", -nm.a.T)
+    put(bottom, "t", -np.eye(n))
+    put(bottom, "v0p", -col)
+    put(bottom, "v0m", col)
+    for r, (mult, w0, c0) in enumerate(
+        (("u", "u0", pi0), ("v", "v0", -(pi0 + 1.0))), start=2 * n
+    ):
+        put(r, "bp", 1.0)
+        put(r, "bm", -1.0)
+        put(r, mult, -nm.b)
+        put(r, w0 + "p", c0)
+        put(r, w0 + "m", -c0)
+    for name, sign in (("u0p", 1.0), ("u0m", -1.0), ("v0p", 1.0), ("v0m", -1.0)):
+        put(2 * n + 2, name, sign)
+    rhs = np.zeros(2 * n + 3)
+    rhs[-1] = 1.0
+    obj = np.zeros(a.shape[1])
+    for name, block in {"ap": pt.x, "am": -pt.x, "bp": -1.0, "bm": 1.0}.items():
+        obj[at[name] : at[name] + sizes[name]] = block
+    lp = BoundedLp(
+        "min", obj, a, rhs, np.zeros(a.shape[1]), np.full(a.shape[1], np.inf)
+    )
+
+    def part(x, name):
+        return x[at[name] : at[name] + sizes[name]]
+
+    def unsplit(x):
+        out = {name: part(x, name) for name in ("u", "v", "s", "t")}
+        for name in ("alpha", "beta", "u0", "v0"):
+            pair = {"alpha": "a", "beta": "b"}.get(name, name)
+            out[name] = part(x, pair + "p") - part(x, pair + "m")
+        return out
+
+    def split(parts):
+        x = np.zeros(a.shape[1])
+        for name in ("u", "v", "s", "t"):
+            x[at[name] : at[name] + sizes[name]] = parts[name]
+        for name in ("alpha", "beta", "u0", "v0"):
+            pair = {"alpha": "a", "beta": "b"}.get(name, name)
+            value = np.atleast_1d(parts[name])
+            x[at[pair + "p"] : at[pair + "p"] + value.size] = np.maximum(value, 0.0)
+            x[at[pair + "m"] : at[pair + "m"] + value.size] = np.maximum(-value, 0.0)
+        return x
+
+    return lp, unsplit, split
+
+
+def test_compact_cglp_matches_the_literal_encoding():
+    # the n-row multiplier LP reaches the optimum of the literal 2n + 3-row
+    # one, and its unsplit multipliers are an optimal point of the literal
+    # LP (at ties the two LPs may end on different optimal points, so the
+    # multipliers are compared through the literal LP, not entry by entry)
+    checked = 0
+    draws = list(_elementary_split_draws()) + list(_negative_split_draws(30))
+    for nm, pt, pi, pi0 in draws:
+        cglp = build_cglp(nm, pt, pi, pi0)
+        assert cglp.lp.num_rows == nm.num_cols
+        value, res = solve_cglp(cglp)
+        lp, unsplit, split = literal_cglp(nm, pt, pi, pi0)
+        ref = simplex.solve(lp)
+        assert res.status is ref.status is Status.OPTIMAL
+        tol = 1e-9 * (1.0 + abs(ref.value))
+        assert abs(value - ref.value) <= tol
+        parts = cglp.unsplit(res.x)
+        x = split(parts)
+        scale = 1.0 + np.abs(lp.a_eq).max() * np.abs(x).max()
+        assert np.abs(lp.a_eq @ x - lp.rhs).max() <= 1e-9 * scale
+        assert abs(lp.objective @ x - ref.value) <= tol
+        assert min(parts[name].min(initial=0.0) for name in "uvst") >= -1e-9 * scale
+        # and the literal optimum, unsplit, is feasible for the compact LP
+        # at the same value
+        back = unsplit(ref.x)
+        y = np.concatenate([back[name] for name in "uvst"])
+        assert np.abs(cglp.lp.a_eq @ y - pi).max() <= 1e-9 * scale
+        assert abs(cglp.lp.objective @ y + cglp.constant - ref.value) <= tol
+        checked += 1
+    assert checked >= 150
+
+
+def test_solve_cglp_starts_from_the_trivial_cut(t1, t1_point):
+    # for an elementary split the trivial-cut basis is primal feasible, so
+    # the multiplier LP needs no dual pivot, and it ends at the value of a
+    # crash-start solve
+    def check(nm, pt, pi, pi0):
+        cglp = build_cglp(nm, pt, pi, pi0)
+        value, res = solve_cglp(cglp)
+        assert res.phase1_pivots == 0
+        crash = _cglp_crash_value(cglp)
+        assert abs(value - crash) <= 1e-9 * (1.0 + abs(crash))
+
+    check(t1, t1_point, np.array([1.0, 0.0]), 0.0)
+    checked = 0
+    for draw in _elementary_split_draws():
+        check(*draw)
+        checked += 1
+    assert checked >= 40
+
+
+def test_solve_cglp_with_a_negative_split_reaches_the_crash_value():
+    # a pi with a negative entry puts t_i in the start in place of s_i: the
+    # start stays primal feasible, so no dual pivot is needed, and the
+    # simplex reaches the crash-start optimum
+    for nm, pt, pi, pi0 in _negative_split_draws(15):
         cglp = build_cglp(nm, pt, pi, pi0)
         value, res = solve_cglp(cglp)
         crash = _cglp_crash_value(cglp)
         assert value is not None
+        assert res.phase1_pivots == 0
         assert abs(value - crash) <= 1e-9 * (1.0 + abs(crash))
-        checked += 1

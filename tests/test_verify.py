@@ -81,11 +81,10 @@ def test_random_milp_is_feasible_and_bounded(rng):
 
 
 def test_check_records_report_deviation(t1):
-    pt = FractionalPoint.from_point(t1, np.array([0.5, 1.0]))
-    from liftproject.membership import build_membership_lp, membership_value
+    from liftproject.verify import _kept_membership
 
-    prob = build_membership_lp(t1, pt, 0)
-    _, res = membership_value(prob)
+    pt = FractionalPoint.from_point(t1, np.array([0.5, 1.0]))
+    _, _, res = _kept_membership(t1, pt, 0)
     rec3 = check_theorem3(t1, res.basis, 0, pt)
     rec4 = check_theorem4(t1, res.basis, 0, pt)
     assert rec3.passed and rec3.deviation < 1e-12
@@ -96,18 +95,88 @@ def test_check_records_report_deviation(t1):
     assert rec_p.passed
 
 
-def test_lemma3_regime_is_skipped():
+def test_lemma3_regime_is_skipped(monkeypatch):
     # membership of an interior point ends with the variable at its upper
-    # bound: the oracle records a skip, not a failure
-    from liftproject.membership import build_membership_lp, membership_value
+    # bound: the Theorem 3 and 4 oracles record a skip, not a failure.  The
+    # model's only row is a bound, so the kept LP has no row and is solved
+    # by simplex._solve_unconstrained; no oracle may raise on it.  At the
+    # vertex x = 2.5 of [0, 2.5] the variable is fixed at f u = 1.25, the
+    # Proposition 3 point, and nonbasic again.
+    from liftproject import simplex
+    from liftproject.verify import _kept_membership
     from test_membership import interval_milp
 
-    nm = interval_milp(3.0)
-    pt = FractionalPoint.from_point(nm, np.array([1.5]))
-    prob = build_membership_lp(nm, pt, 0)
-    _, res = membership_value(prob)
-    rec = check_theorem3(nm, res.basis, 0, pt)
-    assert rec.skipped is not None
+    unconstrained, calls = simplex._solve_unconstrained, []
+
+    def counting(lp):
+        calls.append(lp)
+        return unconstrained(lp)
+
+    monkeypatch.setattr(simplex, "_solve_unconstrained", counting)
+    for upper, x, vertex in ((3.0, 1.5, False), (2.5, 2.5, True)):
+        nm = interval_milp(upper)
+        pt = FractionalPoint.from_point(nm, np.array([x]))
+        prob, _, res = _kept_membership(nm, pt, 0)
+        assert prob.lp.num_rows == 0
+        for check in (check_theorem3, check_theorem4):
+            rec = check(nm, res.basis, 0, pt)
+            assert rec.skipped == "auxiliary variable nonbasic at its upper bound"
+        assert check_duality(nm, pt, 0).passed
+        if vertex:
+            assert check_proposition3(nm, pt, 0).passed
+    assert len(calls) == 2 * 2 + 1  # per point: its LP, duality's; prop. 3
+
+
+def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
+    # the four membership oracles solve the LP that separation solves, over
+    # the ColumnBounds.keep rows, from the slack basis of those rows; the
+    # duality oracle's multiplier LP has n rows and starts from its
+    # trivial-cut basis
+    from liftproject import simplex, verify
+    from liftproject.standard_form import ColumnBounds
+
+    membership_lps, cglps, starts = [], [], {}
+    value_of, cglp_of, solve = verify.membership_value, verify.solve_cglp, simplex.solve
+
+    def membership(prob, start=None, **kwargs):
+        membership_lps.append(prob.lp)
+        return value_of(prob, start=start, **kwargs)
+
+    def cglp(problem, **kwargs):
+        cglps.append(problem)
+        return cglp_of(problem, **kwargs)
+
+    def solving(lp, start=None, **kwargs):
+        starts[id(lp)] = start
+        return solve(lp, start=start, **kwargs)
+
+    monkeypatch.setattr(verify, "membership_value", membership)
+    monkeypatch.setattr(verify, "solve_cglp", cglp)
+    monkeypatch.setattr(simplex, "solve", solving)
+    rng = np.random.default_rng(7)
+    counts = {}
+    for suite in ("theorem3", "theorem4", "duality", "proposition3"):
+        for _ in range(12):
+            inst = random_milp(rng)
+            nm = inst.nm
+            membership_lps.clear()
+            cglps.clear()
+            verify._run_instance(suite, inst, rng)
+            keep = ColumnBounds.of(nm).keep.size
+            assert keep < nm.num_rows
+            for lp in membership_lps:
+                assert lp.num_rows == keep
+                start = starts[id(lp)]
+                assert np.array_equal(start.basic, np.arange(keep))
+                assert not start.at_upper.any()
+            for problem in cglps:
+                assert problem.lp.num_rows == nm.num_cols
+                start = starts[id(problem.lp)]
+                trivial = problem.trivial_cut_basis()
+                assert np.array_equal(start.basic, trivial.basic)
+            counts[suite] = counts.get(suite, 0) + len(membership_lps)
+            counts["cglp"] = counts.get("cglp", 0) + len(cglps)
+    assert min(counts.values()) >= 5, counts
 
 
 HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
