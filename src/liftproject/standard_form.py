@@ -146,15 +146,19 @@ class ColumnBounds:
     """Original rows -x_j >= -u_j read as column bounds 0 <= x_j <= u_j.
 
     A row is read as a bound when its only nonzero is -1 at column j and
-    b_i <= 0; when several rows bound one column, only the first is, and
-    the others stay rows.  The system over the rows kept (``keep``) plus
-    cuts, with these bounds on its structurals, has the feasible set of
-    the canonical system plus those cuts.  ``canonical_columns`` maps a
-    master basis onto the cut-free rows, ``at_upper`` names the columns
-    whose complement u_j - x_j takes the place of the bound-row slack in
-    a master tableau row, and ``kept_basis`` maps a basis of the cut-free
-    rows onto the kept rows.  No basis is mapped back: cuts are read over
-    the kept rows (``membership.certificate_from_basis``).
+    b_i <= 0, and on an integer column only when b_i is integral.  A
+    fractional bound of an integer x_j stays a row: at the vertex
+    x_j = u_j the membership LP would fix y_j, nonbasic, where the cut
+    x_j <= floor(u_j) needs y_j basic and the bound row's slack nonbasic.
+    When several rows bound one column, only the first is, and the others
+    stay rows.  The system over the rows kept (``keep``) plus cuts, with
+    these bounds on its structurals, has the feasible set of the canonical
+    system plus those cuts.  ``canonical_columns`` maps a master basis onto
+    the cut-free rows, ``at_upper`` names the columns whose complement
+    u_j - x_j takes the place of the bound-row slack in a master tableau
+    row, and ``kept_basis`` maps a basis of the cut-free rows onto the kept
+    rows.  No basis is mapped back: cuts are read over the kept rows
+    (``membership.certificate_from_basis``).
     """
 
     keep: np.ndarray  # original rows that stay rows
@@ -169,8 +173,10 @@ class ColumnBounds:
         m, n = a.shape
         single = np.flatnonzero((np.count_nonzero(a, axis=1) == 1) & (b <= 0.0))
         cols = np.nonzero(a[single])[1]  # one per row, in row order
-        unit = a[single, cols] == -1.0
-        single, cols = single[unit], cols[unit]
+        bound = (a[single, cols] == -1.0) & (
+            (cols >= nm.num_integer) | (b[single] == np.floor(b[single]))
+        )
+        single, cols = single[bound], cols[bound]
         cols, first = np.unique(cols, return_index=True)  # first row per column
         order = np.argsort(single[first])
         rows, cols = single[first][order], cols[order]

@@ -22,10 +22,15 @@ that are not bounds (``SeparationSystem.kept_problem``), its certificate
 read with the columns at a bound-row bound complemented, and Theorems 3
 and 4 compare against the cut formulas over those complemented columns
 (``cuts.complemented_cut``).  The oracles' own LPs start where their
-structure puts them, never from a basis of the closure code they check:
-the vertex LP and every membership LP from the slack basis of the rows
-that are not bounds, the multiplier LP (n rows) from its trivial cut,
-and each fiber LP from the last optimal fiber basis of the same cut.
+structure puts them, never from a basis of the closure code they check.
+Each instance has one separation system (``OracleSystem``).  Its vertex
+LPs solve the rows that are not bounds from their slack basis, and every
+membership LP of the instance starts from the terminal factors of its
+first vertex LP, made over the very matrix the membership LP solves: by
+the paper's Proposition 3 that basis is optimal for the membership LP at
+the vertex, and at other points the dual simplex repairs it.  The
+multiplier LP (n rows) starts from its trivial cut, and each fiber LP
+from the last optimal fiber basis of the same cut.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ from .membership import (
     membership_value,
     solve_cglp,
 )
-from .simplex import BoundedLp, Status
-from .standard_form import Basis, BasisFactors, ColumnBounds, to_standard
+from .simplex import BoundedLp, SimplexResult, Status
+from .standard_form import Basis, BasisFactors, to_standard
 
 COEFF_TOL = 1e-7
 PROP3_Y_TOL = 1e-8
@@ -168,38 +173,77 @@ def _normalized_pair(cut: CutRow) -> tuple[np.ndarray, float]:
     return norm.coeffs, norm.rhs
 
 
-def _kept_membership(nm: NormalizedMilp, pt: FractionalPoint, k: int):
+@dataclass
+class OracleSystem:
+    """One instance's separation system and its vertex LP.
+
+    ``vertex`` is the LP of a vertex of the relaxation maximizing the
+    instance's own objective, solved over ``system.slp`` (``_vertex_lp``).
+    Its terminal factors (``vertex.factors``, None when the kept system has
+    no rows) are over the matrix every membership LP of the instance
+    solves, so each of them starts there with no LU.
+    """
+
+    system: SeparationSystem
+    vertex: SimplexResult
+
+    @classmethod
+    def of(cls, nm: NormalizedMilp) -> "OracleSystem":
+        system = SeparationSystem.of(nm)
+        return cls(system, _vertex_lp(system))
+
+
+def _kept_membership(
+    nm: NormalizedMilp,
+    pt: FractionalPoint,
+    k: int,
+    oracle: OracleSystem | None = None,
+):
     """The membership LP of k at pt over the rows that are not bounds
     (``SeparationSystem.kept_problem``), the LP ``separate`` solves, solved
-    from the slack basis of those rows; returns the problem, its value and
-    the simplex result."""
-    prob = SeparationSystem.of(nm).kept_problem(pt, k)
-    value, res = membership_value(prob, start=prob.slp.slack_basis())
+    from the terminal factors of the instance's vertex LP (``oracle``,
+    built from ``nm`` when None); returns the problem, its value and the
+    simplex result."""
+    if oracle is None:
+        oracle = OracleSystem.of(nm)
+    prob = oracle.system.kept_problem(pt, k)
+    value, res = membership_value(prob, start=oracle.vertex.factors)
     return prob, value, res
 
 
 def check_theorem3(
-    nm: NormalizedMilp, basis: Basis, k: int, pt: FractionalPoint
+    nm: NormalizedMilp,
+    basis: Basis,
+    k: int,
+    pt: FractionalPoint,
+    system: SeparationSystem | None = None,
 ) -> CheckRecord:
     """Certificate cut vs plain intersection cut from the same basis/row."""
-    return _equivalence_check(nm, basis, k, pt, strengthened=False)
+    return _equivalence_check(nm, basis, k, pt, strengthened=False, system=system)
 
 
 def check_theorem4(
-    nm: NormalizedMilp, basis: Basis, k: int, pt: FractionalPoint
+    nm: NormalizedMilp,
+    basis: Basis,
+    k: int,
+    pt: FractionalPoint,
+    system: SeparationSystem | None = None,
 ) -> CheckRecord:
     """Strengthened certificate cut vs GMI cut from the same basis/row."""
-    return _equivalence_check(nm, basis, k, pt, strengthened=True)
+    return _equivalence_check(nm, basis, k, pt, strengthened=True, system=system)
 
 
-def _equivalence_check(nm, basis, k, pt, *, strengthened: bool) -> CheckRecord:
-    """``basis`` is a basis of the kept-row membership LP of k at pt.  The
-    certificate is read from it with the columns at a bound-row bound
-    complemented (``certificate_from_basis``), and the reference cut is the
-    formula of its row over those complemented columns
-    (``cuts.complemented_cut``)."""
+def _equivalence_check(
+    nm, basis, k, pt, *, strengthened: bool, system: SeparationSystem | None = None
+) -> CheckRecord:
+    """``basis`` is a basis of the kept-row membership LP of k at pt over
+    ``system`` (the one ``nm`` defines when None).  The certificate is read
+    from it with the columns at a bound-row bound complemented
+    (``certificate_from_basis``), and the reference cut is the formula of
+    its row over those complemented columns (``cuts.complemented_cut``)."""
     name = "theorem4" if strengthened else "theorem3"
-    system = SeparationSystem.of(nm)
+    if system is None:
+        system = SeparationSystem.of(nm)
     prob = system.kept_problem(pt, k)
     cert = certificate_from_basis(basis, prob)
     if not isinstance(cert, DualCertificate):
@@ -232,10 +276,15 @@ def _equivalence_check(nm, basis, k, pt, *, strengthened: bool) -> CheckRecord:
     )
 
 
-def check_duality(nm: NormalizedMilp, pt: FractionalPoint, k: int) -> CheckRecord:
+def check_duality(
+    nm: NormalizedMilp,
+    pt: FractionalPoint,
+    k: int,
+    oracle: OracleSystem | None = None,
+) -> CheckRecord:
     """Membership optimum against the optimum of the multiplier LP of the
     elementary split on k."""
-    _, value, res = _kept_membership(nm, pt, k)
+    _, value, res = _kept_membership(nm, pt, k, oracle)
     if value is None:
         return CheckRecord("duality", True, skipped=f"membership {res.status.value}")
     pi = np.zeros(nm.num_cols)
@@ -255,10 +304,13 @@ def check_duality(nm: NormalizedMilp, pt: FractionalPoint, k: int) -> CheckRecor
 
 
 def check_proposition3(
-    nm: NormalizedMilp, pt: FractionalPoint, k: int
+    nm: NormalizedMilp,
+    pt: FractionalPoint,
+    k: int,
+    oracle: OracleSystem | None = None,
 ) -> CheckRecord:
     """At a vertex the membership optimum is y = f x with value (f-1)f."""
-    prob, value, res = _kept_membership(nm, pt, k)
+    prob, value, res = _kept_membership(nm, pt, k, oracle)
     if value is None:
         return CheckRecord(
             "proposition3", True, skipped=f"membership {res.status.value}"
@@ -403,12 +455,14 @@ def _fiber_ray(
 # Suite drivers
 
 
-def _master_vertex(nm: NormalizedMilp, objective: np.ndarray | None = None):
-    """A vertex of the relaxation maximizing ``objective`` (default: the
-    instance's own), solved over the rows that are not bounds with the
-    bound rows read as column bounds, from the slack basis."""
-    bounds = ColumnBounds.of(nm)
-    slp = to_standard(nm, rows=bounds.keep)
+def _vertex_lp(
+    system: SeparationSystem, objective: np.ndarray | None = None
+) -> SimplexResult:
+    """The LP of a vertex of the relaxation maximizing ``objective``
+    (default: the instance's own), solved over ``system.slp``, the rows
+    that are not bounds, with the bound rows read as column bounds, from
+    the slack basis."""
+    slp = system.slp
     obj = slp.c if objective is None else np.concatenate(
         [np.zeros(slp.num_rows), objective]
     )
@@ -418,12 +472,21 @@ def _master_vertex(nm: NormalizedMilp, objective: np.ndarray | None = None):
         a_eq=slp.a,
         rhs=slp.b,
         lower=np.zeros(slp.num_cols),
-        upper=np.concatenate([np.full(slp.num_rows, np.inf), bounds.upper]),
+        upper=np.concatenate([np.full(slp.num_rows, np.inf), system.bounds.upper]),
     )
-    res = simplex.solve(lp, start=slp.slack_basis())
-    if res.status is not Status.OPTIMAL:
-        return None
-    return res.x[slp.num_rows :]
+    return simplex.solve(lp, start=slp.slack_basis())
+
+
+def _vertex_point(system: SeparationSystem, res: SimplexResult) -> np.ndarray | None:
+    """The structural point of a vertex LP, None unless it is optimal."""
+    return res.x[system.slp.num_rows :] if res.optimal else None
+
+
+def _master_vertex(nm: NormalizedMilp, objective: np.ndarray | None = None):
+    """A vertex of the relaxation maximizing ``objective`` (default: the
+    instance's own), or None (``_vertex_lp``)."""
+    system = SeparationSystem.of(nm)
+    return _vertex_point(system, _vertex_lp(system, objective))
 
 
 def _fractional_ks(pt: FractionalPoint, eps: float = FRAC_EPS_DEFAULT) -> list[int]:
@@ -435,26 +498,29 @@ def _fractional_ks(pt: FractionalPoint, eps: float = FRAC_EPS_DEFAULT) -> list[i
 
 
 def _case_points(inst: RandomMilp, rng: np.random.Generator):
-    """A vertex of the relaxation plus, when available, a non-vertex
-    interior point (midpoint of two distinct vertices)."""
+    """The instance's ``OracleSystem`` and its case points: the vertex x1
+    of its vertex LP plus, when available, a non-vertex interior point
+    (midpoint of x1 and a second distinct vertex, whose LP starts from the
+    slack basis)."""
     nm = inst.nm
-    x1 = _master_vertex(nm)
+    oracle = OracleSystem.of(nm)
+    x1 = _vertex_point(oracle.system, oracle.vertex)
     if x1 is None:
-        return []
+        return oracle, []
     points = []
     try:
         points.append((FractionalPoint.from_point(nm, x1), True))
     except ValueError:
-        return []
+        return oracle, []
     c2 = rng.integers(-5, 6, size=nm.num_cols).astype(float)
-    x2 = _master_vertex(nm, objective=c2)
+    x2 = _vertex_point(oracle.system, _vertex_lp(oracle.system, objective=c2))
     if x2 is not None and np.abs(x1 - x2).max() > 1e-7:
         mid = 0.5 * (x1 + x2)
         try:
             points.append((FractionalPoint.from_point(nm, mid), False))
         except ValueError:
             pass
-    return points
+    return oracle, points
 
 
 def run_suite(
@@ -497,23 +563,22 @@ def _run_instance(suite: str, inst: RandomMilp, rng, corrupt_rhs: float = 0.0):
     if suite == "validity":
         return _validity_case(inst, corrupt_rhs)
     recs: list[CheckRecord] = []
-    for pt, is_vertex in _case_points(inst, rng):
+    oracle, points = _case_points(inst, rng)
+    for pt, is_vertex in points:
         ks = _fractional_ks(pt)
         for k in ks[:2]:
             if suite == "duality":
-                recs.append(check_duality(nm, pt, k))
+                recs.append(check_duality(nm, pt, k, oracle))
                 continue
             if suite == "proposition3":
                 if is_vertex:
-                    recs.append(check_proposition3(nm, pt, k))
+                    recs.append(check_proposition3(nm, pt, k, oracle))
                 continue
-            _, _, res = _kept_membership(nm, pt, k)
+            _, _, res = _kept_membership(nm, pt, k, oracle)
             if res.status is not Status.OPTIMAL:
                 continue
-            if suite == "theorem3":
-                recs.append(check_theorem3(nm, res.basis, k, pt))
-            else:
-                recs.append(check_theorem4(nm, res.basis, k, pt))
+            check = check_theorem3 if suite == "theorem3" else check_theorem4
+            recs.append(check(nm, res.basis, k, pt, oracle.system))
     return recs
 
 

@@ -50,7 +50,7 @@ from liftproject.standard_form import (
 from liftproject.verify import random_milp
 
 from conftest import T1_MPS
-from test_membership import plain_milp
+from test_membership import interval_milp, plain_milp
 from test_simplex import record_dual_runs
 
 GENERATORS = Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
@@ -499,6 +499,21 @@ def test_column_bounds_read_only_unit_bound_rows():
     assert bounds.cols.tolist() == [0, 1]
     assert bounds.keep.tolist() == [1, 2, 3, 4]
     assert bounds.upper.tolist() == [3.0, 0.0, np.inf]
+
+
+def test_fractional_bound_on_an_integer_column_stays_a_row():
+    # read as a column bound, the fractional bound of an integer column
+    # would take the cut x <= floor(u) with its slack; it stays a row, and
+    # a continuous column still reads its fractional bound as a bound
+    nm = plain_milp([[-1.0, 0.0], [0.0, -1.0]], [-2.5, -2.5], [1.0, 1.0], p=1)
+    bounds = ColumnBounds.of(nm)
+    assert (bounds.keep.tolist(), bounds.rows.tolist()) == ([0], [1])
+    assert bounds.upper.tolist() == [np.inf, 2.5]
+    for upper in (2.5, 3.7):
+        for mode in ("pe", "pestar"):
+            report = optimize_closure(interval_milp(upper), ClosureConfig(mode=mode))
+            assert report.termination == "proved", report.termination_reason
+            assert report.z_cut == pytest.approx(np.floor(upper), abs=1e-9)
 
 
 def _fractional_ks(master):

@@ -489,7 +489,8 @@ def _elementary_split_draws():
     rng = np.random.default_rng(7)
     for _ in range(60):
         inst = random_milp(rng)
-        for pt, _ in _case_points(inst, rng):
+        _, points = _case_points(inst, rng)
+        for pt, _ in points:
             for k in _fractional_ks(pt)[:2]:
                 pi = np.zeros(inst.nm.num_cols)
                 pi[k] = 1.0

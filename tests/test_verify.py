@@ -98,12 +98,13 @@ def test_check_records_report_deviation(t1):
 def test_lemma3_regime_is_skipped(monkeypatch):
     # membership of an interior point ends with the variable at its upper
     # bound: the Theorem 3 and 4 oracles record a skip, not a failure.  The
-    # model's only row is a bound, so the kept LP has no row and is solved
-    # by simplex._solve_unconstrained; no oracle may raise on it.  At the
-    # vertex x = 2.5 of [0, 2.5] the variable is fixed at f u = 1.25, the
-    # Proposition 3 point, and nonbasic again.
+    # model's only row is an integral bound, so the kept LP has no row and
+    # is solved by simplex._solve_unconstrained; no oracle may raise on it.
+    # A fractional bound of an integer column stays a row: at the vertex
+    # x = 2.5 of [0, 2.5] y_0 is basic at the Proposition 3 point
+    # f u = 1.25, its row gives the cut x <= 2, and every oracle passes.
     from liftproject import simplex
-    from liftproject.verify import _kept_membership
+    from liftproject.verify import OracleSystem, _kept_membership
     from test_membership import interval_milp
 
     unconstrained, calls = simplex._solve_unconstrained, []
@@ -115,28 +116,34 @@ def test_lemma3_regime_is_skipped(monkeypatch):
     monkeypatch.setattr(simplex, "_solve_unconstrained", counting)
     for upper, x, vertex in ((3.0, 1.5, False), (2.5, 2.5, True)):
         nm = interval_milp(upper)
+        oracle = OracleSystem.of(nm)
         pt = FractionalPoint.from_point(nm, np.array([x]))
-        prob, _, res = _kept_membership(nm, pt, 0)
-        assert prob.lp.num_rows == 0
+        prob, _, res = _kept_membership(nm, pt, 0, oracle)
+        assert prob.lp.num_rows == int(vertex)
         for check in (check_theorem3, check_theorem4):
-            rec = check(nm, res.basis, 0, pt)
-            assert rec.skipped == "auxiliary variable nonbasic at its upper bound"
-        assert check_duality(nm, pt, 0).passed
+            rec = check(nm, res.basis, 0, pt, oracle.system)
+            if vertex:
+                assert rec.skipped is None and rec.passed, rec.detail
+            else:
+                assert rec.skipped == "auxiliary variable nonbasic at its upper bound"
+        assert check_duality(nm, pt, 0, oracle).passed
         if vertex:
-            assert check_proposition3(nm, pt, 0).passed
-    assert len(calls) == 2 * 2 + 1  # per point: its LP, duality's; prop. 3
+            assert check_proposition3(nm, pt, 0, oracle).passed
+    assert len(calls) == 3  # on [0, 3]: its vertex LP, its LP, duality's
 
 
 def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
     # the four membership oracles solve the LP that separation solves, over
-    # the ColumnBounds.keep rows, from the slack basis of those rows; the
+    # the ColumnBounds.keep rows, each from the terminal factors of its
+    # instance's first vertex LP, made over that LP's own matrix; the
     # duality oracle's multiplier LP has n rows and starts from its
     # trivial-cut basis
     from liftproject import simplex, verify
     from liftproject.standard_form import ColumnBounds
 
-    membership_lps, cglps, starts = [], [], {}
+    membership_lps, cglps, vertices, starts = [], [], [], {}
     value_of, cglp_of, solve = verify.membership_value, verify.solve_cglp, simplex.solve
+    vertex_lp = verify._vertex_lp
 
     def membership(prob, start=None, **kwargs):
         membership_lps.append(prob.lp)
@@ -146,12 +153,17 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
         cglps.append(problem)
         return cglp_of(problem, **kwargs)
 
+    def vertex(system, objective=None):
+        vertices.append(vertex_lp(system, objective))
+        return vertices[-1]
+
     def solving(lp, start=None, **kwargs):
         starts[id(lp)] = start
         return solve(lp, start=start, **kwargs)
 
     monkeypatch.setattr(verify, "membership_value", membership)
     monkeypatch.setattr(verify, "solve_cglp", cglp)
+    monkeypatch.setattr(verify, "_vertex_lp", vertex)
     monkeypatch.setattr(simplex, "solve", solving)
     rng = np.random.default_rng(7)
     counts = {}
@@ -161,14 +173,15 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
             nm = inst.nm
             membership_lps.clear()
             cglps.clear()
+            vertices.clear()
             verify._run_instance(suite, inst, rng)
             keep = ColumnBounds.of(nm).keep.size
             assert keep < nm.num_rows
             for lp in membership_lps:
                 assert lp.num_rows == keep
                 start = starts[id(lp)]
-                assert np.array_equal(start.basic, np.arange(keep))
-                assert not start.at_upper.any()
+                assert start is vertices[0].factors
+                assert start.a is lp.a_eq
             for problem in cglps:
                 assert problem.lp.num_rows == nm.num_cols
                 start = starts[id(problem.lp)]
@@ -177,6 +190,68 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
             counts[suite] = counts.get(suite, 0) + len(membership_lps)
             counts["cglp"] = counts.get("cglp", 0) + len(cglps)
     assert min(counts.values()) >= 5, counts
+
+
+def test_membership_lps_from_the_vertex_factors_match_the_slack_start(monkeypatch):
+    # each oracle membership LP starts from the factors of its instance's
+    # vertex LP; solved again from the slack basis of the kept rows it must
+    # reach the same optimum, at the vertex and at the midpoint alike.  At
+    # the vertex that start is an optimal basis (Proposition 3): no pivot
+    from liftproject import verify
+
+    value_of, case_points = verify.membership_value, verify._case_points
+    kinds, pivots = {}, {True: 0, False: 0}
+    solved = dict(pivots)
+
+    def points(inst, rng):
+        oracle, pts = case_points(inst, rng)
+        kinds.update((id(pt), is_vertex) for pt, is_vertex in pts)
+        return oracle, pts
+
+    def both_starts(prob, start=None, **kwargs):
+        value, res = value_of(prob, start=start, **kwargs)
+        ref_value, ref = value_of(prob, start=prob.slp.slack_basis(), **kwargs)
+        assert res.status is ref.status
+        if ref_value is not None:
+            assert abs(value - ref_value) <= 1e-9 * (1.0 + abs(ref_value))
+        kind = kinds[id(prob.point)]
+        pivots[kind] += res.pivots
+        solved[kind] += 1
+        return value, res
+
+    monkeypatch.setattr(verify, "_case_points", points)
+    monkeypatch.setattr(verify, "membership_value", both_starts)
+    rng = np.random.default_rng(3)
+    for suite in ("theorem3", "duality", "proposition3"):
+        for _ in range(40):
+            verify._run_instance(suite, random_milp(rng), rng)
+    assert pivots[True] == 0, pivots
+    assert min(solved.values()) >= 40, solved
+
+
+def test_one_separation_system_per_instance(monkeypatch):
+    # an instance's vertex LPs and every membership LP and certificate of
+    # its oracles share one SeparationSystem
+    from liftproject import verify
+    from liftproject.membership import SeparationSystem
+
+    of, calls = SeparationSystem.of, []
+
+    def counting(cls, nm, bounds=None):
+        calls.append(nm)
+        return of(nm, bounds)
+
+    monkeypatch.setattr(SeparationSystem, "of", classmethod(counting))
+    rng = np.random.default_rng(5)
+    for suite in ("theorem3", "theorem4", "duality", "proposition3"):
+        executed = 0
+        for _ in range(10):
+            inst = random_milp(rng)
+            calls.clear()
+            recs = verify._run_instance(suite, inst, rng)
+            assert len(calls) == 1 and calls[0] is inst.nm, (suite, len(calls))
+            executed += sum(rec.skipped is None for rec in recs)
+        assert executed >= 5, (suite, executed)
 
 
 HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
