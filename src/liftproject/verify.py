@@ -51,6 +51,7 @@ from .instances import NormalizedMilp
 from .membership import (
     DualCertificate,
     FractionalPoint,
+    MembershipProblem,
     SeparationSystem,
     assemble_cut,
     build_cglp,
@@ -175,76 +176,57 @@ def _normalized_pair(cut: CutRow) -> tuple[np.ndarray, float]:
 
 @dataclass
 class OracleSystem:
-    """One instance's separation system and its vertex LP.
+    """One instance's separation system and the start of its membership LPs.
 
-    ``vertex`` is the LP of a vertex of the relaxation maximizing the
-    instance's own objective, solved over ``system.slp`` (``_vertex_lp``).
-    Its terminal factors (``vertex.factors``, None when the kept system has
-    no rows) are over the matrix every membership LP of the instance
-    solves, so each of them starts there with no LU.
+    ``vertex`` is the vertex x1 of the relaxation maximizing the
+    instance's own objective, or None (``_vertex_lp``, solved over
+    ``system.slp``).  ``start`` holds that LP's terminal factors (None when
+    the kept system has no rows), over the matrix every membership LP of
+    the instance solves, so each of them starts there with no LU.
     """
 
     system: SeparationSystem
-    vertex: SimplexResult
+    vertex: np.ndarray | None
+    start: BasisFactors | None
 
     @classmethod
     def of(cls, nm: NormalizedMilp) -> "OracleSystem":
         system = SeparationSystem.of(nm)
-        return cls(system, _vertex_lp(system))
+        res = _vertex_lp(system)
+        return cls(system, _vertex_point(system, res), res.factors)
 
 
-def _kept_membership(
-    nm: NormalizedMilp,
-    pt: FractionalPoint,
-    k: int,
-    oracle: OracleSystem | None = None,
-):
+def _kept_membership(oracle: OracleSystem, pt: FractionalPoint, k: int):
     """The membership LP of k at pt over the rows that are not bounds
     (``SeparationSystem.kept_problem``), the LP ``separate`` solves, solved
-    from the terminal factors of the instance's vertex LP (``oracle``,
-    built from ``nm`` when None); returns the problem, its value and the
-    simplex result."""
-    if oracle is None:
-        oracle = OracleSystem.of(nm)
+    from ``oracle.start``; returns the problem, its value and the simplex
+    result."""
     prob = oracle.system.kept_problem(pt, k)
-    value, res = membership_value(prob, start=oracle.vertex.factors)
+    value, res = membership_value(prob, start=oracle.start)
     return prob, value, res
 
 
 def check_theorem3(
-    nm: NormalizedMilp,
-    basis: Basis,
-    k: int,
-    pt: FractionalPoint,
-    system: SeparationSystem | None = None,
+    nm: NormalizedMilp, basis: Basis, prob: MembershipProblem
 ) -> CheckRecord:
     """Certificate cut vs plain intersection cut from the same basis/row."""
-    return _equivalence_check(nm, basis, k, pt, strengthened=False, system=system)
+    return _equivalence_check(nm, basis, prob, strengthened=False)
 
 
 def check_theorem4(
-    nm: NormalizedMilp,
-    basis: Basis,
-    k: int,
-    pt: FractionalPoint,
-    system: SeparationSystem | None = None,
+    nm: NormalizedMilp, basis: Basis, prob: MembershipProblem
 ) -> CheckRecord:
     """Strengthened certificate cut vs GMI cut from the same basis/row."""
-    return _equivalence_check(nm, basis, k, pt, strengthened=True, system=system)
+    return _equivalence_check(nm, basis, prob, strengthened=True)
 
 
-def _equivalence_check(
-    nm, basis, k, pt, *, strengthened: bool, system: SeparationSystem | None = None
-) -> CheckRecord:
-    """``basis`` is a basis of the kept-row membership LP of k at pt over
-    ``system`` (the one ``nm`` defines when None).  The certificate is read
-    from it with the columns at a bound-row bound complemented
-    (``certificate_from_basis``), and the reference cut is the formula of
-    its row over those complemented columns (``cuts.complemented_cut``)."""
+def _equivalence_check(nm, basis, prob, *, strengthened: bool) -> CheckRecord:
+    """``basis`` is a basis of ``prob``, a kept-row membership LP
+    (``_kept_membership``).  The certificate is read from it with the
+    columns at a bound-row bound complemented (``certificate_from_basis``),
+    and the reference cut is the formula of its row over those
+    complemented columns (``cuts.complemented_cut``)."""
     name = "theorem4" if strengthened else "theorem3"
-    if system is None:
-        system = SeparationSystem.of(nm)
-    prob = system.kept_problem(pt, k)
     cert = certificate_from_basis(basis, prob)
     if not isinstance(cert, DualCertificate):
         return CheckRecord(name, True, skipped=cert.reason)
@@ -253,8 +235,8 @@ def _equivalence_check(
     if min(f0, 1.0 - f0) < 1e-12:
         return CheckRecord(name, True, skipped="terminal rhs numerically integral")
 
-    slp, flip = system.slp, cert.complemented
-    upper = system.bounds.upper[flip - slp.num_rows]
+    slp, flip = prob.slp, cert.complemented
+    upper = prob.bounds.upper[flip - slp.num_rows]
     lifted = assemble_cut(cert, nm)
     if strengthened:
         lifted = strengthen(cert, lifted, nm)
@@ -277,14 +259,11 @@ def _equivalence_check(
 
 
 def check_duality(
-    nm: NormalizedMilp,
-    pt: FractionalPoint,
-    k: int,
-    oracle: OracleSystem | None = None,
+    nm: NormalizedMilp, pt: FractionalPoint, k: int, oracle: OracleSystem
 ) -> CheckRecord:
     """Membership optimum against the optimum of the multiplier LP of the
     elementary split on k."""
-    _, value, res = _kept_membership(nm, pt, k, oracle)
+    _, value, res = _kept_membership(oracle, pt, k)
     if value is None:
         return CheckRecord("duality", True, skipped=f"membership {res.status.value}")
     pi = np.zeros(nm.num_cols)
@@ -304,13 +283,10 @@ def check_duality(
 
 
 def check_proposition3(
-    nm: NormalizedMilp,
-    pt: FractionalPoint,
-    k: int,
-    oracle: OracleSystem | None = None,
+    pt: FractionalPoint, k: int, oracle: OracleSystem
 ) -> CheckRecord:
     """At a vertex the membership optimum is y = f x with value (f-1)f."""
-    prob, value, res = _kept_membership(nm, pt, k, oracle)
+    prob, value, res = _kept_membership(oracle, pt, k)
     if value is None:
         return CheckRecord(
             "proposition3", True, skipped=f"membership {res.status.value}"
@@ -504,7 +480,7 @@ def _case_points(inst: RandomMilp, rng: np.random.Generator):
     slack basis)."""
     nm = inst.nm
     oracle = OracleSystem.of(nm)
-    x1 = _vertex_point(oracle.system, oracle.vertex)
+    x1 = oracle.vertex
     if x1 is None:
         return oracle, []
     points = []
@@ -572,13 +548,13 @@ def _run_instance(suite: str, inst: RandomMilp, rng, corrupt_rhs: float = 0.0):
                 continue
             if suite == "proposition3":
                 if is_vertex:
-                    recs.append(check_proposition3(nm, pt, k, oracle))
+                    recs.append(check_proposition3(pt, k, oracle))
                 continue
-            _, _, res = _kept_membership(nm, pt, k, oracle)
+            prob, _, res = _kept_membership(oracle, pt, k)
             if res.status is not Status.OPTIMAL:
                 continue
             check = check_theorem3 if suite == "theorem3" else check_theorem4
-            recs.append(check(nm, res.basis, k, pt, oracle.system))
+            recs.append(check(nm, res.basis, prob))
     return recs
 
 

@@ -81,17 +81,18 @@ def test_random_milp_is_feasible_and_bounded(rng):
 
 
 def test_check_records_report_deviation(t1):
-    from liftproject.verify import _kept_membership
+    from liftproject.verify import OracleSystem, _kept_membership
 
+    oracle = OracleSystem.of(t1)
     pt = FractionalPoint.from_point(t1, np.array([0.5, 1.0]))
-    _, _, res = _kept_membership(t1, pt, 0)
-    rec3 = check_theorem3(t1, res.basis, 0, pt)
-    rec4 = check_theorem4(t1, res.basis, 0, pt)
+    prob, _, res = _kept_membership(oracle, pt, 0)
+    rec3 = check_theorem3(t1, res.basis, prob)
+    rec4 = check_theorem4(t1, res.basis, prob)
     assert rec3.passed and rec3.deviation < 1e-12
     assert rec4.passed and rec4.deviation < 1e-12
-    rec_d = check_duality(t1, pt, 0)
+    rec_d = check_duality(t1, pt, 0, oracle)
     assert rec_d.passed
-    rec_p = check_proposition3(t1, pt, 0)
+    rec_p = check_proposition3(pt, 0, oracle)
     assert rec_p.passed
 
 
@@ -118,17 +119,17 @@ def test_lemma3_regime_is_skipped(monkeypatch):
         nm = interval_milp(upper)
         oracle = OracleSystem.of(nm)
         pt = FractionalPoint.from_point(nm, np.array([x]))
-        prob, _, res = _kept_membership(nm, pt, 0, oracle)
+        prob, _, res = _kept_membership(oracle, pt, 0)
         assert prob.lp.num_rows == int(vertex)
         for check in (check_theorem3, check_theorem4):
-            rec = check(nm, res.basis, 0, pt, oracle.system)
+            rec = check(nm, res.basis, prob)
             if vertex:
                 assert rec.skipped is None and rec.passed, rec.detail
             else:
                 assert rec.skipped == "auxiliary variable nonbasic at its upper bound"
         assert check_duality(nm, pt, 0, oracle).passed
         if vertex:
-            assert check_proposition3(nm, pt, 0, oracle).passed
+            assert check_proposition3(pt, 0, oracle).passed
     assert len(calls) == 3  # on [0, 3]: its vertex LP, its LP, duality's
 
 
