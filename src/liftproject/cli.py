@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="DELTA",
         help="fault-injection self-test: tighten every checked cut rhs by "
-        "DELTA before the validity check (a positive value must trip it)",
+        "DELTA >= 0 before the validity check (a positive value must trip it)",
     )
     return parser
 
@@ -213,6 +213,10 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT_ERROR
     if not math.isfinite(args.corrupt_rhs):
         print("error: corrupt-rhs must be finite", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.corrupt_rhs < 0:
+        # a negative delta loosens every cut: the self-test could never trip
+        print("error: corrupt-rhs must be non-negative", file=sys.stderr)
         return EXIT_INPUT_ERROR
     suites = (
         ["theorem3", "theorem4", "duality", "proposition3", "validity"]

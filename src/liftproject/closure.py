@@ -84,6 +84,8 @@ class ClosureConfig:
             raise ValueError("eps must be positive and finite")
         if np.isnan(self.time_limit):
             raise ValueError("time_limit must be a number")
+        if self.time_limit < 0:
+            raise ValueError("time_limit must be non-negative")
         if self.rounds < 0:
             raise ValueError("rounds must be non-negative")
 

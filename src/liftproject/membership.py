@@ -544,17 +544,32 @@ class CglpProblem:
     pi0: float
     constant: float  # -g (1 + pi0)
 
-    def trivial_cut_basis(self) -> Basis:
-        """``s_i`` basic where ``pi_i >= 0`` and ``t_i`` where ``pi_i < 0``.
+    def complement_basis(
+        self, rows: np.ndarray | None = None, cols: np.ndarray | None = None
+    ) -> Basis:
+        """The complement of a basis of the relaxation A'x - s = b.
 
-        Its matrix is diagonal with entries +-1, and its point
-        ``s = max(pi, 0)``, ``t = max(-pi, 0)`` with u and v at 0 is primal
-        feasible for every split; for ``pi >= 0`` it is the trivial cut
+        ``rows`` are the canonical rows whose slack that basis leaves
+        nonbasic and ``cols`` the structurals it leaves nonbasic at 0, n
+        in all.  Each row i contributes u_i or v_i and each column j s_j
+        or t_j, the side whose basic value in B^-1 pi is >= 0, so the
+        start is primal feasible for every split; its matrix is
+        nonsingular exactly when the relaxation basis is.  The complement
+        of an optimal membership basis is an optimal basis here.  The
+        default is the slack basis (no rows, every column), whose
+        complement is the trivial cut: ``s_j`` where ``pi_j >= 0`` and
+        ``t_j`` where ``pi_j < 0``, for ``pi >= 0`` the cut
         ``alpha = -pi0 pi``, ``beta = -pi0 (pi0 + 1)``.
         """
         m, n = self.a.shape
-        basic = 2 * m + np.arange(n) + n * (self.pi < 0.0)
-        return Basis(basic, np.zeros(self.lp.num_cols, dtype=bool))
+        rows = np.zeros(0, dtype=int) if rows is None else np.asarray(rows, dtype=int)
+        cols = np.arange(n) if cols is None else np.asarray(cols, dtype=int)
+        plus = np.concatenate([rows, 2 * m + cols])  # the u_i and s_j
+        at_upper = np.zeros(self.lp.num_cols, dtype=bool)
+        value = BasisFactors(self.lp.a_eq, Basis(plus, at_upper)).solve(self.pi)
+        # v_i = u_i + m and t_j = s_j + n take the negative values
+        shift = np.concatenate([np.full(rows.size, m), np.full(cols.size, n)])
+        return Basis(plus + shift * (value < 0.0), at_upper)
 
     def unsplit(self, x: np.ndarray) -> dict:
         m, n = self.a.shape
@@ -610,11 +625,16 @@ def build_cglp(
 
 
 def solve_cglp(
-    cglp: CglpProblem, *, max_iter: int = simplex.DEFAULT_MAX_ITER
+    cglp: CglpProblem,
+    start: Basis | None = None,
+    *,
+    max_iter: int = simplex.DEFAULT_MAX_ITER,
 ) -> tuple[float | None, SimplexResult]:
-    """Optimum of the multiplier LP plus its constant, solved from the
-    trivial-cut basis."""
-    result = simplex.solve(cglp.lp, start=cglp.trivial_cut_basis(), max_iter=max_iter)
+    """Optimum of the multiplier LP plus its constant, solved from
+    ``start``, by default the trivial cut (``complement_basis``)."""
+    if start is None:
+        start = cglp.complement_basis()
+    result = simplex.solve(cglp.lp, start=start, max_iter=max_iter)
     if result.status is not Status.OPTIMAL:
         return None, result
     return float(result.value + cglp.constant), result

@@ -28,9 +28,13 @@ LPs solve the rows that are not bounds from their slack basis, and every
 membership LP of the instance starts from the terminal factors of its
 first vertex LP, made over the very matrix the membership LP solves: by
 the paper's Proposition 3 that basis is optimal for the membership LP at
-the vertex, and at other points the dual simplex repairs it.  The
-multiplier LP (n rows) starts from its trivial cut, and each fiber LP
-from the last optimal fiber basis of the same cut.
+the vertex, and at other points the dual simplex repairs it.  Every
+multiplier LP (n rows) of the instance starts from the complement of that
+basis: the multiplier LP is the membership LP's dual, so at the vertex the
+complement is optimal, and since its constraints do not depend on the
+point it is primal feasible at the midpoint too.  Each fiber LP starts
+from the last optimal fiber basis of the same cut, and the fiber LPs'
+proving duals are shared by every cut they prove.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .cuts import (
 )
 from .instances import NormalizedMilp
 from .membership import (
+    CglpProblem,
     DualCertificate,
     FractionalPoint,
     MembershipProblem,
@@ -176,24 +181,43 @@ def _normalized_pair(cut: CutRow) -> tuple[np.ndarray, float]:
 
 @dataclass
 class OracleSystem:
-    """One instance's separation system and the start of its membership LPs.
+    """One instance's separation system and the starts of its oracle LPs.
 
     ``vertex`` is the vertex x1 of the relaxation maximizing the
     instance's own objective, or None (``_vertex_lp``, solved over
-    ``system.slp``).  ``start`` holds that LP's terminal factors (None when
-    the kept system has no rows), over the matrix every membership LP of
-    the instance solves, so each of them starts there with no LU.
+    ``system.slp``).  ``basis`` is that LP's terminal basis and ``start``
+    its terminal factors (None when the kept system has no rows), over
+    the matrix every membership LP of the instance solves, so each of
+    them starts there with no LU.  Every multiplier LP of the instance
+    starts from the complement of ``basis`` (``cglp_start``).
     """
 
     system: SeparationSystem
     vertex: np.ndarray | None
+    basis: Basis | None
     start: BasisFactors | None
 
     @classmethod
     def of(cls, nm: NormalizedMilp) -> "OracleSystem":
         system = SeparationSystem.of(nm)
         res = _vertex_lp(system)
-        return cls(system, _vertex_point(system, res), res.factors)
+        return cls(system, _vertex_point(system, res), res.basis, res.factors)
+
+    def cglp_start(self, cglp: CglpProblem) -> Basis:
+        """The complement of ``basis`` in ``cglp``
+        (``CglpProblem.complement_basis``), mapped onto the canonical rows
+        through ``system.bounds``: a nonbasic kept-row slack r gives row
+        keep[r], a structural at its upper bound gives its bound row, and
+        a structural at 0 gives its column."""
+        bounds, basis = self.system.bounds, self.basis
+        m = bounds.keep.size
+        nonbasic = np.flatnonzero(~basis.in_basis_mask())
+        slacks, cols = nonbasic[nonbasic < m], nonbasic[nonbasic >= m] - m
+        up = basis.at_upper[m + cols]
+        bound_row = np.full(bounds.upper.size, -1)
+        bound_row[bounds.cols] = bounds.rows
+        rows = np.concatenate([bounds.keep[slacks], bound_row[cols[up]]])
+        return cglp.complement_basis(rows, cols[~up])
 
 
 def _kept_membership(oracle: OracleSystem, pt: FractionalPoint, k: int):
@@ -262,14 +286,16 @@ def check_duality(
     nm: NormalizedMilp, pt: FractionalPoint, k: int, oracle: OracleSystem
 ) -> CheckRecord:
     """Membership optimum against the optimum of the multiplier LP of the
-    elementary split on k."""
+    elementary split on k.  The multiplier LP starts from the complement
+    of the instance's vertex basis (``OracleSystem.cglp_start``), primal
+    feasible at every point and optimal at the vertex itself."""
     _, value, res = _kept_membership(oracle, pt, k)
     if value is None:
         return CheckRecord("duality", True, skipped=f"membership {res.status.value}")
     pi = np.zeros(nm.num_cols)
     pi[k] = 1.0
     cglp = build_cglp(nm, pt, pi, math.floor(pt.x[k]))
-    cvalue, cres = solve_cglp(cglp)
+    cvalue, cres = solve_cglp(cglp, oracle.cglp_start(cglp))
     if cvalue is None:
         return CheckRecord("duality", True, skipped=f"cglp {cres.status.value}")
     dev = abs(value - cvalue)
@@ -303,6 +329,45 @@ def check_proposition3(
     )
 
 
+class _DualProofs:
+    """Weak-duality proofs shared by every cut of one validity check.
+
+    Each row of ``duals`` is a pi >= 0 that some fiber LP returned, and
+    ``proves[d, c]`` says that dual d satisfies pi A'_C <= alpha_C of cut
+    c, tested exactly, with no tolerance, against every cut at once.  On
+    the fiber of xi, empty or not, such a pi bounds that cut's continuous
+    part: alpha_C x_C >= pi (b - A'_I xi).
+    """
+
+    def __init__(self, a_cont: np.ndarray, c_cont: np.ndarray):
+        self.a_cont = a_cont
+        self.c_cont = c_cont  # one row of continuous coefficients per cut
+        self.duals = np.zeros((0, a_cont.shape[0]))
+        self.proves = np.zeros((0, c_cont.shape[0]), dtype=bool)
+        self._seen: set[bytes] = set()
+
+    def add(self, duals: np.ndarray) -> bool:
+        """Keep pi = max(duals, 0) for every cut it proves; True when pi is
+        new and proves some cut."""
+        pi = np.maximum(duals, 0.0)
+        key = pi.tobytes()
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        proves = np.all(pi @ self.a_cont <= self.c_cont, axis=1)
+        if not proves.any():
+            return False
+        self.duals = np.vstack([self.duals, pi])
+        self.proves = np.vstack([self.proves, proves])
+        return True
+
+    def bounds(self, residual: np.ndarray) -> np.ndarray:
+        """Per cut, the best bound max pi residual over its proofs, -inf
+        where it has none."""
+        values = np.where(self.proves, (self.duals @ residual)[:, None], -np.inf)
+        return values.max(axis=0, initial=-np.inf)
+
+
 def check_validity(
     nm: NormalizedMilp,
     cuts: list[CutRow],
@@ -322,11 +387,12 @@ def check_validity(
     slack basis, factored once for all cuts.  Two kinds of LP duals spare
     fiber LPs, both checked exactly against A'_C with no tolerance:
 
-    * the row duals of the fiber LPs already solved for a cut prove it at
-      later points by weak duality: any pi >= 0 with pi A'_C <= alpha_C
-      gives alpha x >= alpha_I xi + pi (b - A'_I xi) on the fiber of xi,
-      empty or not, so the LP there is skipped once that bound reaches
-      the cut's rhs;
+    * the row duals pi >= 0 of every fiber LP are tested against every
+      cut at once and kept for each cut c with pi A'_C <= alpha_C
+      (``_DualProofs``): by weak duality alpha x >= alpha_I xi +
+      pi (b - A'_I xi) on the fiber of xi, empty or not, so a later LP of
+      c, at this point or another, is skipped once that bound reaches
+      its rhs;
     * Farkas rays pi in [0, 1]^m with pi A'_C <= 0, one read off the
       simplex certificate of each empty fiber, prove by Farkas' lemma that
       the fiber of xi is empty when pi (b - A'_I xi) > tol; no cut can be
@@ -343,8 +409,7 @@ def check_validity(
     slp = to_standard(nm)
     m = slp.num_rows
     a_int, a_cont = nm.a[:, :p], nm.a[:, p:]
-    # per cut: the proving duals found so far, as rows keyed by their bytes
-    proofs: list[dict[bytes, np.ndarray]] = [{} for _ in cuts]
+    proofs = _DualProofs(a_cont, np.array([cut.coeffs[p:] for cut in cuts]))
     # per cut: the start of its next fiber LP, the factors of its last
     # optimal one once it has one
     starts = [BasisFactors(slp.a, slp.slack_basis())] * len(cuts)
@@ -365,12 +430,11 @@ def check_validity(
         residual = nm.b - a_int @ xi
         if np.any(rays @ residual > tol):
             continue  # empty fiber
+        bounds = proofs.bounds(residual)
         for idx, cut in enumerate(cuts):
             fixed_part = float(cut.coeffs[:p] @ xi)
-            if proofs[idx]:
-                bound = max(float(pi @ residual) for pi in proofs[idx].values())
-                if fixed_part + bound >= cut.rhs - tol:
-                    continue
+            if fixed_part + bounds[idx] >= cut.rhs - tol:
+                continue
             obj = np.concatenate([np.zeros(m), cut.coeffs])
             lp = BoundedLp(
                 sense="min",
@@ -381,10 +445,9 @@ def check_validity(
                 upper=upper,
             )
             res = simplex.solve(lp, start=starts[idx])
-            if res.duals is not None:  # None: unbounded with no rows
-                pi = np.maximum(res.duals, 0.0)
-                if np.all(pi @ a_cont <= cut.coeffs[p:]):
-                    proofs[idx].setdefault(pi.tobytes(), pi)
+            # None: unbounded with no rows
+            if res.duals is not None and proofs.add(res.duals):
+                bounds = proofs.bounds(residual)
             if res.status is Status.INFEASIBLE:
                 ray = _fiber_ray(res.farkas, a_cont, residual, tol)
                 if ray is not None:
@@ -473,11 +536,13 @@ def _fractional_ks(pt: FractionalPoint, eps: float = FRAC_EPS_DEFAULT) -> list[i
     ]
 
 
-def _case_points(inst: RandomMilp, rng: np.random.Generator):
+def _case_points(inst: RandomMilp, rng: np.random.Generator, *, midpoint: bool):
     """The instance's ``OracleSystem`` and its case points: the vertex x1
-    of its vertex LP plus, when available, a non-vertex interior point
-    (midpoint of x1 and a second distinct vertex, whose LP starts from the
-    slack basis)."""
+    of its vertex LP plus, when ``midpoint`` is set and one is available,
+    a non-vertex interior point (midpoint of x1 and a second distinct
+    vertex, whose LP starts from the slack basis).  The second vertex's
+    objective is drawn from ``rng`` either way, so every suite draws the
+    same instances."""
     nm = inst.nm
     oracle = OracleSystem.of(nm)
     x1 = oracle.vertex
@@ -489,6 +554,8 @@ def _case_points(inst: RandomMilp, rng: np.random.Generator):
     except ValueError:
         return oracle, []
     c2 = rng.integers(-5, 6, size=nm.num_cols).astype(float)
+    if not midpoint:
+        return oracle, points
     x2 = _vertex_point(oracle.system, _vertex_lp(oracle.system, objective=c2))
     if x2 is not None and np.abs(x1 - x2).max() > 1e-7:
         mid = 0.5 * (x1 + x2)
@@ -539,16 +606,16 @@ def _run_instance(suite: str, inst: RandomMilp, rng, corrupt_rhs: float = 0.0):
     if suite == "validity":
         return _validity_case(inst, corrupt_rhs)
     recs: list[CheckRecord] = []
-    oracle, points = _case_points(inst, rng)
-    for pt, is_vertex in points:
+    # Proposition 3 speaks of vertices only
+    oracle, points = _case_points(inst, rng, midpoint=suite != "proposition3")
+    for pt, _ in points:
         ks = _fractional_ks(pt)
         for k in ks[:2]:
             if suite == "duality":
                 recs.append(check_duality(nm, pt, k, oracle))
                 continue
             if suite == "proposition3":
-                if is_vertex:
-                    recs.append(check_proposition3(pt, k, oracle))
+                recs.append(check_proposition3(pt, k, oracle))
                 continue
             prob, _, res = _kept_membership(oracle, pt, k)
             if res.status is not Status.OPTIMAL:

@@ -191,6 +191,7 @@ def test_verify_cli_fault_injection_exits_3(capsys):
         (["--eps", "inf"], "eps must be positive and finite"),
         (["--time-limit", "nan"], "time_limit must be a number"),
         (["--mode", "gmi-rounds", "--rounds", "-3"], "rounds must be non-negative"),
+        (["--time-limit", "-5"], "time_limit must be non-negative"),
     ],
 )
 def test_close_invalid_config_exits_1(t1_path, capsys, argv, message):
@@ -205,6 +206,7 @@ def test_close_invalid_config_exits_1(t1_path, capsys, argv, message):
     [
         (["--count", "-5"], "count must be non-negative"),
         (["--corrupt-rhs", "nan"], "corrupt-rhs must be finite"),
+        (["--corrupt-rhs", "-1"], "corrupt-rhs must be non-negative"),
     ],
 )
 def test_verify_invalid_option_exits_1(capsys, argv, message):

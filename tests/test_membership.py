@@ -489,7 +489,7 @@ def _elementary_split_draws():
     rng = np.random.default_rng(7)
     for _ in range(60):
         inst = random_milp(rng)
-        _, points = _case_points(inst, rng)
+        _, points = _case_points(inst, rng, midpoint=True)
         for pt, _ in points:
             for k in _fractional_ks(pt)[:2]:
                 pi = np.zeros(inst.nm.num_cols)
@@ -627,11 +627,20 @@ def test_compact_cglp_matches_the_literal_encoding():
 
 
 def test_solve_cglp_starts_from_the_trivial_cut(t1, t1_point):
-    # for an elementary split the trivial-cut basis is primal feasible, so
-    # the multiplier LP needs no dual pivot, and it ends at the value of a
-    # crash-start solve
+    # the default start, the complement of the slack basis, is the
+    # trivial-cut basis: s_j basic where pi_j >= 0 and t_j where pi_j < 0,
+    # for every sign pattern of pi.  For an elementary split it is primal
+    # feasible, so the multiplier LP needs no dual pivot, and it ends at the
+    # value of a crash-start solve
+    def trivial(cglp):
+        m, n = cglp.a.shape
+        return 2 * m + np.arange(n) + n * (cglp.pi < 0.0)
+
     def check(nm, pt, pi, pi0):
         cglp = build_cglp(nm, pt, pi, pi0)
+        start = cglp.complement_basis()
+        assert np.array_equal(start.basic, trivial(cglp))
+        assert not start.at_upper.any()
         value, res = solve_cglp(cglp)
         assert res.phase1_pivots == 0
         crash = _cglp_crash_value(cglp)
@@ -643,6 +652,12 @@ def test_solve_cglp_starts_from_the_trivial_cut(t1, t1_point):
         check(*draw)
         checked += 1
     assert checked >= 40
+    negative = 0
+    for nm, pt, pi, pi0 in _negative_split_draws(15):
+        cglp = build_cglp(nm, pt, pi, pi0)
+        assert np.array_equal(cglp.complement_basis().basic, trivial(cglp))
+        negative += 1
+    assert negative == 15
 
 
 def test_solve_cglp_with_a_negative_split_reaches_the_crash_value():

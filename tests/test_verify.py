@@ -137,8 +137,8 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
     # the four membership oracles solve the LP that separation solves, over
     # the ColumnBounds.keep rows, each from the terminal factors of its
     # instance's first vertex LP, made over that LP's own matrix; the
-    # duality oracle's multiplier LP has n rows and starts from its
-    # trivial-cut basis
+    # duality oracle's multiplier LP has n rows and starts from the
+    # complement of that vertex LP's basis over the canonical rows
     from liftproject import simplex, verify
     from liftproject.standard_form import ColumnBounds
 
@@ -150,9 +150,9 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
         membership_lps.append(prob.lp)
         return value_of(prob, start=start, **kwargs)
 
-    def cglp(problem, **kwargs):
+    def cglp(problem, start=None, **kwargs):
         cglps.append(problem)
-        return cglp_of(problem, **kwargs)
+        return cglp_of(problem, start, **kwargs)
 
     def vertex(system, objective=None):
         vertices.append(vertex_lp(system, objective))
@@ -183,11 +183,16 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
                 start = starts[id(lp)]
                 assert start is vertices[0].factors
                 assert start.a is lp.a_eq
+            bounds, vertex = ColumnBounds.of(nm), vertices[0]
+            canonical = bounds.canonical_columns(vertex.basis, vertex.reduced_costs)
+            nonbasic = np.setdiff1d(np.arange(nm.num_rows + nm.num_cols), canonical)
+            rows = nonbasic[nonbasic < nm.num_rows]
+            cols = nonbasic[nonbasic >= nm.num_rows] - nm.num_rows
             for problem in cglps:
                 assert problem.lp.num_rows == nm.num_cols
                 start = starts[id(problem.lp)]
-                trivial = problem.trivial_cut_basis()
-                assert np.array_equal(start.basic, trivial.basic)
+                complement = problem.complement_basis(rows, cols)
+                assert np.array_equal(np.sort(start.basic), np.sort(complement.basic))
             counts[suite] = counts.get(suite, 0) + len(membership_lps)
             counts["cglp"] = counts.get("cglp", 0) + len(cglps)
     assert min(counts.values()) >= 5, counts
@@ -204,8 +209,8 @@ def test_membership_lps_from_the_vertex_factors_match_the_slack_start(monkeypatc
     kinds, pivots = {}, {True: 0, False: 0}
     solved = dict(pivots)
 
-    def points(inst, rng):
-        oracle, pts = case_points(inst, rng)
+    def points(inst, rng, **kwargs):
+        oracle, pts = case_points(inst, rng, **kwargs)
         kinds.update((id(pt), is_vertex) for pt, is_vertex in pts)
         return oracle, pts
 
@@ -228,6 +233,51 @@ def test_membership_lps_from_the_vertex_factors_match_the_slack_start(monkeypatc
             verify._run_instance(suite, random_milp(rng), rng)
     assert pivots[True] == 0, pivots
     assert min(solved.values()) >= 40, solved
+
+
+def test_multiplier_lps_from_the_vertex_complement_match_the_trivial_start(
+    monkeypatch,
+):
+    # each duality multiplier LP starts from the complement of its
+    # instance's vertex basis; solved again from the trivial cut it must
+    # reach the same optimum, at the vertex and at the midpoint alike.  At
+    # the vertex that complement is an optimal basis: no pivot
+    from liftproject import verify
+
+    solve_cglp, build_cglp = verify.solve_cglp, verify.build_cglp
+    case_points = verify._case_points
+    kinds, pivots = {}, {True: 0, False: 0}
+    solved = dict(pivots)
+
+    def points(inst, rng, **kwargs):
+        oracle, pts = case_points(inst, rng, **kwargs)
+        kinds.update((id(pt), is_vertex) for pt, is_vertex in pts)
+        return oracle, pts
+
+    def build(nm, pt, pi, pi0, **kwargs):
+        cglp = build_cglp(nm, pt, pi, pi0, **kwargs)
+        kinds[id(cglp)] = kinds[id(pt)]
+        return cglp
+
+    def both_starts(cglp, start=None, **kwargs):
+        assert start is not None
+        value, res = solve_cglp(cglp, start, **kwargs)
+        ref_value, ref = solve_cglp(cglp, **kwargs)
+        assert res.status is ref.status is verify.Status.OPTIMAL
+        assert abs(value - ref_value) <= 1e-9 * (1.0 + abs(ref_value))
+        kind = kinds[id(cglp)]
+        pivots[kind] += res.pivots
+        solved[kind] += 1
+        return value, res
+
+    monkeypatch.setattr(verify, "_case_points", points)
+    monkeypatch.setattr(verify, "build_cglp", build)
+    monkeypatch.setattr(verify, "solve_cglp", both_starts)
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        verify._run_instance("duality", random_milp(rng), rng)
+    assert pivots[True] == 0, pivots
+    assert min(solved.values()) >= 20, solved
 
 
 def test_one_separation_system_per_instance(monkeypatch):
@@ -382,6 +432,36 @@ def test_one_farkas_ray_proves_every_empty_fiber(monkeypatch):
         assert (empty, count) == (35, expected), rec.detail
         assert (expected == 0) == (rhs == -7.0)
         assert solves[0] < empty, (rhs, solves[0])
+
+
+def test_stored_duals_prove_their_cuts_exactly(monkeypatch):
+    # a fiber LP's row duals are kept for every cut they prove: each stored
+    # pi is >= 0 and satisfies pi A'_C <= alpha_C with no tolerance, for
+    # every cut it is stored for.  Some duals prove more than one cut
+    from liftproject import verify
+
+    made = []
+
+    class Recorded(verify._DualProofs):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "_DualProofs", Recorded)
+    stored = shared = 0
+    for nm, _, cuts, dom in _brute_force_draws():
+        made.clear()
+        check_validity(nm, cuts, dom)
+        (proofs,) = made
+        p = nm.num_integer
+        for pi, proves in zip(proofs.duals, proofs.proves):
+            assert np.all(pi >= 0.0)
+            for cut, kept in zip(cuts, proves):
+                if kept:
+                    assert np.all(pi @ nm.a[:, p:] <= cut.coeffs[p:])
+            stored += int(proves.sum())
+            shared += int(proves.sum()) > 1
+    assert stored > 0 and shared > 0, (stored, shared)
 
 
 def test_fiber_lps_from_per_cut_starts_match_the_slack_start(monkeypatch):
