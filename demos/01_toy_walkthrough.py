@@ -75,4 +75,4 @@ print("assembled cut:", raw.coeffs, ">=", raw.rhs, " (that is, x2 <= 0)")
 sep = separate(nm, pt, 0)
 print("\nseparate(): plain", sep.plain.coeffs, ">=", sep.plain.rhs)
 print("            strengthened", sep.strengthened.coeffs, ">=", sep.strengthened.rhs)
-print("            violation at xhat:", sep.plain.violation)
+print("            violation at xhat:", sep.plain.violation_at(pt.x))

@@ -211,6 +211,9 @@ def cmd_verify(args) -> int:
     if args.count < 0:
         print("error: count must be non-negative", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.seed < 0:
+        print("error: seed must be non-negative", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if not math.isfinite(args.corrupt_rhs):
         print("error: corrupt-rhs must be finite", file=sys.stderr)
         return EXIT_INPUT_ERROR

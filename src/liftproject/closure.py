@@ -57,7 +57,6 @@ from .standard_form import (
 )
 
 GAP_TOL = 1e-9
-MONOTONE_TOL = 1e-7
 RANK_FILL = 1e-8  # QR weight of a zero-range column, relative to the largest
 TAIL_WINDOW = 10  # master solves over which tailing off is measured
 TAIL_TOL = 1e-4  # relative objective move below which the master tails off
@@ -660,12 +659,12 @@ def _finish_report(
 
 
 def _separation_start(
-    sep_slp: StandardLp,
+    nm: NormalizedMilp,
     master: _Master,
     pt: membership.FractionalPoint,
 ) -> Basis:
-    """The master's optimal basis carried over to the canonical
-    separation system ``sep_slp``, every original row.
+    """The master's optimal basis carried over to the canonical system
+    (-I A') of every original row of ``nm``.
 
     Its columns are those of the master's vertex over the cut-free
     canonical rows (``ColumnBounds.canonical_columns``).  With every cut
@@ -674,26 +673,31 @@ def _separation_start(
     nonbasic leaves one column too many; the columns kept, one per
     original row, are picked by pivoted QR on the columns scaled by their
     membership range (xhat_j, or the row activity for a slack), so the
-    columns pinned to 0 there are dropped first.  The basis is handed over
-    with every column at lower.  ``_run_separations`` maps it onto the
-    kept rows the LP is solved over (``ColumnBounds.kept_basis``), where
-    every column is boxed, so the simplex moves each nonbasic column whose
-    reduced cost favors its other bound there and solves from that dual
-    feasible start by the dual simplex.  Trimming the master's basis over
-    the kept rows directly, instead of trimming here and mapping, costs
-    more pivots.
+    columns pinned to 0 there are dropped first.  Only those candidate
+    columns of the canonical matrix are built: a slack's is the negated
+    unit column, zeros negative as in -I, and a structural's its column of
+    A'.  They are built once, in Fortran order, and weighted and factored
+    in place.  The basis is handed over with every column at lower.
+    ``_run_separations`` maps it onto the kept rows the LP is solved over
+    (``ColumnBounds.kept_basis``), where every column is boxed, so the
+    simplex moves each nonbasic column whose reduced cost favors its other
+    bound there and solves from that dual feasible start by the dual
+    simplex.  Trimming the master's basis over the kept rows directly,
+    instead of trimming here and mapping, costs more pivots.
     """
-    m0 = sep_slp.num_rows
+    m0, n = nm.a.shape
     cols = master.bounds.canonical_columns(master.basis, master.result.reduced_costs)
     if cols.size > m0:
+        s = np.count_nonzero(cols < m0)  # slack columns come first
+        matrix = np.full((m0, cols.size), -0.0, order="F")
+        matrix[cols[:s], np.arange(s)] = -1.0
+        matrix[:, s:] = nm.a[:, cols[s:] - m0]
         ranges = np.concatenate([pt.activities, pt.x])[cols]
         # columns with no range only fill out the rank
-        weight = np.maximum(ranges, RANK_FILL * max(float(ranges.max()), 1.0))
-        _, perm = scipy.linalg.qr(
-            sep_slp.a[:, cols] * weight, pivoting=True, mode="r"
-        )
+        matrix *= np.maximum(ranges, RANK_FILL * max(float(ranges.max()), 1.0))
+        _, perm = scipy.linalg.qr(matrix, overwrite_a=True, pivoting=True, mode="r")
         cols = np.sort(cols[perm[:m0]])
-    return Basis(cols, np.zeros(sep_slp.num_cols, dtype=bool))
+    return Basis(cols, np.zeros(m0 + n, dtype=bool))
 
 
 def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
@@ -716,7 +720,7 @@ def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
 
     @functools.cache
     def pass_start() -> BasisFactors | None:
-        start = _separation_start(system.canonical, master, pt)
+        start = _separation_start(nm, master, pt)
         try:
             return BasisFactors(system.slp.a, system.bounds.kept_basis(start))
         except SingularBasisError:

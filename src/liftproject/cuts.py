@@ -42,18 +42,13 @@ class CutRow:
     """Sparse-in-spirit inequality alpha x >= beta over a known column set.
 
     ``space`` is 'structural' (length n, pool-ready) or 'full' (length
-    m+n, pre-elimination).  Provenance records where the cut came from.
-    Value equality is deliberately not defined; use ``same_cut`` for the
-    scale-free mathematical comparison.
+    m+n, pre-elimination).  Value equality is deliberately not defined;
+    use ``same_cut`` for the scale-free mathematical comparison.
     """
 
     coeffs: np.ndarray
     rhs: float
     space: str = "structural"
-    source_var: int | None = None
-    basis_fingerprint: str | None = None
-    strengthened: bool = False
-    violation: float = 0.0
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -69,10 +64,6 @@ class CutRow:
         cut.coeffs = self.coeffs / scale
         cut.rhs = self.rhs / scale
         cut.space = self.space
-        cut.source_var = self.source_var
-        cut.basis_fingerprint = self.basis_fingerprint
-        cut.strengthened = self.strengthened
-        cut.violation = self.violation / scale
         # the largest coefficient must be exactly +-1 after scaling
         k = int(np.argmax(np.abs(cut.coeffs)))
         cut.coeffs[k] = math.copysign(1.0, cut.coeffs[k])
@@ -118,13 +109,7 @@ def intersection_cut(row: TableauRow, *, eps: float = FRAC_EPS_DEFAULT) -> CutRo
     coeffs = np.maximum(row.coeffs * (1.0 - f0), -row.coeffs * f0)
     coeffs[row.basic_col] = 0.0
     _zero_basic(coeffs, row)
-    return CutRow(
-        coeffs=coeffs,
-        rhs=f0 * (1.0 - f0),
-        space="full",
-        source_var=row.basic_col,
-        strengthened=False,
-    )
+    return CutRow(coeffs=coeffs, rhs=f0 * (1.0 - f0), space="full")
 
 
 def gmi_cut(
@@ -148,13 +133,7 @@ def gmi_cut(
     coeffs[mask] = np.where(fj <= f0, fj * (1.0 - f0), (1.0 - fj) * f0)
     coeffs[row.basic_col] = 0.0
     _zero_basic(coeffs, row)
-    return CutRow(
-        coeffs=coeffs,
-        rhs=f0 * (1.0 - f0),
-        space="full",
-        source_var=row.basic_col,
-        strengthened=True,
-    )
+    return CutRow(coeffs=coeffs, rhs=f0 * (1.0 - f0), space="full")
 
 
 def complement(row, cols: np.ndarray, upper: np.ndarray) -> None:
@@ -202,14 +181,7 @@ def eliminate_slacks(cut: CutRow, lp: StandardLp) -> CutRow:
         alpha = cut.coeffs[m:].copy()
         alpha += gamma @ lp.structural_part()
         beta = cut.rhs + float(gamma @ lp.b)
-        out = CutRow(
-            coeffs=alpha,
-            rhs=beta,
-            space="structural",
-            source_var=cut.source_var,
-            basis_fingerprint=cut.basis_fingerprint,
-            strengthened=cut.strengthened,
-        )
+        out = CutRow(coeffs=alpha, rhs=beta, space="structural")
     out = out.normalized()
     if out.dynamism() > DYNAMISM_LIMIT:
         raise DynamismError(
@@ -245,11 +217,4 @@ def strengthen(cert, base_cut: CutRow, nm) -> CutRow:
             ua[j] - cert.u0 * math.floor(mj),
             va[j] + cert.v0 * math.ceil(mj),
         )
-    return CutRow(
-        coeffs=coeffs,
-        rhs=base_cut.rhs,
-        space="structural",
-        source_var=k,
-        basis_fingerprint=base_cut.basis_fingerprint,
-        strengthened=True,
-    )
+    return CutRow(coeffs=coeffs, rhs=base_cut.rhs, space="structural")

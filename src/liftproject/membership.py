@@ -25,9 +25,11 @@ other rows.  The multipliers and cuts are read from that LP's own
 terminal basis: a column at a bound its bound-row slack s_i sets is
 complemented, y_j = u_j - s_i, which makes the row of y_k the row of the
 basis over every original row with s_i nonbasic in y_j's place
-(Balas-Perregaard), and its multiplier row i's.  The verification
-oracles solve that LP too; ``build_membership_lp``, the LP over every
-original row, is kept as the reference the tests compare it with.
+(Balas-Perregaard), and its multiplier row i's: the multipliers span
+every original row, yet no system of every original row is built.  The
+verification oracles solve that LP too; ``build_membership_lp``, the LP
+over every original row, is kept as the reference the tests compare it
+with.
 """
 
 from __future__ import annotations
@@ -126,8 +128,6 @@ class DualCertificate:
     value: float  # membership optimum = multiplier-LP objective
     source_var: int
     floor_k: float
-    ceil_k: float
-    basis_fingerprint: str
     row: TableauRow
     complemented: np.ndarray
 
@@ -158,27 +158,24 @@ class Separation:
 
 @dataclass
 class SeparationSystem:
-    """The two systems every membership LP of one model shares.
+    """The system every membership LP of one model shares.
 
     The LP is solved, and its cuts read, over ``slp``, the original rows
     that are not column bounds (``bounds.keep``): the bound row i on
     column j folds into the bounds of y_j, and its slack s_i = f u_j - y_j
-    drops out.  ``canonical`` holds every original row, the system of
-    ``build_membership_lp``; only the pass start is trimmed over it
-    (``closure._separation_start``).  Without bound rows the two are one
-    object.
+    drops out.  No system over every original row is kept; the pass start
+    builds only the canonical columns it trims over
+    (``closure._separation_start``).
     """
 
     bounds: ColumnBounds
     slp: StandardLp
-    canonical: StandardLp
 
     @classmethod
     def of(cls, nm: NormalizedMilp, bounds: ColumnBounds | None = None):
         if bounds is None:
             bounds = ColumnBounds.of(nm)
-        slp = to_standard(nm, rows=bounds.keep)
-        return cls(bounds, slp, to_standard(nm) if bounds.rows.size else slp)
+        return cls(bounds, to_standard(nm, rows=bounds.keep))
 
     def kept_problem(
         self, pt: FractionalPoint, k: int, *, eps: float = FRAC_EPS_DEFAULT
@@ -367,8 +364,6 @@ def certificate_from_basis(
         value=value,
         source_var=prob.k,
         floor_k=prob.floor_k,
-        ceil_k=prob.ceil_k,
-        basis_fingerprint=basis.fingerprint(),
         row=row,
         complemented=flip,
     )
@@ -399,14 +394,7 @@ def assemble_cut(cert: DualCertificate, nm: NormalizedMilp) -> CutRow:
     alpha = nm.a.T @ cert.u + cert.s
     alpha[k] -= cert.u0
     beta = float(cert.u @ nm.b) - cert.u0 * cert.floor_k
-    return CutRow(
-        coeffs=alpha,
-        rhs=beta,
-        space="structural",
-        source_var=k,
-        basis_fingerprint=cert.basis_fingerprint,
-        strengthened=False,
-    )
+    return CutRow(coeffs=alpha, rhs=beta, space="structural")
 
 
 def separate(
@@ -510,10 +498,6 @@ def separate(
             reason=f"cut rejected: {exc}",
             inconclusive=True,
         )
-    for cut in (plain, strengthened):
-        cut.source_var = k
-        cut.basis_fingerprint = cert.basis_fingerprint
-        cut.violation = cut.violation_at(pt.x)
     return outcome(found=True, value=value, plain=plain, strengthened=strengthened)
 
 

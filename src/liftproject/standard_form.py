@@ -3,8 +3,8 @@
 The canonical model A'x >= b, x >= 0 becomes Ax = b with A = (-I A'):
 slack variables occupy columns 0..m-1, structural variables columns
 m..m+n-1, and the integer structural variables are the first p of those.
-The verification oracles read cuts and their certificates over this
-matrix of the original rows.  The master LP and the membership separation
+The validity oracle's fiber LPs solve over this matrix of the original
+rows, and the tests read it as the canonical reference.  The master LP and the membership separation
 LP drop the rows that only bound one column and keep those bounds as
 column bounds instead (``ColumnBounds``); their cuts are read from their
 own bases, with the columns at a bound that a dropped row sets
@@ -63,12 +63,6 @@ class Basis:
             raise ValueError(f"column {col} is not basic")
         return int(pos[0])
 
-    def fingerprint(self) -> str:
-        h = hashlib.sha1()
-        h.update(np.sort(self.basic).astype(np.int64).tobytes())
-        h.update(self.at_upper[~self.in_basis_mask()].tobytes())
-        return h.hexdigest()[:16]
-
 
 @dataclass
 class StandardLp:
@@ -110,7 +104,6 @@ class TableauRow:
     """One row of (A^B)^-1 A together with its right-hand side."""
 
     basic_col: int
-    position: int
     coeffs: np.ndarray  # full length m+n; basic columns are unit pattern
     rhs: float
     basic_cols: np.ndarray | None = None
@@ -330,7 +323,6 @@ def tableau_row(
     rhs = float(w @ lp.b)
     return TableauRow(
         basic_col=basic_col,
-        position=pos,
         coeffs=coeffs,
         rhs=rhs,
         basic_cols=basis.basic.copy(),

@@ -174,11 +174,6 @@ def random_milp(
     return RandomMilp(nm=nm, box=box, x_seed=x0)
 
 
-def _normalized_pair(cut: CutRow) -> tuple[np.ndarray, float]:
-    norm = cut.normalized()
-    return norm.coeffs, norm.rhs
-
-
 @dataclass
 class OracleSystem:
     """One instance's separation system and the starts of its oracle LPs.
@@ -271,9 +266,9 @@ def _equivalence_check(nm, basis, prob, *, strengthened: bool) -> CheckRecord:
         )
     else:
         reference = complemented_cut(intersection_cut, row, flip, upper, eps=1e-12)
-    a1, b1 = _normalized_pair(eliminate_slacks(lifted, slp))
-    a2, b2 = _normalized_pair(eliminate_slacks(reference, slp))
-    dev = max(float(np.abs(a1 - a2).max()), abs(b1 - b2))
+    # both max-norm normalized by eliminate_slacks
+    got, want = eliminate_slacks(lifted, slp), eliminate_slacks(reference, slp)
+    dev = max(float(np.abs(got.coeffs - want.coeffs).max()), abs(got.rhs - want.rhs))
     return CheckRecord(
         name,
         passed=dev < COEFF_TOL,
@@ -640,14 +635,5 @@ def _validity_case(inst: RandomMilp, corrupt_rhs: float = 0.0) -> list[CheckReco
     if not cuts:
         return [CheckRecord("validity", True, skipped="no cuts emitted")]
     if corrupt_rhs:
-        cuts = [
-            CutRow(
-                coeffs=c.coeffs.copy(),
-                rhs=c.rhs + corrupt_rhs,
-                space=c.space,
-                source_var=c.source_var,
-                strengthened=c.strengthened,
-            )
-            for c in cuts
-        ]
+        cuts = [CutRow(c.coeffs.copy(), c.rhs + corrupt_rhs, c.space) for c in cuts]
     return [check_validity(nm, cuts, dom)]

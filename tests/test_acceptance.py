@@ -9,15 +9,13 @@ explanatory message and every property-based criterion still runs.
 import os
 import time
 
-import numpy as np
 import pytest
 
 from liftproject.closure import ClosureConfig, gap_closed, gmi_rounds, optimize_closure
-from liftproject.cuts import CutRow
 from liftproject.instances import load_optima, normalize, read_mps
 from liftproject.verify import EnumerationDomain, check_validity, run_suite
 
-from conftest import DATA_DIR, T1_MPS, require_miplib
+from conftest import DATA_DIR, require_miplib
 
 OPTIMA = load_optima(os.path.join(DATA_DIR, "reference_optima.txt"))
 

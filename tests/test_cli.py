@@ -207,6 +207,7 @@ def test_close_invalid_config_exits_1(t1_path, capsys, argv, message):
         (["--count", "-5"], "count must be non-negative"),
         (["--corrupt-rhs", "nan"], "corrupt-rhs must be finite"),
         (["--corrupt-rhs", "-1"], "corrupt-rhs must be non-negative"),
+        (["--seed", "-1"], "seed must be non-negative"),
     ],
 )
 def test_verify_invalid_option_exits_1(capsys, argv, message):

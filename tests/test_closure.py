@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liftproject import closure, membership, simplex
 from liftproject.cli import main
@@ -522,17 +523,40 @@ def _fractional_ks(master):
     return np.flatnonzero(np.minimum(f, 1.0 - f) >= ClosureConfig().eps)
 
 
-def _check_separation_start(master, sep_slp):
+def _check_separation_start(master):
     """The start names m0 of the master vertex's canonical columns and is
     nonsingular; when those columns need no trim (every cut slack basic),
     its basic solution is f * (activities, xhat) for every fractional k.
-    Returns whether that solution was checked."""
+    A trim runs over exactly those columns of the canonical matrix, sign
+    bits of its zeros included, and keeps the columns the same pivoted QR
+    keeps over ``to_standard``'s matrix.  Returns whether that solution
+    was checked, False after a trim."""
+    sep_slp = to_standard(master.nm)  # the canonical reference
     pt = FractionalPoint.from_point(
         master.nm, master.result.x[master.slp.num_rows :], tol=1e-6
     )
     cols = master.bounds.canonical_columns(master.basis, master.result.reduced_costs)
-    basis = closure._separation_start(sep_slp, master, pt)
+    built, qr = [], scipy.linalg.qr
+
+    def recording(a, **kwargs):
+        built.append(a.copy())
+        return qr(a, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "qr", recording)
+        basis = closure._separation_start(master.nm, master, pt)
     m0 = sep_slp.num_rows
+    if cols.size > m0:
+        ranges = np.concatenate([pt.activities, pt.x])[cols]
+        weight = np.maximum(ranges, closure.RANK_FILL * max(float(ranges.max()), 1.0))
+        reference = sep_slp.a[:, cols] * weight
+        _, perm = qr(reference, pivoting=True, mode="r")
+        assert basis.basic.tolist() == np.sort(cols[perm[:m0]]).tolist()
+        assert len(built) == 1
+        assert built[0].tobytes() == reference.tobytes()
+        assert np.array_equal(np.signbit(built[0]), np.signbit(reference))
+    else:
+        assert not built
     assert basis.basic.size == m0 and np.isin(basis.basic, cols).all()
     assert np.all(np.diff(basis.basic) > 0)
     factors = BasisFactors(sep_slp.a, basis)  # raises when singular
@@ -574,7 +598,7 @@ def test_separation_start_is_a_basis_at_the_master_vertex(monkeypatch):
     def checking(self, cuts, time_limit=None):
         res = warm_solve(self, cuts, time_limit=time_limit)
         if res.status is Status.OPTIMAL and cuts:
-            exact = _check_separation_start(self, to_standard(self.nm))
+            exact = _check_separation_start(self)
             checked.append((self.nm.name, exact))
         return res
 
@@ -589,6 +613,7 @@ def test_separation_start_is_a_basis_at_the_master_vertex(monkeypatch):
     assert names == {"knap", "random", "twice", "fixed"}
     assert len(checked) >= 20
     assert {name for name, exact in checked if exact} == names
+    assert any(not exact for _, exact in checked)  # trimmed starts
 
 
 def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
@@ -707,11 +732,10 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
     found = 0
     for (args, kwargs, sep), (prob, start, result) in zip(calls, lps):
         system = kwargs["system"]
-        assert system.slp is system.canonical
         assert system.slp.a.tobytes() == canonical.a.tobytes()
         assert system.slp.b.tobytes() == canonical.b.tobytes()
         _, pt, k = args
-        exact = build_membership_lp(nm, pt, k, slp=system.canonical)
+        exact = build_membership_lp(nm, pt, k, slp=system.slp)
         for name in ("objective", "rhs", "lower", "upper"):
             assert getattr(prob.lp, name).tobytes() == getattr(exact.lp, name).tobytes()
         assert prob.lp.a_eq is exact.lp.a_eq

@@ -20,7 +20,6 @@ def make_row(coeffs, rhs, basic_col, basic_cols=None):
         basic_cols = np.array([basic_col])
     return TableauRow(
         basic_col=basic_col,
-        position=0,
         coeffs=coeffs,
         rhs=rhs,
         basic_cols=np.asarray(basic_cols),
@@ -129,6 +128,6 @@ def test_violation_field_matches_definition(t1):
     basis = Basis(np.array([2, 3]), np.zeros(4, bool))
     cut = eliminate_slacks(intersection_cut(tableau_row(slp, basis, 2)), slp)
     x = np.array([0.5, 1.0])
-    cut.violation = cut.violation_at(x)
-    assert cut.violation == pytest.approx(cut.rhs - cut.coeffs @ x, abs=1e-9)
-    assert cut.violation > 0  # the LP vertex is cut off
+    violation = cut.violation_at(x)
+    assert violation == pytest.approx(cut.rhs - cut.coeffs @ x, abs=1e-9)
+    assert violation > 0  # the LP vertex is cut off

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -122,20 +120,6 @@ def test_tableau_columns_consistent(t1, rng):
     rows = [tableau_row(slp, basis, int(c)) for c in basis.basic]
     abar = np.vstack([r.coeffs for r in rows])
     np.testing.assert_allclose(bmat @ abar, slp.a, atol=1e-8)
-
-
-def test_fingerprint_matches_setdiff_formula(rng):
-    # the digest reads the nonbasic statuses through the basis mask; it
-    # must equal the sorted-setdiff formula it replaced, bit for bit
-    for _ in range(200):
-        cols = int(rng.integers(1, 40))
-        basic = rng.permutation(cols)[: int(rng.integers(0, cols + 1))]
-        basis = Basis(basic, rng.integers(0, 2, size=cols).astype(bool))
-        h = hashlib.sha1()
-        h.update(np.sort(basis.basic).astype(np.int64).tobytes())
-        nonbasic = np.setdiff1d(np.arange(cols), basis.basic)
-        h.update(basis.at_upper[nonbasic].tobytes())
-        assert basis.fingerprint() == h.hexdigest()[:16]
 
 
 def test_basis_factors_match_scipy_lu(rng):

@@ -4,7 +4,6 @@ import pytest
 from liftproject.cuts import CutRow
 from liftproject.membership import FractionalPoint
 from liftproject.verify import (
-    CheckRecord,
     EnumerationDomain,
     check_duality,
     check_proposition3,
