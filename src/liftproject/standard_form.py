@@ -4,11 +4,11 @@ The canonical model A'x >= b, x >= 0 becomes Ax = b with A = (-I A'):
 slack variables occupy columns 0..m-1, structural variables columns
 m..m+n-1, and the integer structural variables are the first p of those.
 The validity oracle's fiber LPs solve over this matrix of the original
-rows, and the tests read it as the canonical reference.  The master LP and the membership separation
-LP drop the rows that only bound one column and keep those bounds as
-column bounds instead (``ColumnBounds``); their cuts are read from their
-own bases, with the columns at a bound that a dropped row sets
-complemented.
+rows, and the tests read it as the canonical reference.  The master LP
+and the membership separation LP drop the rows that only bound one
+column and keep those bounds as column bounds instead (``ColumnBounds``);
+their cuts are read from their own bases, with the columns at a bound
+that a dropped row sets complemented.
 """
 
 from __future__ import annotations
