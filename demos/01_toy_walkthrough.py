@@ -10,7 +10,7 @@ import numpy as np
 from liftproject import (
     BoundedLp,
     FractionalPoint,
-    build_membership_lp,
+    SeparationSystem,
     membership_value,
     normalize,
     parse_mps,
@@ -18,7 +18,7 @@ from liftproject import (
     solve,
     to_standard,
 )
-from liftproject.membership import assemble_cut, extract_dual_certificate
+from liftproject.membership import assemble_cut, certificate_from_basis
 
 T1 = """NAME          T1
 ROWS
@@ -59,14 +59,15 @@ print("\nLP relaxation optimum:", xhat, "value", res.value)
 
 # 3. the membership question for the fractional integer variable x1:
 #    does (0.5, 1) lie in conv(P n {x1 <= 0}  u  P n {x1 >= 1})?
+#    T1 has no row that only bounds a variable, so the LP keeps every row
 pt = FractionalPoint.from_point(nm, xhat)
-prob = build_membership_lp(nm, pt, 0)
+prob = SeparationSystem.of(nm).kept_problem(pt, 0)
 value, mres = membership_value(prob)
 print("\nmembership optimum:", value, " (negative: the point is outside)")
 print("optimal y =", mres.x[slp.num_rows :], " equals f * xhat with f =", pt.fracs[0])
 
 # 4. multipliers from the terminal tableau row, and the cut they define
-cert = extract_dual_certificate(mres, prob)
+cert = certificate_from_basis(mres.basis, prob)
 print("\nmultipliers: u =", cert.u, " v =", cert.v, " u0 =", cert.u0, " v0 =", cert.v0)
 raw = assemble_cut(cert, nm)
 print("assembled cut:", raw.coeffs, ">=", raw.rhs, " (that is, x2 <= 0)")

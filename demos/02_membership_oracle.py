@@ -10,10 +10,11 @@ Three situations on the interval P = [0, 3] with x integer:
 
 import numpy as np
 
-from liftproject import FractionalPoint, build_membership_lp, membership_value
+from liftproject import FractionalPoint, SeparationSystem, membership_value
+from liftproject.cuts import FRAC_EPS_DEFAULT
 from liftproject.instances import NormalizedMilp
 from liftproject.membership import build_cglp, solve_cglp
-from liftproject.verify import random_milp
+from liftproject.verify import OracleSystem, random_milp
 
 
 def interval(upper):
@@ -32,17 +33,22 @@ def interval(upper):
     )
 
 
+def membership(nm, pt, k):
+    """The membership LP of k at pt, over the rows that are not bounds."""
+    return membership_value(SeparationSystem.of(nm).kept_problem(pt, k))[0]
+
+
 nm = interval(3.0)
 
 # x = 1.5 lies in conv([0,1] u [2,3]) = [0,3]: the oracle says inside
 pt = FractionalPoint.from_point(nm, np.array([1.5]))
-value, _ = membership_value(build_membership_lp(nm, pt, 0))
+value = membership(nm, pt, 0)
 print("x=1.5 on [0,3]: membership optimum", value, "(>= 0: inside, no cut)")
 
 # x = 0.5 on [0, 0.8]: the hull of the disjunction is {0}, the point is out
 nm2 = interval(0.8)
 pt2 = FractionalPoint.from_point(nm2, np.array([0.5]))
-value2, _ = membership_value(build_membership_lp(nm2, pt2, 0))
+value2 = membership(nm2, pt2, 0)
 print("x=0.5 on [0,0.8]: membership optimum", value2, "(< 0: cut exists)")
 
 # duality against the explicit multiplier LP on random instances
@@ -51,20 +57,18 @@ print("\nmembership vs multiplier-LP optimum on random instances:")
 shown = 0
 while shown < 5:
     inst = random_milp(rng)
-    from liftproject.verify import _fractional_ks, _master_vertex
-
-    x = _master_vertex(inst.nm)
+    x = OracleSystem.of(inst.nm).vertex
     if x is None:
         continue
     try:
         pt = FractionalPoint.from_point(inst.nm, x)
     except ValueError:
         continue
-    ks = _fractional_ks(pt)
-    if not ks:
+    ks = np.flatnonzero(np.minimum(pt.fracs, 1.0 - pt.fracs) >= FRAC_EPS_DEFAULT)
+    if not ks.size:
         continue
-    k = ks[0]
-    mval, _ = membership_value(build_membership_lp(inst.nm, pt, k))
+    k = int(ks[0])
+    mval = membership(inst.nm, pt, k)
     pi = np.zeros(inst.nm.num_cols)
     pi[k] = 1.0
     cval, _ = solve_cglp(build_cglp(inst.nm, pt, pi, np.floor(pt.x[k])))

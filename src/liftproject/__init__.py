@@ -28,8 +28,8 @@ from .membership import (
     DualCertificate,
     FractionalPoint,
     Separation,
+    SeparationSystem,
     build_cglp,
-    build_membership_lp,
     membership_value,
     separate,
 )
@@ -51,11 +51,11 @@ __all__ = [
     "NormalizedMilp",
     "NormalizeError",
     "Separation",
+    "SeparationSystem",
     "SimplexResult",
     "StandardLp",
     "Status",
     "build_cglp",
-    "build_membership_lp",
     "gap_closed",
     "gmi_cut",
     "gmi_rounds",

@@ -81,10 +81,14 @@ class ClosureConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.eps < np.inf:  # NaN fails too
             raise ValueError("eps must be positive and finite")
+        if self.eps >= 0.5:  # no coordinate lies farther from an integer
+            raise ValueError("eps must be below 0.5")
         if np.isnan(self.time_limit):
             raise ValueError("time_limit must be a number")
         if self.time_limit < 0:
             raise ValueError("time_limit must be non-negative")
+        if not isinstance(self.rounds, (int, np.integer)):
+            raise ValueError("rounds must be an integer")
         if self.rounds < 0:
             raise ValueError("rounds must be non-negative")
 

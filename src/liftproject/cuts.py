@@ -163,8 +163,7 @@ def complemented_cut(formula, row, cols, upper, integer_cols=None, *, eps) -> Cu
 def _zero_basic(coeffs: np.ndarray, row: TableauRow) -> None:
     # Basic columns carry the unit pattern of (A^B)^-1 A^B; the cut is a
     # statement about nonbasic variables only.
-    if row.basic_cols is not None:
-        coeffs[row.basic_cols] = 0.0
+    coeffs[row.basic_cols] = 0.0
 
 
 def eliminate_slacks(cut: CutRow, lp: StandardLp) -> CutRow:

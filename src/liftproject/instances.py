@@ -25,6 +25,9 @@ INTEGRALITY_TOL = 1e-9  # integer bounds closer than this to an integer are roun
 # Bound types that carry a numeric value in the BOUNDS section.
 _VALUE_BOUNDS = {"UP", "LO", "FX", "UI", "LI"}
 _FLAG_BOUNDS = {"FR", "MI", "PL", "BV"}
+# the one infinite value a bound may take: no upper bound, or a free lower
+# bound (which ``normalize`` rejects)
+_INFINITE_BOUND = {"UP": INF, "UI": INF, "LO": -INF, "LI": -INF}
 
 
 class MpsParseError(ValueError):
@@ -268,11 +271,13 @@ def parse_mps(source, *, marker_default_binary: bool = True) -> MilpInstance:
             btype = tokens[0].upper()
             if btype in _VALUE_BOUNDS:
                 if len(tokens) == 4:
-                    cname, val = tokens[2], _parse_float(tokens[3], ln)
+                    cname, val = tokens[2], _parse_float(tokens[3], ln, finite=False)
                 elif len(tokens) == 3:  # bound-set name omitted
-                    cname, val = tokens[1], _parse_float(tokens[2], ln)
+                    cname, val = tokens[1], _parse_float(tokens[2], ln, finite=False)
                 else:
                     raise MpsParseError(f"malformed {btype} bound", ln)
+                if math.isinf(val) and val != _INFINITE_BOUND.get(btype):
+                    raise MpsParseError(f"{btype} bound cannot be {val}", ln)
             elif btype in _FLAG_BOUNDS:
                 if len(tokens) == 3:
                     cname = tokens[2]
@@ -308,11 +313,16 @@ def _parse_objsense(token: str, ln: int) -> str:
     raise MpsParseError(f"unknown objective sense '{token}'", ln)
 
 
-def _parse_float(token: str, ln: int) -> float:
+def _parse_float(token: str, ln: int, *, finite: bool = True) -> float:
+    """The number ``token`` spells, never NaN, and finite unless ``finite``
+    is False (a bound)."""
     try:
-        return float(token.replace("D", "E").replace("d", "e"))
+        value = float(token.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError(f"bad numeric literal '{token}'", ln) from None
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise MpsParseError(f"non-finite value '{token}'", ln)
+    return value
 
 
 def _apply_bound(var: VariableRecord, btype: str, val, inst: MilpInstance) -> None:

@@ -27,9 +27,10 @@ complemented, y_j = u_j - s_i, which makes the row of y_k the row of the
 basis over every original row with s_i nonbasic in y_j's place
 (Balas-Perregaard), and its multiplier row i's: the multipliers span
 every original row, yet no system of every original row is built.  The
-verification oracles solve that LP too; ``build_membership_lp``, the LP
-over every original row, is kept as the reference the tests compare it
-with.
+verification oracles solve that LP too; it is the only membership LP the
+package builds (``SeparationSystem.kept_problem``), and the only way a
+certificate is read from it is ``certificate_from_basis``.  A model with
+no bound row keeps every row, and the LP is the one stated above.
 """
 
 from __future__ import annotations
@@ -100,7 +101,10 @@ class FractionalPoint:
 
 @dataclass
 class MembershipProblem:
-    """Bound-revised LP encoding of the membership question for one k."""
+    """Bound-revised LP encoding of the membership question for one k,
+    over the rows of ``slp``; ``bounds`` names the original rows read as
+    column bounds, whose columns ``certificate_from_basis`` complements
+    (none when every row is kept)."""
 
     lp: BoundedLp
     k: int
@@ -110,14 +114,15 @@ class MembershipProblem:
     constant: float  # -ceil(xh_k) * f, kept out of the LP objective
     point: FractionalPoint
     slp: StandardLp
-    bounds: ColumnBounds | None = None  # bound rows read as column bounds
+    bounds: ColumnBounds
 
 
 @dataclass
 class DualCertificate:
     """Multipliers (u, v, s, t, u0, v0) read from a terminal tableau row,
     u and v over every original row; ``row`` is read with the columns
-    ``complemented`` complemented (``certificate_from_basis``)."""
+    ``complemented`` complemented (``certificate_from_basis``).  The
+    membership value it certifies is the caller's (``membership_value``)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -125,7 +130,6 @@ class DualCertificate:
     t: np.ndarray
     u0: float
     v0: float
-    value: float  # membership optimum = multiplier-LP objective
     source_var: int
     floor_k: float
     row: TableauRow
@@ -134,9 +138,9 @@ class DualCertificate:
 
 @dataclass
 class NoCut:
-    value: float | None
+    """A basis that defines no certificate, and why."""
+
     reason: str
-    inconclusive: bool = False
 
 
 @dataclass
@@ -187,73 +191,49 @@ class SeparationSystem:
         bounds lies in [max(0, f u_j - activity_i), min(xh_j, f u_j)], the
         range that 0 <= s_i <= activity_i leaves it inside [0, xh_j]; a
         crossing of rounding size fixes it at the upper end.  The
-        right-hand side is f b over the kept rows.  Without bound rows it
-        is ``build_membership_lp``'s LP, array for array.
+        right-hand side is f b over the kept rows.  Tight rows (zero
+        activity) keep their slack, fixed at 0.  Without bound rows this
+        is the LP over every original row.
         """
-        b, f = self.bounds, float(pt.fracs[k])
+        b, slp, f = self.bounds, self.slp, float(pt.fracs[k])
+        if min(f, 1.0 - f) < eps:
+            raise FractionalityError(
+                f"x[{k}] = {pt.x[k]} is integral within eps={eps}"
+            )
         j = b.keep.size + b.cols
         fu = f * b.upper[b.cols]
         upper = np.concatenate([pt.activities[b.keep], pt.x])
         upper[j] = np.minimum(pt.x[b.cols], fu)
         lower = np.zeros(upper.size)
         lower[j] = np.minimum(np.maximum(fu - pt.activities[b.rows], 0.0), upper[j])
-        return _membership_problem(self.slp, pt, k, lower, upper, eps, b)
-
-
-def build_membership_lp(
-    nm: NormalizedMilp,
-    pt: FractionalPoint,
-    k: int,
-    slp: StandardLp | None = None,
-    *,
-    eps: float = FRAC_EPS_DEFAULT,
-) -> MembershipProblem:
-    """Set up the membership LP for integer variable k at point pt.
-
-    Tight rows (zero activity) keep their slack fixed at 0 rather than
-    being dropped, so terminal bases stay bases of the master system.
-    """
-    if slp is None:
-        slp = to_standard(nm)
-    upper = np.concatenate([pt.activities, pt.x])
-    return _membership_problem(slp, pt, k, np.zeros(upper.size), upper, eps)
-
-
-def _membership_problem(slp, pt, k, lower, upper, eps, bounds=None):
-    f = float(pt.fracs[k])
-    if min(f, 1.0 - f) < eps:
-        raise FractionalityError(
-            f"x[{k}] = {pt.x[k]} is integral within eps={eps}"
+        obj = np.zeros(upper.size)
+        obj[slp.num_rows + k] = 1.0
+        lp = BoundedLp(
+            sense="max",
+            objective=obj,
+            a_eq=slp.a,
+            rhs=slp.b * f,
+            lower=lower,
+            upper=upper,
         )
-    obj = np.zeros(upper.size)
-    obj[slp.num_rows + k] = 1.0
-    lp = BoundedLp(
-        sense="max",
-        objective=obj,
-        a_eq=slp.a,
-        rhs=slp.b * f,
-        lower=lower,
-        upper=upper,
-    )
-    floor_k = math.floor(pt.x[k])
-    return MembershipProblem(
-        lp=lp,
-        k=k,
-        f=f,
-        floor_k=floor_k,
-        ceil_k=floor_k + 1.0,
-        constant=-(floor_k + 1.0) * f,
-        point=pt,
-        slp=slp,
-        bounds=bounds,
-    )
+        floor_k = math.floor(pt.x[k])
+        return MembershipProblem(
+            lp=lp,
+            k=k,
+            f=f,
+            floor_k=floor_k,
+            ceil_k=floor_k + 1.0,
+            constant=-(floor_k + 1.0) * f,
+            point=pt,
+            slp=slp,
+            bounds=b,
+        )
 
 
 def membership_value(
     prob: MembershipProblem,
     start: Basis | BasisFactors | None = None,
     *,
-    max_iter: int = simplex.DEFAULT_MAX_ITER,
     time_limit: float | None = None,
 ) -> tuple[float | None, SimplexResult]:
     """Optimum of the membership LP plus the carried constant.
@@ -262,27 +242,14 @@ def membership_value(
     disjunctive hull; a negative value promises a violated cut.  A
     non-optimal simplex status yields value None (inconclusive).
     """
-    result = simplex.solve(
-        prob.lp, start=start, max_iter=max_iter, time_limit=time_limit
-    )
+    result = simplex.solve(prob.lp, start=start, time_limit=time_limit)
     if result.status is not Status.OPTIMAL:
         return None, result
     return float(result.value + prob.constant), result
 
 
-def extract_dual_certificate(
-    result: SimplexResult, prob: MembershipProblem
-) -> DualCertificate | NoCut:
-    """Read the multipliers off the terminal basis of a solved problem."""
-    if result.status is not Status.OPTIMAL:
-        return NoCut(None, "separation LP not solved to optimality", True)
-    return certificate_from_basis(
-        result.basis, prob, value=float(result.value + prob.constant)
-    )
-
-
 def certificate_from_basis(
-    basis: Basis, prob: MembershipProblem, value: float | None = None
+    basis: Basis, prob: MembershipProblem
 ) -> DualCertificate | NoCut:
     """Multipliers defined by any dual-feasible basis of ``prob`` (case
     split on y_k).
@@ -291,12 +258,12 @@ def certificate_from_basis(
     can be generated.  Otherwise the tableau row of y_k against the
     master right-hand side supplies the multipliers: nonbasic-at-upper
     columns feed u (rows) and s (structurals), nonbasic-at-lower feed v
-    and t.  In a problem over the rows that are not bounds
-    (``prob.bounds``), a column y_j nonbasic at a bound that the slack
-    s_i of its bound row sets, f u_j above or f u_j - activity_i below,
-    is complemented in the row, y_j = u_j - s_i: the row becomes the one
-    of the basis over every original row with y_j basic and s_i nonbasic,
-    and y_j's multiplier becomes v_i (above) or u_i (below).  A fixed
+    and t.  A column y_j nonbasic at a bound that the slack s_i of its
+    bound row (``prob.bounds``) sets, f u_j above or f u_j - activity_i
+    below, is complemented in the row, y_j = u_j - s_i: the row becomes
+    the one of the basis over every original row with y_j basic and s_i
+    nonbasic, and y_j's multiplier becomes v_i (above) or u_i (below).
+    Where no row is read as a bound, nothing is complemented.  A fixed
     column takes the side its reduced cost -abar_j favors.  u0 is ceil_k
     less the row's right-hand side.  Certificates failing u0 > 0, v0 > 0
     cannot cut the point.
@@ -304,10 +271,8 @@ def certificate_from_basis(
     slp = prob.slp
     m = slp.num_rows
     col = m + prob.k
-    if value is None:
-        value = _basis_objective(basis, prob)
     if not np.any(basis.basic == col):
-        return NoCut(value, "auxiliary variable nonbasic at its upper bound")
+        return NoCut("auxiliary variable nonbasic at its upper bound")
     row = tableau_row(slp, basis, col)
     abar = row.coeffs
     nonbasic = ~basis.in_basis_mask()
@@ -330,30 +295,24 @@ def certificate_from_basis(
         )
     pos_part = np.where(plus, np.maximum(-abar, 0.0), 0.0)
     neg_part = np.where(minus, np.maximum(abar, 0.0), 0.0)
-    u, s = pos_part[:m], pos_part[m:]
-    v, t = neg_part[:m], neg_part[m:]
-    flip = np.zeros(0, dtype=int)
-    b = prob.bounds
-    if b is not None:
-        j, pt = m + b.cols, prob.point
-        fu = prob.f * b.upper[b.cols]
-        sets = nonbasic[j] & np.where(
-            plus[j], fu <= pt.x[b.cols], fu - pt.activities[b.rows] >= 0.0
-        )
-        flip, rows = j[sets], b.rows[sets]
-        u, v = np.zeros(b.num_rows), np.zeros(b.num_rows)
-        u[b.keep], v[b.keep] = pos_part[:m], neg_part[:m]
-        u[rows], v[rows] = neg_part[flip], pos_part[flip]
-        s[flip - m] = t[flip - m] = 0.0
-        complement(row, flip, b.upper[b.cols[sets]])
+    s, t = pos_part[m:], neg_part[m:]
+    b, pt = prob.bounds, prob.point
+    j = m + b.cols
+    fu = prob.f * b.upper[b.cols]
+    sets = nonbasic[j] & np.where(
+        plus[j], fu <= pt.x[b.cols], fu - pt.activities[b.rows] >= 0.0
+    )
+    flip, rows = j[sets], b.rows[sets]
+    u, v = np.zeros(b.num_rows), np.zeros(b.num_rows)
+    u[b.keep], v[b.keep] = pos_part[:m], neg_part[:m]
+    u[rows], v[rows] = neg_part[flip], pos_part[flip]
+    s[flip - m] = t[flip - m] = 0.0
+    complement(row, flip, b.upper[b.cols[sets]])
 
     u0 = prob.ceil_k - row.rhs
     v0 = 1.0 - u0
     if u0 <= 0.0 or v0 <= 0.0:
-        return NoCut(
-            value,
-            "associated master basic value lies outside the unit window",
-        )
+        return NoCut("associated master basic value lies outside the unit window")
     return DualCertificate(
         u=u,
         v=v,
@@ -361,23 +320,11 @@ def certificate_from_basis(
         t=t,
         u0=u0,
         v0=v0,
-        value=value,
         source_var=prob.k,
         floor_k=prob.floor_k,
         row=row,
         complemented=flip,
     )
-
-
-def _basis_objective(basis: Basis, prob: MembershipProblem) -> float:
-    """Membership objective at the basic solution defined by ``basis``."""
-    lp = prob.lp
-    x = np.where(basis.at_upper & np.isfinite(lp.upper), lp.upper, lp.lower)
-    x[basis.basic] = 0.0
-    factors = BasisFactors(lp.a_eq, basis)
-    x[basis.basic] = factors.solve(lp.rhs - lp.a_eq @ x)
-    m = prob.slp.num_rows
-    return float(x[m + prob.k] + prob.constant)
 
 
 def assemble_cut(cert: DualCertificate, nm: NormalizedMilp) -> CutRow:
@@ -405,7 +352,6 @@ def separate(
     system: SeparationSystem | None = None,
     *,
     eps: float = FRAC_EPS_DEFAULT,
-    max_iter: int = simplex.DEFAULT_MAX_ITER,
     time_limit: float | None = None,
 ) -> Separation:
     """Full separation for variable k: build, solve, extract, assemble.
@@ -429,9 +375,7 @@ def separate(
     if system is None:
         system = SeparationSystem.of(nm)
     prob = system.kept_problem(pt, k, eps=eps)
-    value, result = membership_value(
-        prob, start=start, max_iter=max_iter, time_limit=time_limit
-    )
+    value, result = membership_value(prob, start=start, time_limit=time_limit)
     outcome = functools.partial(
         Separation,
         pivots=result.pivots,
@@ -455,7 +399,7 @@ def separate(
     # window bases both imply a non-negative value); extraction can still
     # decline defensively on numerical edge cases
     try:
-        cert = certificate_from_basis(result.basis, prob, value=value)
+        cert = certificate_from_basis(result.basis, prob)
     except (DualContractError, SingularBasisError) as exc:
         return outcome(
             found=False,
@@ -609,16 +553,13 @@ def build_cglp(
 
 
 def solve_cglp(
-    cglp: CglpProblem,
-    start: Basis | None = None,
-    *,
-    max_iter: int = simplex.DEFAULT_MAX_ITER,
+    cglp: CglpProblem, start: Basis | None = None
 ) -> tuple[float | None, SimplexResult]:
     """Optimum of the multiplier LP plus its constant, solved from
     ``start``, by default the trivial cut (``complement_basis``)."""
     if start is None:
         start = cglp.complement_basis()
-    result = simplex.solve(cglp.lp, start=start, max_iter=max_iter)
+    result = simplex.solve(cglp.lp, start=start)
     if result.status is not Status.OPTIMAL:
         return None, result
     return float(result.value + cglp.constant), result

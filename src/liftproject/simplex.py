@@ -595,17 +595,3 @@ class _Worker:
             farkas=self.farkas,
             factors=BasisFactors.from_inverse(self.a, basis, self.binv, self.updates),
         )
-
-
-def dual_objective(lp: BoundedLp, result: SimplexResult) -> float:
-    """Dual value y d + sum of reduced costs times active bounds.
-
-    Coincides with the primal objective at any basic solution; used by the
-    post-hoc optimality checks.
-    """
-    y = result.duals
-    cbar = result.reduced_costs
-    active = np.where(result.basis.at_upper, lp.upper, lp.lower)
-    nonbasic = np.ones(lp.num_cols, dtype=bool)
-    nonbasic[result.basis.basic] = False
-    return float(y @ lp.rhs + cbar[nonbasic] @ active[nonbasic])

@@ -106,7 +106,7 @@ class TableauRow:
     basic_col: int
     coeffs: np.ndarray  # full length m+n; basic columns are unit pattern
     rhs: float
-    basic_cols: np.ndarray | None = None
+    basic_cols: np.ndarray  # the basis's columns, whose cut coefficients are 0
 
 
 def to_standard(nm: NormalizedMilp, extra_cuts=(), rows=None) -> StandardLp:
@@ -237,7 +237,7 @@ class BasisFactors:
     """LU factors of A^B with an explicit singularity check.
 
     The one place a basis is factored: the simplex (crash basis, warm
-    start, refactorizations), tableau rows and basic points all go
+    start, refactorizations), tableau rows and shared LP starts all go
     through it.  It keeps the matrix and the basis it was built from, so
     ``simplex.solve`` can take it as a start and skip the factorization
     when the LP's matrix is that very array object.  ``from_inverse``
@@ -327,16 +327,3 @@ def tableau_row(
         rhs=rhs,
         basic_cols=basis.basic.copy(),
     )
-
-
-def basic_point(lp: StandardLp, basis: Basis) -> np.ndarray:
-    """Primal basic solution of the standard system, nonbasics at zero.
-
-    StandardLp carries only the implicit bounds x >= 0, so nonbasic
-    variables always sit at 0 regardless of statuses recorded for other
-    bound systems sharing this basis.
-    """
-    factors = BasisFactors(lp.a, basis)
-    x = np.zeros(lp.num_cols)
-    x[basis.basic] = factors.solve(lp.b)
-    return x

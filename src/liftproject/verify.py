@@ -516,13 +516,6 @@ def _vertex_point(system: SeparationSystem, res: SimplexResult) -> np.ndarray | 
     return res.x[system.slp.num_rows :] if res.optimal else None
 
 
-def _master_vertex(nm: NormalizedMilp, objective: np.ndarray | None = None):
-    """A vertex of the relaxation maximizing ``objective`` (default: the
-    instance's own), or None (``_vertex_lp``)."""
-    system = SeparationSystem.of(nm)
-    return _vertex_point(system, _vertex_lp(system, objective))
-
-
 def _fractional_ks(pt: FractionalPoint, eps: float = FRAC_EPS_DEFAULT) -> list[int]:
     return [
         k

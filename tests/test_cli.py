@@ -142,6 +142,23 @@ def test_close_malformed_mps_exits_1(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        (" PL BND       X1", " UP BND       X1        nan", 15),
+        ("X2        R2             1.0", "X2        R2             inf", 11),
+    ],
+    ids=["nan-bound", "inf-coefficient"],
+)
+def test_close_non_finite_mps_exits_1(tmp_path, capsys, old, new, line):
+    bad = tmp_path / "bad.mps"
+    bad.write_text(T1_MPS.replace(old, new))
+    assert main(["close", str(bad), "--mode", "pe"]) == 1
+    captured = capsys.readouterr()
+    assert f"line {line}: non-finite value" in captured.err
+    assert captured.out == ""
+
+
 def test_close_unbounded_exits_1(tmp_path, capsys):
     text = (
         "NAME U\nOBJSENSE\n MAX\nROWS\n N obj\n G r1\n"
@@ -192,6 +209,7 @@ def test_verify_cli_fault_injection_exits_3(capsys):
         (["--time-limit", "nan"], "time_limit must be a number"),
         (["--mode", "gmi-rounds", "--rounds", "-3"], "rounds must be non-negative"),
         (["--time-limit", "-5"], "time_limit must be non-negative"),
+        (["--eps", "0.7"], "eps must be below 0.5"),
     ],
 )
 def test_close_invalid_config_exits_1(t1_path, capsys, argv, message):

@@ -34,8 +34,7 @@ from liftproject.membership import (
     FractionalPoint,
     SeparationSystem,
     assemble_cut,
-    build_membership_lp,
-    extract_dual_certificate,
+    certificate_from_basis,
     membership_value,
 )
 from liftproject.simplex import BoundedLp, Status
@@ -44,15 +43,15 @@ from liftproject.standard_form import (
     BasisFactors,
     ColumnBounds,
     SingularBasisError,
-    basic_point,
     tableau_row,
     to_standard,
 )
 from liftproject.verify import random_milp
 
 from conftest import T1_MPS
-from test_membership import interval_milp, plain_milp
+from test_membership import build_membership_lp, interval_milp, plain_milp
 from test_simplex import record_dual_runs
+from test_standard_form import basic_point
 
 GENERATORS = Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
 
@@ -109,6 +108,12 @@ def test_gap_closed_conventions():
     with pytest.raises(ValueError):
         gap_closed(5.0, 4.0, 5.0)
     assert gap_closed(1.0, 0.5, None) is None
+
+
+def test_config_rejects_fractional_rounds():
+    # the CLI parses --rounds as an int; a direct caller may pass a float
+    with pytest.raises(ValueError, match="rounds must be an integer"):
+        ClosureConfig(mode="gmi", rounds=1.5)
 
 
 def test_gmi_rounds_t1(t1):
@@ -632,8 +637,8 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
         lps.append((prob, result))
         return value, result
 
-    def reading(basis, prob, value=None):
-        certs.append((prob, read(basis, prob, value=value)))
+    def reading(basis, prob):
+        certs.append((prob, read(basis, prob)))
         return certs[-1][1]
 
     def separating(nm, pt, k, *args, **kwargs):
@@ -745,7 +750,7 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
         if not sep.found:
             continue
         found += 1
-        cert = extract_dual_certificate(again, exact)
+        cert = certificate_from_basis(again.basis, exact)
         integer_cols = np.zeros(canonical.num_cols, dtype=bool)
         integer_cols[canonical.num_rows : canonical.num_rows + nm.num_integer] = True
         plain = eliminate_slacks(intersection_cut(cert.row, eps=1e-12), canonical)

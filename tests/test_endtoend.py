@@ -12,7 +12,9 @@ import pytest
 
 from liftproject.closure import ClosureConfig, ClosureError, gmi_rounds, optimize_closure
 from liftproject.instances import normalize, parse_mps
-from liftproject.membership import FractionalPoint, build_membership_lp, membership_value
+from liftproject.membership import FractionalPoint, membership_value
+
+from test_membership import build_membership_lp
 
 try:
     from scipy.optimize import Bounds, LinearConstraint, milp

@@ -134,6 +134,54 @@ ENDATA
     assert d.integer and d.upper == 7.0
 
 
+def number_mps(col="1.0", rhs="1.0", rng="2.0", bound="UP bnd x 3.0"):
+    # the values sit on lines 6 (COLUMNS), 8 (RHS), 10 (RANGES), 12 (BOUNDS)
+    return (
+        f"NAME V\nROWS\n N obj\n E r1\nCOLUMNS\n    x r1 {col} obj 1.0\n"
+        f"RHS\n    rhs r1 {rhs}\nRANGES\n    rng r1 {rng}\n"
+        f"BOUNDS\n {bound}\nENDATA\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "fields, line",
+    [
+        ({"col": "nan"}, 6),
+        ({"col": "inf"}, 6),
+        ({"col": "-inf"}, 6),
+        ({"col": "1e400"}, 6),
+        ({"rhs": "nan"}, 8),
+        ({"rhs": "-inf"}, 8),
+        ({"rng": "inf"}, 10),
+        ({"rng": "NaN"}, 10),
+        ({"bound": "UP bnd x nan"}, 12),
+        ({"bound": "UP bnd x -inf"}, 12),
+        ({"bound": "UI bnd x -inf"}, 12),
+        ({"bound": "LO bnd x inf"}, 12),
+        ({"bound": "LI bnd x inf"}, 12),
+        ({"bound": "FX bnd x inf"}, 12),
+        ({"bound": "FX bnd x -inf"}, 12),
+    ],
+)
+def test_non_finite_numbers_are_rejected(fields, line):
+    # no NaN anywhere; coefficients, right-hand sides and ranges finite
+    with pytest.raises(MpsParseError) as err:
+        parse_mps(number_mps(**fields))
+    assert err.value.line_no == line
+
+
+def test_a_bound_may_be_infinite_on_its_own_side():
+    x = parse_mps(number_mps(bound="UP bnd x inf")).variables[0]
+    assert (x.lower, x.upper) == (0.0, math.inf)
+    x = parse_mps(number_mps(bound="UI bnd x inf")).variables[0]
+    assert x.integer and x.upper == math.inf
+    for bound in ("LO bnd x -inf", "LI bnd x -inf"):
+        inst = parse_mps(number_mps(bound=bound))
+        assert inst.variables[0].lower == -math.inf
+        with pytest.raises(NormalizeError, match="finite lower bound"):
+            normalize(inst)
+
+
 def test_normalize_t1_matrices(t1):
     assert t1.num_integer == 1
     assert t1.objective_sign == -1.0

@@ -9,18 +9,19 @@ from liftproject.instances import NormalizedMilp
 from liftproject.membership import (
     DualCertificate,
     FractionalPoint,
+    MembershipProblem,
     NoCut,
+    SeparationSystem,
     assemble_cut,
     build_cglp,
-    build_membership_lp,
-    extract_dual_certificate,
+    certificate_from_basis,
     membership_value,
     separate,
     solve_cglp,
 )
 from liftproject.simplex import BoundedLp, Status
-from liftproject.standard_form import tableau_row, to_standard
-from liftproject.verify import random_milp, _fractional_ks, _master_vertex
+from liftproject.standard_form import ColumnBounds, tableau_row, to_standard
+from liftproject.verify import _fractional_ks, _vertex_lp, _vertex_point, random_milp
 
 
 def plain_milp(a, b, c, p, name="adhoc"):
@@ -51,8 +52,42 @@ def interval_milp(upper):
     return plain_milp([[-1.0]], [-float(upper)], [1.0], p=1)
 
 
+def build_membership_lp(nm, pt, k, slp=None):
+    """The membership LP over every original row, the canonical reference
+    for ``SeparationSystem.kept_problem``:
+
+        max  y_k - ceil(xh_k) f   s.t.  A y = b f,
+             0 <= y_slacks <= A'xh - b,  0 <= y_struct <= xh,
+
+    over ``slp`` (default ``to_standard(nm)``).  Its ``ColumnBounds`` reads
+    no row as a bound, so ``certificate_from_basis`` complements no column.
+    """
+    if slp is None:
+        slp = to_standard(nm)
+    m, n = slp.num_rows, slp.num_struct
+    f = float(pt.fracs[k])
+    upper = np.concatenate([pt.activities, pt.x])
+    obj = np.zeros(upper.size)
+    obj[m + k] = 1.0
+    lp = BoundedLp("max", obj, slp.a, slp.b * f, np.zeros(upper.size), upper)
+    none = np.zeros(0, dtype=int)
+    bounds = ColumnBounds(np.arange(m), none, none, np.full(n, np.inf), m)
+    floor_k = math.floor(pt.x[k])
+    return MembershipProblem(
+        lp, k, f, floor_k, floor_k + 1.0, -(floor_k + 1.0) * f, pt, slp, bounds
+    )
+
+
+def _master_vertex(nm, objective=None):
+    """A vertex of the relaxation maximizing ``objective`` (default: the
+    instance's own), or None (``verify._vertex_lp``)."""
+    system = SeparationSystem.of(nm)
+    return _vertex_point(system, _vertex_lp(system, objective))
+
+
 def test_build_membership_bounds_t1(t1, t1_point):
-    prob = build_membership_lp(t1, t1_point, 0)
+    # T1 has no bound row: the kept rows are every row
+    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
     np.testing.assert_allclose(prob.lp.upper[:2], [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(prob.lp.upper[2:], [0.5, 1.0])
     np.testing.assert_allclose(prob.lp.rhs, t1.b * 0.5)
@@ -63,8 +98,9 @@ def test_build_membership_bounds_t1(t1, t1_point):
 def test_same_constraint_system_for_equal_values():
     nm = plain_milp([[1.0, 1.0], [-1.0, -1.0]], [0.0, -3.0], [1.0, 1.0], p=2)
     pt = FractionalPoint.from_point(nm, np.array([0.5, 0.5]))
-    p0 = build_membership_lp(nm, pt, 0)
-    p1 = build_membership_lp(nm, pt, 1)
+    system = SeparationSystem.of(nm)
+    p0 = system.kept_problem(pt, 0)
+    p1 = system.kept_problem(pt, 1)
     np.testing.assert_array_equal(p0.lp.a_eq, p1.lp.a_eq)
     np.testing.assert_array_equal(p0.lp.rhs, p1.lp.rhs)
     np.testing.assert_array_equal(p0.lp.lower, p1.lp.lower)
@@ -80,7 +116,7 @@ def test_interior_point_gives_positive_slack_bounds():
 
 
 def test_membership_value_t1(t1, t1_point):
-    prob = build_membership_lp(t1, t1_point, 0)
+    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
     value, res = membership_value(prob)
     assert value == pytest.approx(-0.25, abs=1e-9)
     m = prob.slp.num_rows
@@ -98,13 +134,14 @@ def test_membership_value_interval():
 def test_integral_coordinate_rejected(t1):
     pt = FractionalPoint.from_point(t1, np.array([0.0, 0.0]))
     with pytest.raises(FractionalityError):
-        build_membership_lp(t1, pt, 0)
+        SeparationSystem.of(t1).kept_problem(pt, 0)
 
 
 def test_extract_certificate_t1(t1, t1_point):
-    prob = build_membership_lp(t1, t1_point, 0)
+    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
     _, res = membership_value(prob)
-    cert = extract_dual_certificate(res, prob)
+    assert res.status is Status.OPTIMAL
+    cert = certificate_from_basis(res.basis, prob)
     assert isinstance(cert, DualCertificate)
     np.testing.assert_allclose(cert.u, [0.0, 0.25], atol=1e-9)
     np.testing.assert_allclose(cert.v, [0.25, 0.0], atol=1e-9)
@@ -124,11 +161,11 @@ def test_nonbasic_at_upper_gives_nocut():
     pt = FractionalPoint.from_point(nm, np.array([1.5]))
     prob = build_membership_lp(nm, pt, 0)
     value, res = membership_value(prob)
-    outcome = extract_dual_certificate(res, prob)
+    assert res.status is Status.OPTIMAL
+    outcome = certificate_from_basis(res.basis, prob)
     assert isinstance(outcome, NoCut)
     # dual value floor(xh) (ceil(xh) - xh) >= 0
-    assert outcome.value == pytest.approx(1.0 * (2.0 - 1.5), abs=1e-9)
-    assert value == pytest.approx(outcome.value)
+    assert value == pytest.approx(1.0 * (2.0 - 1.5), abs=1e-9)
 
 
 def test_certificate_feasibility_residual_on_random_instances(rng):
@@ -149,7 +186,7 @@ def test_certificate_feasibility_residual_on_random_instances(rng):
             _, res = membership_value(prob)
             if res.status is not Status.OPTIMAL:
                 continue
-            cert = extract_dual_certificate(res, prob)
+            cert = certificate_from_basis(res.basis, prob)
             if not isinstance(cert, DualCertificate):
                 continue
             resid = (cert.u - cert.v) @ nm.a + cert.s - cert.t
@@ -175,7 +212,7 @@ def test_assembled_violation_equals_negated_value(rng):
             value, res = membership_value(prob)
             if res.status is not Status.OPTIMAL:
                 continue
-            cert = extract_dual_certificate(res, prob)
+            cert = certificate_from_basis(res.basis, prob)
             if not isinstance(cert, DualCertificate):
                 continue
             cut = assemble_cut(cert, nm)
@@ -186,7 +223,7 @@ def test_assembled_violation_equals_negated_value(rng):
 
 def test_scaled_point_always_feasible(t1, t1_point):
     # y = f xh satisfies the membership bounds and rows by construction
-    prob = build_membership_lp(t1, t1_point, 0)
+    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
     f = prob.f
     y = np.concatenate([f * t1_point.activities, f * t1_point.x])
     assert np.all(y >= prob.lp.lower - 1e-12)
@@ -223,12 +260,11 @@ def test_terminal_bases_are_master_bases(rng):
 
 
 def test_certificate_value_and_complementarity(t1, t1_point):
-    prob = build_membership_lp(t1, t1_point, 0)
-    value, res = membership_value(prob)
-    cert = extract_dual_certificate(res, prob)
+    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
+    _, res = membership_value(prob)
+    assert res.status is Status.OPTIMAL
+    cert = certificate_from_basis(res.basis, prob)
     assert isinstance(cert, DualCertificate)
-    # certificate objective equals the membership optimum (duality)
-    assert cert.value == pytest.approx(value, abs=1e-7)
     # complementarity: u pairs with slacks at their upper bound, v with
     # slacks at zero, s with structurals at xh, t with structurals at zero
     m = prob.slp.num_rows
@@ -240,9 +276,10 @@ def test_certificate_value_and_complementarity(t1, t1_point):
 
 
 def test_assemble_refuses_window_violations(t1, t1_point):
-    prob = build_membership_lp(t1, t1_point, 0)
+    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
     _, res = membership_value(prob)
-    cert = extract_dual_certificate(res, prob)
+    assert res.status is Status.OPTIMAL
+    cert = certificate_from_basis(res.basis, prob)
     # forge the trivial multiplier choice u = v = 0, s = e_k: its u0 is
     # ceil(xh_k) = 1 so v0 = 0, outside the window
     cert.u = np.zeros(2)
@@ -400,9 +437,10 @@ def test_separate_member_point_gives_nocut(t1):
 
 
 def test_separate_inconclusive_on_iteration_limit(t1, t1_point):
-    sep = separate(t1, t1_point, 0, max_iter=0)
+    sep = separate(t1, t1_point, 0, time_limit=0.0)
     assert not sep.found
     assert sep.inconclusive
+    assert sep.reason == "simplex status iteration_limit"
 
 
 def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
@@ -418,10 +456,11 @@ def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
         p=2,
     )
     pt = FractionalPoint.from_point(nm, np.array([0.5, 0.5, 0.4]))
-    prob0 = build_membership_lp(nm, pt, 0)
+    system = SeparationSystem.of(nm)
+    prob0 = system.kept_problem(pt, 0)
     _, res0 = membership_value(prob0)
     assert res0.status is Status.OPTIMAL
-    prob1 = build_membership_lp(nm, pt, 1)
+    prob1 = system.kept_problem(pt, 1)
     cold_value, cold = membership_value(prob1)
     assert cold.status is Status.OPTIMAL
     calls = []

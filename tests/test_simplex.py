@@ -6,13 +6,24 @@ import pytest
 from scipy.optimize import linprog
 
 from liftproject import simplex
-from liftproject.simplex import BoundedLp, Status, dual_objective, solve
+from liftproject.simplex import BoundedLp, Status, solve
 from liftproject.standard_form import (
     Basis,
     BasisFactors,
     SingularBasisError,
     to_standard,
 )
+
+
+def dual_objective(lp, result):
+    """Dual value y d plus the reduced costs times the active bounds, which
+    equals the primal objective at any basic solution."""
+    active = np.where(result.basis.at_upper, lp.upper, lp.lower)
+    nonbasic = np.ones(lp.num_cols, dtype=bool)
+    nonbasic[result.basis.basic] = False
+    return float(
+        result.duals @ lp.rhs + result.reduced_costs[nonbasic] @ active[nonbasic]
+    )
 
 
 def make_lp(sense, c, a, d, lower=None, upper=None):

@@ -7,10 +7,18 @@ from liftproject.standard_form import (
     Basis,
     BasisFactors,
     SingularBasisError,
-    basic_point,
     tableau_row,
     to_standard,
 )
+
+
+def basic_point(lp, basis):
+    """Primal basic solution of the standard system, nonbasics at zero:
+    a ``StandardLp`` carries only the implicit bounds x >= 0, whatever
+    statuses ``basis`` records."""
+    x = np.zeros(lp.num_cols)
+    x[basis.basic] = BasisFactors(lp.a, basis).solve(lp.b)
+    return x
 
 
 def t1_optimal_basis(slp):

@@ -1,5 +1,5 @@
-"""Every module of ``src/``, ``tests/`` and ``tools/`` reads each name it
-imports.  Stdlib ``ast`` only: a name counts as used when the module reads
+"""Every module of ``src/``, ``tests/``, ``tools/`` and ``demos/`` reads
+each name it imports.  Stdlib ``ast`` only: a name counts as used when the module reads
 it anywhere (an ``ast.Name``).  ``__future__`` imports and package
 ``__init__.py`` re-exports are not checked."""
 
@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     path
-    for folder in ("src", "tests", "tools")
+    for folder in ("src", "tests", "tools", "demos")
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py"
 )

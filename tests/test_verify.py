@@ -501,7 +501,7 @@ def test_master_vertex_is_a_vertex_of_the_canonical_rows():
     # Proposition 3 needs
     from liftproject import simplex
     from liftproject.standard_form import to_standard
-    from liftproject.verify import _master_vertex
+    from test_membership import _master_vertex
 
     rng = np.random.default_rng(77)
     checked = 0
