@@ -13,8 +13,8 @@ The master LP reads each bound row -x_j >= -u_j of the canonical form as
 the column bound x_j <= u_j (``standard_form.ColumnBounds``) and solves
 over the other rows plus the cuts, so the dual simplex moves bounded
 columns by bound flips.  The membership LP drops the same rows
-(``membership.SeparationSystem``).  Separation starts are read from the
-master's own basis through ``ColumnBounds``; a variable whose last
+(``membership.SeparationSystem``).  Separation starts are chosen from the
+master's own basis over those kept rows; a variable whose last
 separation ended with no cut starts from that LP's terminal factors
 instead.  Every cut, GMI round or membership, is read from the basis of
 the LP it comes from, with the columns at a bound that a dropped row
@@ -83,6 +83,9 @@ class ClosureConfig:
             raise ValueError("eps must be positive and finite")
         if self.eps >= 0.5:  # no coordinate lies farther from an integer
             raise ValueError("eps must be below 0.5")
+        if self.mode != "gmi" and self.eps > 0.25:
+            # a membership value is at least (f - 1) f >= -0.25: no cut
+            raise ValueError("eps must be at most 0.25 in pe and pestar modes")
         if np.isnan(self.time_limit):
             raise ValueError("time_limit must be a number")
         if self.time_limit < 0:
@@ -662,46 +665,64 @@ def _finish_report(
     return report
 
 
-def _separation_start(
-    nm: NormalizedMilp,
-    master: _Master,
-    pt: membership.FractionalPoint,
-) -> Basis:
-    """The master's optimal basis carried over to the canonical system
-    (-I A') of every original row of ``nm``.
+def _separation_start(master: _Master, pt: membership.FractionalPoint) -> Basis:
+    """The master's optimal basis carried over to the kept rows of the
+    cut-free system, which every membership LP of the pass solves over.
 
-    Its columns are those of the master's vertex over the cut-free
-    canonical rows (``ColumnBounds.canonical_columns``).  With every cut
-    slack basic they form a basis whose solution, nonbasics at 0, is
+    Cut slacks drop out, and each bounded column nonbasic at its upper
+    bound in the master (``ColumnBounds.at_upper``) stays there.  With
+    every cut slack basic, the columns left form a basis whose solution is
     y = f * xhat: primal feasible for every k.  Each cut whose slack is
-    nonbasic leaves one column too many; the columns kept, one per
-    original row, are picked by pivoted QR on the columns scaled by their
-    membership range (xhat_j, or the row activity for a slack), so the
-    columns pinned to 0 there are dropped first.  Only those candidate
-    columns of the canonical matrix are built: a slack's is the negated
-    unit column, zeros negative as in -I, and a structural's its column of
-    A'.  They are built once, in Fortran order, and weighted and factored
-    in place.  The basis is handed over with every column at lower.
-    ``_run_separations`` maps it onto the kept rows the LP is solved over
-    (``ColumnBounds.kept_basis``), where every column is boxed, so the
-    simplex moves each nonbasic column whose reduced cost favors its other
-    bound there and solves from that dual feasible start by the dual
-    simplex.  Trimming the master's basis over the kept rows directly,
-    instead of trimming here and mapping, costs more pivots.
+    nonbasic leaves one basic column too many.  The columns kept are then
+    those pivoted QR keeps among the master vertex's basic columns over
+    the canonical rows (-I A'): the basic kept-row slacks and structurals,
+    the structurals at their upper bound and the slack of every other
+    bound row, each scaled by its membership range (xhat_j, or the row
+    activity for a slack), so the columns pinned to 0 there go first.  A
+    bound row whose column is neither basic nor at its upper bound holds
+    only its own slack, a column orthogonal to every other: the QR always
+    keeps it and it changes no other choice, so that row and slack are set
+    aside.  Only the rest is built, in Fortran order, a slack's column the
+    negated unit column (zeros negative, as in -I), and it is weighted and
+    factored in place.  On the kept rows, a dropped kept-row slack or
+    structural leaves the basis at 0, and a basic column whose bound-row
+    slack was dropped leaves it at its upper bound.  Every nonbasic column
+    is boxed there, so the simplex moves each one whose reduced cost
+    favors its other bound and solves by the dual simplex.  A QR over the
+    kept rows alone keeps other columns, which cost more pivots.
     """
+    b, nm = master.bounds, master.nm
     m0, n = nm.a.shape
-    cols = master.bounds.canonical_columns(master.basis, master.result.reduced_costs)
-    if cols.size > m0:
+    in_basis = master.basis.in_basis_mask()
+    # the candidates: the master vertex's columns over the canonical rows
+    cand = np.zeros(m0 + n, dtype=bool)
+    cand[b.keep] = in_basis[: b.keep.size]
+    cand[m0:] = in_basis[-n:]
+    cand[b.rows] = cand[m0 + b.cols]
+    cand[m0 + b.cols[b.at_upper(master.basis, master.result.reduced_costs)]] = True
+    rows = np.ones(m0, dtype=bool)
+    rows[b.rows] = cand[m0 + b.cols]  # the others hold only their slack
+    if np.count_nonzero(cand) > np.count_nonzero(rows):
+        ranges = np.concatenate([pt.activities, pt.x])
+        # the floor counts the set-aside slacks' ranges too
+        top = max(ranges[cand].max(), pt.activities[~rows].max(initial=1.0))
+        cols, rows = np.flatnonzero(cand), np.flatnonzero(rows)
         s = np.count_nonzero(cols < m0)  # slack columns come first
-        matrix = np.full((m0, cols.size), -0.0, order="F")
-        matrix[cols[:s], np.arange(s)] = -1.0
-        matrix[:, s:] = nm.a[:, cols[s:] - m0]
-        ranges = np.concatenate([pt.activities, pt.x])[cols]
+        matrix = np.full((rows.size, cols.size), -0.0, order="F")
+        matrix[np.searchsorted(rows, cols[:s]), np.arange(s)] = -1.0
+        matrix[:, s:] = nm.a[rows][:, cols[s:] - m0]
         # columns with no range only fill out the rank
-        matrix *= np.maximum(ranges, RANK_FILL * max(float(ranges.max()), 1.0))
+        matrix *= np.maximum(ranges[cols], RANK_FILL * top)
         _, perm = scipy.linalg.qr(matrix, overwrite_a=True, pivoting=True, mode="r")
-        cols = np.sort(cols[perm[:m0]])
-    return Basis(cols, np.zeros(m0 + n, dtype=bool))
+        cand[:] = False
+        cand[cols[perm[: rows.size]]] = True
+    struct = cand[m0:]
+    # a basic column whose bound-row slack is not basic sits at its upper bound
+    up = b.cols[struct[b.cols] & ~cand[b.rows]]
+    struct[up] = False
+    at_upper = np.zeros(b.keep.size + n, dtype=bool)
+    at_upper[b.keep.size + up] = True
+    return Basis(np.flatnonzero(np.concatenate([cand[b.keep], struct])), at_upper)
 
 
 def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
@@ -709,10 +730,9 @@ def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
     membership LP of the call shares.  A k whose last separation ended
     no-cut (``last[k]``, see ``optimize_closure``) starts from that LP's
     terminal factors.  Every other k starts from the master's optimal
-    basis over the canonical rows (see ``_separation_start``) mapped onto
-    the kept rows (``ColumnBounds.kept_basis``), built and factored once,
-    when the first LP of the pass needs it.  A singular one leaves those
-    LPs to their crash basis.
+    basis carried over to the kept rows (``_separation_start``), built and
+    factored once, when the first LP of the pass needs it.  A singular one
+    leaves those LPs to their crash basis.
 
     Records each outcome in ``last`` as it comes.  Returns the outcomes
     in pass order, how many LPs started from their own factors, the time
@@ -724,9 +744,8 @@ def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
 
     @functools.cache
     def pass_start() -> BasisFactors | None:
-        start = _separation_start(nm, master, pt)
         try:
-            return BasisFactors(system.slp.a, system.bounds.kept_basis(start))
+            return BasisFactors(system.slp.a, _separation_start(master, pt))
         except SingularBasisError:
             return None
 

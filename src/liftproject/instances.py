@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INF = math.inf
+MPS_INFINITY = 1e20  # |values| from here up read as infinite, as in CPLEX and HiGHS
 INTEGRALITY_TOL = 1e-9  # integer bounds closer than this to an integer are rounded
 
 # Bound types that carry a numeric value in the BOUNDS section.
@@ -315,11 +316,13 @@ def _parse_objsense(token: str, ln: int) -> str:
 
 def _parse_float(token: str, ln: int, *, finite: bool = True) -> float:
     """The number ``token`` spells, never NaN, and finite unless ``finite``
-    is False (a bound)."""
+    is False (a bound); any |value| >= ``MPS_INFINITY`` is infinite."""
     try:
         value = float(token.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError(f"bad numeric literal '{token}'", ln) from None
+    if abs(value) >= MPS_INFINITY:
+        value = math.copysign(INF, value)
     if math.isnan(value) or (finite and math.isinf(value)):
         raise MpsParseError(f"non-finite value '{token}'", ln)
     return value

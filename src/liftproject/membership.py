@@ -167,9 +167,8 @@ class SeparationSystem:
     The LP is solved, and its cuts read, over ``slp``, the original rows
     that are not column bounds (``bounds.keep``): the bound row i on
     column j folds into the bounds of y_j, and its slack s_i = f u_j - y_j
-    drops out.  No system over every original row is kept; the pass start
-    builds only the canonical columns it trims over
-    (``closure._separation_start``).
+    drops out.  No system over every original row is kept, and the pass
+    start is a basis of ``slp`` too (``closure._separation_start``).
     """
 
     bounds: ColumnBounds

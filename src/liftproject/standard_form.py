@@ -4,7 +4,8 @@ The canonical model A'x >= b, x >= 0 becomes Ax = b with A = (-I A'):
 slack variables occupy columns 0..m-1, structural variables columns
 m..m+n-1, and the integer structural variables are the first p of those.
 The validity oracle's fiber LPs solve over this matrix of the original
-rows, and the tests read it as the canonical reference.  The master LP
+rows, the pass start's trim builds part of it, and the tests read it as
+the canonical reference.  The master LP
 and the membership separation LP drop the rows that only bound one
 column and keep those bounds as column bounds instead (``ColumnBounds``);
 their cuts are read from their own bases, with the columns at a bound
@@ -146,12 +147,11 @@ class ColumnBounds:
     When several rows bound one column, only the first is, and the others
     stay rows.  The system over the rows kept (``keep``) plus cuts, with
     these bounds on its structurals, has the feasible set of the canonical
-    system plus those cuts.  ``canonical_columns`` maps a master basis onto
-    the cut-free rows, ``at_upper`` names the columns whose complement
-    u_j - x_j takes the place of the bound-row slack in a master tableau
-    row, and ``kept_basis`` maps a basis of the cut-free rows onto the kept
-    rows.  No basis is mapped back: cuts are read over the kept rows
-    (``membership.certificate_from_basis``).
+    system plus those cuts.  ``at_upper`` names the columns whose
+    complement u_j - x_j takes the place of the bound-row slack in a master
+    tableau row.  No basis is mapped between the two systems: pass starts
+    are chosen over the kept rows (``closure._separation_start``), and cuts
+    are read there (``membership.certificate_from_basis``).
     """
 
     keep: np.ndarray  # original rows that stay rows
@@ -182,55 +182,12 @@ class ColumnBounds:
         """Mask over ``cols`` of the columns nonbasic at their upper bound
         in ``basis``, a basis of the kept rows plus cuts.  A fixed column
         (u_j = 0) counts as at upper when its reduced cost (max sense) is
-        positive, so an optimal ``basis`` maps to an optimal one."""
+        positive, so the statuses of an optimal ``basis`` stay dual
+        feasible."""
         j = basis.num_cols - self.upper.size + self.cols
         nonbasic = ~basis.in_basis_mask()[j]
         fixed = self.upper[self.cols] <= 0.0
         return nonbasic & np.where(fixed, reduced_costs[j] > 0.0, basis.at_upper[j])
-
-    def canonical_columns(self, basis: Basis, reduced_costs: np.ndarray) -> np.ndarray:
-        """Basic columns, ascending, of the cut-free canonical system at the
-        vertex of ``basis``, a basis of the kept rows plus cuts.
-
-        Kept-row slacks and structurals keep their columns; cut slacks have
-        none there and are dropped.  For the row i that bounds x_j, x_j is
-        basic if it sits at its upper bound (``at_upper``), and slack i
-        otherwise, so row i holds one basic column of its own.
-        """
-        m0, n = self.num_rows, self.upper.size
-        m = basis.num_cols - n
-        to_canonical = np.concatenate(
-            [self.keep, np.full(m - self.keep.size, -1), m0 + np.arange(n)]
-        )
-        up = self.at_upper(basis, reduced_costs)
-        basic = to_canonical[basis.basic]
-        return np.sort(
-            np.concatenate([basic[basic >= 0], m0 + self.cols[up], self.rows[~up]])
-        )
-
-    def kept_basis(self, basis: Basis) -> Basis:
-        """A basis of the cut-free canonical rows mapped onto the kept rows.
-
-        Bound-row slacks have no column there and are dropped.  For the row
-        i that bounds x_j, a basic x_j whose slack i is nonbasic leaves the
-        basis for the bound that slack sets: its upper bound when slack i
-        sits at 0, its lower bound when slack i sits at its upper bound.
-        Every other column keeps its role and status.  Row i held x_j or
-        slack i or both, so the columns left form a basis, and wherever
-        its basic point lies inside the kept system's bounds it is the
-        canonical basic point.
-        """
-        m, m0, n = self.num_rows, self.keep.size, self.upper.size
-        in_basis = basis.in_basis_mask()
-        leave = in_basis[m + self.cols] & ~in_basis[self.rows]
-        at_upper = np.concatenate([basis.at_upper[self.keep], basis.at_upper[m:]])
-        at_upper[m0 + self.cols[leave]] = ~basis.at_upper[self.rows[leave]]
-        to_kept = np.full(m + n, -1)
-        to_kept[self.keep] = np.arange(m0)
-        to_kept[m:] = m0 + np.arange(n)
-        to_kept[m + self.cols[leave]] = -1
-        basic = to_kept[basis.basic]
-        return Basis(basic[basic >= 0], at_upper)
 
 
 class BasisFactors:

@@ -210,6 +210,7 @@ def test_verify_cli_fault_injection_exits_3(capsys):
         (["--mode", "gmi-rounds", "--rounds", "-3"], "rounds must be non-negative"),
         (["--time-limit", "-5"], "time_limit must be non-negative"),
         (["--eps", "0.7"], "eps must be below 0.5"),
+        (["--eps", "0.3"], "eps must be at most 0.25 in pe and pestar modes"),
     ],
 )
 def test_close_invalid_config_exits_1(t1_path, capsys, argv, message):
@@ -217,6 +218,26 @@ def test_close_invalid_config_exits_1(t1_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_close_reads_mps_infinity_as_no_bound(tmp_path):
+    # max x + y s.t. 2x + 2y <= 3 over integers whose upper bound 1e30 is
+    # the usual MPS infinity: read as a finite bound it scaled the
+    # simplex's tolerances past the model and proved 0.  With no bound the
+    # pe closure of this model is its LP bound 1.5
+    path = tmp_path / "inf.mps"
+    path.write_text(
+        "NAME INF\nOBJSENSE\n    MAX\nROWS\n N obj\n L c1\nCOLUMNS\n"
+        "    MARKER 'MARKER' 'INTORG'\n    x obj 1.0 c1 2.0\n    y obj 1.0 c1 2.0\n"
+        "    MARKER 'MARKER' 'INTEND'\nRHS\n    rhs c1 3.0\n"
+        "BOUNDS\n UP BND x 1e30\n UP BND y 1e30\nENDATA\n"
+    )
+    out = tmp_path / "report.json"
+    assert main(["close", str(path), "--mode", "pe", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["termination"] == "proved"
+    assert report["z_lp"] == pytest.approx(1.5)
+    assert report["z_cut"] == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize(

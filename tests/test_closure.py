@@ -51,7 +51,7 @@ from liftproject.verify import random_milp
 from conftest import T1_MPS
 from test_membership import build_membership_lp, interval_milp, plain_milp
 from test_simplex import record_dual_runs
-from test_standard_form import basic_point
+from test_standard_form import basic_point, canonical_columns, kept_basis
 
 GENERATORS = Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
 
@@ -108,6 +108,18 @@ def test_gap_closed_conventions():
     with pytest.raises(ValueError):
         gap_closed(5.0, 4.0, 5.0)
     assert gap_closed(1.0, 0.5, None) is None
+
+
+def test_config_bounds_eps_by_mode():
+    # a membership value is at least (f - 1) f >= -0.25, so above 0.25 no
+    # cut could ever be emitted; in gmi eps is only a fractionality
+    # threshold
+    with pytest.raises(ValueError, match="at most 0.25 in pe and pestar"):
+        ClosureConfig(mode="pe", eps=0.26)
+    with pytest.raises(ValueError, match="at most 0.25 in pe and pestar"):
+        ClosureConfig(mode="pestar", eps=0.3)
+    assert ClosureConfig(mode="gmi", eps=0.3).eps == 0.3
+    assert ClosureConfig(mode="pe", eps=0.25).eps == 0.25
 
 
 def test_config_rejects_fractional_rounds():
@@ -528,19 +540,42 @@ def _fractional_ks(master):
     return np.flatnonzero(np.minimum(f, 1.0 - f) >= ClosureConfig().eps)
 
 
-def _check_separation_start(master):
-    """The start names m0 of the master vertex's canonical columns and is
-    nonsingular; when those columns need no trim (every cut slack basic),
-    its basic solution is f * (activities, xhat) for every fractional k.
-    A trim runs over exactly those columns of the canonical matrix, sign
-    bits of its zeros included, and keeps the columns the same pivoted QR
-    keeps over ``to_standard``'s matrix.  Returns whether that solution
-    was checked, False after a trim."""
+def reference_start(master, pt):
+    """The pass start chosen over every canonical row: the master vertex's
+    canonical columns, trimmed by the pivoted QR over all of them when they
+    are too many, then mapped onto the kept rows.  Returns the canonical
+    columns, the weighted matrix the QR ran on (None without a trim), the
+    canonical basis and its image on the kept rows."""
     sep_slp = to_standard(master.nm)  # the canonical reference
+    m0 = sep_slp.num_rows
+    cols = canonical_columns(master.bounds, master.basis, master.result.reduced_costs)
+    matrix, basic = None, cols
+    if cols.size > m0:
+        ranges = np.concatenate([pt.activities, pt.x])[cols]
+        weight = np.maximum(ranges, closure.RANK_FILL * max(float(ranges.max()), 1.0))
+        matrix = sep_slp.a[:, cols] * weight
+        _, perm = scipy.linalg.qr(matrix, pivoting=True, mode="r")
+        basic = np.sort(cols[perm[:m0]])
+    canonical = Basis(basic, np.zeros(sep_slp.num_cols, dtype=bool))
+    return cols, matrix, canonical, kept_basis(master.bounds, canonical)
+
+
+def _check_separation_start(master):
+    """The start equals the reference chosen over every canonical row
+    (``reference_start``), basic columns and bound statuses, and is
+    nonsingular; the reference names m0 of the master vertex's canonical
+    columns.  A trim runs over exactly the reference's matrix without the
+    set-aside bound rows, those whose column is no candidate, and their
+    slacks, sign bits of its zeros included.  When no trim is needed
+    (every cut slack basic), the start's basic solution is
+    f * (activities, xhat) for every fractional k.  Returns whether that
+    solution was checked, False after a trim, and how many rows the trim
+    set aside."""
+    sep_slp = to_standard(master.nm)
     pt = FractionalPoint.from_point(
         master.nm, master.result.x[master.slp.num_rows :], tol=1e-6
     )
-    cols = master.bounds.canonical_columns(master.basis, master.result.reduced_costs)
+    cols, reference, canonical, want = reference_start(master, pt)
     built, qr = [], scipy.linalg.qr
 
     def recording(a, **kwargs):
@@ -549,43 +584,43 @@ def _check_separation_start(master):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.linalg, "qr", recording)
-        basis = closure._separation_start(master.nm, master, pt)
+        start = closure._separation_start(master, pt)
+    assert start.basic.tolist() == want.basic.tolist()
+    assert start.at_upper.tolist() == want.at_upper.tolist()
     m0 = sep_slp.num_rows
-    if cols.size > m0:
-        ranges = np.concatenate([pt.activities, pt.x])[cols]
-        weight = np.maximum(ranges, closure.RANK_FILL * max(float(ranges.max()), 1.0))
-        reference = sep_slp.a[:, cols] * weight
-        _, perm = qr(reference, pivoting=True, mode="r")
-        assert basis.basic.tolist() == np.sort(cols[perm[:m0]]).tolist()
+    bounds = master.bounds
+    aside = bounds.rows[~np.isin(m0 + bounds.cols, cols)]
+    if reference is not None:
+        rows = np.setdiff1d(np.arange(m0), aside)
+        reduced = reference[np.ix_(rows, np.flatnonzero(~np.isin(cols, aside)))]
         assert len(built) == 1
-        assert built[0].tobytes() == reference.tobytes()
-        assert np.array_equal(np.signbit(built[0]), np.signbit(reference))
+        assert built[0].tobytes() == reduced.tobytes()
+        assert np.array_equal(np.signbit(built[0]), np.signbit(reduced))
     else:
         assert not built
-    assert basis.basic.size == m0 and np.isin(basis.basic, cols).all()
-    assert np.all(np.diff(basis.basic) > 0)
-    factors = BasisFactors(sep_slp.a, basis)  # raises when singular
-    # its image on the kept rows, the start the LP is solved from
+    assert canonical.basic.size == m0 and np.isin(canonical.basic, cols).all()
+    factors = BasisFactors(sep_slp.a, canonical)  # raises when singular
+    # the start the LP is solved from, over the kept rows
     system = SeparationSystem.of(master.nm, master.bounds)
-    kept = master.bounds.kept_basis(basis)
-    assert kept.basic.size == system.slp.num_rows
-    kept_factors = BasisFactors(system.slp.a, kept)  # raises when singular
-    if cols.size > m0:
-        return False
+    assert start.basic.size == system.slp.num_rows
+    assert np.all(np.diff(start.basic) > 0)
+    kept_factors = BasisFactors(system.slp.a, start)  # raises when singular
+    if reference is not None:
+        return False, aside.size
     yhat = np.concatenate([pt.activities, pt.x])
     kept_cols = np.concatenate([master.bounds.keep, m0 + np.arange(pt.x.size)])
     for k in _fractional_ks(master):
         f = pt.fracs[k]
         y = np.zeros(sep_slp.num_cols)
-        y[basis.basic] = factors.solve(f * sep_slp.b)
+        y[canonical.basic] = factors.solve(f * sep_slp.b)
         assert np.abs(y - f * yhat).max() <= 1e-9
         # the same point, inside the kept LP's bounds: its basic point
         lp = system.kept_problem(pt, k).lp
-        x = np.where(kept.at_upper, lp.upper, lp.lower)
-        x[kept.basic] = 0.0
-        x[kept.basic] = kept_factors.solve(lp.rhs - lp.a_eq @ x)
+        x = np.where(start.at_upper, lp.upper, lp.lower)
+        x[start.basic] = 0.0
+        x[start.basic] = kept_factors.solve(lp.rhs - lp.a_eq @ x)
         assert np.abs(x - f * yhat[kept_cols]).max() <= 1e-9
-    return True
+    return True, 0
 
 
 def _loose_cuts(nm):
@@ -603,8 +638,7 @@ def test_separation_start_is_a_basis_at_the_master_vertex(monkeypatch):
     def checking(self, cuts, time_limit=None):
         res = warm_solve(self, cuts, time_limit=time_limit)
         if res.status is Status.OPTIMAL and cuts:
-            exact = _check_separation_start(self)
-            checked.append((self.nm.name, exact))
+            checked.append((self.nm.name, *_check_separation_start(self)))
         return res
 
     monkeypatch.setattr(closure._Master, "solve", checking)
@@ -614,11 +648,37 @@ def test_separation_start_is_a_basis_at_the_master_vertex(monkeypatch):
             optimize_closure(nm, ClosureConfig(mode=mode))
         master = closure._Master(nm)
         master.solve(_loose_cuts(nm))
-    names = {name for name, _ in checked}
+    names = {name for name, _, _ in checked}
     assert names == {"knap", "random", "twice", "fixed"}
     assert len(checked) >= 20
-    assert {name for name, exact in checked if exact} == names
-    assert any(not exact for _, exact in checked)  # trimmed starts
+    assert {name for name, exact, _ in checked if exact} == names
+    assert any(not exact for _, exact, _ in checked)  # trimmed starts
+    assert sum(aside for _, _, aside in checked) >= 50  # set-aside bound rows
+    # small random models, bound rows on every column
+    checked.clear()
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        nm = random_milp(rng).nm
+        for mode in ("pe", "pestar"):
+            optimize_closure(nm, ClosureConfig(mode=mode))
+    assert sum(not exact for _, exact, _ in checked) >= 60  # trimmed starts
+    assert sum(aside for _, _, aside in checked) >= 30
+    # a far bound on a column at 0: its set-aside slack has the largest
+    # range, so it sets the RANK_FILL floor of the columns with none
+    checked.clear()
+    knap = _knapsack(np.random.default_rng(3), rows=3, nb=20)
+    a = np.hstack([knap.a, np.zeros((knap.num_rows, 1))])
+    a[:3, -1] = -1.0
+    nm = plain_milp(
+        np.vstack([a, -np.eye(21)[-1:]]),
+        np.append(knap.b, -1e6),
+        np.append(knap.objective, -1.0),
+        p=20,
+        name="far",
+    )
+    for mode in ("pe", "pestar"):
+        optimize_closure(nm, ClosureConfig(mode=mode))
+    assert sum(not exact for _, exact, _ in checked) >= 5
 
 
 def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
@@ -762,7 +822,8 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
 
 
 def test_first_gmi_round_matches_the_canonical_tableau():
-    # the master's basis mapped by ``canonical_columns`` is an optimal basis
+    # the master's basis mapped by ``canonical_columns`` (the tests'
+    # reference) is an optimal basis
     # of the canonical rows at the same vertex, and the first round's cuts,
     # read from the master's own tableau with the columns at upper
     # complemented, are the GMI cuts of that canonical basis
@@ -771,7 +832,7 @@ def test_first_gmi_round_matches_the_canonical_tableau():
         res = master.solve([])
         slp = to_standard(nm)
         m = slp.num_rows
-        cols = master.bounds.canonical_columns(master.basis, res.reduced_costs)
+        cols = canonical_columns(master.bounds, master.basis, res.reduced_costs)
         basis = Basis(cols, np.zeros(slp.num_cols, dtype=bool))
         factors = BasisFactors(slp.a, basis)  # raises when singular
         x = basic_point(slp, basis)

@@ -161,6 +161,14 @@ def number_mps(col="1.0", rhs="1.0", rng="2.0", bound="UP bnd x 3.0"):
         ({"bound": "LI bnd x inf"}, 12),
         ({"bound": "FX bnd x inf"}, 12),
         ({"bound": "FX bnd x -inf"}, 12),
+        # MPS infinity: any |value| >= 1e20
+        ({"col": "1e30"}, 6),
+        ({"col": "-1e20"}, 6),
+        ({"rhs": "1e30"}, 8),
+        ({"rng": "1e20"}, 10),
+        ({"bound": "UP bnd x -1e30"}, 12),
+        ({"bound": "LO bnd x 1e30"}, 12),
+        ({"bound": "FX bnd x 1e20"}, 12),
     ],
 )
 def test_non_finite_numbers_are_rejected(fields, line):
@@ -175,7 +183,11 @@ def test_a_bound_may_be_infinite_on_its_own_side():
     assert (x.lower, x.upper) == (0.0, math.inf)
     x = parse_mps(number_mps(bound="UI bnd x inf")).variables[0]
     assert x.integer and x.upper == math.inf
-    for bound in ("LO bnd x -inf", "LI bnd x -inf"):
+    # MPS infinity, as CPLEX and HiGHS read it; just below it stays finite
+    for bound in ("UP bnd x 1e30", "UP bnd x 1e20", "UI bnd x 1D30"):
+        assert parse_mps(number_mps(bound=bound)).variables[0].upper == math.inf
+    assert parse_mps(number_mps(bound="UP bnd x 9.9e19")).variables[0].upper == 9.9e19
+    for bound in ("LO bnd x -inf", "LI bnd x -inf", "LO bnd x -1e30"):
         inst = parse_mps(number_mps(bound=bound))
         assert inst.variables[0].lower == -math.inf
         with pytest.raises(NormalizeError, match="finite lower bound"):

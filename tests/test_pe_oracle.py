@@ -9,12 +9,15 @@ conv(P ∩ {x_k <= 0} ∪ P ∩ {x_k >= 1}).  Balas, Ceria and Cornuéjols
     A'z^k >= b (1 - λ_k),  z^k_k >= 1 - λ_k,  y^k, z^k >= 0,  0 <= λ_k <= 1.
 
 HiGHS solves it here, so the reference shares no code with the package.
-A proved Kelley run must land between that optimum and eps above it.
+A proved Kelley run must land between that optimum and eps above it.  The
+strengthened `pestar` cuts are valid for every integer point, and each is
+at least as tight as its plain cut, so a `pestar` run must land between
+the integer optimum (HiGHS's MILP solver) and that optimum plus eps.
 """
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from liftproject.closure import ClosureConfig, optimize_closure
 
@@ -77,6 +80,19 @@ def lifted_pe_bound(nm) -> float:
     return nm.original_objective(-res.fun)
 
 
+def milp_optimum(nm) -> float:
+    """Integer optimum, in the original objective sense."""
+    n = nm.num_cols
+    res = milp(
+        -nm.objective,  # milp minimizes
+        constraints=LinearConstraint(nm.a, lb=nm.b, ub=np.inf),
+        integrality=np.arange(n) < nm.num_integer,
+        bounds=Bounds(0.0, np.inf),
+    )
+    assert res.status == 0, res.message
+    return nm.original_objective(-res.fun)
+
+
 def binary_knapsack(rng, rows, cols):
     w = rng.integers(5, 40, size=(rows, cols)).astype(float)
     cap = np.floor(w.sum(axis=1) / 2)
@@ -127,3 +143,14 @@ def test_pe_bound_matches_lifted_lp(nm):
     scale = 1.0 + abs(z_pe)
     # max sense: the Kelley bound approaches the closure optimum from above
     assert z_pe - LP_TOL * scale <= rep.z_cut <= z_pe + EPS * scale
+
+
+@pytest.mark.parametrize("nm", _models(), ids=lambda nm: nm.name)
+def test_pestar_bound_lies_between_the_optimum_and_the_pe_bound(nm):
+    rep = optimize_closure(nm, ClosureConfig(mode="pestar"))
+    assert rep.termination == "proved"
+    z_pe = lifted_pe_bound(nm)
+    scale = 1.0 + abs(z_pe)
+    # max sense: no integer point is cut off, and the strengthened cuts
+    # close at least as much as the plain ones
+    assert milp_optimum(nm) - LP_TOL * scale <= rep.z_cut <= z_pe + EPS * scale

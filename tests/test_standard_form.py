@@ -21,6 +21,53 @@ def basic_point(lp, basis):
     return x
 
 
+def canonical_columns(bounds, basis, reduced_costs):
+    """Basic columns, ascending, of the cut-free canonical system at the
+    vertex of ``basis``, a basis of the kept rows plus cuts, with its
+    ``ColumnBounds``.
+
+    Kept-row slacks and structurals keep their columns; cut slacks have
+    none there and are dropped.  For the row i that bounds x_j, x_j is
+    basic if it sits at its upper bound (``at_upper``), and slack i
+    otherwise, so row i holds one basic column of its own.
+    """
+    m0, n = bounds.num_rows, bounds.upper.size
+    m = basis.num_cols - n
+    to_canonical = np.concatenate(
+        [bounds.keep, np.full(m - bounds.keep.size, -1), m0 + np.arange(n)]
+    )
+    up = bounds.at_upper(basis, reduced_costs)
+    basic = to_canonical[basis.basic]
+    return np.sort(
+        np.concatenate([basic[basic >= 0], m0 + bounds.cols[up], bounds.rows[~up]])
+    )
+
+
+def kept_basis(bounds, basis):
+    """A basis of the cut-free canonical rows mapped onto the kept rows.
+
+    Bound-row slacks have no column there and are dropped.  For the row
+    i that bounds x_j, a basic x_j whose slack i is nonbasic leaves the
+    basis for the bound that slack sets: its upper bound when slack i
+    sits at 0, its lower bound when slack i sits at its upper bound.
+    Every other column keeps its role and status.  Row i held x_j or
+    slack i or both, so the columns left form a basis, and wherever its
+    basic point lies inside the kept system's bounds it is the canonical
+    basic point.
+    """
+    m, m0, n = bounds.num_rows, bounds.keep.size, bounds.upper.size
+    in_basis = basis.in_basis_mask()
+    leave = in_basis[m + bounds.cols] & ~in_basis[bounds.rows]
+    at_upper = np.concatenate([basis.at_upper[bounds.keep], basis.at_upper[m:]])
+    at_upper[m0 + bounds.cols[leave]] = ~basis.at_upper[bounds.rows[leave]]
+    to_kept = np.full(m + n, -1)
+    to_kept[bounds.keep] = np.arange(m0)
+    to_kept[m:] = m0 + np.arange(n)
+    to_kept[m + bounds.cols[leave]] = -1
+    basic = to_kept[basis.basic]
+    return Basis(basic[basic >= 0], at_upper)
+
+
 def t1_optimal_basis(slp):
     # structural columns basic, both slacks nonbasic at zero
     return Basis(np.array([2, 3]), np.zeros(slp.num_cols, dtype=bool))

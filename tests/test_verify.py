@@ -14,6 +14,8 @@ from liftproject.verify import (
     run_suite,
 )
 
+from test_standard_form import canonical_columns
+
 
 def test_validity_passes_on_t1_cut(t1):
     cut = CutRow(coeffs=np.array([0.0, -1.0]), rhs=0.0, space="structural")
@@ -183,7 +185,7 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
                 assert start is vertices[0].factors
                 assert start.a is lp.a_eq
             bounds, vertex = ColumnBounds.of(nm), vertices[0]
-            canonical = bounds.canonical_columns(vertex.basis, vertex.reduced_costs)
+            canonical = canonical_columns(bounds, vertex.basis, vertex.reduced_costs)
             nonbasic = np.setdiff1d(np.arange(nm.num_rows + nm.num_cols), canonical)
             rows = nonbasic[nonbasic < nm.num_rows]
             cols = nonbasic[nonbasic >= nm.num_rows] - nm.num_rows
