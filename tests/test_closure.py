@@ -822,11 +822,10 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
 
 
 def test_first_gmi_round_matches_the_canonical_tableau():
-    # the master's basis mapped by ``canonical_columns`` (the tests'
-    # reference) is an optimal basis
-    # of the canonical rows at the same vertex, and the first round's cuts,
-    # read from the master's own tableau with the columns at upper
-    # complemented, are the GMI cuts of that canonical basis
+    # the master's basis mapped by the tests' ``canonical_columns`` is an
+    # optimal basis of the canonical rows at the same vertex, and the first
+    # round's cuts, read from the master's own tableau with the columns at
+    # upper complemented, are the GMI cuts of that canonical basis
     for nm in _bound_row_models():
         master = closure._Master(nm)
         res = master.solve([])
