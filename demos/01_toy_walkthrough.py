@@ -10,7 +10,7 @@ import numpy as np
 from liftproject import (
     BoundedLp,
     FractionalPoint,
-    SeparationSystem,
+    membership_problem,
     membership_value,
     normalize,
     parse_mps,
@@ -51,7 +51,7 @@ lp = BoundedLp(
     a_eq=slp.a,
     rhs=slp.b,
     lower=np.zeros(slp.num_cols),
-    upper=np.full(slp.num_cols, np.inf),
+    upper=slp.column_upper(),
 )
 res = solve(lp, start=slp.slack_basis())
 xhat = res.x[slp.num_rows :]
@@ -61,7 +61,7 @@ print("\nLP relaxation optimum:", xhat, "value", res.value)
 #    does (0.5, 1) lie in conv(P n {x1 <= 0}  u  P n {x1 >= 1})?
 #    T1 has no row that only bounds a variable, so the LP keeps every row
 pt = FractionalPoint.from_point(nm, xhat)
-prob = SeparationSystem.of(nm).kept_problem(pt, 0)
+prob = membership_problem(slp, pt, 0)
 value, mres = membership_value(prob)
 print("\nmembership optimum:", value, " (negative: the point is outside)")
 print("optimal y =", mres.x[slp.num_rows :], " equals f * xhat with f =", pt.fracs[0])

@@ -10,7 +10,12 @@ Three situations on the interval P = [0, 3] with x integer:
 
 import numpy as np
 
-from liftproject import FractionalPoint, SeparationSystem, membership_value
+from liftproject import (
+    FractionalPoint,
+    membership_problem,
+    membership_value,
+    to_standard,
+)
 from liftproject.cuts import FRAC_EPS_DEFAULT
 from liftproject.instances import NormalizedMilp
 from liftproject.membership import build_cglp, solve_cglp
@@ -35,7 +40,7 @@ def interval(upper):
 
 def membership(nm, pt, k):
     """The membership LP of k at pt, over the rows that are not bounds."""
-    return membership_value(SeparationSystem.of(nm).kept_problem(pt, k))[0]
+    return membership_value(membership_problem(to_standard(nm), pt, k))[0]
 
 
 nm = interval(3.0)

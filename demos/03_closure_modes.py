@@ -26,7 +26,7 @@ def exact_optimum(nm, box):
     best = None
     for asg in product(*(range(int(b) + 1) for b in box[:p])):
         lower = np.zeros(m + n)
-        upper = np.full(m + n, np.inf)
+        upper = slp.column_upper()
         lower[m : m + p] = asg
         upper[m : m + p] = asg
         res = simplex.solve(

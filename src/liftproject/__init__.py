@@ -28,8 +28,8 @@ from .membership import (
     DualCertificate,
     FractionalPoint,
     Separation,
-    SeparationSystem,
     build_cglp,
+    membership_problem,
     membership_value,
     separate,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "NormalizedMilp",
     "NormalizeError",
     "Separation",
-    "SeparationSystem",
     "SimplexResult",
     "StandardLp",
     "Status",
@@ -61,6 +60,7 @@ __all__ = [
     "gmi_rounds",
     "intersection_cut",
     "load_optima",
+    "membership_problem",
     "membership_value",
     "normalize",
     "optimize_closure",

@@ -35,9 +35,10 @@ def _fmt(x) -> str:
 
 
 def _round_floats(obj):
-    """Round every float to 12 significant digits for stable serialization."""
+    """Round every float to 12 significant digits for stable serialization;
+    a float that is not finite becomes None, which JSON can hold."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(f"{obj:.12g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -159,7 +160,7 @@ def cmd_close(args) -> int:
     # JSON document
     _print_human(report, nm, sys.stderr if args.json_out == "-" else sys.stdout)
     if args.json_out:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         if args.json_out == "-":
             print(text)
         else:

@@ -10,10 +10,10 @@ baseline: read GMI cuts straight from the optimal tableau of the growing
 master, letting the rank increase round by round.
 
 The master LP reads each bound row -x_j >= -u_j of the canonical form as
-the column bound x_j <= u_j (``standard_form.ColumnBounds``) and solves
+the column bound x_j <= u_j (``standard_form.to_standard``) and solves
 over the other rows plus the cuts, so the dual simplex moves bounded
-columns by bound flips.  The membership LP drops the same rows
-(``membership.SeparationSystem``).  Separation starts are chosen from the
+columns by bound flips.  The membership LP solves over the same system
+without the cuts.  Separation starts are chosen from the
 master's own basis over those kept rows; a variable whose last
 separation ended with no cut starts from that LP's terminal factors
 instead.  Every cut, GMI round or membership, is read from the basis of
@@ -49,7 +49,6 @@ from .simplex import BoundedLp, SimplexResult, Status
 from .standard_form import (
     Basis,
     BasisFactors,
-    ColumnBounds,
     SingularBasisError,
     StandardLp,
     tableau_row,
@@ -314,19 +313,19 @@ class _Master:
     """Master LP: the original rows that are not column bounds, the active
     cuts, and ``0 <= x <= u`` on the structurals.
 
-    ``standard_form.ColumnBounds`` reads each bound row -x_j >= -u_j as the
-    column bound x_j <= u_j, so every bounded structural is boxed and the
-    dual simplex moves it between its bounds by bound flips rather than
-    basis changes.  Its other rows come first, then the cuts (``slp``).
-    Separation starts and GMI tableau rows are read from this system and
-    ``basis`` through ``bounds``.
+    ``base``, the cut-free system of ``standard_form.to_standard``, reads
+    each bound row -x_j >= -u_j as the column bound x_j <= u_j, so every
+    bounded structural is boxed and the dual simplex moves it between its
+    bounds by bound flips rather than basis changes.  The master solves
+    over ``base`` with the cuts appended (``slp``); separation starts and
+    GMI tableau rows are read from that system and ``basis``, and every
+    membership LP solves over ``base``.
     """
 
     def __init__(self, nm: NormalizedMilp):
         self.nm = nm
-        self.bounds = ColumnBounds.of(nm)
+        self.base = to_standard(nm)
         self.slp: StandardLp | None = None
-        self.upper: np.ndarray | None = None  # column bounds of the master LP
         self.basis: Basis | None = None
         self.result = None
         self.pivots = 0
@@ -334,11 +333,6 @@ class _Master:
         self.solves = 0
         self.time = 0.0
         self._cuts: list[CutRow] = []
-
-    @property
-    def num_base_rows(self) -> int:
-        """Rows of the master before its cuts."""
-        return self.bounds.keep.size
 
     def holds(self, cuts: list[CutRow]) -> bool:
         """Whether the last solve ran over exactly these cuts, in order."""
@@ -357,21 +351,18 @@ class _Master:
         old_slp = self.slp
         old_cuts = self._cuts
         self._cuts = list(cuts)
-        self.slp = to_standard(self.nm, self._cuts, rows=self.bounds.keep)
+        self.slp = self.base.with_cuts(self._cuts)
         if self.basis is not None and old_slp is not None:
             start = self._remap_basis(old_slp, old_cuts)
         else:
             start = self.slp.slack_basis()
-        self.upper = np.concatenate(
-            [np.full(self.slp.num_rows, np.inf), self.bounds.upper]
-        )
         lp = BoundedLp(
             sense="max",
             objective=self.slp.c,
             a_eq=self.slp.a,
             rhs=self.slp.b,
             lower=np.zeros(self.slp.num_cols),
-            upper=self.upper,
+            upper=self.slp.column_upper(),
         )
         self.result = simplex.solve(lp, start=start, time_limit=time_limit)
         self.basis = self.result.basis
@@ -397,7 +388,7 @@ class _Master:
         """
         m_old = old_slp.num_rows
         m_new = self.slp.num_rows
-        m0 = self.num_base_rows
+        m0 = self.base.num_rows
         new_pos = {id(cut): i for i, cut in enumerate(self._cuts)}
         basic = []
         for col in self.basis.basic:
@@ -455,9 +446,8 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
     t_start = time.perf_counter()
     p = nm.num_integer
     master = _Master(nm)
-    # separation systems: the cut-free original rows, always (rank 1)
-    system = membership.SeparationSystem.of(nm, master.bounds)
-    sep_fingerprint = system.slp.row_fingerprint()
+    # separation system: the cut-free original rows, always (rank 1)
+    sep_fingerprint = master.base.row_fingerprint()
     pool = CutPool(
         slack_threshold=POOL_SLACK_SCALE
         * (1.0 + float(np.abs(nm.b).max(initial=0.0))),
@@ -492,7 +482,7 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
             break
         xhat = _structural_point(master.slp, res.x)
         parked, reactivated = pool.maintain(
-            xhat, master.basis, master.num_base_rows, cfg.eps
+            xhat, master.basis, master.base.num_rows, cfg.eps
         )
         if reactivated:
             # master must honor reactivated rows before the next pass
@@ -534,9 +524,9 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
         order = sorted(set(candidates) - seen, key=lambda k: (pt.x[k], k))
         K = set()
 
-        assert system.slp.row_fingerprint() == sep_fingerprint  # rank-1 discipline
+        assert master.base.row_fingerprint() == sep_fingerprint  # rank-1 discipline
         outcomes, remembered, pass_time, timed_out = _run_separations(
-            nm, pt, order, system, master, cfg, t_start, last
+            nm, pt, order, master, cfg, t_start, last
         )
         report.separation_time += pass_time
 
@@ -670,7 +660,7 @@ def _separation_start(master: _Master, pt: membership.FractionalPoint) -> Basis:
     cut-free system, which every membership LP of the pass solves over.
 
     Cut slacks drop out, and each bounded column nonbasic at its upper
-    bound in the master (``ColumnBounds.at_upper``) stays there.  With
+    bound in the master (``StandardLp.at_upper``) stays there.  With
     every cut slack basic, the columns left form a basis whose solution is
     y = f * xhat: primal feasible for every k.  Each cut whose slack is
     nonbasic leaves one basic column too many.  The columns kept are then
@@ -691,17 +681,19 @@ def _separation_start(master: _Master, pt: membership.FractionalPoint) -> Basis:
     favors its other bound and solves by the dual simplex.  A QR over the
     kept rows alone keeps other columns, which cost more pivots.
     """
-    b, nm = master.bounds, master.nm
+    slp, nm = master.slp, master.nm
+    keep, bound_rows, bound_cols = slp.keep, slp.bound_rows, slp.bound_cols
     m0, n = nm.a.shape
     in_basis = master.basis.in_basis_mask()
     # the candidates: the master vertex's columns over the canonical rows
     cand = np.zeros(m0 + n, dtype=bool)
-    cand[b.keep] = in_basis[: b.keep.size]
+    cand[keep] = in_basis[: keep.size]
     cand[m0:] = in_basis[-n:]
-    cand[b.rows] = cand[m0 + b.cols]
-    cand[m0 + b.cols[b.at_upper(master.basis, master.result.reduced_costs)]] = True
+    cand[bound_rows] = cand[m0 + bound_cols]
+    rc = master.result.reduced_costs
+    cand[m0 + bound_cols[slp.at_upper(master.basis, rc)]] = True
     rows = np.ones(m0, dtype=bool)
-    rows[b.rows] = cand[m0 + b.cols]  # the others hold only their slack
+    rows[bound_rows] = cand[m0 + bound_cols]  # the others hold only their slack
     if np.count_nonzero(cand) > np.count_nonzero(rows):
         ranges = np.concatenate([pt.activities, pt.x])
         # the floor counts the set-aside slacks' ranges too
@@ -718,16 +710,16 @@ def _separation_start(master: _Master, pt: membership.FractionalPoint) -> Basis:
         cand[cols[perm[: rows.size]]] = True
     struct = cand[m0:]
     # a basic column whose bound-row slack is not basic sits at its upper bound
-    up = b.cols[struct[b.cols] & ~cand[b.rows]]
+    up = bound_cols[struct[bound_cols] & ~cand[bound_rows]]
     struct[up] = False
-    at_upper = np.zeros(b.keep.size + n, dtype=bool)
-    at_upper[b.keep.size + up] = True
-    return Basis(np.flatnonzero(np.concatenate([cand[b.keep], struct])), at_upper)
+    at_upper = np.zeros(keep.size + n, dtype=bool)
+    at_upper[keep.size + up] = True
+    return Basis(np.flatnonzero(np.concatenate([cand[keep], struct])), at_upper)
 
 
-def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
-    """Separate every k in ``order`` over ``system``, whose kept rows every
-    membership LP of the call shares.  A k whose last separation ended
+def _run_separations(nm, pt, order, master, cfg, t_start, last):
+    """Separate every k in ``order`` over ``master.base``, whose kept rows
+    every membership LP of the call shares.  A k whose last separation ended
     no-cut (``last[k]``, see ``optimize_closure``) starts from that LP's
     terminal factors.  Every other k starts from the master's optimal
     basis carried over to the kept rows (``_separation_start``), built and
@@ -745,7 +737,7 @@ def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
     @functools.cache
     def pass_start() -> BasisFactors | None:
         try:
-            return BasisFactors(system.slp.a, _separation_start(master, pt))
+            return BasisFactors(master.base.a, _separation_start(master, pt))
         except SingularBasisError:
             return None
 
@@ -759,7 +751,7 @@ def _run_separations(nm, pt, order, system, master, cfg, t_start, last):
         else:
             remembered += 1
         sep = membership.separate(
-            nm, pt, k, start=start, system=system, eps=cfg.eps, time_limit=budget
+            nm, pt, k, start=start, slp=master.base, eps=cfg.eps, time_limit=budget
         )
         last[k] = (master.solves, sep)  # drops k's earlier factors
         outcomes.append((k, sep))
@@ -784,7 +776,7 @@ def gmi_rounds(
     the cut rank grows with the round number (unlike the closure loop,
     which only ever separates against the original rows).  The tableau is
     the master's own with each column at its upper bound complemented
-    (``ColumnBounds.at_upper``), which makes its rows those of the
+    (``StandardLp.at_upper``), which makes its rows those of the
     canonical rows plus cuts; the complement counts as continuous, like
     the bound-row slack it stands for (``cuts.complemented_cut``).
     """
@@ -816,8 +808,8 @@ def gmi_rounds(
             break
         slp, basis = master.slp, master.basis
         m = slp.num_rows
-        up = master.bounds.cols[master.bounds.at_upper(basis, res.reduced_costs)]
-        flip, u = m + up, master.bounds.upper[up]
+        up = slp.bound_cols[slp.at_upper(basis, res.reduced_costs)]
+        flip, u = m + up, slp.upper[up]
         xhat = _structural_point(master.slp, res.x)
         fr = xhat[: nm.num_integer] - np.floor(xhat[: nm.num_integer])
         targets = [

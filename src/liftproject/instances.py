@@ -514,7 +514,8 @@ def _row_interval(sense: str, rhs: float, rng: float | None):
 
 
 def load_optima(path) -> dict[str, float]:
-    """Read a reference-optima sidecar: one `name value` pair per line."""
+    """Read a reference-optima sidecar: one `name value` pair per line, the
+    value finite."""
     out: dict[str, float] = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -524,5 +525,8 @@ def load_optima(path) -> dict[str, float]:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {ln}: expected 'name value'")
-            out[parts[0]] = float(parts[1])
+            value = float(parts[1])
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {ln}: optimum {parts[1]} is not finite")
+            out[parts[0]] = value
     return out

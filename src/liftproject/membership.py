@@ -18,19 +18,19 @@ normalization u0 + v0 = 1, its dual, is also built here, solely as a
 cross-check oracle: with alpha, beta, u0 and v0 substituted out it keeps
 one row per structural column (``build_cglp``).
 
-``separate`` solves the same LP over fewer rows (``SeparationSystem``):
-each original row -y_j >= -u_j that only bounds one column folds into
-that column's bounds, as in the master LP, so the LP keeps only the
-other rows.  The multipliers and cuts are read from that LP's own
-terminal basis: a column at a bound its bound-row slack s_i sets is
-complemented, y_j = u_j - s_i, which makes the row of y_k the row of the
-basis over every original row with s_i nonbasic in y_j's place
-(Balas-Perregaard), and its multiplier row i's: the multipliers span
-every original row, yet no system of every original row is built.  The
-verification oracles solve that LP too; it is the only membership LP the
-package builds (``SeparationSystem.kept_problem``), and the only way a
-certificate is read from it is ``certificate_from_basis``.  A model with
-no bound row keeps every row, and the LP is the one stated above.
+``separate`` solves the same LP over fewer rows, those of
+``standard_form.to_standard``: each original row -y_j >= -u_j that only
+bounds one column folds into that column's bounds, as in the master LP,
+so the LP keeps only the other rows.  The multipliers and cuts are read
+from that LP's own terminal basis: a column at a bound its bound-row
+slack s_i sets is complemented, y_j = u_j - s_i, which makes the row of
+y_k the row of the basis over every original row with s_i nonbasic in
+y_j's place (Balas-Perregaard), and its multiplier row i's: the
+multipliers span every original row, yet no system of every original row
+is built.  The verification oracles solve that LP too; it is the only
+membership LP the package builds (``membership_problem``), and the only
+way a certificate is read from it is ``certificate_from_basis``.  A model
+with no bound row keeps every row, and the LP is the one stated above.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .simplex import BoundedLp, SimplexResult, Status
 from .standard_form import (
     Basis,
     BasisFactors,
-    ColumnBounds,
     SingularBasisError,
     StandardLp,
     TableauRow,
@@ -102,9 +101,9 @@ class FractionalPoint:
 @dataclass
 class MembershipProblem:
     """Bound-revised LP encoding of the membership question for one k,
-    over the rows of ``slp``; ``bounds`` names the original rows read as
-    column bounds, whose columns ``certificate_from_basis`` complements
-    (none when every row is kept)."""
+    over the rows of ``slp``, whose bound rows name the columns
+    ``certificate_from_basis`` complements (none when every row is
+    kept)."""
 
     lp: BoundedLp
     k: int
@@ -114,7 +113,6 @@ class MembershipProblem:
     constant: float  # -ceil(xh_k) * f, kept out of the LP objective
     point: FractionalPoint
     slp: StandardLp
-    bounds: ColumnBounds
 
 
 @dataclass
@@ -160,73 +158,55 @@ class Separation:
     factors: BasisFactors | None = field(default=None, repr=False)
 
 
-@dataclass
-class SeparationSystem:
-    """The system every membership LP of one model shares.
+def membership_problem(
+    slp: StandardLp, pt: FractionalPoint, k: int, *, eps: float = FRAC_EPS_DEFAULT
+) -> MembershipProblem:
+    """The membership LP for integer variable k at pt over ``slp``, a
+    cut-free system of ``to_standard``.
 
-    The LP is solved, and its cuts read, over ``slp``, the original rows
-    that are not column bounds (``bounds.keep``): the bound row i on
-    column j folds into the bounds of y_j, and its slack s_i = f u_j - y_j
-    drops out.  No system over every original row is kept, and the pass
-    start is a basis of ``slp`` too (``closure._separation_start``).
+    It is solved, and its cuts read, over the original rows that are not
+    column bounds: the bound row i on column j folds into the bounds of
+    y_j, and its slack s_i = f u_j - y_j drops out.  Kept-row slacks keep
+    their range [0, activity_i] and the columns without a bound row
+    [0, xh_j].  The column j that bound row i bounds lies in
+    [max(0, f u_j - activity_i), min(xh_j, f u_j)], the range that
+    0 <= s_i <= activity_i leaves it inside [0, xh_j]; a crossing of
+    rounding size fixes it at the upper end.  The right-hand side is f b
+    over the kept rows.  Tight rows (zero activity) keep their slack,
+    fixed at 0.  Without bound rows this is the LP over every original
+    row.
     """
-
-    bounds: ColumnBounds
-    slp: StandardLp
-
-    @classmethod
-    def of(cls, nm: NormalizedMilp, bounds: ColumnBounds | None = None):
-        if bounds is None:
-            bounds = ColumnBounds.of(nm)
-        return cls(bounds, to_standard(nm, rows=bounds.keep))
-
-    def kept_problem(
-        self, pt: FractionalPoint, k: int, *, eps: float = FRAC_EPS_DEFAULT
-    ) -> MembershipProblem:
-        """The membership LP for integer variable k at pt over ``slp``.
-
-        Kept-row slacks keep their range [0, activity_i] and the columns
-        without a bound row [0, xh_j].  The column j that bound row i
-        bounds lies in [max(0, f u_j - activity_i), min(xh_j, f u_j)], the
-        range that 0 <= s_i <= activity_i leaves it inside [0, xh_j]; a
-        crossing of rounding size fixes it at the upper end.  The
-        right-hand side is f b over the kept rows.  Tight rows (zero
-        activity) keep their slack, fixed at 0.  Without bound rows this
-        is the LP over every original row.
-        """
-        b, slp, f = self.bounds, self.slp, float(pt.fracs[k])
-        if min(f, 1.0 - f) < eps:
-            raise FractionalityError(
-                f"x[{k}] = {pt.x[k]} is integral within eps={eps}"
-            )
-        j = b.keep.size + b.cols
-        fu = f * b.upper[b.cols]
-        upper = np.concatenate([pt.activities[b.keep], pt.x])
-        upper[j] = np.minimum(pt.x[b.cols], fu)
-        lower = np.zeros(upper.size)
-        lower[j] = np.minimum(np.maximum(fu - pt.activities[b.rows], 0.0), upper[j])
-        obj = np.zeros(upper.size)
-        obj[slp.num_rows + k] = 1.0
-        lp = BoundedLp(
-            sense="max",
-            objective=obj,
-            a_eq=slp.a,
-            rhs=slp.b * f,
-            lower=lower,
-            upper=upper,
-        )
-        floor_k = math.floor(pt.x[k])
-        return MembershipProblem(
-            lp=lp,
-            k=k,
-            f=f,
-            floor_k=floor_k,
-            ceil_k=floor_k + 1.0,
-            constant=-(floor_k + 1.0) * f,
-            point=pt,
-            slp=slp,
-            bounds=b,
-        )
+    f = float(pt.fracs[k])
+    if min(f, 1.0 - f) < eps:
+        raise FractionalityError(f"x[{k}] = {pt.x[k]} is integral within eps={eps}")
+    cols = slp.bound_cols
+    j = slp.num_rows + cols
+    fu = f * slp.upper[cols]
+    upper = np.concatenate([pt.activities[slp.keep], pt.x])
+    upper[j] = np.minimum(pt.x[cols], fu)
+    lower = np.zeros(upper.size)
+    lower[j] = np.minimum(np.maximum(fu - pt.activities[slp.bound_rows], 0.0), upper[j])
+    obj = np.zeros(upper.size)
+    obj[slp.num_rows + k] = 1.0
+    lp = BoundedLp(
+        sense="max",
+        objective=obj,
+        a_eq=slp.a,
+        rhs=slp.b * f,
+        lower=lower,
+        upper=upper,
+    )
+    floor_k = math.floor(pt.x[k])
+    return MembershipProblem(
+        lp=lp,
+        k=k,
+        f=f,
+        floor_k=floor_k,
+        ceil_k=floor_k + 1.0,
+        constant=-(floor_k + 1.0) * f,
+        point=pt,
+        slp=slp,
+    )
 
 
 def membership_value(
@@ -258,7 +238,7 @@ def certificate_from_basis(
     master right-hand side supplies the multipliers: nonbasic-at-upper
     columns feed u (rows) and s (structurals), nonbasic-at-lower feed v
     and t.  A column y_j nonbasic at a bound that the slack s_i of its
-    bound row (``prob.bounds``) sets, f u_j above or f u_j - activity_i
+    bound row (``prob.slp``) sets, f u_j above or f u_j - activity_i
     below, is complemented in the row, y_j = u_j - s_i: the row becomes
     the one of the basis over every original row with y_j basic and s_i
     nonbasic, and y_j's multiplier becomes v_i (above) or u_i (below).
@@ -295,18 +275,18 @@ def certificate_from_basis(
     pos_part = np.where(plus, np.maximum(-abar, 0.0), 0.0)
     neg_part = np.where(minus, np.maximum(abar, 0.0), 0.0)
     s, t = pos_part[m:], neg_part[m:]
-    b, pt = prob.bounds, prob.point
-    j = m + b.cols
-    fu = prob.f * b.upper[b.cols]
+    pt, cols = prob.point, slp.bound_cols
+    j = m + cols
+    fu = prob.f * slp.upper[cols]
     sets = nonbasic[j] & np.where(
-        plus[j], fu <= pt.x[b.cols], fu - pt.activities[b.rows] >= 0.0
+        plus[j], fu <= pt.x[cols], fu - pt.activities[slp.bound_rows] >= 0.0
     )
-    flip, rows = j[sets], b.rows[sets]
-    u, v = np.zeros(b.num_rows), np.zeros(b.num_rows)
-    u[b.keep], v[b.keep] = pos_part[:m], neg_part[:m]
+    flip, rows = j[sets], slp.bound_rows[sets]
+    u, v = np.zeros(slp.num_original_rows), np.zeros(slp.num_original_rows)
+    u[slp.keep], v[slp.keep] = pos_part[:m], neg_part[:m]
     u[rows], v[rows] = neg_part[flip], pos_part[flip]
     s[flip - m] = t[flip - m] = 0.0
-    complement(row, flip, b.upper[b.cols[sets]])
+    complement(row, flip, slp.upper[cols[sets]])
 
     u0 = prob.ceil_k - row.rhs
     v0 = 1.0 - u0
@@ -348,16 +328,16 @@ def separate(
     pt: FractionalPoint,
     k: int,
     start: Basis | BasisFactors | None = None,
-    system: SeparationSystem | None = None,
+    slp: StandardLp | None = None,
     *,
     eps: float = FRAC_EPS_DEFAULT,
     time_limit: float | None = None,
 ) -> Separation:
     """Full separation for variable k: build, solve, extract, assemble.
 
-    The membership LP is solved over the rows of ``system`` that are not
-    column bounds (``SeparationSystem.kept_problem``), from ``start``, a
-    basis of those rows.  Returns a cut pair (plain intersection /
+    The membership LP is solved over ``slp``, the original rows that are
+    not column bounds (``membership_problem``), from ``start``, a basis of
+    those rows.  Returns a cut pair (plain intersection /
     strengthened GMI, both in structural space, max-norm normalized) when
     the membership value is <= -eps; otherwise a no-cut outcome, which
     keeps the LP's terminal factors (``Separation.factors``) as a start
@@ -368,12 +348,12 @@ def separate(
     continuous and complemented back (``cuts.complemented_cut``); only
     the verification oracles assemble cuts from the certificate itself.
     A singular basis or a broken dual sign pattern ends as an
-    inconclusive outcome whose reason names the error.  ``system``
-    defaults to the one ``nm`` defines.
+    inconclusive outcome whose reason names the error.  ``slp`` defaults
+    to ``to_standard(nm)``.
     """
-    if system is None:
-        system = SeparationSystem.of(nm)
-    prob = system.kept_problem(pt, k, eps=eps)
+    if slp is None:
+        slp = to_standard(nm)
+    prob = membership_problem(slp, pt, k, eps=eps)
     value, result = membership_value(prob, start=start, time_limit=time_limit)
     outcome = functools.partial(
         Separation,
@@ -410,7 +390,6 @@ def separate(
         return outcome(
             found=False, value=value, reason=cert.reason, inconclusive=True
         )
-    slp = system.slp
     row = cert.row
     f0 = row.rhs - math.floor(row.rhs)
     if min(f0, 1.0 - f0) < 1e-12:
@@ -421,7 +400,7 @@ def separate(
             inconclusive=True,
         )
     flip = cert.complemented
-    upper = system.bounds.upper[flip - slp.num_rows]
+    upper = slp.upper[flip - slp.num_rows]
     integer_cols = np.zeros(slp.num_cols, dtype=bool)
     integer_cols[slp.num_rows : slp.num_rows + slp.num_int] = True
     try:

@@ -3,19 +3,20 @@
 The canonical model A'x >= b, x >= 0 becomes Ax = b with A = (-I A'):
 slack variables occupy columns 0..m-1, structural variables columns
 m..m+n-1, and the integer structural variables are the first p of those.
-The validity oracle's fiber LPs solve over this matrix of the original
-rows, the pass start's trim builds part of it, and the tests read it as
-the canonical reference.  The master LP
-and the membership separation LP drop the rows that only bound one
-column and keep those bounds as column bounds instead (``ColumnBounds``);
-their cuts are read from their own bases, with the columns at a bound
-that a dropped row sets complemented.
+Every LP of the closure code solves one such system (``StandardLp``,
+built by ``to_standard``), the master with its cuts appended: the rows
+-x_j >= -u_j that only bound one column are read as column bounds
+0 <= x_j <= u_j and drop out, and the other original rows stay.  Cuts
+are read from the bases of that system, with the columns at a bound that
+a dropped row sets complemented.  Only the validity oracle's fiber LPs,
+the pass start's trim and the tests' canonical references build the
+matrix of every original row.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -67,13 +68,24 @@ class Basis:
 
 @dataclass
 class StandardLp:
-    """The system Ax = b with A = (-I A') and c zero on slacks."""
+    """The system Ax = b with A = (-I A') and c zero on slacks, with the
+    column bounds 0 <= x_j <= u_j.
+
+    Its rows are the original rows ``keep`` followed by any cut rows
+    (``with_cuts``); the original rows ``bound_rows`` are read as the upper
+    bounds ``upper`` of the structurals ``bound_cols`` instead
+    (``to_standard``).
+    """
 
     a: np.ndarray  # (m, m+n)
     b: np.ndarray  # (m,)
     c: np.ndarray  # (m+n,)
     num_struct: int
     num_int: int
+    keep: np.ndarray  # original rows that stay rows, the first rows of A
+    bound_rows: np.ndarray  # original rows read as bounds, ascending
+    bound_cols: np.ndarray  # the structural column each of them bounds
+    upper: np.ndarray  # (n,) structural upper bounds, inf where none
 
     @property
     def num_rows(self) -> int:
@@ -82,6 +94,10 @@ class StandardLp:
     @property
     def num_cols(self) -> int:
         return self.a.shape[1]
+
+    @property
+    def num_original_rows(self) -> int:
+        return self.keep.size + self.bound_rows.size
 
     def struct_slice(self) -> slice:
         return slice(self.num_rows, self.num_rows + self.num_struct)
@@ -99,6 +115,42 @@ class StandardLp:
     def slack_basis(self) -> Basis:
         return Basis(np.arange(self.num_rows), np.zeros(self.num_cols, dtype=bool))
 
+    def column_upper(self) -> np.ndarray:
+        """Upper bounds of every column: slacks unbounded, then ``upper``."""
+        return np.concatenate([np.full(self.num_rows, np.inf), self.upper])
+
+    def at_upper(self, basis: Basis, reduced_costs: np.ndarray) -> np.ndarray:
+        """Mask over ``bound_cols`` of the columns nonbasic at their upper
+        bound in ``basis``, a basis of this system.  A fixed column
+        (u_j = 0) counts as at upper when its reduced cost (max sense) is
+        positive, so the statuses of an optimal ``basis`` stay dual
+        feasible.  These columns' complements u_j - x_j take the place of
+        the bound-row slacks in a tableau row of the canonical rows."""
+        j = self.num_rows + self.bound_cols
+        nonbasic = ~basis.in_basis_mask()[j]
+        fixed = self.upper[self.bound_cols] <= 0.0
+        return nonbasic & np.where(fixed, reduced_costs[j] > 0.0, basis.at_upper[j])
+
+    def with_cuts(self, cuts) -> "StandardLp":
+        """This system with the cut rows alpha x >= beta appended after its
+        rows, slack-augmented anew; the column bounds stay."""
+        n = self.num_struct
+        blocks, rhs = [self.structural_part()], [self.b]
+        for cut in cuts:
+            coeffs = np.asarray(cut.coeffs, dtype=float)
+            if coeffs.shape[0] != n:
+                raise ValueError("cut is not in structural space")
+            blocks.append(coeffs.reshape(1, n))
+            rhs.append(np.array([cut.rhs]))
+        a_struct = np.vstack(blocks)
+        m = a_struct.shape[0]
+        return replace(
+            self,
+            a=np.hstack([-np.eye(m), a_struct]),
+            b=np.concatenate(rhs),
+            c=np.concatenate([np.zeros(m), self.c[self.num_rows :]]),
+        )
+
 
 @dataclass
 class TableauRow:
@@ -110,33 +162,24 @@ class TableauRow:
     basic_cols: np.ndarray  # the basis's columns, whose cut coefficients are 0
 
 
-def to_standard(nm: NormalizedMilp, extra_cuts=(), rows=None) -> StandardLp:
-    """Slack-augment A'x >= b (plus optional cut rows alpha x >= beta).
+def to_standard(nm: NormalizedMilp) -> StandardLp:
+    """Slack-augment A'x >= b over the rows that are not bound rows, with
+    the bound rows read as column bounds (``_bound_rows``).
 
-    Cut rows are appended after the original rows, before slack
-    augmentation; separation always uses the cut-free system so that
-    generated cuts stay rank 1.  ``rows`` keeps only those original rows
-    (the master drops the rows it reads as column bounds).
+    The system has the feasible set of the canonical one.  It is cut-free:
+    separation always uses it as it is, so that generated cuts stay rank 1,
+    and the master appends its cuts (``StandardLp.with_cuts``).
     """
-    n = nm.num_cols
-    blocks = [nm.a if rows is None else nm.a[rows]]
-    rhs = [nm.b if rows is None else nm.b[rows]]
-    for cut in extra_cuts:
-        coeffs = np.asarray(cut.coeffs, dtype=float)
-        if coeffs.shape[0] != n:
-            raise ValueError("cut is not in structural space")
-        blocks.append(coeffs.reshape(1, n))
-        rhs.append(np.array([cut.rhs]))
-    a_struct = np.vstack(blocks)
-    b = np.concatenate(rhs)
-    m = a_struct.shape[0]
-    a = np.hstack([-np.eye(m), a_struct])
+    keep, rows, cols, upper = _bound_rows(nm)
+    m = keep.size
+    a = np.hstack([-np.eye(m), nm.a[keep]])
     c = np.concatenate([np.zeros(m), nm.objective])
-    return StandardLp(a=a, b=b, c=c, num_struct=n, num_int=nm.num_integer)
+    return StandardLp(
+        a, nm.b[keep], c, nm.num_cols, nm.num_integer, keep, rows, cols, upper
+    )
 
 
-@dataclass
-class ColumnBounds:
+def _bound_rows(nm: NormalizedMilp):
     """Original rows -x_j >= -u_j read as column bounds 0 <= x_j <= u_j.
 
     A row is read as a bound when its only nonzero is -1 at column j and
@@ -145,49 +188,27 @@ class ColumnBounds:
     x_j = u_j the membership LP would fix y_j, nonbasic, where the cut
     x_j <= floor(u_j) needs y_j basic and the bound row's slack nonbasic.
     When several rows bound one column, only the first is, and the others
-    stay rows.  The system over the rows kept (``keep``) plus cuts, with
-    these bounds on its structurals, has the feasible set of the canonical
-    system plus those cuts.  ``at_upper`` names the columns whose
-    complement u_j - x_j takes the place of the bound-row slack in a master
-    tableau row.  No basis is mapped between the two systems: pass starts
+    stay rows.  No basis is mapped between the two systems: pass starts
     are chosen over the kept rows (``closure._separation_start``), and cuts
     are read there (``membership.certificate_from_basis``).
+
+    Returns the rows kept, the bound rows (ascending), the column each of
+    them bounds and the structural upper bounds, inf where none.
     """
-
-    keep: np.ndarray  # original rows that stay rows
-    rows: np.ndarray  # original rows read as bounds, ascending
-    cols: np.ndarray  # the structural column each of them bounds
-    upper: np.ndarray  # (n,) structural upper bounds, inf where none
-    num_rows: int  # original rows
-
-    @classmethod
-    def of(cls, nm: NormalizedMilp) -> "ColumnBounds":
-        a, b = nm.a, nm.b
-        m, n = a.shape
-        single = np.flatnonzero((np.count_nonzero(a, axis=1) == 1) & (b <= 0.0))
-        cols = np.nonzero(a[single])[1]  # one per row, in row order
-        bound = (a[single, cols] == -1.0) & (
-            (cols >= nm.num_integer) | (b[single] == np.floor(b[single]))
-        )
-        single, cols = single[bound], cols[bound]
-        cols, first = np.unique(cols, return_index=True)  # first row per column
-        order = np.argsort(single[first])
-        rows, cols = single[first][order], cols[order]
-        upper = np.full(n, np.inf)
-        upper[cols] = -b[rows]
-        keep = np.setdiff1d(np.arange(m), rows)
-        return cls(keep=keep, rows=rows, cols=cols, upper=upper, num_rows=m)
-
-    def at_upper(self, basis: Basis, reduced_costs: np.ndarray) -> np.ndarray:
-        """Mask over ``cols`` of the columns nonbasic at their upper bound
-        in ``basis``, a basis of the kept rows plus cuts.  A fixed column
-        (u_j = 0) counts as at upper when its reduced cost (max sense) is
-        positive, so the statuses of an optimal ``basis`` stay dual
-        feasible."""
-        j = basis.num_cols - self.upper.size + self.cols
-        nonbasic = ~basis.in_basis_mask()[j]
-        fixed = self.upper[self.cols] <= 0.0
-        return nonbasic & np.where(fixed, reduced_costs[j] > 0.0, basis.at_upper[j])
+    a, b = nm.a, nm.b
+    m, n = a.shape
+    single = np.flatnonzero((np.count_nonzero(a, axis=1) == 1) & (b <= 0.0))
+    cols = np.nonzero(a[single])[1]  # one per row, in row order
+    bound = (a[single, cols] == -1.0) & (
+        (cols >= nm.num_integer) | (b[single] == np.floor(b[single]))
+    )
+    single, cols = single[bound], cols[bound]
+    cols, first = np.unique(cols, return_index=True)  # first row per column
+    order = np.argsort(single[first])
+    rows, cols = single[first][order], cols[order]
+    upper = np.full(n, np.inf)
+    upper[cols] = -b[rows]
+    return np.setdiff1d(np.arange(m), rows), rows, cols, upper
 
 
 class BasisFactors:

@@ -18,7 +18,7 @@ random instances:
 The random instances use integer data and explicit box rows so both the
 vertex and the lattice enumerations stay exact.  The first four families
 check the membership LP that separation solves: the LP over the rows
-that are not bounds (``SeparationSystem.kept_problem``), its certificate
+that are not bounds (``membership.membership_problem``), its certificate
 read with the columns at a bound-row bound complemented, and Theorems 3
 and 4 compare against the cut formulas over those complemented columns
 (``cuts.complemented_cut``).  The oracles' own LPs start where their
@@ -57,15 +57,15 @@ from .membership import (
     DualCertificate,
     FractionalPoint,
     MembershipProblem,
-    SeparationSystem,
     assemble_cut,
     build_cglp,
     certificate_from_basis,
+    membership_problem,
     membership_value,
     solve_cglp,
 )
 from .simplex import BoundedLp, SimplexResult, Status
-from .standard_form import Basis, BasisFactors, to_standard
+from .standard_form import Basis, BasisFactors, StandardLp, to_standard
 
 COEFF_TOL = 1e-7
 PROP3_Y_TOL = 1e-8
@@ -180,47 +180,48 @@ class OracleSystem:
 
     ``vertex`` is the vertex x1 of the relaxation maximizing the
     instance's own objective, or None (``_vertex_lp``, solved over
-    ``system.slp``).  ``basis`` is that LP's terminal basis and ``start``
-    its terminal factors (None when the kept system has no rows), over
-    the matrix every membership LP of the instance solves, so each of
-    them starts there with no LU.  Every multiplier LP of the instance
-    starts from the complement of ``basis`` (``cglp_start``).
+    ``slp``, the system of ``to_standard``).  ``basis`` is that LP's
+    terminal basis and ``start`` its terminal factors (None when the kept
+    system has no rows), over the matrix every membership LP of the
+    instance solves, so each of them starts there with no LU.  Every
+    multiplier LP of the instance starts from the complement of ``basis``
+    (``cglp_start``).
     """
 
-    system: SeparationSystem
+    slp: StandardLp
     vertex: np.ndarray | None
     basis: Basis | None
     start: BasisFactors | None
 
     @classmethod
     def of(cls, nm: NormalizedMilp) -> "OracleSystem":
-        system = SeparationSystem.of(nm)
-        res = _vertex_lp(system)
-        return cls(system, _vertex_point(system, res), res.basis, res.factors)
+        slp = to_standard(nm)
+        res = _vertex_lp(slp)
+        return cls(slp, _vertex_point(slp, res), res.basis, res.factors)
 
     def cglp_start(self, cglp: CglpProblem) -> Basis:
         """The complement of ``basis`` in ``cglp``
         (``CglpProblem.complement_basis``), mapped onto the canonical rows
-        through ``system.bounds``: a nonbasic kept-row slack r gives row
-        keep[r], a structural at its upper bound gives its bound row, and
-        a structural at 0 gives its column."""
-        bounds, basis = self.system.bounds, self.basis
-        m = bounds.keep.size
+        through ``slp``: a nonbasic kept-row slack r gives row keep[r], a
+        structural at its upper bound gives its bound row, and a
+        structural at 0 gives its column."""
+        slp, basis = self.slp, self.basis
+        m = slp.num_rows
         nonbasic = np.flatnonzero(~basis.in_basis_mask())
         slacks, cols = nonbasic[nonbasic < m], nonbasic[nonbasic >= m] - m
         up = basis.at_upper[m + cols]
-        bound_row = np.full(bounds.upper.size, -1)
-        bound_row[bounds.cols] = bounds.rows
-        rows = np.concatenate([bounds.keep[slacks], bound_row[cols[up]]])
+        bound_row = np.full(slp.num_struct, -1)
+        bound_row[slp.bound_cols] = slp.bound_rows
+        rows = np.concatenate([slp.keep[slacks], bound_row[cols[up]]])
         return cglp.complement_basis(rows, cols[~up])
 
 
 def _kept_membership(oracle: OracleSystem, pt: FractionalPoint, k: int):
     """The membership LP of k at pt over the rows that are not bounds
-    (``SeparationSystem.kept_problem``), the LP ``separate`` solves, solved
-    from ``oracle.start``; returns the problem, its value and the simplex
-    result."""
-    prob = oracle.system.kept_problem(pt, k)
+    (``membership.membership_problem``), the LP ``separate`` solves,
+    solved from ``oracle.start``; returns the problem, its value and the
+    simplex result."""
+    prob = membership_problem(oracle.slp, pt, k)
     value, res = membership_value(prob, start=oracle.start)
     return prob, value, res
 
@@ -255,7 +256,7 @@ def _equivalence_check(nm, basis, prob, *, strengthened: bool) -> CheckRecord:
         return CheckRecord(name, True, skipped="terminal rhs numerically integral")
 
     slp, flip = prob.slp, cert.complemented
-    upper = prob.bounds.upper[flip - slp.num_rows]
+    upper = slp.upper[flip - slp.num_rows]
     lifted = assemble_cut(cert, nm)
     if strengthened:
         lifted = strengthen(cert, lifted, nm)
@@ -401,13 +402,14 @@ def check_validity(
         return CheckRecord(
             "validity", True, skipped=f"{dom.num_points} lattice points over cap"
         )
-    slp = to_standard(nm)
-    m = slp.num_rows
+    # the canonical system (-I A') x = b of every original row
+    m = nm.num_rows
+    a = np.hstack([-np.eye(m), nm.a])
     a_int, a_cont = nm.a[:, :p], nm.a[:, p:]
     proofs = _DualProofs(a_cont, np.array([cut.coeffs[p:] for cut in cuts]))
     # per cut: the start of its next fiber LP, the factors of its last
     # optimal one once it has one
-    starts = [BasisFactors(slp.a, slp.slack_basis())] * len(cuts)
+    starts = [BasisFactors(a, Basis(np.arange(m), np.zeros(m + n, bool)))] * len(cuts)
     rays = np.zeros((0, m))  # Farkas rays proving fibers empty
     witnesses = []
     for assignment in product(*(range(c + 1) for c in dom.caps)):
@@ -434,8 +436,8 @@ def check_validity(
             lp = BoundedLp(
                 sense="min",
                 objective=obj,
-                a_eq=slp.a,
-                rhs=slp.b,
+                a_eq=a,
+                rhs=nm.b,
                 lower=lower,
                 upper=upper,
             )
@@ -489,14 +491,11 @@ def _fiber_ray(
 # Suite drivers
 
 
-def _vertex_lp(
-    system: SeparationSystem, objective: np.ndarray | None = None
-) -> SimplexResult:
+def _vertex_lp(slp: StandardLp, objective: np.ndarray | None = None) -> SimplexResult:
     """The LP of a vertex of the relaxation maximizing ``objective``
-    (default: the instance's own), solved over ``system.slp``, the rows
-    that are not bounds, with the bound rows read as column bounds, from
-    the slack basis."""
-    slp = system.slp
+    (default: the instance's own), solved over ``slp``, the rows that are
+    not bounds, with the bound rows read as column bounds, from the slack
+    basis."""
     obj = slp.c if objective is None else np.concatenate(
         [np.zeros(slp.num_rows), objective]
     )
@@ -506,14 +505,14 @@ def _vertex_lp(
         a_eq=slp.a,
         rhs=slp.b,
         lower=np.zeros(slp.num_cols),
-        upper=np.concatenate([np.full(slp.num_rows, np.inf), system.bounds.upper]),
+        upper=slp.column_upper(),
     )
     return simplex.solve(lp, start=slp.slack_basis())
 
 
-def _vertex_point(system: SeparationSystem, res: SimplexResult) -> np.ndarray | None:
+def _vertex_point(slp: StandardLp, res: SimplexResult) -> np.ndarray | None:
     """The structural point of a vertex LP, None unless it is optimal."""
-    return res.x[system.slp.num_rows :] if res.optimal else None
+    return res.x[slp.num_rows :] if res.optimal else None
 
 
 def _fractional_ks(pt: FractionalPoint, eps: float = FRAC_EPS_DEFAULT) -> list[int]:
@@ -544,7 +543,7 @@ def _case_points(inst: RandomMilp, rng: np.random.Generator, *, midpoint: bool):
     c2 = rng.integers(-5, 6, size=nm.num_cols).astype(float)
     if not midpoint:
         return oracle, points
-    x2 = _vertex_point(oracle.system, _vertex_lp(oracle.system, objective=c2))
+    x2 = _vertex_point(oracle.slp, _vertex_lp(oracle.slp, objective=c2))
     if x2 is not None and np.abs(x1 - x2).max() > 1e-7:
         mid = 0.5 * (x1 + x2)
         try:

@@ -153,3 +153,47 @@ def test_incorrect_runs_are_shown_and_fail_the_tool(capsys):
     )
     assert tool.report_incorrect(good) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_setup_pairs_alternate_and_summarize_per_side(monkeypatch, capsys):
+    tool = _tool()
+    canned = {
+        "parent": [0.30, 0.34, 0.31, 0.45, 0.33],
+        "change": [0.29, 0.36, 0.30, 0.32, 0.33],
+    }
+    order = []
+
+    def probe(tree):
+        order.append(tree)
+        return canned[tree][sum(t == tree for t in order) - 1]
+
+    monkeypatch.setattr(tool, "setup_probe", probe)
+    times = tool.setup_times({"parent": "parent", "change": "change"}, 5)
+    assert times == canned
+    assert order[:4] == ["parent", "change", "change", "parent"]
+    summary = tool.setup_summary(times)
+    assert summary["pairs"] == 5
+    assert summary["command"] == "python3 perfbench/setup_probe.py <tree>/src"
+    parent, change = summary["parent"], summary["change"]
+    assert parent["setup_s"] == canned["parent"]
+    assert (parent["q1"], parent["median"], parent["q3"]) == (0.31, 0.33, 0.34)
+    assert (change["q1"], change["median"], change["q3"]) == (0.30, 0.32, 0.33)
+    # a tie is a win for neither side
+    assert (parent["wins"], change["wins"]) == (1, 3)
+    tool.print_setup(summary)
+    assert capsys.readouterr().out.splitlines() == [
+        "setup_s parent: median 0.3300 s (quartiles 0.3100-0.3400), "
+        "faster in 1 of 5 pairs",
+        "setup_s change: median 0.3200 s (quartiles 0.3000-0.3300), "
+        "faster in 3 of 5 pairs",
+    ]
+    record = tool.assemble(
+        {("knapsack-pe", 8, side): _stdout(321, 0.08) for side in ("parent", "change")},
+        revisions={"parent": "a" * 40, "change": "b" * 40},
+        seeds=[8],
+        held_out=8,
+        seconds=20,
+        setup=summary,
+    )
+    assert list(record)[-1] == "setup_pairs" and record["setup_pairs"] is summary
+    json.dumps(record)

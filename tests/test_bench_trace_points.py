@@ -3,6 +3,7 @@
 or renames one of those names fail in the test suite rather than halfway
 through a benchmark run."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -11,6 +12,10 @@ import liftproject.verify
 from liftproject.closure import ClosureConfig
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PACKAGE = Path(liftproject.__file__).resolve().parent
+# functions the benchmark counts by patching their module attribute: a
+# module that bound one by name would call past the patch
+PATCHED_BY_ATTRIBUTE = {"simplex": "solve", "membership": "separate"}
 
 
 def _spans_module():
@@ -43,3 +48,39 @@ def test_benchmark_trace_points_install_and_record(t1):
     metrics = spans.span_metrics(tracer.spans)
     assert metrics["closure.iterations"] == len(rep.iterations)
     assert metrics["membership.separate.calls"] == rep.num_separations
+
+
+def by_name_imports(source: str) -> list[str]:
+    """``module.name`` for each import of a PATCHED_BY_ATTRIBUTE function by
+    name in ``source``, relative or absolute, aliased or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rsplit(".", 1)[-1]
+            for alias in node.names:
+                if PATCHED_BY_ATTRIBUTE.get(module) == alias.name:
+                    found.append(f"{module}.{alias.name}")
+    return found
+
+
+def test_by_name_import_check_sees_every_form():
+    snippet = (
+        "from . import simplex, membership\n"
+        "from .simplex import BoundedLp, solve\n"
+        "from liftproject.membership import separate as sep\n"
+        "from .membership import separate_all\n"
+        "from .cuts import solve\n"
+    )
+    assert by_name_imports(snippet) == ["simplex.solve", "membership.separate"]
+
+
+def test_no_module_binds_a_counted_function_by_name():
+    # the verify workload's pivots_total sums the spans of simplex.solve;
+    # ``__init__`` re-exports both functions for users and calls neither
+    found = {
+        path.name: by_name_imports(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert len(found) >= 8
+    assert not any(found.values()), found

@@ -72,6 +72,21 @@ def test_close_json_to_stdout_is_one_document(capsys):
     assert outs[0] == outs[1]
 
 
+def test_close_json_report_is_strict_json(capsys):
+    # an infinite time limit is written as null: a strict parser, which
+    # rejects Infinity and NaN, reads the report
+    path = os.path.join(DATA_DIR, "t1.mps")
+    argv = ["close", path, "--mode", "pe", "--time-limit", "inf", "--json", "-"]
+    assert main(argv) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["termination"] == "proved"
+    assert report["config"]["time_limit"] is None
+
+
 def test_close_gmi_rounds(t1_path, optima_path, tmp_path):
     out = tmp_path / "gmi.json"
     code = main(
@@ -211,9 +226,18 @@ def test_verify_cli_fault_injection_exits_3(capsys):
         (["--time-limit", "-5"], "time_limit must be non-negative"),
         (["--eps", "0.7"], "eps must be below 0.5"),
         (["--eps", "0.3"], "eps must be at most 0.25 in pe and pestar modes"),
+        (
+            ["--optima", "{optima}"],
+            "optima file: {optima}: line 1: optimum nan is not finite",
+        ),
     ],
 )
-def test_close_invalid_config_exits_1(t1_path, capsys, argv, message):
+def test_close_invalid_config_exits_1(t1_path, tmp_path, capsys, argv, message):
+    # {optima} names an optima file whose only value is nan
+    optima = tmp_path / "optima.txt"
+    optima.write_text("t1 nan\n")
+    argv = [arg.format(optima=optima) for arg in argv]
+    message = message.format(optima=optima)
     assert main(["close", t1_path, *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"

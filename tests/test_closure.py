@@ -32,17 +32,17 @@ from liftproject.instances import normalize, parse_mps, read_mps
 from liftproject.membership import (
     DualContractError,
     FractionalPoint,
-    SeparationSystem,
     assemble_cut,
     certificate_from_basis,
+    membership_problem,
     membership_value,
 )
 from liftproject.simplex import BoundedLp, Status
 from liftproject.standard_form import (
     Basis,
     BasisFactors,
-    ColumnBounds,
     SingularBasisError,
+    StandardLp,
     tableau_row,
     to_standard,
 )
@@ -51,7 +51,7 @@ from liftproject.verify import random_milp
 from conftest import T1_MPS
 from test_membership import build_membership_lp, interval_milp, plain_milp
 from test_simplex import record_dual_runs
-from test_standard_form import basic_point, canonical_columns, kept_basis
+from test_standard_form import basic_point, canonical, canonical_columns, kept_basis
 
 GENERATORS = Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
 
@@ -402,12 +402,12 @@ def _record_master_solves(monkeypatch):
 
     def recording(self, cuts, time_limit=None):
         warm = warm_solve(self, cuts, time_limit=time_limit)
-        canonical = to_standard(self.nm, cuts)
+        every_row = canonical(self.nm, cuts)
         solves.append(
             (
                 warm,
-                _cold_solve(self.slp, self.upper),
-                _cold_solve(canonical, np.full(canonical.num_cols, np.inf)),
+                _cold_solve(self.slp, self.slp.column_upper()),
+                _cold_solve(every_row, every_row.column_upper()),
             )
         )
         return warm
@@ -512,11 +512,13 @@ def test_column_bounds_read_only_unit_bound_rows():
         [1.0, 1.0, 1.0],
         p=3,
     )
-    bounds = ColumnBounds.of(nm)
-    assert bounds.rows.tolist() == [0, 5]
-    assert bounds.cols.tolist() == [0, 1]
-    assert bounds.keep.tolist() == [1, 2, 3, 4]
-    assert bounds.upper.tolist() == [3.0, 0.0, np.inf]
+    slp = to_standard(nm)
+    assert slp.bound_rows.tolist() == [0, 5]
+    assert slp.bound_cols.tolist() == [0, 1]
+    assert slp.keep.tolist() == [1, 2, 3, 4]
+    assert slp.upper.tolist() == [3.0, 0.0, np.inf]
+    assert slp.num_original_rows == nm.num_rows
+    assert slp.structural_part().tobytes() == nm.a[[1, 2, 3, 4]].tobytes()
 
 
 def test_fractional_bound_on_an_integer_column_stays_a_row():
@@ -524,9 +526,9 @@ def test_fractional_bound_on_an_integer_column_stays_a_row():
     # would take the cut x <= floor(u) with its slack; it stays a row, and
     # a continuous column still reads its fractional bound as a bound
     nm = plain_milp([[-1.0, 0.0], [0.0, -1.0]], [-2.5, -2.5], [1.0, 1.0], p=1)
-    bounds = ColumnBounds.of(nm)
-    assert (bounds.keep.tolist(), bounds.rows.tolist()) == ([0], [1])
-    assert bounds.upper.tolist() == [np.inf, 2.5]
+    slp = to_standard(nm)
+    assert (slp.keep.tolist(), slp.bound_rows.tolist()) == ([0], [1])
+    assert slp.upper.tolist() == [np.inf, 2.5]
     for upper in (2.5, 3.7):
         for mode in ("pe", "pestar"):
             report = optimize_closure(interval_milp(upper), ClosureConfig(mode=mode))
@@ -546,9 +548,9 @@ def reference_start(master, pt):
     are too many, then mapped onto the kept rows.  Returns the canonical
     columns, the weighted matrix the QR ran on (None without a trim), the
     canonical basis and its image on the kept rows."""
-    sep_slp = to_standard(master.nm)  # the canonical reference
+    sep_slp = canonical(master.nm)
     m0 = sep_slp.num_rows
-    cols = canonical_columns(master.bounds, master.basis, master.result.reduced_costs)
+    cols = canonical_columns(master.slp, master.basis, master.result.reduced_costs)
     matrix, basic = None, cols
     if cols.size > m0:
         ranges = np.concatenate([pt.activities, pt.x])[cols]
@@ -556,8 +558,8 @@ def reference_start(master, pt):
         matrix = sep_slp.a[:, cols] * weight
         _, perm = scipy.linalg.qr(matrix, pivoting=True, mode="r")
         basic = np.sort(cols[perm[:m0]])
-    canonical = Basis(basic, np.zeros(sep_slp.num_cols, dtype=bool))
-    return cols, matrix, canonical, kept_basis(master.bounds, canonical)
+    every_row = Basis(basic, np.zeros(sep_slp.num_cols, dtype=bool))
+    return cols, matrix, every_row, kept_basis(master.slp, every_row)
 
 
 def _check_separation_start(master):
@@ -571,11 +573,11 @@ def _check_separation_start(master):
     f * (activities, xhat) for every fractional k.  Returns whether that
     solution was checked, False after a trim, and how many rows the trim
     set aside."""
-    sep_slp = to_standard(master.nm)
+    sep_slp = canonical(master.nm)
     pt = FractionalPoint.from_point(
         master.nm, master.result.x[master.slp.num_rows :], tol=1e-6
     )
-    cols, reference, canonical, want = reference_start(master, pt)
+    cols, reference, every_row, want = reference_start(master, pt)
     built, qr = [], scipy.linalg.qr
 
     def recording(a, **kwargs):
@@ -588,8 +590,8 @@ def _check_separation_start(master):
     assert start.basic.tolist() == want.basic.tolist()
     assert start.at_upper.tolist() == want.at_upper.tolist()
     m0 = sep_slp.num_rows
-    bounds = master.bounds
-    aside = bounds.rows[~np.isin(m0 + bounds.cols, cols)]
+    base = master.base
+    aside = base.bound_rows[~np.isin(m0 + base.bound_cols, cols)]
     if reference is not None:
         rows = np.setdiff1d(np.arange(m0), aside)
         reduced = reference[np.ix_(rows, np.flatnonzero(~np.isin(cols, aside)))]
@@ -598,24 +600,23 @@ def _check_separation_start(master):
         assert np.array_equal(np.signbit(built[0]), np.signbit(reduced))
     else:
         assert not built
-    assert canonical.basic.size == m0 and np.isin(canonical.basic, cols).all()
-    factors = BasisFactors(sep_slp.a, canonical)  # raises when singular
+    assert every_row.basic.size == m0 and np.isin(every_row.basic, cols).all()
+    factors = BasisFactors(sep_slp.a, every_row)  # raises when singular
     # the start the LP is solved from, over the kept rows
-    system = SeparationSystem.of(master.nm, master.bounds)
-    assert start.basic.size == system.slp.num_rows
+    assert start.basic.size == base.num_rows
     assert np.all(np.diff(start.basic) > 0)
-    kept_factors = BasisFactors(system.slp.a, start)  # raises when singular
+    kept_factors = BasisFactors(base.a, start)  # raises when singular
     if reference is not None:
         return False, aside.size
     yhat = np.concatenate([pt.activities, pt.x])
-    kept_cols = np.concatenate([master.bounds.keep, m0 + np.arange(pt.x.size)])
+    kept_cols = np.concatenate([base.keep, m0 + np.arange(pt.x.size)])
     for k in _fractional_ks(master):
         f = pt.fracs[k]
         y = np.zeros(sep_slp.num_cols)
-        y[canonical.basic] = factors.solve(f * sep_slp.b)
+        y[every_row.basic] = factors.solve(f * sep_slp.b)
         assert np.abs(y - f * yhat).max() <= 1e-9
         # the same point, inside the kept LP's bounds: its basic point
-        lp = system.kept_problem(pt, k).lp
+        lp = membership_problem(base, pt, k).lp
         x = np.where(start.at_upper, lp.upper, lp.lower)
         x[start.basic] = 0.0
         x[start.basic] = kept_factors.solve(lp.rhs - lp.a_eq @ x)
@@ -643,7 +644,7 @@ def test_separation_start_is_a_basis_at_the_master_vertex(monkeypatch):
 
     monkeypatch.setattr(closure._Master, "solve", checking)
     for nm in _bound_row_models():
-        assert ColumnBounds.of(nm).rows.size
+        assert to_standard(nm).bound_rows.size
         for mode in ("pe", "pestar"):
             optimize_closure(nm, ClosureConfig(mode=mode))
         master = closure._Master(nm)
@@ -727,8 +728,8 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
     ]
     cuts = complemented = 0
     for nm in models:
-        rows = ColumnBounds.of(nm).keep.size
-        canonical = to_standard(nm)
+        rows = to_standard(nm).num_rows
+        every_row = canonical(nm)
         for mode in ("pe", "pestar"):
             lps.clear()
             seps.clear()
@@ -742,7 +743,7 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
             for (pt, k, _, _), (prob, result) in zip(seps, lps):
                 assert prob.lp.num_rows == rows
                 value, exact = membership_value(
-                    build_membership_lp(nm, pt, k, slp=canonical)
+                    build_membership_lp(nm, pt, k, slp=every_row)
                 )
                 assert result.status is exact.status is Status.OPTIMAL
                 z = prob.constant + result.value
@@ -776,7 +777,7 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
     w = rng.integers(20, 900, size=(4, 12)).astype(float)
     cap = np.floor(0.35 * w.sum(axis=1))
     nm = plain_milp(-w, -cap, rng.integers(10, 300, 12), p=12)
-    assert not ColumnBounds.of(nm).rows.size
+    assert not to_standard(nm).bound_rows.size
     calls, lps = [], []
     separate, value_of = membership.separate, membership.membership_value
 
@@ -793,14 +794,14 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
     rep = optimize_closure(nm, ClosureConfig(mode="pestar"))
     monkeypatch.undo()
     assert rep.num_cuts > 0 and len(calls) == len(lps) == rep.num_separations
-    canonical = to_standard(nm)
+    every_row = canonical(nm)
     found = 0
     for (args, kwargs, sep), (prob, start, result) in zip(calls, lps):
-        system = kwargs["system"]
-        assert system.slp.a.tobytes() == canonical.a.tobytes()
-        assert system.slp.b.tobytes() == canonical.b.tobytes()
+        slp = kwargs["slp"]
+        assert slp.a.tobytes() == every_row.a.tobytes()
+        assert slp.b.tobytes() == every_row.b.tobytes()
         _, pt, k = args
-        exact = build_membership_lp(nm, pt, k, slp=system.slp)
+        exact = build_membership_lp(nm, pt, k, slp=slp)
         for name in ("objective", "rhs", "lower", "upper"):
             assert getattr(prob.lp, name).tobytes() == getattr(exact.lp, name).tobytes()
         assert prob.lp.a_eq is exact.lp.a_eq
@@ -811,10 +812,10 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
             continue
         found += 1
         cert = certificate_from_basis(again.basis, exact)
-        integer_cols = np.zeros(canonical.num_cols, dtype=bool)
-        integer_cols[canonical.num_rows : canonical.num_rows + nm.num_integer] = True
-        plain = eliminate_slacks(intersection_cut(cert.row, eps=1e-12), canonical)
-        strong = eliminate_slacks(gmi_cut(cert.row, integer_cols, eps=1e-12), canonical)
+        integer_cols = np.zeros(every_row.num_cols, dtype=bool)
+        integer_cols[every_row.num_rows : every_row.num_rows + nm.num_integer] = True
+        plain = eliminate_slacks(intersection_cut(cert.row, eps=1e-12), every_row)
+        strong = eliminate_slacks(gmi_cut(cert.row, integer_cols, eps=1e-12), every_row)
         for got, want in ((sep.plain, plain), (sep.strengthened, strong)):
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert got.rhs == want.rhs
@@ -829,9 +830,9 @@ def test_first_gmi_round_matches_the_canonical_tableau():
     for nm in _bound_row_models():
         master = closure._Master(nm)
         res = master.solve([])
-        slp = to_standard(nm)
+        slp = canonical(nm)
         m = slp.num_rows
-        cols = canonical_columns(master.bounds, master.basis, res.reduced_costs)
+        cols = canonical_columns(master.slp, master.basis, res.reduced_costs)
         basis = Basis(cols, np.zeros(slp.num_cols, dtype=bool))
         factors = BasisFactors(slp.a, basis)  # raises when singular
         x = basic_point(slp, basis)
@@ -861,7 +862,7 @@ def test_first_gmi_round_matches_the_canonical_tableau():
         for got, want in zip(rep.cut_rows, expected):
             assert np.abs(got.coeffs - want.coeffs).max() <= 1e-9
             assert abs(got.rhs - want.rhs) <= 1e-9
-        assert expected and master.bounds.at_upper(master.basis, res.reduced_costs).any()
+        assert expected and master.slp.at_upper(master.basis, res.reduced_costs).any()
 
 
 def test_first_master_solve_flips_bounds_instead_of_pivoting():
@@ -882,19 +883,19 @@ def test_gmi_rounds_build_one_system_per_master_solve(monkeypatch):
         [[-3.0, -5.0, -4.0], [-6.0, -2.0, -3.0]], [-10.5, -11.5], [4.0, 6.0, 5.0], p=3
     )
     built = []
-    standard = closure.to_standard
+    with_cuts = StandardLp.with_cuts
 
     def counting(*args, **kwargs):
-        built.append(standard(*args, **kwargs))
+        built.append(with_cuts(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(closure, "to_standard", counting)
+    monkeypatch.setattr(StandardLp, "with_cuts", counting)
     master = closure._Master(nm)
-    assert not master.bounds.rows.size
+    assert not master.base.bound_rows.size
     master.solve([])
-    canonical = standard(nm)
-    assert master.slp.a.tobytes() == canonical.a.tobytes()
-    assert master.slp.b.tobytes() == canonical.b.tobytes()
+    every_row = canonical(nm)
+    assert master.slp.a.tobytes() == every_row.a.tobytes()
+    assert master.slp.b.tobytes() == every_row.b.tobytes()
     for model in [nm, *_bound_row_models()]:
         built.clear()
         rep = gmi_rounds(model, 3)
@@ -1007,7 +1008,7 @@ def test_warm_membership_matches_cold_solve(monkeypatch):
         solves.clear()
         optimize_closure(nm, ClosureConfig(mode=mode))
         assert len(solves) >= 20 and all(started for started, *_ in solves)
-        rows = ColumnBounds.of(nm).keep.size
+        rows = to_standard(nm).num_rows
         for _, warm, cold, canonical, lp_rows in solves:
             assert warm.status is cold.status is canonical.status is Status.OPTIMAL
             assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
@@ -1083,8 +1084,8 @@ def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
     factored = {id(obj) for kind, obj, _, _ in events if kind == "factor"}
     assert all(isinstance(kw["start"], BasisFactors) for _, kw, _ in calls)
     # every start is a basis of the kept rows the LPs share
-    assert all(kw["start"].a is kw["system"].slp.a for _, kw, _ in calls)
-    assert calls[0][1]["system"].slp.num_rows == 3
+    assert all(kw["start"].a is kw["slp"].a for _, kw, _ in calls)
+    assert calls[0][1]["slp"].num_rows == 3
     shared = [c for c in calls if id(c[1]["start"]) in factored]
     own = [c for c in calls if id(c[1]["start"]) not in factored]
     starts = list({id(kw["start"]): kw["start"] for _, kw, _ in shared}.values())

@@ -12,9 +12,9 @@ from liftproject.instances import (
     parse_mps,
     read_mps,
 )
-from liftproject.standard_form import to_standard
 
 from conftest import T1_MPS, require_miplib
+from test_standard_form import canonical
 
 
 def test_parse_t1_counts(t1_instance):
@@ -280,7 +280,7 @@ ENDATA
 def _random_feasible_points(nm, count, seed):
     """Vertices of the normalized relaxation for random objectives."""
     rng = np.random.default_rng(seed)
-    slp = to_standard(nm)
+    slp = canonical(nm)
     points = []
     for _ in range(count):
         c = np.concatenate(
@@ -365,6 +365,11 @@ def test_load_optima(tmp_path):
     bad.write_text("name_without_value\n")
     with pytest.raises(ValueError):
         load_optima(bad)
+    # a value that is not finite would report a made-up gap
+    for value in ("nan", "inf", "-inf"):
+        bad.write_text(f"t1 0\nt2 {value}\n")
+        with pytest.raises(ValueError, match=f"line 2: optimum {value} is not finite"):
+            load_optima(bad)
 
 
 def _reference_parse_counts(path):

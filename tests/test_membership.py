@@ -11,17 +11,19 @@ from liftproject.membership import (
     FractionalPoint,
     MembershipProblem,
     NoCut,
-    SeparationSystem,
     assemble_cut,
     build_cglp,
     certificate_from_basis,
+    membership_problem,
     membership_value,
     separate,
     solve_cglp,
 )
 from liftproject.simplex import BoundedLp, Status
-from liftproject.standard_form import ColumnBounds, tableau_row, to_standard
+from liftproject.standard_form import tableau_row, to_standard
 from liftproject.verify import _fractional_ks, _vertex_lp, _vertex_point, random_milp
+
+from test_standard_form import canonical
 
 
 def plain_milp(a, b, c, p, name="adhoc"):
@@ -54,40 +56,38 @@ def interval_milp(upper):
 
 def build_membership_lp(nm, pt, k, slp=None):
     """The membership LP over every original row, the canonical reference
-    for ``SeparationSystem.kept_problem``:
+    for ``membership_problem``:
 
         max  y_k - ceil(xh_k) f   s.t.  A y = b f,
              0 <= y_slacks <= A'xh - b,  0 <= y_struct <= xh,
 
-    over ``slp`` (default ``to_standard(nm)``).  Its ``ColumnBounds`` reads
-    no row as a bound, so ``certificate_from_basis`` complements no column.
+    over ``slp`` (default ``canonical(nm)``), which reads no row as a
+    bound, so ``certificate_from_basis`` complements no column.
     """
     if slp is None:
-        slp = to_standard(nm)
-    m, n = slp.num_rows, slp.num_struct
+        slp = canonical(nm)
+    m = slp.num_rows
     f = float(pt.fracs[k])
     upper = np.concatenate([pt.activities, pt.x])
     obj = np.zeros(upper.size)
     obj[m + k] = 1.0
     lp = BoundedLp("max", obj, slp.a, slp.b * f, np.zeros(upper.size), upper)
-    none = np.zeros(0, dtype=int)
-    bounds = ColumnBounds(np.arange(m), none, none, np.full(n, np.inf), m)
     floor_k = math.floor(pt.x[k])
     return MembershipProblem(
-        lp, k, f, floor_k, floor_k + 1.0, -(floor_k + 1.0) * f, pt, slp, bounds
+        lp, k, f, floor_k, floor_k + 1.0, -(floor_k + 1.0) * f, pt, slp
     )
 
 
 def _master_vertex(nm, objective=None):
     """A vertex of the relaxation maximizing ``objective`` (default: the
     instance's own), or None (``verify._vertex_lp``)."""
-    system = SeparationSystem.of(nm)
-    return _vertex_point(system, _vertex_lp(system, objective))
+    slp = to_standard(nm)
+    return _vertex_point(slp, _vertex_lp(slp, objective))
 
 
 def test_build_membership_bounds_t1(t1, t1_point):
     # T1 has no bound row: the kept rows are every row
-    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
+    prob = membership_problem(to_standard(t1), t1_point, 0)
     np.testing.assert_allclose(prob.lp.upper[:2], [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(prob.lp.upper[2:], [0.5, 1.0])
     np.testing.assert_allclose(prob.lp.rhs, t1.b * 0.5)
@@ -98,9 +98,9 @@ def test_build_membership_bounds_t1(t1, t1_point):
 def test_same_constraint_system_for_equal_values():
     nm = plain_milp([[1.0, 1.0], [-1.0, -1.0]], [0.0, -3.0], [1.0, 1.0], p=2)
     pt = FractionalPoint.from_point(nm, np.array([0.5, 0.5]))
-    system = SeparationSystem.of(nm)
-    p0 = system.kept_problem(pt, 0)
-    p1 = system.kept_problem(pt, 1)
+    slp = to_standard(nm)
+    p0 = membership_problem(slp, pt, 0)
+    p1 = membership_problem(slp, pt, 1)
     np.testing.assert_array_equal(p0.lp.a_eq, p1.lp.a_eq)
     np.testing.assert_array_equal(p0.lp.rhs, p1.lp.rhs)
     np.testing.assert_array_equal(p0.lp.lower, p1.lp.lower)
@@ -116,7 +116,7 @@ def test_interior_point_gives_positive_slack_bounds():
 
 
 def test_membership_value_t1(t1, t1_point):
-    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
+    prob = membership_problem(to_standard(t1), t1_point, 0)
     value, res = membership_value(prob)
     assert value == pytest.approx(-0.25, abs=1e-9)
     m = prob.slp.num_rows
@@ -134,11 +134,11 @@ def test_membership_value_interval():
 def test_integral_coordinate_rejected(t1):
     pt = FractionalPoint.from_point(t1, np.array([0.0, 0.0]))
     with pytest.raises(FractionalityError):
-        SeparationSystem.of(t1).kept_problem(pt, 0)
+        membership_problem(to_standard(t1), pt, 0)
 
 
 def test_extract_certificate_t1(t1, t1_point):
-    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
+    prob = membership_problem(to_standard(t1), t1_point, 0)
     _, res = membership_value(prob)
     assert res.status is Status.OPTIMAL
     cert = certificate_from_basis(res.basis, prob)
@@ -223,7 +223,7 @@ def test_assembled_violation_equals_negated_value(rng):
 
 def test_scaled_point_always_feasible(t1, t1_point):
     # y = f xh satisfies the membership bounds and rows by construction
-    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
+    prob = membership_problem(to_standard(t1), t1_point, 0)
     f = prob.f
     y = np.concatenate([f * t1_point.activities, f * t1_point.x])
     assert np.all(y >= prob.lp.lower - 1e-12)
@@ -249,7 +249,7 @@ def test_terminal_bases_are_master_bases(rng):
             pt = FractionalPoint.from_point(nm, x)
         except ValueError:
             continue
-        slp = to_standard(nm)
+        slp = canonical(nm)
         for k in _fractional_ks(pt)[:1]:
             prob = build_membership_lp(nm, pt, k, slp=slp)
             _, res = membership_value(prob)
@@ -260,7 +260,7 @@ def test_terminal_bases_are_master_bases(rng):
 
 
 def test_certificate_value_and_complementarity(t1, t1_point):
-    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
+    prob = membership_problem(to_standard(t1), t1_point, 0)
     _, res = membership_value(prob)
     assert res.status is Status.OPTIMAL
     cert = certificate_from_basis(res.basis, prob)
@@ -276,7 +276,7 @@ def test_certificate_value_and_complementarity(t1, t1_point):
 
 
 def test_assemble_refuses_window_violations(t1, t1_point):
-    prob = SeparationSystem.of(t1).kept_problem(t1_point, 0)
+    prob = membership_problem(to_standard(t1), t1_point, 0)
     _, res = membership_value(prob)
     assert res.status is Status.OPTIMAL
     cert = certificate_from_basis(res.basis, prob)
@@ -456,11 +456,11 @@ def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
         p=2,
     )
     pt = FractionalPoint.from_point(nm, np.array([0.5, 0.5, 0.4]))
-    system = SeparationSystem.of(nm)
-    prob0 = system.kept_problem(pt, 0)
+    slp = to_standard(nm)
+    prob0 = membership_problem(slp, pt, 0)
     _, res0 = membership_value(prob0)
     assert res0.status is Status.OPTIMAL
-    prob1 = system.kept_problem(pt, 1)
+    prob1 = membership_problem(slp, pt, 1)
     cold_value, cold = membership_value(prob1)
     assert cold.status is Status.OPTIMAL
     calls = []

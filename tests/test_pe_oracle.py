@@ -1,14 +1,17 @@
 """The `pe` bound against an exact, independent elementary-closure bound.
 
-For a binary model max c'x, A'x >= b, x >= 0 (bound rows included in A'),
-the elementary closure is the intersection over the binaries k of
-conv(P ∩ {x_k <= 0} ∪ P ∩ {x_k >= 1}).  Balas, Ceria and Cornuéjols
-(Math. Prog. 58, 1993) write it as one lifted LP: for every k,
+For a model max c'x, A'x >= b, x >= 0 (bound rows included in A'), the
+elementary closure is the intersection over the integer variables k and
+the integers t of conv(P ∩ {x_k <= t} ∪ P ∩ {x_k >= t + 1}); only
+t = 0 ... u_k - 1, with u_k the ceiling of max x_k over P, can cut.  Balas,
+Ceria and Cornuéjols (Math. Prog. 58, 1993) write it as one lifted LP: for
+every split (k, t),
 
-    x = y^k + z^k,  A'y^k >= b λ_k,  y^k_k <= 0,
-    A'z^k >= b (1 - λ_k),  z^k_k >= 1 - λ_k,  y^k, z^k >= 0,  0 <= λ_k <= 1.
+    x = y + z,  A'y >= b λ,  y_k <= t λ,
+    A'z >= b (1 - λ),  z_k >= (t + 1)(1 - λ),  y, z >= 0,  0 <= λ <= 1.
 
-HiGHS solves it here, so the reference shares no code with the package.
+For a binary k the only split is t = 0.  HiGHS solves it here, so the
+reference shares no code with the package.
 A proved Kelley run must land between that optimum and eps above it.  The
 strengthened `pestar` cuts are valid for every integer point, and each is
 at least as tight as its plain cut, so a `pestar` run must land between
@@ -19,7 +22,8 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from liftproject.closure import ClosureConfig, optimize_closure
+from liftproject.closure import ClosureConfig, ClosureError, optimize_closure
+from liftproject.verify import random_milp
 
 from test_membership import plain_milp
 
@@ -27,18 +31,32 @@ EPS = ClosureConfig().eps
 LP_TOL = 1e-6  # slack for the reference LP's own feasibility tolerance
 
 
+def split_counts(nm) -> list[int]:
+    """u_k per integer variable k: the ceiling of max x_k over P, by HiGHS.
+    Splits t >= u_k leave P inside {x_k <= t}, and t < 0 inside
+    {x_k >= t + 1}: neither cuts."""
+    counts = []
+    for k in range(nm.num_integer):
+        c = np.zeros(nm.num_cols)
+        c[k] = -1.0
+        res = linprog(c, A_ub=-nm.a, b_ub=-nm.b, bounds=(0, None), method="highs")
+        assert res.status == 0, res.message
+        counts.append(int(np.ceil(-res.fun - LP_TOL)))
+    return counts
+
+
 def lifted_pe_bound(nm) -> float:
     """Optimum of the lifted LP, in the original objective sense."""
     a, b = nm.a, nm.b
     m, n = a.shape
-    p = nm.num_integer
-    # variables: x, then per k the block (y^k, z^k, λ_k)
+    splits = [(k, t) for k, u in enumerate(split_counts(nm)) for t in range(u)]
+    # variables: x, then per split the block (y, z, λ)
     width = 2 * n + 1
-    nvar = n + p * width
+    nvar = n + len(splits) * width
     eq_rows, ub_rows, ub_rhs = [], [], []
     bounds = [(0, None)] * nvar
-    for k in range(p):
-        y0 = n + k * width
+    for i, (k, t) in enumerate(splits):
+        y0 = n + i * width
         z0, lam = y0 + n, y0 + 2 * n
         eq = np.zeros((n, nvar))
         eq[:, :n] = np.eye(n)
@@ -57,13 +75,18 @@ def lifted_pe_bound(nm) -> float:
         ub[:, lam] = -b
         ub_rows.append(ub)
         ub_rhs.append(-b)
-        # -z_k - λ <= -1
+        # y_k - t λ <= 0
+        ub = np.zeros((1, nvar))
+        ub[0, y0 + k] = 1.0
+        ub[0, lam] = -t
+        ub_rows.append(ub)
+        ub_rhs.append(np.zeros(1))
+        # -z_k - (t + 1) λ <= -(t + 1)
         ub = np.zeros((1, nvar))
         ub[0, z0 + k] = -1.0
-        ub[0, lam] = -1.0
+        ub[0, lam] = -(t + 1.0)
         ub_rows.append(ub)
-        ub_rhs.append(np.array([-1.0]))
-        bounds[y0 + k] = (0, 0)
+        ub_rhs.append(np.array([-(t + 1.0)]))
         bounds[lam] = (0, 1)
     c = np.zeros(nvar)
     c[:n] = -nm.objective  # linprog minimizes
@@ -72,7 +95,7 @@ def lifted_pe_bound(nm) -> float:
         A_ub=np.vstack(ub_rows),
         b_ub=np.concatenate(ub_rhs),
         A_eq=np.vstack(eq_rows),
-        b_eq=np.zeros(p * n),
+        b_eq=np.zeros(len(splits) * n),
         bounds=bounds,
         method="highs",
     )
@@ -154,3 +177,27 @@ def test_pestar_bound_lies_between_the_optimum_and_the_pe_bound(nm):
     # max sense: no integer point is cut off, and the strengthened cuts
     # close at least as much as the plain ones
     assert milp_optimum(nm) - LP_TOL * scale <= rep.z_cut <= z_pe + EPS * scale
+
+
+def test_pe_bound_matches_lifted_lp_with_general_integer_splits():
+    # random models with general integer columns (boxes up to 4): the
+    # lifted LP takes every split (k, t), the Kelley loop only those at
+    # the points it visits, and the bounds still agree
+    rng = np.random.default_rng(3)
+    proved, general = 0, 0
+    for _ in range(100):
+        nm = random_milp(rng).nm
+        try:
+            rep = optimize_closure(nm, ClosureConfig(mode="pe"))
+        except ClosureError:
+            continue
+        if rep.termination != "proved":
+            continue
+        z_pe = lifted_pe_bound(nm)
+        scale = 1.0 + abs(z_pe)
+        assert z_pe - LP_TOL * scale <= rep.z_cut <= z_pe + EPS * scale
+        proved += 1
+        general += max(split_counts(nm)) > 1
+        if proved == 20:
+            break
+    assert proved == 20 and general >= 10

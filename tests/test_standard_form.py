@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,9 +9,29 @@ from liftproject.standard_form import (
     Basis,
     BasisFactors,
     SingularBasisError,
+    StandardLp,
     tableau_row,
     to_standard,
 )
+
+
+def canonical(nm, cuts=()):
+    """The canonical reference: every original row kept as a row, then
+    ``cuts``; no row is read as a bound, and ``upper`` is all inf."""
+    m, n = nm.a.shape
+    none = np.zeros(0, dtype=int)
+    base = StandardLp(
+        a=np.hstack([-np.eye(m), nm.a]),
+        b=np.array(nm.b, dtype=float),
+        c=np.concatenate([np.zeros(m), nm.objective]),
+        num_struct=n,
+        num_int=nm.num_integer,
+        keep=np.arange(m),
+        bound_rows=none,
+        bound_cols=none,
+        upper=np.full(n, np.inf),
+    )
+    return base.with_cuts(cuts) if cuts else base
 
 
 def basic_point(lp, basis):
@@ -21,30 +43,31 @@ def basic_point(lp, basis):
     return x
 
 
-def canonical_columns(bounds, basis, reduced_costs):
+def canonical_columns(slp, basis, reduced_costs):
     """Basic columns, ascending, of the cut-free canonical system at the
-    vertex of ``basis``, a basis of the kept rows plus cuts, with its
-    ``ColumnBounds``.
+    vertex of ``basis``, a basis of ``slp``, the kept rows plus cuts.
 
     Kept-row slacks and structurals keep their columns; cut slacks have
     none there and are dropped.  For the row i that bounds x_j, x_j is
     basic if it sits at its upper bound (``at_upper``), and slack i
     otherwise, so row i holds one basic column of its own.
     """
-    m0, n = bounds.num_rows, bounds.upper.size
-    m = basis.num_cols - n
+    m0, m, n = slp.num_original_rows, slp.num_rows, slp.num_struct
     to_canonical = np.concatenate(
-        [bounds.keep, np.full(m - bounds.keep.size, -1), m0 + np.arange(n)]
+        [slp.keep, np.full(m - slp.keep.size, -1), m0 + np.arange(n)]
     )
-    up = bounds.at_upper(basis, reduced_costs)
+    up = slp.at_upper(basis, reduced_costs)
     basic = to_canonical[basis.basic]
     return np.sort(
-        np.concatenate([basic[basic >= 0], m0 + bounds.cols[up], bounds.rows[~up]])
+        np.concatenate(
+            [basic[basic >= 0], m0 + slp.bound_cols[up], slp.bound_rows[~up]]
+        )
     )
 
 
-def kept_basis(bounds, basis):
-    """A basis of the cut-free canonical rows mapped onto the kept rows.
+def kept_basis(slp, basis):
+    """A basis of the cut-free canonical rows mapped onto the kept rows of
+    ``slp``.
 
     Bound-row slacks have no column there and are dropped.  For the row
     i that bounds x_j, a basic x_j whose slack i is nonbasic leaves the
@@ -55,15 +78,16 @@ def kept_basis(bounds, basis):
     basic point lies inside the kept system's bounds it is the canonical
     basic point.
     """
-    m, m0, n = bounds.num_rows, bounds.keep.size, bounds.upper.size
+    m, m0, n = slp.num_original_rows, slp.keep.size, slp.num_struct
+    rows, cols = slp.bound_rows, slp.bound_cols
     in_basis = basis.in_basis_mask()
-    leave = in_basis[m + bounds.cols] & ~in_basis[bounds.rows]
-    at_upper = np.concatenate([basis.at_upper[bounds.keep], basis.at_upper[m:]])
-    at_upper[m0 + bounds.cols[leave]] = ~basis.at_upper[bounds.rows[leave]]
+    leave = in_basis[m + cols] & ~in_basis[rows]
+    at_upper = np.concatenate([basis.at_upper[slp.keep], basis.at_upper[m:]])
+    at_upper[m0 + cols[leave]] = ~basis.at_upper[rows[leave]]
     to_kept = np.full(m + n, -1)
-    to_kept[bounds.keep] = np.arange(m0)
+    to_kept[slp.keep] = np.arange(m0)
     to_kept[m:] = m0 + np.arange(n)
-    to_kept[m + bounds.cols[leave]] = -1
+    to_kept[m + cols[leave]] = -1
     basic = to_kept[basis.basic]
     return Basis(basic[basic >= 0], at_upper)
 
@@ -84,16 +108,42 @@ def test_to_standard_shape_and_blocks(t1):
 
 def test_to_standard_with_cut_row(t1):
     cut = CutRow(coeffs=np.array([0.0, -2.0]), rhs=0.0)
-    slp = to_standard(t1, [cut])
+    slp = to_standard(t1).with_cuts([cut])
     assert slp.a.shape == (3, 5)
     np.testing.assert_allclose(slp.a[2, 3:], [0.0, -2.0])
     np.testing.assert_allclose(slp.a[:, :3], -np.eye(3))
     assert slp.b[2] == 0.0
 
 
+def test_with_cuts_appends_rows_after_the_kept_rows():
+    # rows 0 and 2 only bound a column: they become column bounds, and the
+    # cut rows follow the one kept row as in the system of every row that
+    # holds the kept row and the cuts; the column bounds carry over
+    nm = SimpleNamespace(
+        a=np.array([[-1.0, 0.0], [2.0, 1.0], [0.0, -1.0]]),
+        b=np.array([-3.0, 1.0, -2.5]),
+        objective=np.array([1.0, 1.0]),
+        num_integer=1,
+        num_cols=2,
+    )
+    base = to_standard(nm)
+    assert (base.keep.tolist(), base.bound_rows.tolist()) == ([1], [0, 2])
+    assert base.bound_cols.tolist() == [0, 1] and base.num_original_rows == 3
+    cut = CutRow(coeffs=np.array([1.0, -1.0]), rhs=-2.0)
+    slp = base.with_cuts([cut])
+    kept = SimpleNamespace(**{**vars(nm), "a": nm.a[[1]], "b": nm.b[[1]]})
+    want = canonical(kept, [cut])
+    for name in ("a", "b", "c"):
+        assert getattr(slp, name).tobytes() == getattr(want, name).tobytes()
+    for name in ("keep", "bound_rows", "bound_cols", "upper"):
+        assert getattr(slp, name) is getattr(base, name)
+    assert slp.column_upper().tolist() == [np.inf, np.inf, 3.0, 2.5]
+    assert base.num_rows == 1
+
+
 def test_to_standard_idempotent(t1):
-    a1 = to_standard(t1, [])
-    a2 = to_standard(t1, [])
+    a1 = to_standard(t1).with_cuts([])
+    a2 = to_standard(t1).with_cuts([])
     np.testing.assert_array_equal(a1.a, a2.a)
     np.testing.assert_array_equal(a1.b, a2.b)
     assert a1.row_fingerprint() == a2.row_fingerprint()
@@ -156,7 +206,7 @@ def test_random_bases_satisfy_system(rng):
         nm.objective = np.zeros(n)
         nm.num_integer = 1
         nm.num_cols = n
-        slp = to_standard(nm)
+        slp = canonical(nm)
         cols = rng.permutation(slp.num_cols)[:m]
         basis = Basis(np.array(sorted(cols)), np.zeros(slp.num_cols, bool))
         try:

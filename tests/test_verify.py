@@ -14,7 +14,7 @@ from liftproject.verify import (
     run_suite,
 )
 
-from test_standard_form import canonical_columns
+from test_standard_form import canonical, canonical_columns
 
 
 def test_validity_passes_on_t1_cut(t1):
@@ -136,12 +136,12 @@ def test_lemma3_regime_is_skipped(monkeypatch):
 
 def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
     # the four membership oracles solve the LP that separation solves, over
-    # the ColumnBounds.keep rows, each from the terminal factors of its
+    # the rows to_standard keeps, each from the terminal factors of its
     # instance's first vertex LP, made over that LP's own matrix; the
     # duality oracle's multiplier LP has n rows and starts from the
     # complement of that vertex LP's basis over the canonical rows
     from liftproject import simplex, verify
-    from liftproject.standard_form import ColumnBounds
+    from liftproject.standard_form import to_standard
 
     membership_lps, cglps, vertices, starts = [], [], [], {}
     value_of, cglp_of, solve = verify.membership_value, verify.solve_cglp, simplex.solve
@@ -155,8 +155,8 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
         cglps.append(problem)
         return cglp_of(problem, start, **kwargs)
 
-    def vertex(system, objective=None):
-        vertices.append(vertex_lp(system, objective))
+    def vertex(slp, objective=None):
+        vertices.append(vertex_lp(slp, objective))
         return vertices[-1]
 
     def solving(lp, start=None, **kwargs):
@@ -177,16 +177,17 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
             cglps.clear()
             vertices.clear()
             verify._run_instance(suite, inst, rng)
-            keep = ColumnBounds.of(nm).keep.size
+            slp = to_standard(nm)
+            keep = slp.num_rows
             assert keep < nm.num_rows
             for lp in membership_lps:
                 assert lp.num_rows == keep
                 start = starts[id(lp)]
                 assert start is vertices[0].factors
                 assert start.a is lp.a_eq
-            bounds, vertex = ColumnBounds.of(nm), vertices[0]
-            canonical = canonical_columns(bounds, vertex.basis, vertex.reduced_costs)
-            nonbasic = np.setdiff1d(np.arange(nm.num_rows + nm.num_cols), canonical)
+            vertex = vertices[0]
+            basic = canonical_columns(slp, vertex.basis, vertex.reduced_costs)
+            nonbasic = np.setdiff1d(np.arange(nm.num_rows + nm.num_cols), basic)
             rows = nonbasic[nonbasic < nm.num_rows]
             cols = nonbasic[nonbasic >= nm.num_rows] - nm.num_rows
             for problem in cglps:
@@ -283,17 +284,16 @@ def test_multiplier_lps_from_the_vertex_complement_match_the_trivial_start(
 
 def test_one_separation_system_per_instance(monkeypatch):
     # an instance's vertex LPs and every membership LP and certificate of
-    # its oracles share one SeparationSystem
+    # its oracles share one system of ``to_standard``
     from liftproject import verify
-    from liftproject.membership import SeparationSystem
 
-    of, calls = SeparationSystem.of, []
+    standard, calls = verify.to_standard, []
 
-    def counting(cls, nm, bounds=None):
+    def counting(nm):
         calls.append(nm)
-        return of(nm, bounds)
+        return standard(nm)
 
-    monkeypatch.setattr(SeparationSystem, "of", classmethod(counting))
+    monkeypatch.setattr(verify, "to_standard", counting)
     rng = np.random.default_rng(5)
     for suite in ("theorem3", "theorem4", "duality", "proposition3"):
         executed = 0
@@ -502,7 +502,6 @@ def test_master_vertex_is_a_vertex_of_the_canonical_rows():
     # its point must be an optimal vertex of the canonical system, which
     # Proposition 3 needs
     from liftproject import simplex
-    from liftproject.standard_form import to_standard
     from test_membership import _master_vertex
 
     rng = np.random.default_rng(77)
@@ -512,23 +511,23 @@ def test_master_vertex_is_a_vertex_of_the_canonical_rows():
         n = nm.num_cols
         for objective in (None, rng.integers(-5, 6, size=n).astype(float)):
             x = _master_vertex(nm, objective)
-            slp = to_standard(nm)
+            slp = canonical(nm)
             c = slp.c if objective is None else np.concatenate(
                 [np.zeros(slp.num_rows), objective]
             )
-            canonical = simplex.solve(
+            every_row = simplex.solve(
                 simplex.BoundedLp(
                     "max", c, slp.a, slp.b,
                     np.zeros(slp.num_cols), np.full(slp.num_cols, np.inf),
                 ),
                 start=slp.slack_basis(),
             )
-            assert (x is None) == (canonical.status is not simplex.Status.OPTIMAL)
+            assert (x is None) == (every_row.status is not simplex.Status.OPTIMAL)
             if x is None:
                 continue
             activity = nm.a @ x - nm.b
             assert activity.min() >= -1e-9 and x.min() >= -1e-9
-            z = canonical.value
+            z = every_row.value
             assert abs(c[slp.num_rows :] @ x - z) <= 1e-9 * (1.0 + abs(z))
             active = np.vstack([nm.a[np.abs(activity) <= 1e-9], np.eye(n)[x <= 1e-9]])
             assert np.linalg.matrix_rank(active) == n

@@ -1,7 +1,7 @@
 """Record the benchmark of two git revisions side by side.
 
     python3 tools/bench_record.py PARENT CHANGE --seeds 1 2 3 --held-out 8 \\
-        --seconds 20 --out BENCH_12.json
+        --seconds 20 --setup-pairs 10 --out BENCH_12.json
 
 Each revision is exported with ``git archive`` into a temporary directory,
 so only committed files take part.  For every workload of the change's
@@ -17,6 +17,13 @@ two sides.  ``perfbench/run.py`` exits 0 even when its own check of the
 outputs fails, so each progress line shows the run's ``correct`` flag and
 ``failed`` count, and once the record is written, every run whose check
 failed is listed and the tool exits 1.  Run it from inside the repository.
+
+With ``--setup-pairs N``, before the benchmark runs, each side's
+``perfbench/setup_probe.py`` times ``import liftproject`` from its own tree
+in N fresh interpreters, alternating which side goes first, with the BLAS
+thread count ``perfbench/run.py`` pins.  The record keeps both lists of
+times under ``setup_pairs``, with the median, the quartiles and the pairs
+each side won.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ import argparse
 import io
 import itertools
 import json
+import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -36,6 +45,11 @@ SIDES = ("parent", "change")
 ENV_KEYS = ("python", "numpy", "scipy", "nproc", "blas_threads")
 # the output lines a bit-identity claim compares: one per instance or suite
 LINE_PREFIXES = ("instance ", "suite ", "validity closures ")
+# the thread pins perfbench/run.py sets before numpy loads
+BLAS_ENV = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+)
+SETUP_COMMAND = "python3 perfbench/setup_probe.py <tree>/src"
 DESCRIPTION = (
     "Before/after record of perfbench/run.py: the last JSON line of each "
     "run, per workload and seed, for the parent and the change, and the "
@@ -76,6 +90,58 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> str:
             + done.stderr[-2000:]
         )
     return done.stdout
+
+
+def setup_probe(tree: Path) -> float:
+    """Seconds of ``import liftproject`` from ``tree``/src, timed by the
+    tree's own set-up probe in a fresh interpreter."""
+    src = tree / "src"
+    done = subprocess.run(
+        [sys.executable, "perfbench/setup_probe.py", str(src)],
+        cwd=tree, capture_output=True, text=True, check=True,
+        env={**os.environ, **BLAS_ENV},
+    )
+    probe = json.loads(done.stdout.strip().splitlines()[-1])
+    if not probe["module"].startswith(str(src)):
+        raise RuntimeError(f"set-up probe in {tree} imported {probe['module']}")
+    return probe["setup_s"]
+
+
+def setup_times(trees: dict[str, Path], pairs: int) -> dict[str, list[float]]:
+    """``pairs`` set-up probes per side, back to back, alternating which
+    side goes first."""
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    for pair in range(pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            times[side].append(setup_probe(trees[side]))
+    return times
+
+
+def setup_summary(times: dict[str, list[float]]) -> dict:
+    """Per side: the paired set-up times, their median and quartiles
+    (inclusive method) and the pairs in which the side was faster."""
+    out: dict = {"command": SETUP_COMMAND, "pairs": len(times["parent"])}
+    for side, other in (SIDES, SIDES[::-1]):
+        mine = times[side]
+        q1, median, q3 = statistics.quantiles(mine, n=4, method="inclusive")
+        out[side] = {
+            "setup_s": mine,
+            "median": median,
+            "q1": q1,
+            "q3": q3,
+            "wins": sum(a < b for a, b in zip(mine, times[other])),
+        }
+    return out
+
+
+def print_setup(summary: dict) -> None:
+    for side in SIDES:
+        s = summary[side]
+        print(
+            f"setup_s {side}: median {s['median']:.4f} s (quartiles "
+            f"{s['q1']:.4f}-{s['q3']:.4f}), faster in {s['wins']} of "
+            f"{summary['pairs']} pairs"
+        )
 
 
 def last_json(stdout: str) -> dict:
@@ -149,9 +215,11 @@ def assemble(
     held_out: int,
     seconds: float,
     note: str = "",
+    setup: dict | None = None,
 ) -> dict:
     """The record of ``outputs``, each run's stdout keyed by (workload,
-    seed, side), in the layout of the committed BENCH_*.json files."""
+    seed, side), in the layout of the committed BENCH_*.json files, with
+    the ``setup_summary`` of paired set-up probes when there is one."""
     runs: dict[str, dict[str, dict]] = {}
     lines: dict[str, dict[str, dict]] = {}
     for (workload, seed, side), stdout in outputs.items():
@@ -169,7 +237,7 @@ def assemble(
         }
 
     description = DESCRIPTION.format(held_out=held_out)
-    return {
+    record = {
         "description": f"{description} {note}".strip(),
         "command": " ".join(command(seconds)),
         "seconds": seconds,
@@ -180,6 +248,9 @@ def assemble(
         "runs": by_side(runs),
         "lines": by_side(lines),
     }
+    if setup is not None:
+        record["setup_pairs"] = setup
+    return record
 
 
 def main(argv=None) -> int:
@@ -191,7 +262,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--note", default="", help="what the change claims, in words")
+    ap.add_argument(
+        "--setup-pairs", type=int, default=0, metavar="N",
+        help="time the import of each side in N alternating fresh interpreters",
+    )
     args = ap.parse_args(argv)
+    if args.setup_pairs == 1 or args.setup_pairs < 0:
+        ap.error("--setup-pairs takes 0 or at least 2 pairs")
     revisions = {"parent": resolve(args.parent), "change": resolve(args.change)}
     seeds = [s for s in args.seeds if s != args.held_out] + [args.held_out]
     seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
@@ -200,6 +277,10 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side, tree in trees.items():
             export(revisions[side], tree)
+        setup = None
+        if args.setup_pairs:
+            setup = setup_summary(setup_times(trees, args.setup_pairs))
+            print_setup(setup)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         pair = 0
         for workload in (w["name"] for w in spec["workloads"]):
@@ -217,9 +298,12 @@ def main(argv=None) -> int:
         held_out=args.held_out,
         seconds=seconds,
         note=args.note,
+        setup=setup,
     )
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print_differences(record)
+    if setup is not None:
+        print_setup(setup)
     return report_incorrect(record)
 
 
