@@ -115,7 +115,9 @@ def parse_mps(source, *, marker_default_binary: bool = True) -> MilpInstance:
       ``marker_default_binary=False``);
     * an RHS entry on the objective row is the negated constant term;
     * RANGES follow the usual G/L/E semantics and are rejected on N rows;
-    * duplicate (row, column) entries are summed and counted.
+    * duplicate (row, column) entries are summed and counted;
+    * a second RHS or RANGES entry for one row, the objective row
+      included, is an error.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
@@ -133,6 +135,8 @@ def parse_mps(source, *, marker_default_binary: bool = True) -> MilpInstance:
     in_integer_block = False
     pending_objsense = False
     seen_entries: set[tuple[str, int]] = set()
+    rhs_rows: dict[str, int] = {}  # row name -> line of its RHS entry
+    range_rows: dict[str, int] = {}  # row name -> line of its RANGES entry
 
     def lookup_row(name: str, ln: int) -> int | None:
         """Index of a constraint row; None for the objective/free rows."""
@@ -247,6 +251,7 @@ def parse_mps(source, *, marker_default_binary: bool = True) -> MilpInstance:
                 raise MpsParseError("RHS entry needs (row, value) pairs", ln)
             for rname, val in zip(pairs[::2], pairs[1::2]):
                 value = _parse_float(val, ln)
+                _first_entry(rhs_rows, "RHS", rname, ln)
                 if rname == objective_row:
                     # MPS convention: RHS on the objective row is -constant.
                     inst.objective_constant = -value
@@ -266,6 +271,7 @@ def parse_mps(source, *, marker_default_binary: bool = True) -> MilpInstance:
                 if rname == objective_row or rname in free_rows:
                     raise MpsParseError("RANGES entry on an N row", ln)
                 ridx = lookup_row(rname, ln)
+                _first_entry(range_rows, "RANGES", rname, ln)
                 inst.rows[ridx].range_value = _parse_float(val, ln)
 
         elif section == "BOUNDS":
@@ -312,6 +318,16 @@ def _parse_objsense(token: str, ln: int) -> str:
     if token in ("MIN", "MINIMIZE"):
         return "min"
     raise MpsParseError(f"unknown objective sense '{token}'", ln)
+
+
+def _first_entry(seen: dict[str, int], section: str, row: str, ln: int) -> None:
+    """Note the ``section`` entry of ``row`` at line ``ln``; a second one
+    for the same row raises instead of overwriting the first."""
+    if row in seen:
+        raise MpsParseError(
+            f"second {section} entry for row '{row}' (first on line {seen[row]})", ln
+        )
+    seen[row] = ln
 
 
 def _parse_float(token: str, ln: int, *, finite: bool = True) -> float:
@@ -515,8 +531,11 @@ def _row_interval(sense: str, rhs: float, rng: float | None):
 
 def load_optima(path) -> dict[str, float]:
     """Read a reference-optima sidecar: one `name value` pair per line, the
-    value finite."""
+    value finite and each name on one line only, case aside (the CLI
+    matches names case-insensitively).  A malformed line raises
+    ``ValueError`` naming the file and the line."""
     out: dict[str, float] = {}
+    lines: dict[str, int] = {}  # lower-cased name -> its line
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -525,8 +544,20 @@ def load_optima(path) -> dict[str, float]:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {ln}: expected 'name value'")
-            value = float(parts[1])
+            name, text = parts
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {ln}: optimum {text!r} is not a number"
+                ) from None
             if not math.isfinite(value):
-                raise ValueError(f"{path}: line {ln}: optimum {parts[1]} is not finite")
-            out[parts[0]] = value
+                raise ValueError(f"{path}: line {ln}: optimum {text} is not finite")
+            # names are matched case-insensitively, so T1 repeats t1
+            first = lines.setdefault(name.lower(), ln)
+            if first != ln:
+                raise ValueError(
+                    f"{path}: line {ln}: name {name!r} repeats line {first}"
+                )
+            out[name] = value
     return out

@@ -8,9 +8,10 @@ built by ``to_standard``), the master with its cuts appended: the rows
 -x_j >= -u_j that only bound one column are read as column bounds
 0 <= x_j <= u_j and drop out, and the other original rows stay.  Cuts
 are read from the bases of that system, with the columns at a bound that
-a dropped row sets complemented.  Only the validity oracle's fiber LPs,
-the pass start's trim and the tests' canonical references build the
-matrix of every original row.
+a dropped row sets complemented.  The oracles' LPs, the validity oracle's
+fiber LPs included, solve that system too.  Only the pass start's trim
+and the tests' canonical references build the matrix of every original
+row.
 """
 
 from __future__ import annotations

@@ -32,9 +32,11 @@ the vertex, and at other points the dual simplex repairs it.  Every
 multiplier LP (n rows) of the instance starts from the complement of that
 basis: the multiplier LP is the membership LP's dual, so at the vertex the
 complement is optimal, and since its constraints do not depend on the
-point it is primal feasible at the midpoint too.  Each fiber LP starts
-from the last optimal fiber basis of the same cut, and the fiber LPs'
-proving duals are shared by every cut they prove.
+point it is primal feasible at the midpoint too.  The validity oracle's
+fiber LPs solve the system of ``to_standard`` as well, the integer
+columns fixed by their bounds.  Each starts from the last optimal fiber
+basis of the same cut, and the fiber LPs' proving duals are shared by
+every cut they prove, with the column bounds in their weak-duality bound.
 """
 
 from __future__ import annotations
@@ -328,18 +330,22 @@ def check_proposition3(
 class _DualProofs:
     """Weak-duality proofs shared by every cut of one validity check.
 
-    Each row of ``duals`` is a pi >= 0 that some fiber LP returned, and
-    ``proves[d, c]`` says that dual d satisfies pi A'_C <= alpha_C of cut
-    c, tested exactly, with no tolerance, against every cut at once.  On
-    the fiber of xi, empty or not, such a pi bounds that cut's continuous
-    part: alpha_C x_C >= pi (b - A'_I xi).
+    Each row of ``duals`` is a pi >= 0 over the kept rows K that some fiber
+    LP returned.  For cut c let g = pi A'_{K,C} - alpha_C.  Then pi proves
+    c when g_j <= 0 on every continuous column with u_j = inf, tested
+    exactly, with no tolerance, against every cut at once, and
+    ``box[d, c]`` holds sum_j max(g_j, 0) u_j (``_box_terms``), +inf where
+    dual d proves nothing of cut c.  On the fiber of xi, empty or not,
+    such a pi bounds that cut's continuous part:
+    alpha_C x_C >= pi (b_K - A'_{K,I} xi) - box[d, c].
     """
 
-    def __init__(self, a_cont: np.ndarray, c_cont: np.ndarray):
+    def __init__(self, a_cont: np.ndarray, upper: np.ndarray, c_cont: np.ndarray):
         self.a_cont = a_cont
+        self.upper = upper  # of the continuous columns, inf where none
         self.c_cont = c_cont  # one row of continuous coefficients per cut
         self.duals = np.zeros((0, a_cont.shape[0]))
-        self.proves = np.zeros((0, c_cont.shape[0]), dtype=bool)
+        self.box = np.zeros((0, c_cont.shape[0]))
         self._seen: set[bytes] = set()
 
     def add(self, duals: np.ndarray) -> bool:
@@ -350,18 +356,27 @@ class _DualProofs:
         if key in self._seen:
             return False
         self._seen.add(key)
-        proves = np.all(pi @ self.a_cont <= self.c_cont, axis=1)
-        if not proves.any():
+        box = _box_terms(pi @ self.a_cont - self.c_cont, self.upper)
+        if np.all(box == np.inf):
             return False
         self.duals = np.vstack([self.duals, pi])
-        self.proves = np.vstack([self.proves, proves])
+        self.box = np.vstack([self.box, box])
         return True
 
     def bounds(self, residual: np.ndarray) -> np.ndarray:
-        """Per cut, the best bound max pi residual over its proofs, -inf
-        where it has none."""
-        values = np.where(self.proves, (self.duals @ residual)[:, None], -np.inf)
+        """Per cut, the best bound max (pi residual - box) over its proofs,
+        -inf where it has none."""
+        values = (self.duals @ residual)[:, None] - self.box
         return values.max(axis=0, initial=-np.inf)
+
+
+def _box_terms(g: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """sum_j max(g_j, 0) u_j over the last axis of ``g``: the most that
+    columns 0 <= x_j <= u_j can add to g x.  +inf where g_j > 0 on a column
+    with u_j = inf, so that g x has no such bound; that test is exact."""
+    free = np.isinf(upper)
+    bounded = np.all(g[..., free] <= 0.0, axis=-1)
+    return np.where(bounded, np.maximum(g, 0.0) @ np.where(free, 0.0, upper), np.inf)
 
 
 def check_validity(
@@ -376,23 +391,31 @@ def check_validity(
     Enumerates all integer assignments inside the domain; for mixed
     instances each assignment's continuous completion polytope (its
     fiber) is probed per cut by minimizing the cut activity exactly (same
-    simplex).  The fiber LPs of a cut start from the terminal factors of
-    its last optimal fiber LP: between lattice points only the fixed
-    bounds of x_I change, so that basis stays dual feasible and the dual
-    simplex repairs it.  Until a cut has one, its LPs start from the
-    slack basis, factored once for all cuts.  Two kinds of LP duals spare
-    fiber LPs, both checked exactly against A'_C with no tolerance:
+    simplex); a minimum below the rhs, or none because the LP is
+    unbounded, is a violation.  Each fiber LP solves the system of
+    ``to_standard``: the rows K that are not bounds, with the bound rows
+    read as column bounds, the integer columns fixed at xi by their bounds
+    and the continuous ones in [0, u_C].  A point with xi above an integer
+    column's bound has an empty fiber and is skipped.  The fiber LPs of a cut start from the
+    terminal factors of its last optimal fiber LP: between lattice points
+    only the fixed bounds of x_I change, so that basis stays dual feasible
+    and the dual simplex repairs it.  Until a cut has one, its LPs start
+    from the slack basis, factored once for all cuts.  Two kinds of LP
+    duals spare fiber LPs, both checked exactly against A'_{K,C} with no
+    tolerance where u_j = inf, and with the column bounds paying for the
+    rest (``_box_terms``):
 
     * the row duals pi >= 0 of every fiber LP are tested against every
-      cut at once and kept for each cut c with pi A'_C <= alpha_C
-      (``_DualProofs``): by weak duality alpha x >= alpha_I xi +
-      pi (b - A'_I xi) on the fiber of xi, empty or not, so a later LP of
-      c, at this point or another, is skipped once that bound reaches
-      its rhs;
-    * Farkas rays pi in [0, 1]^m with pi A'_C <= 0, one read off the
-      simplex certificate of each empty fiber, prove by Farkas' lemma that
-      the fiber of xi is empty when pi (b - A'_I xi) > tol; no cut can be
-      violated there, so the point is skipped.
+      cut at once and kept for each cut c they prove (``_DualProofs``):
+      by weak duality alpha x >= alpha_I xi + pi (b_K - A'_{K,I} xi) -
+      sum_j max(g_j, 0) u_j, with g = pi A'_{K,C} - alpha_C, on the fiber
+      of xi, empty or not, so a later LP of c, at this point or another,
+      is skipped once that bound reaches its rhs;
+    * Farkas rays pi in [0, 1]^K, one read off the simplex certificate of
+      each empty fiber, prove by Farkas' lemma that the fiber of xi is
+      empty when pi (b_K - A'_{K,I} xi) - sum_j max(h_j, 0) u_j > tol,
+      with h = pi A'_{K,C} (``_fiber_ray``); no cut can be violated
+      there, so the point is skipped.
     """
     if not cuts:
         return CheckRecord("validity", True, detail="no cuts to check")
@@ -402,15 +425,18 @@ def check_validity(
         return CheckRecord(
             "validity", True, skipped=f"{dom.num_points} lattice points over cap"
         )
-    # the canonical system (-I A') x = b of every original row
-    m = nm.num_rows
-    a = np.hstack([-np.eye(m), nm.a])
-    a_int, a_cont = nm.a[:, :p], nm.a[:, p:]
-    proofs = _DualProofs(a_cont, np.array([cut.coeffs[p:] for cut in cuts]))
+    slp = to_standard(nm)
+    m = slp.num_rows
+    a_int, a_cont = slp.a[:, m : m + p], slp.a[:, m + p :]
+    int_upper, cont_upper = slp.upper[:p], slp.upper[p:]
+    proofs = _DualProofs(
+        a_cont, cont_upper, np.array([cut.coeffs[p:] for cut in cuts])
+    )
     # per cut: the start of its next fiber LP, the factors of its last
     # optimal one once it has one
-    starts = [BasisFactors(a, Basis(np.arange(m), np.zeros(m + n, bool)))] * len(cuts)
+    starts = [BasisFactors(slp.a, slp.slack_basis())] * len(cuts)
     rays = np.zeros((0, m))  # Farkas rays proving fibers empty
+    ray_box = np.zeros(0)  # and their box terms
     witnesses = []
     for assignment in product(*(range(c + 1) for c in dom.caps)):
         xi = np.array(assignment, dtype=float)
@@ -420,12 +446,14 @@ def check_validity(
                     if cut.coeffs @ xi < cut.rhs - tol:
                         witnesses.append((assignment, idx))
             continue
-        lower = np.zeros(m + n)
-        upper = np.full(m + n, np.inf)
+        if np.any(xi > int_upper):
+            continue  # empty fiber: xi breaks a bound row
+        lower = np.zeros(slp.num_cols)
+        upper = slp.column_upper()
         lower[m : m + p] = xi
         upper[m : m + p] = xi
-        residual = nm.b - a_int @ xi
-        if np.any(rays @ residual > tol):
+        residual = slp.b - a_int @ xi
+        if np.any(rays @ residual - ray_box > tol):
             continue  # empty fiber
         bounds = proofs.bounds(residual)
         for idx, cut in enumerate(cuts):
@@ -436,8 +464,8 @@ def check_validity(
             lp = BoundedLp(
                 sense="min",
                 objective=obj,
-                a_eq=a,
-                rhs=nm.b,
+                a_eq=slp.a,
+                rhs=slp.b,
                 lower=lower,
                 upper=upper,
             )
@@ -446,10 +474,14 @@ def check_validity(
             if res.duals is not None and proofs.add(res.duals):
                 bounds = proofs.bounds(residual)
             if res.status is Status.INFEASIBLE:
-                ray = _fiber_ray(res.farkas, a_cont, residual, tol)
+                ray = _fiber_ray(res.farkas, a_cont, cont_upper, residual, tol)
                 if ray is not None:
-                    rays = np.vstack([rays, ray])
+                    rays = np.vstack([rays, ray[0]])
+                    ray_box = np.append(ray_box, ray[1])
                 break
+            if res.status is Status.UNBOUNDED:
+                # a ray of the nonempty fiber drives alpha x below any rhs
+                witnesses.append((assignment, idx))
             if res.status is Status.OPTIMAL:
                 starts[idx] = res.factors
                 if res.value < cut.rhs - tol:
@@ -468,22 +500,29 @@ def check_validity(
 
 
 def _fiber_ray(
-    farkas: np.ndarray, a_cont: np.ndarray, residual: np.ndarray, tol: float
-) -> np.ndarray | None:
-    """pi in [0, 1]^m with pi A'_C <= 0 and pi r > tol, or None.
+    farkas: np.ndarray,
+    a_cont: np.ndarray,
+    upper: np.ndarray,
+    residual: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, float] | None:
+    """pi in [0, 1]^K with pi r - box > tol, and box, or None.
 
-    Such a pi proves {y >= 0 : A'_C y >= r} empty.  The fiber LP's
-    certificate y (min y A x > y b over the bounds, with the slack block
-    -I of A) gives pi = max(-y, 0), scaled into [0, 1]^m; the inequality
-    is then checked exactly, as the weak-duality proofs are.
+    With h = pi A'_{K,C}, box = sum_j max(h_j, 0) u_j is the most h x_C
+    reaches over 0 <= x_C <= u (``_box_terms``; h_j <= 0 where u_j = inf,
+    tested exactly), so such a pi proves {0 <= x_C <= u : A'_{K,C} x_C >= r}
+    empty.  The fiber LP's certificate y (min y A x > y b over the bounds,
+    with the slack block -I of A) gives pi = max(-y, 0), scaled into
+    [0, 1]^K.
     """
     pi = np.maximum(-farkas, 0.0)
     top = float(pi.max(initial=0.0))
     if top <= 0.0:
         return None
     pi /= top
-    if np.all(pi @ a_cont <= 0.0) and pi @ residual > tol:
-        return pi
+    box = float(_box_terms(pi @ a_cont, upper))
+    if pi @ residual - box > tol:
+        return pi, box
     return None
 
 

@@ -197,3 +197,63 @@ def test_setup_pairs_alternate_and_summarize_per_side(monkeypatch, capsys):
     )
     assert list(record)[-1] == "setup_pairs" and record["setup_pairs"] is summary
     json.dumps(record)
+
+
+def _runs(metric: str, parent: list[float], change: list[float]) -> dict:
+    return {
+        str(seed): {
+            side: {"metrics": {metric: {"value": value}}}
+            for side, value in (("parent", p), ("change", c))
+        }
+        for seed, p, c in zip((1, 2, 3), parent, change)
+    }
+
+
+def test_verdict_rows_judge_each_metric_under_its_bound(capsys):
+    tool = _tool()
+    cases = [
+        # (metric, better, bound, parent runs, change runs, verdict, wins)
+        ("pivots_total", "lower", 0.1, [1016] * 3, [890] * 3, "better", 3),
+        ("pivots_total", "lower", 0.1, [321, 326, 324], [321, 326, 324], "no worse", 0),
+        ("pivots_total", "lower", 0.1, [100] * 3, [120] * 3, "worse", 0),
+        # wins every pair and beats the median by more than the spread
+        ("pivots_total", "lower", 0.1, [100, 105, 103], [94, 101, 97], "better", 3),
+        # the parent's own spread (67 %) exceeds the bound
+        ("solve_s", "lower", 0.25, [0.10, 0.20, 0.15], [0.12, 0.14, 0.13], "unresolved", 2),
+        ("solve_s", "lower", 0.25, [0.10, 0.20, 0.15], [0.25, 0.30, 0.28], "unresolved", 0),
+        ("solve_s", "lower", 0.25, [0.10, 0.20, 0.15], [0.05, 0.06, 0.09], "better", 3),
+        ("gap_closed_pct", "higher", 0.05, [50.0] * 3, [49.9, 50.0, 50.0], "no worse", 0),
+        ("gap_closed_pct", "higher", 0.05, [50.0] * 3, [45.0, 50.0, 46.0], "worse", 0),
+        ("ok_frac", "higher", 0.01, [0.0] * 3, [0.0] * 3, "no worse", 0),
+    ]
+    for metric, better, bound, parent, change, verdict, wins in cases:
+        record = {"runs": {"verify": _runs(metric, parent, change)}}
+        spec = [{"name": metric, "better": better, "bound": bound}]
+        (row,) = tool.verdict_rows(record, spec)
+        assert (row["verdict"], row["wins"], row["pairs"]) == (verdict, wins, 3), (
+            metric, parent, change, row,
+        )
+        assert row["parent_median"] == sorted(parent)[1]
+        assert row["change_median"] == sorted(change)[1]
+        spread = (max(parent) - min(parent)) / (abs(sorted(parent)[1]) or 1.0)
+        assert row["parent_spread"] == spread
+    # one row per workload and metric, in the record's workload order
+    record = {
+        "runs": {
+            "knapsack-pe": _runs("pivots_total", [321, 326, 324], [321, 326, 324]),
+            "verify": _runs("pivots_total", [1016] * 3, [890] * 3),
+        }
+    }
+    spec = [{"name": "pivots_total", "better": "lower", "bound": 0.1}]
+    rows = tool.verdict_rows(record, spec)
+    assert [(r["workload"], r["verdict"]) for r in rows] == [
+        ("knapsack-pe", "no worse"), ("verify", "better")
+    ]
+    json.dumps(rows)
+    tool.print_verdicts(rows)
+    assert capsys.readouterr().out.splitlines() == [
+        "knapsack-pe   pivots_total    parent        324  change        324  "
+        "spread   1.5% (bound 10%)  wins 0/3  no worse",
+        "verify        pivots_total    parent       1016  change        890  "
+        "spread   0.0% (bound 10%)  wins 3/3  better",
+    ]

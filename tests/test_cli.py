@@ -230,12 +230,18 @@ def test_verify_cli_fault_injection_exits_3(capsys):
             ["--optima", "{optima}"],
             "optima file: {optima}: line 1: optimum nan is not finite",
         ),
+        (
+            ["--optima", "{optima}.abc"],
+            "optima file: {optima}.abc: line 2: optimum 'abc' is not a number",
+        ),
     ],
 )
 def test_close_invalid_config_exits_1(t1_path, tmp_path, capsys, argv, message):
-    # {optima} names an optima file whose only value is nan
+    # {optima} names an optima file whose only value is nan, and
+    # {optima}.abc one whose second value is no number
     optima = tmp_path / "optima.txt"
     optima.write_text("t1 nan\n")
+    (tmp_path / "optima.txt.abc").write_text("t0 1\nt1 abc\n")
     argv = [arg.format(optima=optima) for arg in argv]
     message = message.format(optima=optima)
     assert main(["close", t1_path, *argv]) == 1

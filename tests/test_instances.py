@@ -89,6 +89,30 @@ def test_parse_errors_carry_line_numbers():
         parse_mps(ranged_obj)
 
 
+@pytest.mark.parametrize(
+    "section, entries, row, first, line",
+    [
+        ("RHS", ["    rhs r1 3.0", "    rhs r1 5.0"], "r1", 8, 9),
+        ("RHS", ["    rhs r1 3.0 r1 5.0"], "r1", 8, 8),
+        ("RHS", ["    rhs obj 1.0", "    rhs r1 1.0 obj 2.0"], "obj", 8, 9),
+        ("RANGES", ["    rng r1 2.0", "    rng r1 4.0"], "r1", 10, 11),
+    ],
+)
+def test_repeated_rhs_or_ranges_entry_is_an_error(section, entries, row, first, line):
+    # a second entry once overwrote the first in silence: `RHS c1 3` then
+    # `RHS c1 5` read 5 and warned of nothing.  Repeated COLUMNS entries
+    # are summed and counted instead
+    head = "NAME X\nROWS\n N obj\n G r1\nCOLUMNS\n    x r1 1.0 obj 2.0\nRHS\n"
+    body = "\n".join(entries) + "\n"
+    text = head + (body if section == "RHS" else "    rhs r1 1.0\nRANGES\n" + body)
+    with pytest.raises(MpsParseError) as err:
+        parse_mps(text + "ENDATA\n")
+    assert err.value.line_no == line
+    assert str(err.value) == (
+        f"line {line}: second {section} entry for row '{row}' (first on line {first})"
+    )
+
+
 def test_rhs_on_objective_is_constant():
     text = (
         "NAME X\nROWS\n N obj\n G r1\nCOLUMNS\n    x r1 1.0 obj 2.0\n"
@@ -370,6 +394,17 @@ def test_load_optima(tmp_path):
         bad.write_text(f"t1 0\nt2 {value}\n")
         with pytest.raises(ValueError, match=f"line 2: optimum {value} is not finite"):
             load_optima(bad)
+    # a value that is no number, and a name the CLI would match twice,
+    # name the file and the line
+    for text, message in (
+        ("t1 0\n\nt2 abc\n", "line 3: optimum 'abc' is not a number"),
+        ("t1 0\nfoo 1\nT1 2\n", "line 3: name 'T1' repeats line 1"),
+        ("t1 0\nt1 0\n", "line 2: name 't1' repeats line 1"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_optima(bad)
+        assert str(err.value) == f"{bad}: {message}"
 
 
 def _reference_parse_counts(path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -435,11 +437,102 @@ def test_one_farkas_ray_proves_every_empty_fiber(monkeypatch):
         assert solves[0] < empty, (rhs, solves[0])
 
 
+def _free_column_case():
+    """Integers x1, x2 in {0..3} and a continuous y >= 0 with no upper
+    bound, linked by y >= x1 - 2, with four valid cuts.  The dual of the
+    link row proves the first cut and the third, whose y coefficients pay
+    for it, but neither the second, where g_y = 1 > 0 on the free column,
+    nor the last, where g_y = 2**-30 > 0."""
+    from liftproject.instances import NormalizedMilp
+
+    nm = NormalizedMilp(
+        name="free-column",
+        objective=np.ones(3),
+        a=np.array(
+            [[-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+        ),
+        b=np.array([-2.0, -5.0, -3.0, -3.0]),
+        num_integer=2,
+        objective_offset=0.0,
+        objective_sign=1.0,
+        perm=np.arange(3),
+        shift=np.zeros(3),
+        col_names=["x1", "x2", "y"],
+        row_labels=["link", "sum", "box1", "box2"],
+    )
+    cuts = [
+        CutRow(coeffs=np.array([-1.0, 0.0, 1.0]), rhs=-2.0),
+        CutRow(coeffs=np.array([-1.0, -1.0, 0.0]), rhs=-5.0),
+        CutRow(coeffs=np.array([0.0, -1.0, 2.0]), rhs=-3.0),
+        CutRow(coeffs=np.array([-1.0, 0.0, 1.0 - 2.0**-30]), rhs=-2.0 - 2.0**-30),
+    ]
+    caps = [3, 3]
+    return nm, caps, cuts, EnumerationDomain(caps=caps)
+
+
+@pytest.mark.parametrize(
+    "bounds, caps, empty", [((-3.0, -3.0), [3, 3], 1), ((-3.0, -2.0), [4, 4], 13)]
+)
+def test_free_column_case_agrees_with_highs(bounds, caps, empty):
+    # the cuts of _free_column_case are valid, and shifted up they are
+    # violated; the verdict and the violation count match HiGHS over every
+    # original row.  In the second case the domain reaches x = 4 on
+    # columns whose bound rows say x1 <= 3 and x2 <= 2: those points break
+    # a bound row, so their fibers are empty (the fiber LP fixes x by
+    # bounds, which would cross there)
+    from liftproject.verify import VALIDITY_TOL
+
+    nm, _, cuts, _ = _free_column_case()
+    nm.b[2:] = bounds
+    minima = _brute_force_minima(nm, caps, cuts)
+    assert sum(row is None for row in minima) == empty
+    for shift in (0.0, 0.5):
+        shifted = [CutRow(coeffs=c.coeffs.copy(), rhs=c.rhs + shift) for c in cuts]
+        expected = sum(
+            value < cut.rhs - VALIDITY_TOL
+            for row in minima if row is not None
+            for value, cut in zip(row, shifted)
+        )
+        rec = check_validity(nm, shifted, EnumerationDomain(caps=caps))
+        count = 0 if rec.passed else int(rec.detail.split()[0])
+        assert count == expected and (expected > 0) == (shift > 0), rec.detail
+
+
+def test_a_cut_unbounded_on_its_fiber_is_a_violation():
+    # y >= x - 2 leaves y unbounded above, so y <= 5 removes points of
+    # every fiber: the fiber LP min -y is unbounded, and no lattice point
+    # may pass for it
+    from liftproject.instances import NormalizedMilp
+
+    nm = NormalizedMilp(
+        name="unbounded-fiber",
+        objective=np.ones(2),
+        a=np.array([[-1.0, 1.0], [-1.0, 0.0]]),
+        b=np.array([-2.0, -3.0]),
+        num_integer=1,
+        objective_offset=0.0,
+        objective_sign=1.0,
+        perm=np.arange(2),
+        shift=np.zeros(2),
+        col_names=["x", "y"],
+        row_labels=["link", "box"],
+    )
+    rec = check_validity(
+        nm, [CutRow(coeffs=np.array([0.0, -1.0]), rhs=-5.0)], EnumerationDomain([3])
+    )
+    assert not rec.passed
+    assert rec.detail == "4 violations; first: integer part (0,) violates cut #0"
+
+
 def test_stored_duals_prove_their_cuts_exactly(monkeypatch):
-    # a fiber LP's row duals are kept for every cut they prove: each stored
-    # pi is >= 0 and satisfies pi A'_C <= alpha_C with no tolerance, for
-    # every cut it is stored for.  Some duals prove more than one cut
+    # a fiber LP's row duals pi over the kept rows K are kept for every cut
+    # they prove.  Each stored pi is >= 0.  For every cut it is stored
+    # for, g = pi A'_{K,C} - alpha_C is <= 0 with no tolerance on every
+    # continuous column with no upper bound, and its stored box term is
+    # sum_j max(g_j, 0) u_j; for every other cut some such g_j is > 0.
+    # Some duals prove more than one cut, and some prove only a part
     from liftproject import verify
+    from liftproject.standard_form import to_standard
 
     made = []
 
@@ -449,20 +542,111 @@ def test_stored_duals_prove_their_cuts_exactly(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(verify, "_DualProofs", Recorded)
-    stored = shared = 0
-    for nm, _, cuts, dom in _brute_force_draws():
+    stored = shared = partial = 0
+    for nm, _, cuts, dom in [*_brute_force_draws(), _free_column_case()]:
         made.clear()
         check_validity(nm, cuts, dom)
         (proofs,) = made
-        p = nm.num_integer
-        for pi, proves in zip(proofs.duals, proofs.proves):
-            assert np.all(pi >= 0.0)
-            for cut, kept in zip(cuts, proves):
+        slp = to_standard(nm)
+        p, m = nm.num_integer, slp.num_rows
+        upper = slp.upper[p:]
+        free = np.isinf(upper)
+        assert len(proofs.duals) == len(proofs.box)
+        for pi, box in zip(proofs.duals, proofs.box):
+            assert pi.shape == (m,) and np.all(pi >= 0.0)
+            proves = np.isfinite(box)
+            for cut, kept, term in zip(cuts, proves, box):
+                g = pi @ slp.a[:, m + p :] - cut.coeffs[p:]
+                assert np.all(g[free] <= 0.0) == kept
                 if kept:
-                    assert np.all(pi @ nm.a[:, p:] <= cut.coeffs[p:])
+                    want = math.fsum(np.maximum(g[~free], 0.0) * upper[~free])
+                    assert term == pytest.approx(want, rel=1e-12, abs=1e-12)
+                else:
+                    assert term == np.inf
             stored += int(proves.sum())
             shared += int(proves.sum()) > 1
-    assert stored > 0 and shared > 0, (stored, shared)
+            partial += not proves.all()
+    assert stored > 0 and shared > 0 and partial > 0, (stored, shared, partial)
+
+
+def test_stored_rays_prove_their_fibers_empty_exactly(monkeypatch):
+    # every Farkas ray the oracle keeps is a pi in [0, 1]^K with
+    # h = pi A'_{K,C} <= 0 with no tolerance on every continuous column
+    # with no upper bound, and pi r - sum_j max(h_j, 0) u_j > tol at the
+    # point it was read at; its box term is that sum
+    from liftproject import verify
+    from liftproject.standard_form import to_standard
+
+    fiber_ray, kept = verify._fiber_ray, []
+
+    def recording(farkas, a_cont, upper, residual, tol):
+        ray = fiber_ray(farkas, a_cont, upper, residual, tol)
+        if ray is not None:
+            kept.append((*ray, a_cont, upper, residual, tol))
+        return ray
+
+    monkeypatch.setattr(verify, "_fiber_ray", recording)
+    draws = [*_brute_force_draws(), _free_column_case()]
+    for nm, _, cuts, dom in draws:
+        slp = to_standard(nm)
+        p, m = nm.num_integer, slp.num_rows
+        before = len(kept)
+        check_validity(nm, cuts, dom)
+        for pi, box, a_cont, upper, residual, tol in kept[before:]:
+            assert np.array_equal(a_cont, slp.a[:, m + p :])
+            assert np.array_equal(upper, slp.upper[p:])
+            assert pi.shape == (m,) and pi.min() >= 0.0 and pi.max() == 1.0
+            h = pi @ a_cont
+            free = np.isinf(upper)
+            assert np.all(h[free] <= 0.0)
+            want = math.fsum(np.maximum(h[~free], 0.0) * upper[~free])
+            assert box == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert pi @ residual - box > tol
+    assert len(kept) >= 5, len(kept)
+
+
+def test_fiber_lps_solve_the_kept_rows(monkeypatch):
+    # every fiber LP of the validity suite solves the rows to_standard
+    # keeps, with the integer columns fixed at their lattice point by
+    # bounds and the continuous ones in [0, u]; every start, the slack
+    # basis or a cut's carried factors, is made over that LP's own matrix
+    from liftproject import simplex, verify
+    from liftproject.standard_form import BasisFactors, to_standard
+
+    solve, check = simplex.solve, verify.check_validity
+    fiber_lps, checks = [], []
+
+    def recording_check(nm, cuts, dom, **kwargs):
+        checks.append(nm)
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, "solve", solving)
+            return check(nm, cuts, dom, **kwargs)
+
+    def solving(lp, start=None, **kwargs):
+        fiber_lps.append((checks[-1], lp, start))
+        return solve(lp, start=start, **kwargs)
+
+    monkeypatch.setattr(verify, "check_validity", recording_check)
+    rng = np.random.default_rng(7)
+    carried = 0
+    for _ in range(30):
+        verify._run_instance("validity", random_milp(rng), rng)
+    for nm, lp, start in fiber_lps:
+        slp = to_standard(nm)
+        m, p = slp.num_rows, nm.num_integer
+        assert m < nm.num_rows
+        assert lp.num_rows == m and lp.num_cols == slp.num_cols
+        assert np.array_equal(lp.a_eq, slp.a) and np.array_equal(lp.rhs, slp.b)
+        ints, conts = slice(m, m + p), slice(m + p, None)
+        assert np.array_equal(lp.lower[ints], lp.upper[ints])
+        assert np.all(lp.upper[ints] <= slp.upper[:p])
+        assert not lp.lower[:m].any() and np.all(np.isinf(lp.upper[:m]))
+        assert not lp.lower[conts].any()
+        assert np.array_equal(lp.upper[conts], slp.upper[p:])
+        assert isinstance(start, BasisFactors) and start.a is lp.a_eq
+        carried += not np.array_equal(start.basis.basic, np.arange(m))
+    assert len(checks) >= 10 and len(fiber_lps) >= 20, (len(checks), len(fiber_lps))
+    assert carried > 0
 
 
 def test_fiber_lps_from_per_cut_starts_match_the_slack_start(monkeypatch):

@@ -24,6 +24,11 @@ in N fresh interpreters, alternating which side goes first, with the BLAS
 thread count ``perfbench/run.py`` pins.  The record keeps both lists of
 times under ``setup_pairs``, with the median, the quartiles and the pairs
 each side won.
+
+Last, it prints one row per workload and end-to-end metric of
+BENCHMARK.json (``verdict_rows``): each side's median over the seeds, the
+parent's spread, the pairs the change won and a verdict under the metric's
+bound, and keeps the same rows under ``summary`` in the record.
 """
 
 from __future__ import annotations
@@ -198,6 +203,69 @@ def print_differences(record: dict) -> None:
             print(f"  - {parent}\n  + {change}")
 
 
+def verdict_rows(record: dict, end_to_end: list[dict]) -> list[dict]:
+    """One row per workload and end-to-end metric of ``BENCHMARK.json``:
+    each side's median over the seeds, the parent's spread (max - min over
+    its median), the pairs the change won and a verdict under the metric's
+    bound.  Changes are relative to the parent's median, or absolute where
+    it is 0.
+
+    * ``better``: every change run beats every parent run, or the change
+      wins every pair and its median beats the parent's by more than the
+      parent's spread;
+    * ``unresolved``: otherwise, when the parent's spread exceeds the bound;
+    * ``worse``: the change's median is worse by more than the bound;
+    * ``no worse``: any other case.
+    """
+    rows = []
+    for workload, by_seed in record["runs"].items():
+        for metric in end_to_end:
+            name, bound = metric["name"], metric["bound"]
+            sign = -1.0 if metric["better"] == "lower" else 1.0
+            pairs = [
+                [sign * sides[side]["metrics"][name]["value"] for side in SIDES]
+                for sides in by_seed.values()
+            ]
+            parent, change = ([pair[i] for pair in pairs] for i in (0, 1))
+            # signed so that higher is better
+            p_median, c_median = statistics.median(parent), statistics.median(change)
+            scale = abs(p_median) or 1.0
+            spread = (max(parent) - min(parent)) / scale
+            gain = (c_median - p_median) / scale  # > 0: the change is better
+            wins = sum(c > p for p, c in pairs)
+            if min(change) > max(parent) or (wins == len(pairs) and gain > spread):
+                verdict = "better"
+            elif spread > bound:
+                verdict = "unresolved"
+            elif -gain > bound:
+                verdict = "worse"
+            else:
+                verdict = "no worse"
+            rows.append({
+                "workload": workload,
+                "metric": name,
+                "parent_median": sign * p_median,
+                "change_median": sign * c_median,
+                "parent_spread": spread,
+                "bound": bound,
+                "wins": wins,
+                "pairs": len(pairs),
+                "verdict": verdict,
+            })
+    return rows
+
+
+def print_verdicts(rows: list[dict]) -> None:
+    for row in rows:
+        print(
+            f"{row['workload']:<13} {row['metric']:<15} "
+            f"parent {row['parent_median']:>10.4g}  change "
+            f"{row['change_median']:>10.4g}  spread {row['parent_spread']:6.1%} "
+            f"(bound {row['bound']:.0%})  wins {row['wins']}/{row['pairs']}  "
+            f"{row['verdict']}"
+        )
+
+
 def environment(stdout: str) -> dict:
     """The versions and thread counts of a run's ``env`` line."""
     line = next(ln for ln in stdout.splitlines() if ln.startswith("env "))
@@ -300,10 +368,12 @@ def main(argv=None) -> int:
         note=args.note,
         setup=setup,
     )
+    record["summary"] = verdict_rows(record, spec["end_to_end"])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print_differences(record)
     if setup is not None:
         print_setup(setup)
+    print_verdicts(record["summary"])
     return report_incorrect(record)
 
 
