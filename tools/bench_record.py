@@ -221,13 +221,12 @@ def verdict_rows(record: dict, end_to_end: list[dict]) -> list[dict]:
     for workload, by_seed in record["runs"].items():
         for metric in end_to_end:
             name, bound = metric["name"], metric["bound"]
-            sign = -1.0 if metric["better"] == "lower" else 1.0
+            sign = -1.0 if metric["better"] == "lower" else 1.0  # higher is better
             pairs = [
                 [sign * sides[side]["metrics"][name]["value"] for side in SIDES]
                 for sides in by_seed.values()
             ]
             parent, change = ([pair[i] for pair in pairs] for i in (0, 1))
-            # signed so that higher is better
             p_median, c_median = statistics.median(parent), statistics.median(change)
             scale = abs(p_median) or 1.0
             spread = (max(parent) - min(parent)) / scale
