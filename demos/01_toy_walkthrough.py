@@ -18,7 +18,8 @@ from liftproject import (
     solve,
     to_standard,
 )
-from liftproject.membership import assemble_cut, certificate_from_basis
+from liftproject.membership import certificate_from_basis
+from liftproject.verify import assemble_cut
 
 T1 = """NAME          T1
 ROWS

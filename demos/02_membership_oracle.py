@@ -18,8 +18,7 @@ from liftproject import (
 )
 from liftproject.cuts import FRAC_EPS_DEFAULT
 from liftproject.instances import NormalizedMilp
-from liftproject.membership import build_cglp, solve_cglp
-from liftproject.verify import OracleSystem, random_milp
+from liftproject.verify import OracleSystem, build_cglp, random_milp, solve_cglp
 
 
 def interval(upper):

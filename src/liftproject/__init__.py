@@ -28,7 +28,6 @@ from .membership import (
     DualCertificate,
     FractionalPoint,
     Separation,
-    build_cglp,
     membership_problem,
     membership_value,
     separate,
@@ -54,7 +53,6 @@ __all__ = [
     "SimplexResult",
     "StandardLp",
     "Status",
-    "build_cglp",
     "gap_closed",
     "gmi_cut",
     "gmi_rounds",

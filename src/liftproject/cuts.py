@@ -1,7 +1,7 @@
-"""Cut formulas: intersection cut, GMI cut, multiplier strengthening and
-slack elimination into the structural space.  A tableau row read from a
-system that keeps some variables as column bounds is cut with its at-bound
-columns complemented (``complemented_cut``).
+"""Cut formulas: intersection cut, GMI cut and slack elimination into the
+structural space.  A tableau row read from a system that keeps some
+variables as column bounds is cut with its at-bound columns complemented
+(``complemented_cut``).
 
 Conventions: a cut is alpha x >= beta.  Cuts read from a tableau row live
 over all slack+structural columns until ``eliminate_slacks`` substitutes
@@ -188,32 +188,3 @@ def eliminate_slacks(cut: CutRow, lp: StandardLp) -> CutRow:
         )
     return out
 
-
-def strengthen(cert, base_cut: CutRow, nm) -> CutRow:
-    """Round the multipliers of integer structural columns (monoidal step).
-
-    For integer j != k the coefficient becomes
-        min{u A'^j - u0 floor(m_j),  v A'^j + v0 ceil(m_j)},
-    m_j = (u A'^j - v A'^j) / (u0 + v0).  Requires u0, v0 > 0 (otherwise
-    the certificate cannot cut and the base cut is returned untouched).
-    ``base_cut`` must be the raw assembled structural cut, not a
-    normalized copy.
-    """
-    if cert.u0 <= 0.0 or cert.v0 <= 0.0:
-        return base_cut
-    if base_cut.space != "structural":
-        raise ValueError("strengthening applies to structural-space cuts")
-    p = nm.num_integer
-    k = cert.source_var
-    coeffs = base_cut.coeffs.copy()
-    ua = cert.u @ nm.a  # u A'^j for every structural j
-    va = cert.v @ nm.a
-    for j in range(p):
-        if j == k:
-            continue
-        mj = (ua[j] - va[j]) / (cert.u0 + cert.v0)
-        coeffs[j] = min(
-            ua[j] - cert.u0 * math.floor(mj),
-            va[j] + cert.v0 * math.ceil(mj),
-        )
-    return CutRow(coeffs=coeffs, rhs=base_cut.rhs, space="structural")

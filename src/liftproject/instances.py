@@ -100,7 +100,7 @@ def _tokenize(line: str) -> list[str]:
     return line.split()
 
 
-def parse_mps(source, *, marker_default_binary: bool = True) -> MilpInstance:
+def parse_mps(source) -> MilpInstance:
     """Parse MPS text into a :class:`MilpInstance`.
 
     ``source`` may be a str, bytes or any iterable of lines.  Conventions
@@ -111,8 +111,7 @@ def parse_mps(source, *, marker_default_binary: bool = True) -> MilpInstance:
       rows (counted in ``warnings``);
     * columns wrapped in ``'MARKER' 'INTORG'``/``'INTEND'`` pairs are
       integer; such columns default to bounds [0, 1] unless any BOUNDS
-      entry mentions them (classic MIPLIB encoding; disable with
-      ``marker_default_binary=False``);
+      entry mentions them (classic MIPLIB encoding);
     * an RHS entry on the objective row is the negated constant term;
     * RANGES follow the usual G/L/E semantics and are rejected on N rows;
     * duplicate (row, column) entries are summed and counted;
@@ -304,10 +303,9 @@ def parse_mps(source, *, marker_default_binary: bool = True) -> MilpInstance:
 
     if objective_row is None:
         raise MpsParseError("no objective (N) row declared")
-    if marker_default_binary:
-        for var in inst.variables:
-            if var.integer and not var.has_bound_entry:
-                var.upper = 1.0
+    for var in inst.variables:
+        if var.integer and not var.has_bound_entry:
+            var.upper = 1.0
     return inst
 
 
@@ -357,6 +355,8 @@ def _apply_bound(var: VariableRecord, btype: str, val, inst: MilpInstance) -> No
         var.lower = var.upper = val
     elif btype == "BV":
         var.lower, var.upper, var.integer = 0.0, 1.0, True
+    elif btype == "FR":
+        var.lower, var.upper = -INF, INF
     elif btype == "MI":
         var.lower = -INF
     elif btype == "PL":
@@ -367,9 +367,9 @@ def _apply_bound(var: VariableRecord, btype: str, val, inst: MilpInstance) -> No
         var.lower, var.integer = val, True
 
 
-def read_mps(path, **kwargs) -> MilpInstance:
+def read_mps(path) -> MilpInstance:
     with open(path, "rb") as fh:
-        inst = parse_mps(fh.read(), **kwargs)
+        inst = parse_mps(fh.read())
     if not inst.name:
         import os
 
@@ -386,9 +386,10 @@ class NormalizedMilp:
     """Canonical maximization model: max c'x, A'x >= b, x >= 0.
 
     Integer variables are the first ``num_integer`` columns.  For any
-    canonical point y, ``to_original(y)`` is feasible for the parsed
-    instance and ``original_objective(value)`` maps objective values back
-    (``original = objective_sign * value + objective_offset``).
+    canonical point y, the point x with x[perm] = y, shifted by ``shift``,
+    is feasible for the parsed instance, and ``original_objective(value)``
+    maps objective values back (``objective_sign * value +
+    objective_offset``).
     """
 
     name: str
@@ -410,11 +411,6 @@ class NormalizedMilp:
     @property
     def num_cols(self) -> int:
         return self.a.shape[1]
-
-    def to_original(self, y: np.ndarray) -> np.ndarray:
-        x = np.empty(self.num_cols)
-        x[self.perm] = y
-        return x + self.shift
 
     def original_objective(self, value: float) -> float:
         return self.objective_sign * value + self.objective_offset

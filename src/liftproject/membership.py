@@ -12,11 +12,10 @@ and merely changes bounds and right-hand side:
 
 Its optimum is >= 0 exactly when xh lies in the disjunctive hull.  A
 negative optimum yields multipliers (u, v, s, t, u0, v0) read from the
-terminal tableau row of y_k, from which both the plain (intersection) cut
-and the strengthened (GMI) cut are assembled.  The multiplier LP with
-normalization u0 + v0 = 1, its dual, is also built here, solely as a
-cross-check oracle: with alpha, beta, u0 and v0 substituted out it keeps
-one row per structural column (``build_cglp``).
+terminal tableau row of y_k, and that row gives both the plain
+(intersection) cut and the strengthened (GMI) cut.  Its dual, the
+multiplier LP with normalization u0 + v0 = 1, is built only by the
+verification oracles (``verify.build_cglp``).
 
 ``separate`` solves the same LP over fewer rows, those of
 ``standard_form.to_standard``: each original row -y_j >= -u_j that only
@@ -306,23 +305,6 @@ def certificate_from_basis(
     )
 
 
-def assemble_cut(cert: DualCertificate, nm: NormalizedMilp) -> CutRow:
-    """Structural-space cut defined by a certificate (unnormalized).
-
-    alpha = A'^T u + s - u0 e_k,  beta = u b - u0 floor(xh_k); by duality
-    the violation beta - alpha xh equals minus the membership value.
-    Certificates outside the u0, v0 > 0 window are refused: the
-    inequality they define need not be valid.
-    """
-    if cert.u0 <= 0.0 or cert.v0 <= 0.0:
-        raise ValueError("certificate outside the unit window defines no valid cut")
-    k = cert.source_var
-    alpha = nm.a.T @ cert.u + cert.s
-    alpha[k] -= cert.u0
-    beta = float(cert.u @ nm.b) - cert.u0 * cert.floor_k
-    return CutRow(coeffs=alpha, rhs=beta, space="structural")
-
-
 def separate(
     nm: NormalizedMilp,
     pt: FractionalPoint,
@@ -346,7 +328,8 @@ def separate(
     and once it passed its sign and unit-window checks, the emitted cuts
     are read from its row of y_k, complemented columns counted as
     continuous and complemented back (``cuts.complemented_cut``); only
-    the verification oracles assemble cuts from the certificate itself.
+    the verification oracles assemble cuts from the certificate itself
+    (``verify.assemble_cut``).
     A singular basis or a broken dual sign pattern ends as an
     inconclusive outcome whose reason names the error.  ``slp`` defaults
     to ``to_standard(nm)``.
@@ -421,123 +404,3 @@ def separate(
             inconclusive=True,
         )
     return outcome(found=True, value=value, plain=plain, strengthened=strengthened)
-
-
-# ---------------------------------------------------------------------------
-# Multiplier-space LP (cross-check oracle only)
-
-
-@dataclass
-class CglpProblem:
-    """The normalized multiplier LP over (u, v, s, t) >= 0, in n rows.
-
-    The literal LP, min alpha xh - beta over alpha = A'^T u + s - u0 pi =
-    A'^T v + t + v0 pi, beta = u b - u0 pi0 = v b + v0 (pi0 + 1) and
-    u0 + v0 = 1 with alpha, beta, u0 and v0 free, loses those variables
-    and equalities: u0 = pi0 + 1 - (u - v) b, and what is left is
-
-        min  u (A'xh - b + g b) - v (g b) + s xh - g (1 + pi0)
-        s.t. A'^T (u - v) + s - t = pi,   u, v, s, t >= 0,
-
-    with g = pi xh - pi0 and the constant kept out of the LP objective.
-    ``unsplit`` recovers every variable of the literal LP.
-    """
-
-    lp: BoundedLp
-    a: np.ndarray  # A'
-    b: np.ndarray
-    pi: np.ndarray
-    pi0: float
-    constant: float  # -g (1 + pi0)
-
-    def complement_basis(
-        self, rows: np.ndarray | None = None, cols: np.ndarray | None = None
-    ) -> Basis:
-        """The complement of a basis of the relaxation A'x - s = b.
-
-        ``rows`` are the canonical rows whose slack that basis leaves
-        nonbasic and ``cols`` the structurals it leaves nonbasic at 0, n
-        in all.  Each row i contributes u_i or v_i and each column j s_j
-        or t_j, the side whose basic value in B^-1 pi is >= 0, so the
-        start is primal feasible for every split; its matrix is
-        nonsingular exactly when the relaxation basis is.  The complement
-        of an optimal membership basis is an optimal basis here.  The
-        default is the slack basis (no rows, every column), whose
-        complement is the trivial cut: ``s_j`` where ``pi_j >= 0`` and
-        ``t_j`` where ``pi_j < 0``, for ``pi >= 0`` the cut
-        ``alpha = -pi0 pi``, ``beta = -pi0 (pi0 + 1)``.
-        """
-        m, n = self.a.shape
-        rows = np.zeros(0, dtype=int) if rows is None else np.asarray(rows, dtype=int)
-        cols = np.arange(n) if cols is None else np.asarray(cols, dtype=int)
-        plus = np.concatenate([rows, 2 * m + cols])  # the u_i and s_j
-        at_upper = np.zeros(self.lp.num_cols, dtype=bool)
-        value = BasisFactors(self.lp.a_eq, Basis(plus, at_upper)).solve(self.pi)
-        # v_i = u_i + m and t_j = s_j + n take the negative values
-        shift = np.concatenate([np.full(rows.size, m), np.full(cols.size, n)])
-        return Basis(plus + shift * (value < 0.0), at_upper)
-
-    def unsplit(self, x: np.ndarray) -> dict:
-        m, n = self.a.shape
-        u, v, s, t = x[:m], x[m : 2 * m], x[2 * m : 2 * m + n], x[2 * m + n :]
-        u0 = self.pi0 + 1.0 - float((u - v) @ self.b)
-        return {
-            "alpha": self.a.T @ u + s - u0 * self.pi,
-            "beta": float(u @ self.b) - self.pi0 * u0,
-            "u": u,
-            "v": v,
-            "s": s,
-            "t": t,
-            "u0": u0,
-            "v0": 1.0 - u0,
-        }
-
-
-def build_cglp(
-    nm: NormalizedMilp,
-    pt: FractionalPoint,
-    pi: np.ndarray,
-    pi0: float,
-    *,
-    eps: float = FRAC_EPS_DEFAULT,
-) -> CglpProblem:
-    """Multiplier-space cut LP with normalization u0 + v0 = 1.
-
-    min alpha xh - beta subject to both disjunctive sides producing
-    (alpha, beta); u0 and v0 are sign-free, which keeps the LP the exact
-    dual of the membership LP.  Supports general split directions pi;
-    the closure loop itself only ever uses elementary ones.
-    """
-    pi = np.asarray(pi, dtype=float)
-    gap = float(pi @ pt.x) - pi0
-    if min(gap, 1.0 - gap) < eps:
-        raise FractionalityError(
-            f"pi.xh - pi0 = {gap} is not strictly inside (0, 1)"
-        )
-    a, b = nm.a, nm.b
-    m, n = a.shape
-    eye = np.eye(n)
-    lp = BoundedLp(
-        sense="min",
-        objective=np.concatenate(
-            [a @ pt.x - b + gap * b, -gap * b, pt.x, np.zeros(n)]
-        ),
-        a_eq=np.hstack([a.T, -a.T, eye, -eye]),
-        rhs=pi,
-        lower=np.zeros(2 * (m + n)),
-        upper=np.full(2 * (m + n), np.inf),
-    )
-    return CglpProblem(lp, a, b, pi, float(pi0), -gap * (1.0 + pi0))
-
-
-def solve_cglp(
-    cglp: CglpProblem, start: Basis | None = None
-) -> tuple[float | None, SimplexResult]:
-    """Optimum of the multiplier LP plus its constant, solved from
-    ``start``, by default the trivial cut (``complement_basis``)."""
-    if start is None:
-        start = cglp.complement_basis()
-    result = simplex.solve(cglp.lp, start=start)
-    if result.status is not Status.OPTIMAL:
-        return None, result
-    return float(result.value + cglp.constant), result

@@ -3,9 +3,9 @@
     max/min  c x   s.t.  A x = d,   l <= x <= u   (l finite, u may be +inf).
 
 One solver serves the master problem, the membership separation LP and the
-explicit multiplier-space cut LP used for cross-checking.  Every solve
-takes one road: make the start dual feasible, run the dual simplex to
-primal feasibility, then run phase 2 on the true costs.
+verification oracles' LPs (``verify``), a system with no rows included.
+Every solve takes one road: make the start dual feasible, run the dual
+simplex to primal feasibility, then run phase 2 on the true costs.
 
 The start is priced once.  A nonbasic column whose reduced cost favors its
 other bound is dual infeasible.  A boxed one (finite upper bound) moves to
@@ -143,10 +143,6 @@ class SimplexResult:
     # the terminal basis with the worker's explicit inverse, over lp.a_eq
     factors: BasisFactors | None = None
 
-    @property
-    def optimal(self) -> bool:
-        return self.status is Status.OPTIMAL
-
 
 def _inverse(a: np.ndarray, basic: np.ndarray) -> np.ndarray:
     """Explicit inverse of ``a[:, basic]``; bound statuses play no part."""
@@ -177,26 +173,7 @@ def solve(
     Hitting ``max_iter`` or ``time_limit`` yields the iteration-limit
     status.  The result is deterministic for identical inputs and limits.
     """
-    if lp.num_rows == 0:
-        return _solve_unconstrained(lp)
     return _Worker(lp, start, max_iter=max_iter, time_limit=time_limit).run()
-
-
-def _solve_unconstrained(lp: BoundedLp) -> SimplexResult:
-    cmax = lp.objective if lp.sense == "max" else -lp.objective
-    x = np.where(cmax > 0, lp.upper, lp.lower)
-    unbounded = (cmax > 0) & ~np.isfinite(lp.upper)
-    if np.any(unbounded):
-        value = np.inf if lp.sense == "max" else -np.inf
-        return SimplexResult(Status.UNBOUNDED, value, x, None, None, None, 0, 0)
-    value = float(cmax @ x)
-    reduced = lp.objective.copy()
-    basis = Basis(np.zeros(0, dtype=int), cmax > 0)
-    if lp.sense == "min":
-        value = -value
-    return SimplexResult(
-        Status.OPTIMAL, value, x, basis, reduced, np.zeros(0), 0, 0
-    )
 
 
 class _Worker:

@@ -15,6 +15,15 @@ random instances:
 * validity - no emitted cut removes any integer-feasible point, checked
   by exhaustive lattice enumeration with exact continuous completions.
 
+The code only these oracles run lives here, not in the modules that
+``optimize_closure`` runs.  The multiplier LP with normalization
+u0 + v0 = 1, the membership LP's dual, is built here solely as a
+cross-check oracle: with alpha, beta, u0 and v0 substituted out it keeps
+one row per structural column (``build_cglp``).  The cut a certificate
+defines (``assemble_cut``) and its monoidal strengthening (``strengthen``)
+are assembled here too; ``membership.separate`` reads its cuts from the
+tableau row instead.
+
 The random instances use integer data and explicit box rows so both the
 vertex and the lattice enumerations stay exact.  The first four families
 check the membership LP that separation solves: the LP over the rows
@@ -48,23 +57,19 @@ from itertools import product
 import numpy as np
 
 from . import simplex
-from .closure import ClosureConfig, optimize_closure
+from .closure import ClosureConfig, ClosureError, optimize_closure
 from .cuts import (
-    FRAC_EPS_DEFAULT, CutRow, complemented_cut, eliminate_slacks, gmi_cut,
-    intersection_cut, strengthen,
+    FRAC_EPS_DEFAULT, CutRow, FractionalityError, complemented_cut,
+    eliminate_slacks, gmi_cut, intersection_cut,
 )
 from .instances import NormalizedMilp
 from .membership import (
-    CglpProblem,
     DualCertificate,
     FractionalPoint,
     MembershipProblem,
-    assemble_cut,
-    build_cglp,
     certificate_from_basis,
     membership_problem,
     membership_value,
-    solve_cglp,
 )
 from .simplex import BoundedLp, SimplexResult, Status
 from .standard_form import Basis, BasisFactors, StandardLp, to_standard
@@ -176,6 +181,174 @@ def random_milp(
     return RandomMilp(nm=nm, box=box, x_seed=x0)
 
 
+# ---------------------------------------------------------------------------
+# Certificate cuts and the multiplier LP (the Theorem 3/4 and duality oracles)
+
+
+def assemble_cut(cert: DualCertificate, nm: NormalizedMilp) -> CutRow:
+    """Structural-space cut defined by a certificate (unnormalized).
+
+    alpha = A'^T u + s - u0 e_k,  beta = u b - u0 floor(xh_k); by duality
+    the violation beta - alpha xh equals minus the membership value.
+    Certificates outside the u0, v0 > 0 window are refused: the
+    inequality they define need not be valid.
+    """
+    if cert.u0 <= 0.0 or cert.v0 <= 0.0:
+        raise ValueError("certificate outside the unit window defines no valid cut")
+    k = cert.source_var
+    alpha = nm.a.T @ cert.u + cert.s
+    alpha[k] -= cert.u0
+    beta = float(cert.u @ nm.b) - cert.u0 * cert.floor_k
+    return CutRow(coeffs=alpha, rhs=beta, space="structural")
+
+
+def strengthen(
+    cert: DualCertificate, base_cut: CutRow, nm: NormalizedMilp
+) -> CutRow:
+    """Round the multipliers of integer structural columns (monoidal step).
+
+    For integer j != k the coefficient becomes
+        min{u A'^j - u0 floor(m_j),  v A'^j + v0 ceil(m_j)},
+    m_j = (u A'^j - v A'^j) / (u0 + v0).  ``base_cut`` must be the raw
+    structural cut ``assemble_cut`` made of ``cert``, not a normalized
+    copy; u0, v0 > 0 holds there.
+    """
+    p = nm.num_integer
+    k = cert.source_var
+    coeffs = base_cut.coeffs.copy()
+    ua = cert.u @ nm.a  # u A'^j for every structural j
+    va = cert.v @ nm.a
+    for j in range(p):
+        if j == k:
+            continue
+        mj = (ua[j] - va[j]) / (cert.u0 + cert.v0)
+        coeffs[j] = min(
+            ua[j] - cert.u0 * math.floor(mj),
+            va[j] + cert.v0 * math.ceil(mj),
+        )
+    return CutRow(coeffs=coeffs, rhs=base_cut.rhs, space="structural")
+
+
+@dataclass
+class CglpProblem:
+    """The normalized multiplier LP over (u, v, s, t) >= 0, in n rows.
+
+    The literal LP, min alpha xh - beta over alpha = A'^T u + s - u0 pi =
+    A'^T v + t + v0 pi, beta = u b - u0 pi0 = v b + v0 (pi0 + 1) and
+    u0 + v0 = 1 with alpha, beta, u0 and v0 free, loses those variables
+    and equalities: u0 = pi0 + 1 - (u - v) b, and what is left is
+
+        min  u (A'xh - b + g b) - v (g b) + s xh - g (1 + pi0)
+        s.t. A'^T (u - v) + s - t = pi,   u, v, s, t >= 0,
+
+    with g = pi xh - pi0 and the constant kept out of the LP objective.
+    ``unsplit`` recovers every variable of the literal LP.
+    """
+
+    lp: BoundedLp
+    a: np.ndarray  # A'
+    b: np.ndarray
+    pi: np.ndarray
+    pi0: float
+    constant: float  # -g (1 + pi0)
+
+    def complement_basis(
+        self, rows: np.ndarray | None = None, cols: np.ndarray | None = None
+    ) -> Basis:
+        """The complement of a basis of the relaxation A'x - s = b.
+
+        ``rows`` are the canonical rows whose slack that basis leaves
+        nonbasic and ``cols`` the structurals it leaves nonbasic at 0, n
+        in all.  Each row i contributes u_i or v_i and each column j s_j
+        or t_j, the side whose basic value in B^-1 pi is >= 0, so the
+        start is primal feasible for every split; its matrix is
+        nonsingular exactly when the relaxation basis is.  The complement
+        of an optimal membership basis is an optimal basis here.  The
+        default is the slack basis (no rows, every column), whose
+        complement is the trivial cut: ``s_j`` where ``pi_j >= 0`` and
+        ``t_j`` where ``pi_j < 0``, for ``pi >= 0`` the cut
+        ``alpha = -pi0 pi``, ``beta = -pi0 (pi0 + 1)``.
+        """
+        m, n = self.a.shape
+        rows = np.zeros(0, dtype=int) if rows is None else np.asarray(rows, dtype=int)
+        cols = np.arange(n) if cols is None else np.asarray(cols, dtype=int)
+        plus = np.concatenate([rows, 2 * m + cols])  # the u_i and s_j
+        at_upper = np.zeros(self.lp.num_cols, dtype=bool)
+        value = BasisFactors(self.lp.a_eq, Basis(plus, at_upper)).solve(self.pi)
+        # v_i = u_i + m and t_j = s_j + n take the negative values
+        shift = np.concatenate([np.full(rows.size, m), np.full(cols.size, n)])
+        return Basis(plus + shift * (value < 0.0), at_upper)
+
+    def unsplit(self, x: np.ndarray) -> dict:
+        m, n = self.a.shape
+        u, v, s, t = x[:m], x[m : 2 * m], x[2 * m : 2 * m + n], x[2 * m + n :]
+        u0 = self.pi0 + 1.0 - float((u - v) @ self.b)
+        return {
+            "alpha": self.a.T @ u + s - u0 * self.pi,
+            "beta": float(u @ self.b) - self.pi0 * u0,
+            "u": u,
+            "v": v,
+            "s": s,
+            "t": t,
+            "u0": u0,
+            "v0": 1.0 - u0,
+        }
+
+
+def build_cglp(
+    nm: NormalizedMilp,
+    pt: FractionalPoint,
+    pi: np.ndarray,
+    pi0: float,
+    *,
+    eps: float = FRAC_EPS_DEFAULT,
+) -> CglpProblem:
+    """Multiplier-space cut LP with normalization u0 + v0 = 1.
+
+    min alpha xh - beta subject to both disjunctive sides producing
+    (alpha, beta); u0 and v0 are sign-free, which keeps the LP the exact
+    dual of the membership LP.  Supports general split directions pi;
+    the closure loop itself only ever uses elementary ones.
+    """
+    pi = np.asarray(pi, dtype=float)
+    gap = float(pi @ pt.x) - pi0
+    if min(gap, 1.0 - gap) < eps:
+        raise FractionalityError(
+            f"pi.xh - pi0 = {gap} is not strictly inside (0, 1)"
+        )
+    a, b = nm.a, nm.b
+    m, n = a.shape
+    eye = np.eye(n)
+    lp = BoundedLp(
+        sense="min",
+        objective=np.concatenate(
+            [a @ pt.x - b + gap * b, -gap * b, pt.x, np.zeros(n)]
+        ),
+        a_eq=np.hstack([a.T, -a.T, eye, -eye]),
+        rhs=pi,
+        lower=np.zeros(2 * (m + n)),
+        upper=np.full(2 * (m + n), np.inf),
+    )
+    return CglpProblem(lp, a, b, pi, float(pi0), -gap * (1.0 + pi0))
+
+
+def solve_cglp(
+    cglp: CglpProblem, start: Basis | None = None
+) -> tuple[float | None, SimplexResult]:
+    """Optimum of the multiplier LP plus its constant, solved from
+    ``start``, by default the trivial cut (``complement_basis``)."""
+    if start is None:
+        start = cglp.complement_basis()
+    result = simplex.solve(cglp.lp, start=start)
+    if result.status is not Status.OPTIMAL:
+        return None, result
+    return float(result.value + cglp.constant), result
+
+
+# ---------------------------------------------------------------------------
+# The oracles
+
+
 @dataclass
 class OracleSystem:
     """One instance's separation system and the starts of its oracle LPs.
@@ -183,17 +356,16 @@ class OracleSystem:
     ``vertex`` is the vertex x1 of the relaxation maximizing the
     instance's own objective, or None (``_vertex_lp``, solved over
     ``slp``, the system of ``to_standard``).  ``basis`` is that LP's
-    terminal basis and ``start`` its terminal factors (None when the kept
-    system has no rows), over the matrix every membership LP of the
-    instance solves, so each of them starts there with no LU.  Every
-    multiplier LP of the instance starts from the complement of ``basis``
-    (``cglp_start``).
+    terminal basis and ``start`` its terminal factors, over the matrix
+    every membership LP of the instance solves (rows or none), so each of
+    them starts there with no LU.  Every multiplier LP of the instance
+    starts from the complement of ``basis`` (``cglp_start``).
     """
 
     slp: StandardLp
     vertex: np.ndarray | None
-    basis: Basis | None
-    start: BasisFactors | None
+    basis: Basis
+    start: BasisFactors
 
     @classmethod
     def of(cls, nm: NormalizedMilp) -> "OracleSystem":
@@ -470,8 +642,7 @@ def check_validity(
                 upper=upper,
             )
             res = simplex.solve(lp, start=starts[idx])
-            # None: unbounded with no rows
-            if res.duals is not None and proofs.add(res.duals):
+            if proofs.add(res.duals):
                 bounds = proofs.bounds(residual)
             if res.status is Status.INFEASIBLE:
                 ray = _fiber_ray(res.farkas, a_cont, cont_upper, residual, tol)
@@ -551,7 +722,7 @@ def _vertex_lp(slp: StandardLp, objective: np.ndarray | None = None) -> SimplexR
 
 def _vertex_point(slp: StandardLp, res: SimplexResult) -> np.ndarray | None:
     """The structural point of a vertex LP, None unless it is optimal."""
-    return res.x[slp.num_rows :] if res.optimal else None
+    return res.x[slp.num_rows :] if res.status is Status.OPTIMAL else None
 
 
 def _fractional_ks(pt: FractionalPoint, eps: float = FRAC_EPS_DEFAULT) -> list[int]:
@@ -660,8 +831,16 @@ def _validity_case(inst: RandomMilp, corrupt_rhs: float = 0.0) -> list[CheckReco
     for mode in ("pe", "pestar"):
         try:
             report = optimize_closure(nm, ClosureConfig(mode=mode, time_limit=10.0))
-        except Exception as exc:  # infeasible relaxations are legitimate draws
+        except ClosureError as exc:  # infeasible relaxations are legitimate draws
             return [CheckRecord("validity", True, skipped=f"closure: {exc}")]
+        except Exception as exc:  # a fault of the closure code, never a skip
+            return [
+                CheckRecord(
+                    "validity",
+                    passed=False,
+                    detail=f"{mode} closure raised {type(exc).__name__}: {exc}",
+                )
+            ]
         cuts.extend(report.cut_rows)
     if not cuts:
         return [CheckRecord("validity", True, skipped="no cuts emitted")]

@@ -185,6 +185,22 @@ def test_close_unbounded_exits_1(tmp_path, capsys):
     assert "unbounded" in capsys.readouterr().err
 
 
+def test_close_free_variable_exits_1(tmp_path, capsys):
+    # min x + y, x + y >= -5.5, x integer in [0, 10], y free: the optimum
+    # is -5.5.  Read with y in [0, inf) the run proved the invalid bound 0
+    path = tmp_path / "free.mps"
+    path.write_text(
+        "NAME FREE\nROWS\n N obj\n G r1\nCOLUMNS\n"
+        "    MARKER 'MARKER' 'INTORG'\n    x obj 1.0 r1 1.0\n"
+        "    MARKER 'MARKER' 'INTEND'\n    y obj 1.0 r1 1.0\n"
+        "RHS\n    rhs r1 -5.5\nBOUNDS\n UP bnd x 10\n FR bnd y\nENDATA\n"
+    )
+    assert main(["close", str(path), "--mode", "pe"]) == 1
+    captured = capsys.readouterr()
+    assert "variables without a finite lower bound are not supported: y" in captured.err
+    assert captured.out == ""
+
+
 def test_close_time_limit_exits_2(t1_path):
     assert main(["close", t1_path, "--time-limit", "0"]) == 2
 

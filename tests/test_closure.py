@@ -26,13 +26,11 @@ from liftproject.cuts import (
     gmi_cut,
     intersection_cut,
     same_cut,
-    strengthen,
 )
 from liftproject.instances import normalize, parse_mps, read_mps
 from liftproject.membership import (
     DualContractError,
     FractionalPoint,
-    assemble_cut,
     certificate_from_basis,
     membership_problem,
     membership_value,
@@ -46,7 +44,7 @@ from liftproject.standard_form import (
     tableau_row,
     to_standard,
 )
-from liftproject.verify import random_milp
+from liftproject.verify import assemble_cut, random_milp, strengthen
 
 from conftest import T1_MPS
 from test_membership import build_membership_lp, interval_milp, plain_milp

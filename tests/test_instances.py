@@ -17,6 +17,14 @@ from conftest import T1_MPS, require_miplib
 from test_standard_form import canonical
 
 
+def to_original(nm, y):
+    """The point of the parsed instance that canonical point y stands for:
+    x[perm] = y, shifted back by the lower bounds."""
+    x = np.empty(nm.num_cols)
+    x[nm.perm] = y
+    return x + nm.shift
+
+
 def test_parse_t1_counts(t1_instance):
     assert t1_instance.num_rows == 2
     assert t1_instance.num_cols == 2
@@ -51,9 +59,6 @@ ENDATA
     assert y.integer and y.lower == 0.0 and y.upper == 1.0
     z = inst.variables[1]
     assert not z.integer and z.upper == math.inf
-    # override switch keeps integer columns unbounded
-    inst2 = parse_mps(text, marker_default_binary=False)
-    assert inst2.variables[0].upper == math.inf
 
 
 def test_duplicate_entries_summed():
@@ -140,6 +145,7 @@ COLUMNS
     b r1 1.0
     c r1 1.0
     d r1 1.0
+    e r1 1.0
 RHS
     rhs r1 1.0
 BOUNDS
@@ -148,14 +154,17 @@ BOUNDS
  FX bnd b 2.5
  BV bnd c
  UI bnd d 7.0
+ UP bnd e 3.0
+ FR bnd e
 ENDATA
 """
     inst = parse_mps(text)
-    a, b, c, d = inst.variables
+    a, b, c, d, e = inst.variables
     assert (a.lower, a.upper) == (1.0, 4.0)
     assert (b.lower, b.upper) == (2.5, 2.5)
     assert c.integer and (c.lower, c.upper) == (0.0, 1.0)
     assert d.integer and d.upper == 7.0
+    assert (e.lower, e.upper) == (-math.inf, math.inf)  # FR frees both sides
 
 
 def number_mps(col="1.0", rhs="1.0", rng="2.0", bound="UP bnd x 3.0"):
@@ -247,7 +256,7 @@ ENDATA
     np.testing.assert_allclose(nm.a, [[1.0], [-1.0]])
     np.testing.assert_allclose(nm.b, [1.0, -3.0])
     np.testing.assert_allclose(nm.shift, [1.0])
-    np.testing.assert_allclose(nm.to_original(np.array([0.5])), [1.5])
+    np.testing.assert_allclose(to_original(nm, np.array([0.5])), [1.5])
 
 
 def test_normalize_splits_equalities():
@@ -360,7 +369,7 @@ def test_round_trip_feasibility_and_objective():
     for j, cj in inst.objective.items():
         c[j] = cj
     for y in points:
-        x = nm.to_original(y)
+        x = to_original(nm, y)
         # original rows
         for row in inst.rows:
             act = sum(v * x[j] for j, v in row.coeffs.items())

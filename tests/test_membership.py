@@ -11,17 +11,22 @@ from liftproject.membership import (
     FractionalPoint,
     MembershipProblem,
     NoCut,
-    assemble_cut,
-    build_cglp,
     certificate_from_basis,
     membership_problem,
     membership_value,
     separate,
-    solve_cglp,
 )
 from liftproject.simplex import BoundedLp, Status
 from liftproject.standard_form import tableau_row, to_standard
-from liftproject.verify import _fractional_ks, _vertex_lp, _vertex_point, random_milp
+from liftproject.verify import (
+    _fractional_ks,
+    _vertex_lp,
+    _vertex_point,
+    assemble_cut,
+    build_cglp,
+    random_milp,
+    solve_cglp,
+)
 
 from test_standard_form import canonical
 

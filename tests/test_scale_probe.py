@@ -19,4 +19,9 @@ def test_scale_probe_closes_the_20x400_pe_case(monkeypatch):
     outcomes = result["cut"] + result["no_cut"] + result["inconclusive"]
     assert result["separations"] == outcomes > 0
     assert result["cut"] > 0 and result["peak_rss_mib"] > 0
-    assert tool.line(result).startswith("20x400-pe ")
+    # every cut the pool holds, active or parked, came from a cut outcome
+    assert result["cuts_active"] > 0 and result["cuts_parked"] >= 0
+    assert result["cuts_active"] + result["cuts_parked"] <= result["cut"]
+    text = tool.line(result)
+    assert text.startswith("20x400-pe ")
+    assert f"active={result['cuts_active']} parked={result['cuts_parked']} " in text

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from liftproject.closure import ClosureError
 from liftproject.cuts import CutRow
 from liftproject.membership import FractionalPoint
 from liftproject.verify import (
@@ -67,6 +68,33 @@ def test_fault_injection_reference_run():
     )
 
 
+@pytest.mark.parametrize(
+    "error, skipped",
+    [(ClosureError("LP relaxation not solved: infeasible"), True),
+     (RuntimeError("closure bug"), False)],
+    ids=["closure-error", "runtime-error"],
+)
+def test_validity_case_skips_only_a_closure_error(monkeypatch, error, skipped):
+    # an infeasible or unbounded relaxation is a draw to skip; any other
+    # exception of the closure code is a failure that names its type
+    from liftproject import verify
+
+    def raising(nm, config):
+        raise error
+
+    monkeypatch.setattr(verify, "optimize_closure", raising)
+    inst = random_milp(np.random.default_rng(7))
+    [rec] = verify._validity_case(inst)
+    if skipped:
+        assert rec.skipped == f"closure: {error}"
+    else:
+        assert rec.skipped is None and not rec.passed
+        assert rec.detail == "pe closure raised RuntimeError: closure bug"
+        result = verify.SuiteResult("validity")
+        result.record(rec)
+        assert result.failed == 1 and not result.ok
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nonsense", count=1)
@@ -99,25 +127,17 @@ def test_check_records_report_deviation(t1):
     assert rec_p.passed
 
 
-def test_lemma3_regime_is_skipped(monkeypatch):
+def test_lemma3_regime_is_skipped():
     # membership of an interior point ends with the variable at its upper
     # bound: the Theorem 3 and 4 oracles record a skip, not a failure.  The
-    # model's only row is an integral bound, so the kept LP has no row and
-    # is solved by simplex._solve_unconstrained; no oracle may raise on it.
-    # A fractional bound of an integer column stays a row: at the vertex
-    # x = 2.5 of [0, 2.5] y_0 is basic at the Proposition 3 point
-    # f u = 1.25, its row gives the cut x <= 2, and every oracle passes.
-    from liftproject import simplex
+    # model's only row is an integral bound, so the kept LP has no row; no
+    # oracle may raise on it.  A fractional bound of an integer column
+    # stays a row: at the vertex x = 2.5 of [0, 2.5] y_0 is basic at the
+    # Proposition 3 point f u = 1.25, its row gives the cut x <= 2, and
+    # every oracle passes.
     from liftproject.verify import OracleSystem, _kept_membership
     from test_membership import interval_milp
 
-    unconstrained, calls = simplex._solve_unconstrained, []
-
-    def counting(lp):
-        calls.append(lp)
-        return unconstrained(lp)
-
-    monkeypatch.setattr(simplex, "_solve_unconstrained", counting)
     for upper, x, vertex in ((3.0, 1.5, False), (2.5, 2.5, True)):
         nm = interval_milp(upper)
         oracle = OracleSystem.of(nm)
@@ -133,7 +153,6 @@ def test_lemma3_regime_is_skipped(monkeypatch):
         assert check_duality(nm, pt, 0, oracle).passed
         if vertex:
             assert check_proposition3(pt, 0, oracle).passed
-    assert len(calls) == 3  # on [0, 3]: its vertex LP, its LP, duality's
 
 
 def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):

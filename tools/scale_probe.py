@@ -10,8 +10,9 @@ by ``optimize_closure`` in the probe's own process, with one BLAS thread.
 With no case named, every case runs in a child process of its own, one
 after the other, so that each peak RSS is that case's alone.  Each case
 prints one line: the CPU seconds of ``optimize_closure``, master and
-separation pivots, separations by outcome, ``z_cut``, the termination and
-the peak RSS of the process.  The benchmark's instances have at most 105
+separation pivots, separations by outcome, the cuts active in the final
+master and those parked out of it, ``z_cut``, the termination and the
+peak RSS of the process.  The benchmark's instances have at most 105
 canonical rows; these cases have up to 1 510.
 """
 
@@ -73,6 +74,8 @@ def probe(case: str) -> dict:
         "cut": rep.num_cuts,
         "no_cut": rep.num_no_cuts,
         "inconclusive": rep.num_inconclusive,
+        "cuts_active": rep.cuts_active,
+        "cuts_parked": rep.cuts_parked,
         "z_cut": rep.z_cut,
         "termination": rep.termination,
         # ru_maxrss is in KiB on Linux
@@ -87,6 +90,7 @@ def line(result: dict) -> str:
         f"separation_pivots={result['separation_pivots']} "
         f"separations={result['separations']} cut={result['cut']} "
         f"no_cut={result['no_cut']} inconclusive={result['inconclusive']} "
+        f"active={result['cuts_active']} parked={result['cuts_parked']} "
         f"z_cut={result['z_cut']:.4f} termination={result['termination']} "
         f"peak_rss_mib={result['peak_rss_mib']:.1f}"
     )
