@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import membership, simplex
 from .cuts import (
@@ -51,6 +50,7 @@ from .standard_form import (
     BasisFactors,
     SingularBasisError,
     StandardLp,
+    pivoted_qr,
     tableau_row,
     to_standard,
 )
@@ -505,12 +505,9 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
             history.append(res.value)
             continue
 
-        try:
-            pt = membership.FractionalPoint.from_point(nm, xhat, tol=1e-6)
-        except ValueError as exc:
-            # the master optimum violates the original rows beyond the
-            # check's absolute tolerance (badly scaled rows)
-            termination, reason = "numerical", f"master optimum rejected: {exc}"
+        pt, rejected = _checked_point(nm, xhat)
+        if rejected:
+            termination, reason = "numerical", rejected
             break
         fr = pt.fracs
         here = master.solves
@@ -632,6 +629,19 @@ def _time_limit_reason(cfg: ClosureConfig) -> str:
     return f"time limit of {cfg.time_limit:g} s reached"
 
 
+def _checked_point(
+    nm: NormalizedMilp, xhat: np.ndarray
+) -> tuple[membership.FractionalPoint | None, str | None]:
+    """The master vertex as a ``FractionalPoint``, or None and the reason
+    a run ends ``numerical``: the vertex violates the original rows or
+    x >= 0 beyond the check's absolute tolerance (badly scaled rows, or a
+    feasibility tolerance that a big bound grew)."""
+    try:
+        return membership.FractionalPoint.from_point(nm, xhat, tol=1e-6), None
+    except ValueError as exc:
+        return None, f"master optimum rejected: {exc}"
+
+
 def _finish_report(
     report: ClosureReport,
     nm: NormalizedMilp,
@@ -705,7 +715,7 @@ def _separation_start(master: _Master, pt: membership.FractionalPoint) -> Basis:
         matrix[:, s:] = nm.a[rows][:, cols[s:] - m0]
         # columns with no range only fill out the rank
         matrix *= np.maximum(ranges[cols], RANK_FILL * top)
-        _, perm = scipy.linalg.qr(matrix, overwrite_a=True, pivoting=True, mode="r")
+        _, perm = pivoted_qr(matrix, overwrite_a=True)
         cand[:] = False
         cand[cols[perm[: rows.size]]] = True
     struct = cand[m0:]
@@ -800,7 +810,15 @@ def gmi_rounds(
     report.z_lp = nm.original_objective(res.value)
     history = [res.value]
 
-    for r in range(rounds):
+    for r in range(rounds + 1):
+        # every master vertex is checked, the one the last round ends at too
+        xhat = _structural_point(master.slp, res.x)
+        _, rejected = _checked_point(nm, xhat)
+        if rejected:
+            report.termination, report.termination_reason = "numerical", rejected
+            break
+        if r == rounds:
+            break
         round_t0 = time.perf_counter()
         if time.perf_counter() - t_start > cfg.time_limit:
             report.termination = "time_limit"
@@ -810,7 +828,6 @@ def gmi_rounds(
         m = slp.num_rows
         up = slp.bound_cols[slp.at_upper(basis, res.reduced_costs)]
         flip, u = m + up, slp.upper[up]
-        xhat = _structural_point(master.slp, res.x)
         fr = xhat[: nm.num_integer] - np.floor(xhat[: nm.num_integer])
         targets = [
             k

@@ -87,7 +87,8 @@ class FractionalPoint:
     ) -> "FractionalPoint":
         x = np.asarray(x, dtype=float)
         act = nm.a @ x - nm.b
-        worst = float(act.min(initial=0.0))
+        # x >= 0 is part of the relaxation too, and x is clipped below
+        worst = float(min(act.min(initial=0.0), x.min(initial=0.0)))
         if worst < -tol:
             raise ValueError(
                 f"point violates the relaxation by {-worst:.3e} (> {tol:.0e})"

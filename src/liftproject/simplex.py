@@ -63,9 +63,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .standard_form import Basis, BasisFactors, SingularBasisError
+from .standard_form import Basis, BasisFactors, SingularBasisError, pivoted_qr
 
 REFRESH_EVERY = 100  # pivots between refactorizations, carried updates included
 PIVOT_TOL = 1e-9  # ratio-test pivot acceptance
@@ -253,7 +252,7 @@ class _Worker:
     def _crash_basis(self) -> np.ndarray:
         # QR with column pivoting yields a deterministic independent set;
         # only R and the permutation are read, so Q is never formed
-        rmat, perm = scipy.linalg.qr(self.a, pivoting=True, mode="r")
+        rmat, perm = pivoted_qr(self.a)
         diag = np.abs(np.diag(rmat))
         scale = max(1.0, float(np.abs(self.a).max(initial=0.0)))
         rank = int(np.sum(diag > 1e-10 * scale))

@@ -17,16 +17,57 @@ row.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .instances import NormalizedMilp
 
 SINGULAR_TOL = 1e-10
-# LAPACK's LU routines, looked up once rather than through scipy's wrappers
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without running
+    ``scipy/linalg/__init__.py``.  That import pulls in ``numpy.f2py`` and
+    ``numpy.testing`` and costs about 0.2 s and 17 MiB; the package needs
+    three routines.  These are the very objects
+    ``scipy.linalg.get_lapack_funcs`` returns, so every result keeps its
+    bits.  The module is not put in ``sys.modules``; a later
+    ``import scipy.linalg`` still gets this same extension module."""
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's compiled LAPACK module _flapack is not in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
+_GETRF, _GETRS, _GEQP3 = _FLAPACK.dgetrf, _FLAPACK.dgetrs, _FLAPACK.dgeqp3
+
+
+def pivoted_qr(a, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """R and the 0-based column order ``perm`` of a[:, perm] = Q R, with
+    column pivoting (LAPACK dgeqp3); Q is never formed.  The steps and the
+    bytes of ``scipy.linalg.qr(a, overwrite_a=..., pivoting=True,
+    mode="r")``; ``overwrite_a`` lets dgeqp3 work in a Fortran-ordered
+    ``a``."""
+    a = np.asarray_chkfinite(a)
+    if a.size == 0:
+        return np.empty_like(a), np.arange(a.shape[1], dtype=np.int32)
+    # a workspace query first, as scipy's safecall makes it
+    work = _GEQP3(a, lwork=-1, overwrite_a=overwrite_a)[-2]
+    lwork = work[0].real.astype(np.int_)
+    qr, jpvt, _, _, info = _GEQP3(a, lwork=lwork, overwrite_a=overwrite_a)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqp3")
+    jpvt -= 1  # 1-based in LAPACK
+    return np.triu(qr), jpvt
 
 
 class SingularBasisError(ValueError):

@@ -158,27 +158,40 @@ def test_incorrect_runs_are_shown_and_fail_the_tool(capsys):
 def test_setup_pairs_alternate_and_summarize_per_side(monkeypatch, capsys):
     tool = _tool()
     canned = {
-        "parent": [0.30, 0.34, 0.31, 0.45, 0.33],
-        "change": [0.29, 0.36, 0.30, 0.32, 0.33],
+        "parent": {
+            "setup_s": [0.30, 0.34, 0.31, 0.45, 0.33],
+            "peak_rss_mb": [64.7, 63.0, 63.0, 64.1, 63.5],
+        },
+        "change": {
+            "setup_s": [0.29, 0.36, 0.30, 0.32, 0.33],
+            "peak_rss_mb": [47.0, 46.3, 63.0, 46.4, 63.9],
+        },
     }
     order = []
 
     def probe(tree):
         order.append(tree)
-        return canned[tree][sum(t == tree for t in order) - 1]
+        i = sum(t == tree for t in order) - 1
+        return {key: values[i] for key, values in canned[tree].items()}
 
     monkeypatch.setattr(tool, "setup_probe", probe)
-    times = tool.setup_times({"parent": "parent", "change": "change"}, 5)
-    assert times == canned
+    probes = tool.setup_times({"parent": "parent", "change": "change"}, 5)
+    assert probes == canned
     assert order[:4] == ["parent", "change", "change", "parent"]
-    summary = tool.setup_summary(times)
+    summary = tool.setup_summary(probes)
     assert summary["pairs"] == 5
     assert summary["command"] == "python3 perfbench/setup_probe.py <tree>/src"
-    parent, change = summary["parent"], summary["change"]
-    assert parent["setup_s"] == canned["parent"]
+    parent, change = summary["parent"]["setup_s"], summary["change"]["setup_s"]
+    assert parent["values"] == canned["parent"]["setup_s"]
     assert (parent["q1"], parent["median"], parent["q3"]) == (0.31, 0.33, 0.34)
     assert (change["q1"], change["median"], change["q3"]) == (0.30, 0.32, 0.33)
     # a tie is a win for neither side
+    assert (parent["wins"], change["wins"]) == (1, 3)
+    # the peak RSS beside each time, summarized alike
+    parent, change = summary["parent"]["peak_rss_mb"], summary["change"]["peak_rss_mb"]
+    assert change["values"] == canned["change"]["peak_rss_mb"]
+    assert (parent["q1"], parent["median"], parent["q3"]) == (63.0, 63.5, 64.1)
+    assert (change["q1"], change["median"], change["q3"]) == (46.4, 47.0, 63.0)
     assert (parent["wins"], change["wins"]) == (1, 3)
     tool.print_setup(summary)
     assert capsys.readouterr().out.splitlines() == [
@@ -186,6 +199,10 @@ def test_setup_pairs_alternate_and_summarize_per_side(monkeypatch, capsys):
         "faster in 1 of 5 pairs",
         "setup_s change: median 0.3200 s (quartiles 0.3000-0.3300), "
         "faster in 3 of 5 pairs",
+        "peak_rss_mb parent: median 63.5 MiB (quartiles 63.0-64.1), "
+        "lower in 1 of 5 pairs",
+        "peak_rss_mb change: median 47.0 MiB (quartiles 46.4-63.0), "
+        "lower in 3 of 5 pairs",
     ]
     record = tool.assemble(
         {("knapsack-pe", 8, side): _stdout(321, 0.08) for side in ("parent", "change")},
@@ -197,6 +214,21 @@ def test_setup_pairs_alternate_and_summarize_per_side(monkeypatch, capsys):
     )
     assert list(record)[-1] == "setup_pairs" and record["setup_pairs"] is summary
     json.dumps(record)
+
+
+def test_setup_probe_reads_the_child_peak_rss(tmp_path):
+    tool = _tool()
+    probe = tmp_path / "perfbench" / "setup_probe.py"
+    probe.parent.mkdir()
+    # a stand-in probe that touches 64 MiB before it reports
+    probe.write_text(
+        "import json, sys\n"
+        "block = b'x' * (64 << 20)\n"
+        "print(json.dumps({'module': sys.argv[1] + '/x.py', 'setup_s': 0.25}))\n"
+    )
+    measured = tool.setup_probe(tmp_path)
+    assert measured["setup_s"] == 0.25
+    assert 64.0 < measured["peak_rss_mb"] < 1024.0
 
 
 def _runs(metric: str, parent: list[float], change: list[float]) -> dict:

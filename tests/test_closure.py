@@ -576,14 +576,14 @@ def _check_separation_start(master):
         master.nm, master.result.x[master.slp.num_rows :], tol=1e-6
     )
     cols, reference, every_row, want = reference_start(master, pt)
-    built, qr = [], scipy.linalg.qr
+    built, qr = [], closure.pivoted_qr
 
     def recording(a, **kwargs):
         built.append(a.copy())
         return qr(a, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg, "qr", recording)
+        mp.setattr(closure, "pivoted_qr", recording)
         start = closure._separation_start(master, pt)
     assert start.basic.tolist() == want.basic.tolist()
     assert start.at_upper.tolist() == want.at_upper.tolist()
@@ -1238,6 +1238,65 @@ def test_relaxation_violation_ends_numerical(t1, tmp_path, monkeypatch):
     path = tmp_path / "t1.mps"
     path.write_text(T1_MPS)
     assert main(["close", str(path), "--mode", "pe"]) == 2
+
+
+def big_bound_mps(upper: str) -> str:
+    """Five columns, one continuous bound ``upper`` on x2 (ROADMAP item 7).
+    HiGHS gives an LP optimum of 7.0667 and an integer optimum of 6.4.
+    From about 1e10 the simplex's feasibility tolerance, grown by the
+    bound, lets the master end at a vertex with x3 = -1.67, below its
+    lower bound 0, worth 8.4 (15 at 1e16)."""
+    return "\n".join([
+        "NAME BIG", "OBJSENSE", "    MAX", "ROWS", " N obj",
+        " G r1", " G r2", " L r3", " E r4",
+        "COLUMNS",
+        "    MARKER 'MARKER' 'INTORG'",
+        "    x0 obj 3 r1 -5", "    x0 r2 5 r3 -3", "    x0 r4 -5",
+        "    x1 obj -2 r1 3", "    x1 r2 -5 r3 -1",
+        "    x3 obj 1 r1 -2", "    x3 r2 3 r3 -5", "    x3 r4 1",
+        "    MARKER 'MARKER' 'INTEND'",
+        "    x2 obj -2 r1 -1", "    x2 r2 4 r3 -1", "    x2 r4 4",
+        "    x4 obj -1 r1 5", "    x4 r2 -5 r3 -5", "    x4 r4 5",
+        "RHS", "    rhs r1 -6 r2 6", "    rhs r3 4.5 r4 -2",
+        "BOUNDS",
+        " UP bnd x0 2", " LO bnd x1 -3", " UP bnd x1 -1", " UP bnd x3 3",
+        f" UP bnd x2 {upper}", " UP bnd x4 3",
+        "ENDATA", "",
+    ])
+
+
+def _big_bound_run(upper, mode):
+    nm = normalize(parse_mps(big_bound_mps(upper)))
+    if mode == "gmi-rounds":
+        return gmi_rounds(nm, 1)
+    return optimize_closure(nm, ClosureConfig(mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["pe", "pestar", "gmi-rounds"])
+def test_big_bound_model_at_1e6_keeps_its_values(mode):
+    rep = _big_bound_run("1e6", mode)
+    assert rep.z_lp == pytest.approx(106 / 15, abs=1e-6)
+    if mode == "gmi-rounds":
+        assert rep.termination == "rounds_done"
+        assert 6.4 - 1e-6 <= rep.z_cut <= rep.z_lp + 1e-9
+    else:
+        assert rep.termination == "proved"
+        assert rep.z_cut == pytest.approx(6.4, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["pe", "pestar", "gmi-rounds"])
+@pytest.mark.parametrize("upper", ["1e10", "1e16"])
+def test_big_bound_vertex_below_a_lower_bound_ends_numerical(tmp_path, upper, mode):
+    # the master vertex satisfies every row of nm.a but has x3 < 0; a run
+    # that reported it proved or rounds_done gave a wrong z_lp and z_cut
+    rep = _big_bound_run(upper, mode)
+    assert rep.termination == "numerical"
+    assert rep.termination_reason.startswith(
+        "master optimum rejected: point violates the relaxation by"
+    )
+    path = tmp_path / "big.mps"
+    path.write_text(big_bound_mps(upper))
+    assert main(["close", str(path), "--mode", mode]) == 2
 
 
 def test_row_scaled_knapsack_raises_nothing():

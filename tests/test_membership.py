@@ -113,6 +113,16 @@ def test_same_constraint_system_for_equal_values():
     assert not np.array_equal(p0.lp.objective, p1.lp.objective)
 
 
+def test_point_below_a_lower_bound_is_rejected():
+    # x >= 0 belongs to the relaxation: a point below it is not clipped
+    # into it silently, within the tolerance it is
+    nm = interval_milp(2.0)
+    with pytest.raises(ValueError, match="violates the relaxation by 1.000e-03"):
+        FractionalPoint.from_point(nm, np.array([-1e-3]), tol=1e-6)
+    pt = FractionalPoint.from_point(nm, np.array([-1e-7]), tol=1e-6)
+    assert pt.x.tolist() == [0.0]
+
+
 def test_interior_point_gives_positive_slack_bounds():
     nm = interval_milp(2.0)
     pt = FractionalPoint.from_point(nm, np.array([0.5]))

@@ -8,6 +8,9 @@ verification oracles need.  Stdlib ``ast`` only.
   comments and ``__init__.py`` re-exports are no readers; dunder names
   are exempt.
 * ``import liftproject`` does not load ``liftproject.verify``.
+* ``standard_form`` is the one module that imports scipy, and the package,
+  ``verify`` and ``cli`` load neither ``scipy.linalg`` nor the
+  ``numpy.f2py`` and ``numpy.testing`` that its import pulls in.
 """
 
 import ast
@@ -21,19 +24,27 @@ CLOSURE_PATH = ("closure", "membership", "cuts", "simplex", "standard_form", "in
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def imports_verify(source: str) -> bool:
-    """Whether the module imports a module named ``verify``."""
+def imported(source: str) -> list[str]:
+    """The dotted names the module's import statements name, relative ones
+    without their leading dots."""
+    out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            out += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
-            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        if any("verify" in module.split(".") for module in modules):
-            return True
-    return False
+            out += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return out
+
+
+def imports_verify(source: str) -> bool:
+    """Whether the module imports a module named ``verify``."""
+    return any("verify" in module.split(".") for module in imported(source))
+
+
+def imports_scipy(source: str) -> bool:
+    """Whether the module imports scipy or a module of it."""
+    return any(module.split(".")[0] == "scipy" for module in imported(source))
 
 
 def reads(source: str) -> set[str]:
@@ -82,6 +93,14 @@ def test_the_check_sees_an_import_of_verify():
     assert not imports_verify("from .simplex import solve\n'''verify'''\n")
 
 
+def test_the_check_sees_an_import_of_scipy():
+    assert imports_scipy("import scipy\n")
+    assert imports_scipy("import numpy as np, scipy.linalg\n")
+    assert imports_scipy("from scipy import linalg\n")
+    assert imports_scipy("def f():\n    from scipy.linalg import qr\n")
+    assert not imports_scipy('from .standard_form import pivoted_qr\n"""scipy"""\n')
+
+
 def test_the_check_sees_a_name_only_an_oracle_reads():
     closure_path = {
         "m": (
@@ -122,21 +141,40 @@ def test_every_closure_definition_has_a_reader_besides_verify():
     assert unread(closure_path, readers) == []
 
 
-def test_importing_the_package_leaves_verify_unloaded():
+def fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` in a new interpreter that imports the package from
+    ``src/``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, liftproject; print('liftproject.verify' in sys.modules)",
-        ],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_importing_the_package_leaves_verify_unloaded():
+    code = "import sys, liftproject; print('liftproject.verify' in sys.modules)"
+    assert fresh_interpreter(code) == "False"
+
+
+def test_only_standard_form_imports_scipy():
+    importers = [
+        path.stem for path in sorted(SRC.glob("*.py")) if imports_scipy(path.read_text())
+    ]
+    assert importers == ["standard_form"]
+
+
+def test_no_entry_point_loads_scipy_linalg():
+    code = (
+        "import sys, liftproject, liftproject.verify, liftproject.cli\n"
+        "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing')"
+        " if m in sys.modules))"
+    )
+    assert fresh_interpreter(code) == "[]"

@@ -10,6 +10,7 @@ from liftproject.standard_form import (
     BasisFactors,
     SingularBasisError,
     StandardLp,
+    pivoted_qr,
     tableau_row,
     to_standard,
 )
@@ -249,6 +250,56 @@ def test_basis_factors_match_scipy_lu(rng):
         BasisFactors(a, Basis(np.array([0, 1]), np.zeros(3, bool)))
     empty = BasisFactors(np.zeros((0, 3)), Basis(np.zeros(0, int), np.zeros(3, bool)))
     assert empty.inverse().shape == (0, 0) and empty.solve(np.zeros(0)).shape == (0,)
+
+
+def _qr_cases(rng):
+    """Tall, wide and square matrices, rank-deficient ones (repeated and
+    zero columns, low-rank products), and 0-row and 0-column ones."""
+    for shape in ((7, 4), (4, 9), (6, 6), (1, 1), (1, 5), (5, 1)):
+        yield rng.standard_normal(shape)
+    low = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 8))
+    yield low
+    yield low.T
+    dup = rng.standard_normal((5, 7))
+    dup[:, 3] = dup[:, 0]
+    dup[:, 5] = 0.0
+    yield dup
+    yield np.zeros((4, 4))
+    yield np.full((3, 5), -0.0)
+    yield rng.integers(-3, 4, size=(8, 12)).astype(float)  # exact ties
+    for shape in ((0, 5), (5, 0), (0, 0)):
+        yield np.zeros(shape)
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pivoted_qr_gives_the_bytes_of_scipy_qr(rng, order, overwrite):
+    for matrix in _qr_cases(rng):
+        mine_in = np.array(matrix, order=order)
+        theirs_in = np.array(matrix, order=order)
+        r, perm = pivoted_qr(mine_in, overwrite_a=overwrite)
+        want_r, want_perm = scipy.linalg.qr(
+            theirs_in, overwrite_a=overwrite, pivoting=True, mode="r"
+        )
+        assert r.shape == want_r.shape and r.dtype == want_r.dtype
+        assert r.tobytes() == want_r.tobytes()
+        assert r.flags.f_contiguous == want_r.flags.f_contiguous
+        assert perm.dtype == want_perm.dtype
+        assert perm.tobytes() == want_perm.tobytes()
+        # what dgeqp3 leaves in an input it may overwrite
+        assert mine_in.tobytes() == theirs_in.tobytes()
+        if not overwrite:
+            assert mine_in.tobytes() == np.array(matrix, order=order).tobytes()
+
+
+def test_pivoted_qr_rejects_what_scipy_qr_rejects():
+    for bad in (np.inf, np.nan):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError):
+            pivoted_qr(a)
+        with pytest.raises(ValueError):
+            scipy.linalg.qr(a, pivoting=True, mode="r")
 
 
 def test_factors_from_a_known_inverse_solve_like_lu_factors(rng):

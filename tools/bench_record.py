@@ -21,9 +21,11 @@ failed is listed and the tool exits 1.  Run it from inside the repository.
 With ``--setup-pairs N``, before the benchmark runs, each side's
 ``perfbench/setup_probe.py`` times ``import liftproject`` from its own tree
 in N fresh interpreters, alternating which side goes first, with the BLAS
-thread count ``perfbench/run.py`` pins.  The record keeps both lists of
-times under ``setup_pairs``, with the median, the quartiles and the pairs
-each side won.
+thread count ``perfbench/run.py`` pins.  Each probe's peak RSS is read
+too, with ``os.wait4``: the memory of the import alone, apart from what a
+benchmark run's passes add.  The record keeps each side's times and peak
+RSS under ``setup_pairs``, each list with its median, its quartiles and
+the pairs the side won.
 
 Last, it prints one row per workload and end-to-end metric of
 BENCHMARK.json (``verdict_rows``): each side's median over the seeds, the
@@ -55,6 +57,7 @@ BLAS_ENV = dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
 )
 SETUP_COMMAND = "python3 perfbench/setup_probe.py <tree>/src"
+SETUP_MEASURES = ("setup_s", "peak_rss_mb")  # per set-up probe; lower is better
 DESCRIPTION = (
     "Before/after record of perfbench/run.py: the last JSON line of each "
     "run, per workload and seed, for the parent and the change, and the "
@@ -97,56 +100,70 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> str:
     return done.stdout
 
 
-def setup_probe(tree: Path) -> float:
+def setup_probe(tree: Path) -> dict[str, float]:
     """Seconds of ``import liftproject`` from ``tree``/src, timed by the
-    tree's own set-up probe in a fresh interpreter."""
+    tree's own set-up probe in a fresh interpreter, and that interpreter's
+    peak RSS in MiB, read from its ``os.wait4`` resource usage."""
     src = tree / "src"
-    done = subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, "perfbench/setup_probe.py", str(src)],
-        cwd=tree, capture_output=True, text=True, check=True,
+        cwd=tree, stdout=subprocess.PIPE, text=True,
         env={**os.environ, **BLAS_ENV},
     )
-    probe = json.loads(done.stdout.strip().splitlines()[-1])
+    with child.stdout:
+        stdout = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise subprocess.CalledProcessError(child.returncode, child.args, stdout)
+    probe = json.loads(stdout.strip().splitlines()[-1])
     if not probe["module"].startswith(str(src)):
         raise RuntimeError(f"set-up probe in {tree} imported {probe['module']}")
-    return probe["setup_s"]
+    # Linux reports ru_maxrss in KiB
+    return {"setup_s": probe["setup_s"], "peak_rss_mb": usage.ru_maxrss / 1024.0}
 
 
-def setup_times(trees: dict[str, Path], pairs: int) -> dict[str, list[float]]:
+def setup_times(trees: dict[str, Path], pairs: int) -> dict[str, dict[str, list]]:
     """``pairs`` set-up probes per side, back to back, alternating which
-    side goes first."""
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    side goes first: per side, each measure's list over the probes."""
+    out: dict = {side: {key: [] for key in SETUP_MEASURES} for side in SIDES}
     for pair in range(pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            times[side].append(setup_probe(trees[side]))
-    return times
+            probe = setup_probe(trees[side])
+            for key in SETUP_MEASURES:
+                out[side][key].append(probe[key])
+    return out
 
 
-def setup_summary(times: dict[str, list[float]]) -> dict:
-    """Per side: the paired set-up times, their median and quartiles
-    (inclusive method) and the pairs in which the side was faster."""
-    out: dict = {"command": SETUP_COMMAND, "pairs": len(times["parent"])}
+def setup_summary(probes: dict[str, dict[str, list]]) -> dict:
+    """Per side and measure: the paired values, their median and quartiles
+    (inclusive method) and the pairs in which the side read lower."""
+    out: dict = {"command": SETUP_COMMAND, "pairs": len(probes["parent"]["setup_s"])}
     for side, other in (SIDES, SIDES[::-1]):
-        mine = times[side]
-        q1, median, q3 = statistics.quantiles(mine, n=4, method="inclusive")
-        out[side] = {
-            "setup_s": mine,
-            "median": median,
-            "q1": q1,
-            "q3": q3,
-            "wins": sum(a < b for a, b in zip(mine, times[other])),
-        }
+        out[side] = {}
+        for key in SETUP_MEASURES:
+            mine, theirs = probes[side][key], probes[other][key]
+            q1, median, q3 = statistics.quantiles(mine, n=4, method="inclusive")
+            out[side][key] = {
+                "values": mine,
+                "median": median,
+                "q1": q1,
+                "q3": q3,
+                "wins": sum(a < b for a, b in zip(mine, theirs)),
+            }
     return out
 
 
 def print_setup(summary: dict) -> None:
-    for side in SIDES:
-        s = summary[side]
-        print(
-            f"setup_s {side}: median {s['median']:.4f} s (quartiles "
-            f"{s['q1']:.4f}-{s['q3']:.4f}), faster in {s['wins']} of "
-            f"{summary['pairs']} pairs"
-        )
+    rows = (("setup_s", "s", 4, "faster"), ("peak_rss_mb", "MiB", 1, "lower"))
+    for key, unit, digits, won in rows:
+        for side in SIDES:
+            s = summary[side][key]
+            print(
+                f"{key} {side}: median {s['median']:.{digits}f} {unit} "
+                f"(quartiles {s['q1']:.{digits}f}-{s['q3']:.{digits}f}), "
+                f"{won} in {s['wins']} of {summary['pairs']} pairs"
+            )
 
 
 def last_json(stdout: str) -> dict:
