@@ -63,7 +63,7 @@ print("\nLP relaxation optimum:", xhat, "value", res.value)
 #    T1 has no row that only bounds a variable, so the LP keeps every row
 pt = FractionalPoint.from_point(nm, xhat)
 prob = membership_problem(slp, pt, 0)
-value, mres = membership_value(prob)
+value, mres = membership_value(prob, slp.slack_basis())
 print("\nmembership optimum:", value, " (negative: the point is outside)")
 print("optimal y =", mres.x[slp.num_rows :], " equals f * xhat with f =", pt.fracs[0])
 
@@ -74,7 +74,7 @@ raw = assemble_cut(cert, nm)
 print("assembled cut:", raw.coeffs, ">=", raw.rhs, " (that is, x2 <= 0)")
 
 # 5. the packaged one-call separation returns the normalized cut pair
-sep = separate(nm, pt, 0)
+sep = separate(nm, pt, 0, slp.slack_basis())
 print("\nseparate(): plain", sep.plain.coeffs, ">=", sep.plain.rhs)
 print("            strengthened", sep.strengthened.coeffs, ">=", sep.strengthened.rhs)
 print("            violation at xhat:", sep.plain.violation_at(pt.x))

@@ -38,8 +38,10 @@ def interval(upper):
 
 
 def membership(nm, pt, k):
-    """The membership LP of k at pt, over the rows that are not bounds."""
-    return membership_value(membership_problem(to_standard(nm), pt, k))[0]
+    """The membership LP of k at pt, over the rows that are not bounds,
+    solved from their slack basis."""
+    slp = to_standard(nm)
+    return membership_value(membership_problem(slp, pt, k), slp.slack_basis())[0]
 
 
 nm = interval(3.0)

@@ -346,16 +346,19 @@ class _Master:
         feasible, so the simplex re-optimizes it by the dual simplex when
         the new cuts cut off the old optimum), or from the slack basis on
         the first solve, which the simplex makes dual feasible by moving
-        the profitable bounded columns to their upper bounds."""
+        the profitable bounded columns to their upper bounds.  A carried
+        basis that does not factor gives way to the slack basis too."""
         t0 = time.perf_counter()
         old_slp = self.slp
         old_cuts = self._cuts
         self._cuts = list(cuts)
         self.slp = self.base.with_cuts(self._cuts)
+        start = self.slp.slack_basis()
         if self.basis is not None and old_slp is not None:
-            start = self._remap_basis(old_slp, old_cuts)
-        else:
-            start = self.slp.slack_basis()
+            try:
+                start = BasisFactors(self.slp.a, self._remap_basis(old_slp, old_cuts))
+            except ValueError:  # no basis, singular included: start from the slacks
+                pass
         lp = BoundedLp(
             sense="max",
             objective=self.slp.c,
@@ -405,8 +408,6 @@ class _Master:
         for i, cut in enumerate(self._cuts):
             if id(cut) not in old_ids:
                 basic.append(m0 + i)
-        if len(basic) != m_new or len(set(basic)) != m_new:
-            return self.slp.slack_basis()  # defensive recrash
         at_upper = np.zeros(self.slp.num_cols, bool)
         at_upper[m_new:] = self.basis.at_upper[m_old:]
         return Basis(np.array(sorted(basic)), at_upper)
@@ -734,7 +735,7 @@ def _run_separations(nm, pt, order, master, cfg, t_start, last):
     terminal factors.  Every other k starts from the master's optimal
     basis carried over to the kept rows (``_separation_start``), built and
     factored once, when the first LP of the pass needs it.  A singular one
-    leaves those LPs to their crash basis.
+    gives way to the slack basis of the kept rows, -I, always nonsingular.
 
     Records each outcome in ``last`` as it comes.  Returns the outcomes
     in pass order, how many LPs started from their own factors, the time
@@ -745,11 +746,11 @@ def _run_separations(nm, pt, order, master, cfg, t_start, last):
     t0 = time.perf_counter()
 
     @functools.cache
-    def pass_start() -> BasisFactors | None:
+    def pass_start() -> BasisFactors:
         try:
             return BasisFactors(master.base.a, _separation_start(master, pt))
         except SingularBasisError:
-            return None
+            return BasisFactors(master.base.a, master.base.slack_basis())
 
     for k in order:
         budget = cfg.time_limit - (time.perf_counter() - t_start)
@@ -788,7 +789,8 @@ def gmi_rounds(
     the master's own with each column at its upper bound complemented
     (``StandardLp.at_upper``), which makes its rows those of the
     canonical rows plus cuts; the complement counts as continuous, like
-    the bound-row slack it stands for (``cuts.complemented_cut``).
+    the bound-row slack it stands for (``cuts.complemented_cut``).  A
+    master basis that does not factor ends the rounds ``numerical``.
     """
     if cfg is None:
         cfg = ClosureConfig(mode="gmi", rounds=rounds)
@@ -837,7 +839,12 @@ def gmi_rounds(
         integer_cols = np.zeros(slp.num_cols, dtype=bool)
         integer_cols[m : m + nm.num_integer] = True
         added = 0
-        factors = BasisFactors(slp.a, basis) if targets else None
+        try:
+            factors = BasisFactors(slp.a, basis) if targets else None
+        except SingularBasisError as exc:  # say, one row scaled far above the rest
+            report.termination = "numerical"
+            report.termination_reason = f"round {r + 1} tableau: {exc!r}"
+            break
         for k in targets:
             row = tableau_row(slp, basis, m + k, factors)
             complement(row, flip, u)

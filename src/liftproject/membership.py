@@ -211,11 +211,11 @@ def membership_problem(
 
 def membership_value(
     prob: MembershipProblem,
-    start: Basis | BasisFactors | None = None,
+    start: Basis | BasisFactors,
     *,
     time_limit: float | None = None,
 ) -> tuple[float | None, SimplexResult]:
-    """Optimum of the membership LP plus the carried constant.
+    """Optimum of the membership LP, solved from ``start``, plus the constant.
 
     Non-negative value (within tolerance) certifies membership in the
     disjunctive hull; a negative value promises a violated cut.  A
@@ -310,7 +310,7 @@ def separate(
     nm: NormalizedMilp,
     pt: FractionalPoint,
     k: int,
-    start: Basis | BasisFactors | None = None,
+    start: Basis | BasisFactors,
     slp: StandardLp | None = None,
     *,
     eps: float = FRAC_EPS_DEFAULT,
@@ -320,7 +320,7 @@ def separate(
 
     The membership LP is solved over ``slp``, the original rows that are
     not column bounds (``membership_problem``), from ``start``, a basis of
-    those rows.  Returns a cut pair (plain intersection /
+    those rows or its factors.  Returns a cut pair (plain intersection /
     strengthened GMI, both in structural space, max-norm normalized) when
     the membership value is <= -eps; otherwise a no-cut outcome, which
     keeps the LP's terminal factors (``Separation.factors``) as a start

@@ -45,15 +45,16 @@ iteration counts as one pivot whatever it flips, and flips at the start
 count as none; ``phase1_pivots`` counts the dual pivots, the ones spent
 reaching primal feasibility.  The basis inverse is kept explicitly and
 updated in product form, with periodic refactorization; every explicit
-inverse comes from ``standard_form.BasisFactors``.  A start shared by many
-LPs over one matrix can be passed as its ``BasisFactors``, factored once.
-Every solve hands its terminal basis and explicit inverse back as
-``SimplexResult.factors``, with the count of product-form updates that
-inverse carries since its last factorization.  Passed back as a start on
-the same matrix, it is copied rather than factored, and its carried
-updates count toward the next refactorization: a start that carries
-``REFRESH_EVERY`` of them is factored afresh, and one that carries ``c``
-is refactored after ``REFRESH_EVERY - c`` pivots.
+inverse comes from ``standard_form.BasisFactors``.  Every solve starts from
+the basis its caller gives, a ``Basis`` or its ``BasisFactors``; there is
+no crash basis.  Factors made over ``lp.a_eq`` itself that carry
+``c < REFRESH_EVERY`` product-form updates are copied, not factored, and
+refactored after ``REFRESH_EVERY - c`` pivots; any other start is factored
+afresh, so one that is no basis of ``lp.a_eq`` raises ``SingularBasisError``
+or ``ValueError``, as a failed refactorization does.  Every solve hands its
+terminal basis and inverse back as ``SimplexResult.factors``, with the
+updates that inverse carries, so a start shared by many LPs over one
+matrix is factored once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .standard_form import Basis, BasisFactors, SingularBasisError, pivoted_qr
+from .standard_form import Basis, BasisFactors
 
 REFRESH_EVERY = 100  # pivots between refactorizations, carried updates included
 PIVOT_TOL = 1e-9  # ratio-test pivot acceptance
@@ -143,34 +144,20 @@ class SimplexResult:
     factors: BasisFactors | None = None
 
 
-def _inverse(a: np.ndarray, basic: np.ndarray) -> np.ndarray:
-    """Explicit inverse of ``a[:, basic]``; bound statuses play no part."""
-    return BasisFactors(a, Basis(basic, np.zeros(a.shape[1], dtype=bool))).inverse()
-
-
-def _valid_basic(basic: np.ndarray, rows: int, cols: int) -> bool:
-    return (
-        basic.shape[0] == rows
-        and basic.min(initial=0) >= 0
-        and basic.max(initial=-1) < cols
-        and np.unique(basic).size == rows
-    )
-
-
 def solve(
     lp: BoundedLp,
-    start: Basis | BasisFactors | None = None,
+    start: Basis | BasisFactors,
     *,
     max_iter: int = DEFAULT_MAX_ITER,
     time_limit: float | None = None,
 ) -> SimplexResult:
-    """Solve ``lp``, optionally warm-starting from ``start``.
+    """Solve ``lp`` from ``start``, a basis of ``lp.a_eq`` or its factors.
 
-    A singular or ill-sized starting basis silently falls back to a crash
-    basis.  ``BasisFactors`` made against ``lp.a_eq`` itself skip the
-    factorization; against any other matrix they count as their plain basis.
-    Hitting ``max_iter`` or ``time_limit`` yields the iteration-limit
-    status.  The result is deterministic for identical inputs and limits.
+    ``BasisFactors`` made over ``lp.a_eq`` itself skip the factorization;
+    any other start is factored, and one that is not a basis raises
+    ``SingularBasisError`` or ``ValueError``.  Hitting ``max_iter`` or
+    ``time_limit`` yields the iteration-limit status.  The result is
+    deterministic for identical inputs and limits.
     """
     return _Worker(lp, start, max_iter=max_iter, time_limit=time_limit).run()
 
@@ -214,17 +201,19 @@ class _Worker:
 
     # -- basis handling ----------------------------------------------------
 
-    def _init_basis(self, start: Basis | BasisFactors | None) -> None:
-        basic, self.binv = self._start_factors(start)
-        if isinstance(start, BasisFactors):
-            start = start.basis
-        self.atup = np.zeros(self.ncols, dtype=bool)
-        if basic is None:
-            basic = self._crash_basis()
-            self.binv = _inverse(self.a, basic)
-        elif start.at_upper.shape[0] == self.ncols:
-            self.atup = start.at_upper.copy()
-        self.basic = basic
+    def _init_basis(self, start: Basis | BasisFactors) -> None:
+        basis = start.basis if isinstance(start, BasisFactors) else start
+        if basis is not start and start.a is self.a and start.updates < REFRESH_EVERY:
+            self.carried = self.updates = start.updates
+            # order="K" keeps the Fortran layout, and with it the BLAS
+            # paths and the bits of every product with the inverse
+            self.binv = start.inverse().copy(order="K")
+        else:  # a plain basis, factors over another matrix, or drifted
+            self.binv = BasisFactors(self.a, basis).inverse()
+        if basis.at_upper.shape != (self.ncols,):
+            raise ValueError("start statuses do not match the column count")
+        self.basic = basis.basic.copy()
+        self.atup = basis.at_upper.copy()
         self.inb = np.zeros(self.ncols, dtype=bool)
         self.inb[self.basic] = True
         # drop meaningless statuses: basic columns and infinite uppers
@@ -232,33 +221,6 @@ class _Worker:
         self.atup[~np.isfinite(self.u)] = False
         self.x = np.where(self.atup, self.u, self.l).astype(float)
         self._recompute_basics()
-
-    def _start_factors(self, start):
-        """Basic columns and inverse of a usable start, else (None, None)."""
-        if isinstance(start, BasisFactors):
-            if start.a is self.a and start.updates < REFRESH_EVERY:
-                self.carried = self.updates = start.updates
-                # order="K" keeps the Fortran layout, and with it the BLAS
-                # paths and the bits of every product with the inverse
-                return start.basis.basic.copy(), start.inverse().copy(order="K")
-            start = start.basis  # another matrix, or drifted: factor afresh
-        if start is None or not _valid_basic(start.basic, self.r, self.ncols):
-            return None, None
-        try:
-            return start.basic.copy(), BasisFactors(self.a, start).inverse()
-        except SingularBasisError:
-            return None, None
-
-    def _crash_basis(self) -> np.ndarray:
-        # QR with column pivoting yields a deterministic independent set;
-        # only R and the permutation are read, so Q is never formed
-        rmat, perm = pivoted_qr(self.a)
-        diag = np.abs(np.diag(rmat))
-        scale = max(1.0, float(np.abs(self.a).max(initial=0.0)))
-        rank = int(np.sum(diag > 1e-10 * scale))
-        if rank < self.r:
-            raise ValueError("constraint matrix is row-rank deficient")
-        return np.sort(perm[: self.r]).astype(int)
 
     def _recompute_basics(self) -> None:
         xn = self.x.copy()
@@ -361,7 +323,7 @@ class _Worker:
             self._refactor()
 
     def _refactor(self) -> None:
-        self.binv = _inverse(self.a, self.basic)
+        self.binv = BasisFactors(self.a, Basis(self.basic, self.atup)).inverse()
         self.factorizations += 1
         self.updates = 0
         self._recompute_basics()

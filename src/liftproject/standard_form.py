@@ -256,11 +256,12 @@ def _bound_rows(nm: NormalizedMilp):
 class BasisFactors:
     """LU factors of A^B with an explicit singularity check.
 
-    The one place a basis is factored: the simplex (crash basis, warm
-    start, refactorizations), tableau rows and shared LP starts all go
-    through it.  It keeps the matrix and the basis it was built from, so
-    ``simplex.solve`` can take it as a start and skip the factorization
-    when the LP's matrix is that very array object.  ``from_inverse``
+    The one place a basis is factored: the simplex (its start and
+    refactorizations), tableau rows and shared LP starts all go through
+    it, and a basis that is no basis of ``a`` raises here.  It keeps the
+    matrix and the basis it was built from, so ``simplex.solve`` can take
+    it as a start and skip the factorization when the LP's matrix is that
+    very array object.  ``from_inverse``
     wraps an explicit inverse the simplex already holds instead;
     ``updates`` counts the product-form updates that inverse carries
     since its last factorization (0 for LU factors).
@@ -270,8 +271,10 @@ class BasisFactors:
 
     def __init__(self, a: np.ndarray, basis: Basis):
         m = a.shape[0]
-        if basis.basic.shape[0] != m:
+        if basis.basic.shape != (m,):
             raise ValueError("basis size does not match row count")
+        if m and not 0 <= basis.basic.min() <= basis.basic.max() < a.shape[1]:
+            raise ValueError("basic column out of range")
         bmat = a[:, basis.basic]
         if m:
             # an exactly zero pivot sets getrf's info; the test below

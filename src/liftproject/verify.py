@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -78,6 +78,8 @@ COEFF_TOL = 1e-7
 PROP3_Y_TOL = 1e-8
 PROP3_VAL_TOL = 1e-9
 VALIDITY_TOL = 1e-7
+SCREEN_BLOCK = 4096  # lattice points the validity oracle screens at once
+SCREEN_MARGIN = 1e-12  # relative to the terms summed, far above their rounding
 MAX_ATTEMPTS_FACTOR = 50  # random draws per counted instance, at most
 
 
@@ -588,6 +590,11 @@ def check_validity(
       empty when pi (b_K - A'_{K,I} xi) - sum_j max(h_j, 0) u_j > tol,
       with h = pi A'_{K,C} (``_fiber_ray``); no cut can be violated
       there, so the point is skipped.
+
+    Points are screened in blocks against the current rays and proofs, by
+    ``SCREEN_MARGIN``; the first one not cleared takes the test above, and
+    since proofs only accumulate, the fiber LPs and their order stay those
+    of testing every point.  A pure-integer instance is one matrix test.
     """
     if not cuts:
         return CheckRecord("validity", True, detail="no cuts to check")
@@ -609,54 +616,73 @@ def check_validity(
     starts = [BasisFactors(slp.a, slp.slack_basis())] * len(cuts)
     rays = np.zeros((0, m))  # Farkas rays proving fibers empty
     ray_box = np.zeros(0)  # and their box terms
+    c_int = np.array([cut.coeffs[:p] for cut in cuts])
+    rhs = np.array([cut.rhs for cut in cuts]) - tol
+
+    def cleared(xis: np.ndarray) -> np.ndarray:
+        residual = slp.b - xis @ a_int.T
+        best = np.full((len(xis), len(cuts)), -np.inf)
+        for pi, box in zip(proofs.duals, proofs.box):
+            np.maximum(best, (residual @ pi)[:, None] - box, out=best)
+        terms = np.abs(residual).max(initial=0.0) * (
+            m + np.abs(proofs.duals).sum(axis=1).max(initial=0.0)
+        ) + np.abs(xis).max(initial=0.0) * np.abs(c_int).sum(axis=1).max()
+        terms += np.abs(proofs.box[np.isfinite(proofs.box)]).max(initial=0.0)
+        margin = SCREEN_MARGIN * (1.0 + terms + ray_box.sum() + np.abs(rhs).max())
+        empty = np.any(residual @ rays.T - ray_box > tol + margin, axis=1)
+        return empty | np.all(xis @ c_int.T + best >= rhs + margin, axis=1)
+
     witnesses = []
-    for assignment in product(*(range(c + 1) for c in dom.caps)):
-        xi = np.array(assignment, dtype=float)
+    lattice = product(*(range(c + 1) for c in dom.caps))
+    while block := list(islice(lattice, SCREEN_BLOCK)):
+        xis = np.array(block, dtype=float).reshape(len(block), p)
         if p == n:
-            if np.all(nm.a @ xi >= nm.b - 1e-9):
-                for idx, cut in enumerate(cuts):
-                    if cut.coeffs @ xi < cut.rhs - tol:
-                        witnesses.append((assignment, idx))
+            feasible = np.all(xis @ nm.a.T >= nm.b - 1e-9, axis=1)
+            found = np.argwhere(feasible[:, None] & (xis @ c_int.T < rhs))
+            witnesses += [(block[i], int(idx)) for i, idx in found]
             continue
-        if np.any(xi > int_upper):
-            continue  # empty fiber: xi breaks a bound row
-        lower = np.zeros(slp.num_cols)
-        upper = slp.column_upper()
-        lower[m : m + p] = xi
-        upper[m : m + p] = xi
-        residual = slp.b - a_int @ xi
-        if np.any(rays @ residual - ray_box > tol):
-            continue  # empty fiber
-        bounds = proofs.bounds(residual)
-        for idx, cut in enumerate(cuts):
-            fixed_part = float(cut.coeffs[:p] @ xi)
-            if fixed_part + bounds[idx] >= cut.rhs - tol:
-                continue
-            obj = np.concatenate([np.zeros(m), cut.coeffs])
-            lp = BoundedLp(
-                sense="min",
-                objective=obj,
-                a_eq=slp.a,
-                rhs=slp.b,
-                lower=lower,
-                upper=upper,
-            )
-            res = simplex.solve(lp, start=starts[idx])
-            if proofs.add(res.duals):
-                bounds = proofs.bounds(residual)
-            if res.status is Status.INFEASIBLE:
-                ray = _fiber_ray(res.farkas, a_cont, cont_upper, residual, tol)
-                if ray is not None:
-                    rays = np.vstack([rays, ray[0]])
-                    ray_box = np.append(ray_box, ray[1])
-                break
-            if res.status is Status.UNBOUNDED:
-                # a ray of the nonempty fiber drives alpha x below any rhs
-                witnesses.append((assignment, idx))
-            if res.status is Status.OPTIMAL:
-                starts[idx] = res.factors
-                if res.value < cut.rhs - tol:
+        todo = np.flatnonzero(np.all(xis <= int_upper, axis=1))  # else: empty fiber
+        while (todo := todo[~cleared(xis[todo])]).size:
+            i, todo = todo[0], todo[1:]
+            assignment = block[i]
+            xi = np.array(assignment, dtype=float)
+            lower = np.zeros(slp.num_cols)
+            upper = slp.column_upper()
+            lower[m : m + p] = xi
+            upper[m : m + p] = xi
+            residual = slp.b - a_int @ xi
+            if np.any(rays @ residual - ray_box > tol):
+                continue  # empty fiber
+            bounds = proofs.bounds(residual)
+            for idx, cut in enumerate(cuts):
+                fixed_part = float(cut.coeffs[:p] @ xi)
+                if fixed_part + bounds[idx] >= cut.rhs - tol:
+                    continue
+                obj = np.concatenate([np.zeros(m), cut.coeffs])
+                lp = BoundedLp(
+                    sense="min",
+                    objective=obj,
+                    a_eq=slp.a,
+                    rhs=slp.b,
+                    lower=lower,
+                    upper=upper,
+                )
+                res = simplex.solve(lp, start=starts[idx])
+                if proofs.add(res.duals):
+                    bounds = proofs.bounds(residual)
+                if res.status is Status.INFEASIBLE:
+                    ray = _fiber_ray(res.farkas, a_cont, cont_upper, residual, tol)
+                    if ray is not None:
+                        rays = np.vstack([rays, ray[0]])
+                        ray_box = np.append(ray_box, ray[1])
+                    break
+                if res.status is Status.UNBOUNDED:
+                    # a ray of the nonempty fiber drives alpha x below any rhs
                     witnesses.append((assignment, idx))
+                if res.status is Status.OPTIMAL:
+                    starts[idx] = res.factors
+                    if res.value < cut.rhs - tol:
+                        witnesses.append((assignment, idx))
     if witnesses:
         a0, i0 = witnesses[0]
         return CheckRecord(

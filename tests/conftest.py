@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liftproject.instances import normalize, parse_mps
+from liftproject.standard_form import Basis, pivoted_qr
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 MIPLIB_DIR = os.path.join(DATA_DIR, "miplib3")
@@ -25,6 +26,19 @@ BOUNDS
  PL BND       X1
 ENDATA
 """
+
+
+def crash_basis(a: np.ndarray) -> Basis:
+    """A start for a test LP over ``a`` that has none of its own: the
+    columns a pivoted QR of ``a`` picks first, in ascending order, every
+    other column at its lower bound.  A row-rank deficient ``a`` has no
+    basis and raises ``ValueError``."""
+    rmat, perm = pivoted_qr(a)
+    rows = a.shape[0]
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    if np.count_nonzero(np.abs(np.diag(rmat)) > 1e-10 * scale) < rows:
+        raise ValueError("constraint matrix is row-rank deficient")
+    return Basis(np.sort(perm[:rows]), np.zeros(a.shape[1], dtype=bool))
 
 
 @pytest.fixture

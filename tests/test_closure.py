@@ -46,7 +46,7 @@ from liftproject.standard_form import (
 )
 from liftproject.verify import assemble_cut, random_milp, strengthen
 
-from conftest import T1_MPS
+from conftest import T1_MPS, crash_basis
 from test_membership import build_membership_lp, interval_milp, plain_milp
 from test_simplex import record_dual_runs
 from test_standard_form import basic_point, canonical, canonical_columns, kept_basis
@@ -186,7 +186,8 @@ def test_pe_soundness_on_proof(rng):
             f = pt.fracs[k]
             if min(f, 1 - f) < 1e-4:
                 continue
-            value, res = membership_value(build_membership_lp(inst.nm, pt, k))
+            prob = build_membership_lp(inst.nm, pt, k)
+            value, res = membership_value(prob, crash_basis(prob.lp.a_eq))
             if value is not None:
                 assert value >= -1e-4 - 1e-7
         checked += 1
@@ -387,7 +388,7 @@ def test_first_pass_separations_need_no_phase1(rng, monkeypatch):
 
 def _cold_solve(slp, upper):
     lp = BoundedLp("max", slp.c, slp.a, slp.b, np.zeros(slp.num_cols), upper)
-    return simplex.solve(lp)
+    return simplex.solve(lp, crash_basis(lp.a_eq))
 
 
 def _record_master_solves(monkeypatch):
@@ -691,7 +692,7 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
     value_of, separate = membership.membership_value, membership.separate
     read, factor = membership.certificate_from_basis, BasisFactors.__init__
 
-    def solving(prob, start=None, **kwargs):
+    def solving(prob, start, **kwargs):
         value, result = value_of(prob, start=start, **kwargs)
         lps.append((prob, result))
         return value, result
@@ -740,8 +741,9 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
             assert {size for sizes_of in sizes for size in sizes_of} <= {rows}
             for (pt, k, _, _), (prob, result) in zip(seps, lps):
                 assert prob.lp.num_rows == rows
+                canonical_lp = build_membership_lp(nm, pt, k, slp=every_row)
                 value, exact = membership_value(
-                    build_membership_lp(nm, pt, k, slp=every_row)
+                    canonical_lp, crash_basis(canonical_lp.lp.a_eq)
                 )
                 assert result.status is exact.status is Status.OPTIMAL
                 z = prob.constant + result.value
@@ -783,7 +785,7 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
         calls.append((args, kwargs, separate(*args, **kwargs)))
         return calls[-1][2]
 
-    def solving(prob, start=None, **kwargs):
+    def solving(prob, start, **kwargs):
         lps.append((prob, start, value_of(prob, start=start, **kwargs)[1]))
         return lps[-1][2].value + prob.constant, lps[-1][2]
 
@@ -985,15 +987,15 @@ def test_warm_membership_matches_cold_solve(monkeypatch):
     solves = []
     warm_value = membership.membership_value
 
-    def recording(prob, start=None, **kwargs):
+    def recording(prob, start, **kwargs):
         value, warm = warm_value(prob, start=start, **kwargs)
         canonical = build_membership_lp(nm, prob.point, prob.k).lp
         solves.append(
             (
-                start is not None,
+                isinstance(start, BasisFactors),
                 warm,
-                simplex.solve(prob.lp),
-                simplex.solve(canonical),
+                simplex.solve(prob.lp, crash_basis(prob.lp.a_eq)),
+                simplex.solve(canonical, crash_basis(canonical.a_eq)),
                 prob.lp.num_rows,
             )
         )
@@ -1024,7 +1026,8 @@ def test_separation_errors_end_inconclusive(t1, monkeypatch, target, error):
         raise error("injected")
 
     monkeypatch.setattr(membership, target, broken)
-    sep = membership.separate(t1, FractionalPoint.from_point(t1, [0.5, 1.0]), 0)
+    pt = FractionalPoint.from_point(t1, [0.5, 1.0])
+    sep = membership.separate(t1, pt, 0, crash_basis(to_standard(t1).a))
     assert sep.inconclusive and not sep.found
     assert error.__name__ in sep.reason
     rep = optimize_closure(t1, ClosureConfig(mode="pe"))
@@ -1190,10 +1193,10 @@ def test_remembered_starts_refactor_past_the_refresh_interval(monkeypatch):
         if isinstance(start, BasisFactors) and id(start) not in factored:
             opened.append((start.updates, simplex.REFRESH_EVERY, len(kept) - before))
 
-    def recording_value(prob, start=None, **kwargs):
+    def recording_value(prob, start, **kwargs):
         value, result = value_of(prob, start=start, **kwargs)
         if isinstance(start, BasisFactors) and id(start) not in factored:
-            solves.append((result, simplex.solve(prob.lp)))
+            solves.append((result, simplex.solve(prob.lp, crash_basis(prob.lp.a_eq))))
         return value, result
 
     def alternating(*args):
@@ -1301,7 +1304,8 @@ def test_big_bound_vertex_below_a_lower_bound_ends_numerical(tmp_path, upper, mo
 
 def test_row_scaled_knapsack_raises_nothing():
     # one row scaled by 1e5 made the relaxation check raise out of the
-    # loop; how the run ends depends on the BLAS build, so only that
+    # loop, and the GMI rounds' tableau factorization out of gmi_rounds in
+    # round 3; how the run ends depends on the BLAS build, so only that
     # nothing escapes is asserted
     rng = np.random.default_rng(1001)
     w = rng.integers(5, 40, (8, 25)).astype(float)
@@ -1316,6 +1320,92 @@ def test_row_scaled_knapsack_raises_nothing():
         rep = optimize_closure(nm, ClosureConfig(mode=mode))
         assert rep.termination in ("proved", "stalled", "numerical", "time_limit")
         assert rep.termination_reason
+    rep = gmi_rounds(nm, 5)
+    assert rep.termination in ("rounds_done", "numerical", "time_limit")
+    assert rep.termination_reason
+
+
+def _repeat_a_column(basis: Basis) -> Basis:
+    """``basis`` with its last basic column replaced by its first: no
+    basis, since its matrix is singular."""
+    basic = basis.basic.copy()
+    basic[-1] = basic[0]
+    return Basis(basic, basis.at_upper)
+
+
+def test_singular_pass_start_falls_back_to_the_slack_basis(monkeypatch):
+    # a pass start that does not factor gives way to the kept rows' slack
+    # basis, -I: every LP that does not start from its own factors starts
+    # there, and the run proves the bound it proves from the real start
+    nm = _warm_start_models()[0]
+    cfg = ClosureConfig(mode="pe")
+    ref = optimize_closure(nm, cfg)
+    assert ref.termination == "proved"
+    start_of, separate = closure._separation_start, membership.separate
+    starts, own = [], []  # own: every no-cut LP's factors, kept alive
+
+    def separating(*args, **kwargs):
+        starts.append(kwargs["start"])
+        sep = separate(*args, **kwargs)
+        own.append(sep.factors)
+        return sep
+
+    monkeypatch.setattr(
+        closure, "_separation_start", lambda *args: _repeat_a_column(start_of(*args))
+    )
+    monkeypatch.setattr(membership, "separate", separating)
+    rep = optimize_closure(nm, cfg)
+    slack = to_standard(nm).slack_basis()
+    passed = [start for start in starts if not any(start is f for f in own)]
+    assert passed and len(passed) < len(starts)  # remembered factors too
+    for start in passed:
+        assert isinstance(start, BasisFactors) and start.updates == 0
+        assert start.basis.basic.tolist() == slack.basic.tolist()
+        assert not start.basis.at_upper.any()
+        assert start.basis.num_cols == slack.num_cols
+    assert rep.termination == "proved"
+    assert abs(rep.z_cut - ref.z_cut) <= cfg.eps
+
+
+def test_singular_carried_master_basis_falls_back_to_the_slack_basis(monkeypatch):
+    # a carried master basis that does not factor gives way to the slack
+    # basis of the master's rows, and the master reaches the same optimum
+    nm = _warm_start_models()[0]
+    cuts = optimize_closure(nm, ClosureConfig(mode="pe")).cut_rows
+    assert cuts
+    ref = closure._Master(nm)
+    ref.solve([])
+    expected = ref.solve(cuts)
+    master = closure._Master(nm)
+    master.solve([])
+    remap, solve = closure._Master._remap_basis, simplex.solve
+    starts = []
+
+    def solving(lp, start, **kwargs):
+        starts.append(start)
+        return solve(lp, start, **kwargs)
+
+    monkeypatch.setattr(
+        closure._Master,
+        "_remap_basis",
+        lambda self, *args: _repeat_a_column(remap(self, *args)),
+    )
+    monkeypatch.setattr(simplex, "solve", solving)
+    res = master.solve(cuts)
+    [start] = starts
+    slack = master.slp.slack_basis()
+    assert isinstance(start, Basis)
+    assert start.basic.tolist() == slack.basic.tolist()
+    assert not start.at_upper.any() and start.num_cols == slack.num_cols
+    assert res.status is expected.status is Status.OPTIMAL
+    assert abs(res.value - expected.value) <= 1e-9 * (1.0 + abs(expected.value))
+
+
+def test_gmi_round_tableau_that_does_not_factor_ends_numerical(t1, monkeypatch):
+    monkeypatch.setattr(closure, "BasisFactors", _raise(SingularBasisError("injected")))
+    rep = gmi_rounds(t1, 1)
+    assert rep.termination == "numerical"
+    assert rep.termination_reason == "round 1 tableau: SingularBasisError('injected')"
 
 
 INFEASIBLE_MPS = (

@@ -14,6 +14,7 @@ from liftproject.closure import ClosureConfig, ClosureError, gmi_rounds, optimiz
 from liftproject.instances import normalize, parse_mps
 from liftproject.membership import FractionalPoint, membership_value
 
+from conftest import crash_basis
 from test_membership import build_membership_lp
 
 try:
@@ -197,7 +198,8 @@ def test_fuzz_proved_runs_are_sound(rng):
             f = pt.fracs[k]
             if min(f, 1.0 - f) < 1e-4:
                 continue
-            value, res = membership_value(build_membership_lp(nm, pt, k))
+            prob = build_membership_lp(nm, pt, k)
+            value, res = membership_value(prob, crash_basis(prob.lp.a_eq))
             if value is not None:
                 assert value >= -1e-4 - 1e-7, f"unsound proof\n{text}"
         checked += 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liftproject import simplex
+from liftproject import simplex, standard_form
 from liftproject.cuts import FractionalityError, gmi_cut, eliminate_slacks
 from liftproject.instances import NormalizedMilp
 from liftproject.membership import (
@@ -28,6 +28,7 @@ from liftproject.verify import (
     solve_cglp,
 )
 
+from conftest import crash_basis
 from test_standard_form import canonical
 
 
@@ -132,7 +133,7 @@ def test_interior_point_gives_positive_slack_bounds():
 
 def test_membership_value_t1(t1, t1_point):
     prob = membership_problem(to_standard(t1), t1_point, 0)
-    value, res = membership_value(prob)
+    value, res = membership_value(prob, crash_basis(prob.lp.a_eq))
     assert value == pytest.approx(-0.25, abs=1e-9)
     m = prob.slp.num_rows
     np.testing.assert_allclose(res.x[m:], [0.25, 0.5], atol=1e-9)
@@ -142,7 +143,8 @@ def test_membership_value_interval():
     # P = [0, 2], xh = 0.5 lies in conv({0} u [1, 2])
     nm = interval_milp(2.0)
     pt = FractionalPoint.from_point(nm, np.array([0.5]))
-    value, _ = membership_value(build_membership_lp(nm, pt, 0))
+    prob = build_membership_lp(nm, pt, 0)
+    value, _ = membership_value(prob, crash_basis(prob.lp.a_eq))
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -154,7 +156,7 @@ def test_integral_coordinate_rejected(t1):
 
 def test_extract_certificate_t1(t1, t1_point):
     prob = membership_problem(to_standard(t1), t1_point, 0)
-    _, res = membership_value(prob)
+    _, res = membership_value(prob, crash_basis(prob.lp.a_eq))
     assert res.status is Status.OPTIMAL
     cert = certificate_from_basis(res.basis, prob)
     assert isinstance(cert, DualCertificate)
@@ -175,7 +177,7 @@ def test_nonbasic_at_upper_gives_nocut():
     nm = interval_milp(3.0)
     pt = FractionalPoint.from_point(nm, np.array([1.5]))
     prob = build_membership_lp(nm, pt, 0)
-    value, res = membership_value(prob)
+    value, res = membership_value(prob, crash_basis(prob.lp.a_eq))
     assert res.status is Status.OPTIMAL
     outcome = certificate_from_basis(res.basis, prob)
     assert isinstance(outcome, NoCut)
@@ -198,7 +200,7 @@ def test_certificate_feasibility_residual_on_random_instances(rng):
             continue
         for k in _fractional_ks(pt)[:2]:
             prob = build_membership_lp(nm, pt, k)
-            _, res = membership_value(prob)
+            _, res = membership_value(prob, crash_basis(prob.lp.a_eq))
             if res.status is not Status.OPTIMAL:
                 continue
             cert = certificate_from_basis(res.basis, prob)
@@ -224,7 +226,7 @@ def test_assembled_violation_equals_negated_value(rng):
             continue
         for k in _fractional_ks(pt)[:1]:
             prob = build_membership_lp(nm, pt, k)
-            value, res = membership_value(prob)
+            value, res = membership_value(prob, crash_basis(prob.lp.a_eq))
             if res.status is not Status.OPTIMAL:
                 continue
             cert = certificate_from_basis(res.basis, prob)
@@ -267,7 +269,7 @@ def test_terminal_bases_are_master_bases(rng):
         slp = canonical(nm)
         for k in _fractional_ks(pt)[:1]:
             prob = build_membership_lp(nm, pt, k, slp=slp)
-            _, res = membership_value(prob)
+            _, res = membership_value(prob, crash_basis(prob.lp.a_eq))
             if res.status is not Status.OPTIMAL:
                 continue
             BasisFactors(slp.a, res.basis)  # raises if singular
@@ -276,7 +278,7 @@ def test_terminal_bases_are_master_bases(rng):
 
 def test_certificate_value_and_complementarity(t1, t1_point):
     prob = membership_problem(to_standard(t1), t1_point, 0)
-    _, res = membership_value(prob)
+    _, res = membership_value(prob, crash_basis(prob.lp.a_eq))
     assert res.status is Status.OPTIMAL
     cert = certificate_from_basis(res.basis, prob)
     assert isinstance(cert, DualCertificate)
@@ -292,7 +294,7 @@ def test_certificate_value_and_complementarity(t1, t1_point):
 
 def test_assemble_refuses_window_violations(t1, t1_point):
     prob = membership_problem(to_standard(t1), t1_point, 0)
-    _, res = membership_value(prob)
+    _, res = membership_value(prob, crash_basis(prob.lp.a_eq))
     assert res.status is Status.OPTIMAL
     cert = certificate_from_basis(res.basis, prob)
     # forge the trivial multiplier choice u = v = 0, s = e_k: its u0 is
@@ -372,7 +374,7 @@ def hull_membership_by_union_lp(nm, x, pi, pi0):
     upper = np.full(ncols, np.inf)
     upper[2 * n] = 1.0  # lam
     lp = BoundedLp("max", np.zeros(ncols), a, rhs, lower, upper)
-    res = simplex.solve(lp)
+    res = simplex.solve(lp, crash_basis(lp.a_eq))
     return res.status is Status.OPTIMAL
 
 
@@ -413,7 +415,7 @@ def test_general_split_cglp_sign_matches_union_oracle(rng):
 
 
 def test_separate_t1(t1, t1_point):
-    sep = separate(t1, t1_point, 0)
+    sep = separate(t1, t1_point, 0, crash_basis(to_standard(t1).a))
     assert sep.found
     assert sep.value == pytest.approx(-0.25, abs=1e-9)
     np.testing.assert_allclose(sep.plain.coeffs, [0.0, -1.0], atol=1e-9)
@@ -439,20 +441,20 @@ def test_separate_vertex_matches_master_tableau_gmi(t1, t1_point):
     integer_cols = np.zeros(slp.num_cols, bool)
     integer_cols[slp.num_rows : slp.num_rows + 1] = True
     reference = eliminate_slacks(gmi_cut(row, integer_cols), slp)
-    sep = separate(t1, t1_point, 0)
+    sep = separate(t1, t1_point, 0, crash_basis(to_standard(t1).a))
     np.testing.assert_allclose(sep.strengthened.coeffs, reference.coeffs, atol=1e-9)
     assert sep.strengthened.rhs == pytest.approx(reference.rhs, abs=1e-9)
 
 
 def test_separate_member_point_gives_nocut(t1):
     pt = FractionalPoint.from_point(t1, np.array([0.5, 0.0]))
-    sep = separate(t1, pt, 0)
+    sep = separate(t1, pt, 0, crash_basis(to_standard(t1).a))
     assert not sep.found
     assert sep.value >= -1e-4
 
 
 def test_separate_inconclusive_on_iteration_limit(t1, t1_point):
-    sep = separate(t1, t1_point, 0, time_limit=0.0)
+    sep = separate(t1, t1_point, 0, crash_basis(to_standard(t1).a), time_limit=0.0)
     assert not sep.found
     assert sep.inconclusive
     assert sep.reason == "simplex status iteration_limit"
@@ -460,10 +462,11 @@ def test_separate_inconclusive_on_iteration_limit(t1, t1_point):
 
 def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
     # two integer coordinates with the same fractional value share the
-    # whole constraint system, so the previous terminal basis is a usable
-    # start: it is kept (no crash basis) and made dual feasible by bound
-    # flips alone (no cost shift), reaches the cold optimum and takes no
-    # more pivots than the cold solve
+    # whole constraint system, so the previous terminal factors are a
+    # usable start: their inverse is copied (no LU runs, and the given
+    # factors stay as they were) and made dual feasible by bound flips
+    # alone (no cost shift); the solve reaches the cold optimum and takes
+    # no more pivots than the cold solve
     nm = plain_milp(
         [[1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [-1.0, 1.0, 2.0]],
         [0.0, -3.0, 0.2],
@@ -473,18 +476,19 @@ def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
     pt = FractionalPoint.from_point(nm, np.array([0.5, 0.5, 0.4]))
     slp = to_standard(nm)
     prob0 = membership_problem(slp, pt, 0)
-    _, res0 = membership_value(prob0)
+    _, res0 = membership_value(prob0, crash_basis(slp.a))
     assert res0.status is Status.OPTIMAL
     prob1 = membership_problem(slp, pt, 1)
-    cold_value, cold = membership_value(prob1)
+    cold_value, cold = membership_value(prob1, crash_basis(slp.a))
     assert cold.status is Status.OPTIMAL
+    given = res0.factors.inverse().copy()
     calls = []
-    crash = simplex._Worker._crash_basis
+    getrf = standard_form._GETRF
     dual = simplex._Worker._dual
 
-    def crashing(self):
-        calls.append("crash")
-        return crash(self)
+    def factoring(*args, **kwargs):
+        calls.append("lu")
+        return getrf(*args, **kwargs)
 
     def dualing(self):
         st = dual(self)
@@ -492,11 +496,12 @@ def test_warm_start_reuses_basis_for_equal_values(monkeypatch):
             calls.append("shift")
         return st
 
-    monkeypatch.setattr(simplex._Worker, "_crash_basis", crashing)
+    monkeypatch.setattr(standard_form, "_GETRF", factoring)
     monkeypatch.setattr(simplex._Worker, "_dual", dualing)
-    value1, res1 = membership_value(prob1, start=res0.basis)
+    value1, res1 = membership_value(prob1, start=res0.factors)
     assert res1.status is Status.OPTIMAL
     assert not calls
+    assert res0.factors.inverse().tobytes() == given.tobytes()
     assert value1 == pytest.approx(cold_value, abs=1e-9)
     assert res1.pivots <= cold.pivots
 
@@ -518,7 +523,7 @@ def test_strengthening_changes_integer_nonbasic_coefficient(rng):
         except ValueError:
             continue
         for k in _fractional_ks(pt)[:2]:
-            sep = separate(nm, pt, k)
+            sep = separate(nm, pt, k, crash_basis(to_standard(nm).a))
             if not sep.found:
                 continue
             if np.abs(sep.strengthened.coeffs - sep.plain.coeffs).max() > 1e-9:
@@ -527,7 +532,7 @@ def test_strengthening_changes_integer_nonbasic_coefficient(rng):
 
 
 def _cglp_crash_value(cglp):
-    res = simplex.solve(cglp.lp)
+    res = simplex.solve(cglp.lp, crash_basis(cglp.lp.a_eq))
     assert res.status is Status.OPTIMAL
     return res.value + cglp.constant
 
@@ -657,7 +662,7 @@ def test_compact_cglp_matches_the_literal_encoding():
         assert cglp.lp.num_rows == nm.num_cols
         value, res = solve_cglp(cglp)
         lp, unsplit, split = literal_cglp(nm, pt, pi, pi0)
-        ref = simplex.solve(lp)
+        ref = simplex.solve(lp, crash_basis(lp.a_eq))
         assert res.status is ref.status is Status.OPTIMAL
         tol = 1e-9 * (1.0 + abs(ref.value))
         assert abs(value - ref.value) <= tol

@@ -11,9 +11,14 @@ verification oracles need.  Stdlib ``ast`` only.
 * ``standard_form`` is the one module that imports scipy, and the package,
   ``verify`` and ``cli`` load neither ``scipy.linalg`` nor the
   ``numpy.f2py`` and ``numpy.testing`` that its import pulls in.
+* ``closure`` is the one module that imports ``pivoted_qr``, for the pass
+  start's trim: the simplex has no crash basis.
+* ``simplex.solve``, ``membership.membership_value`` and
+  ``membership.separate`` take a start with no default (``inspect``).
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -178,3 +183,31 @@ def test_no_entry_point_loads_scipy_linalg():
         " if m in sys.modules))"
     )
     assert fresh_interpreter(code) == "[]"
+
+
+def imports_name(source: str, name: str) -> bool:
+    """Whether the module imports ``name`` from some module."""
+    return any(module.split(".")[-1] == name for module in imported(source))
+
+
+def test_the_check_sees_an_import_of_pivoted_qr():
+    assert imports_name("from .standard_form import Basis, pivoted_qr\n", "pivoted_qr")
+    assert imports_name("def f():\n    from .standard_form import pivoted_qr\n", "pivoted_qr")
+    assert not imports_name('from . import standard_form\n"""pivoted_qr"""\n', "pivoted_qr")
+
+
+def test_only_closure_imports_pivoted_qr():
+    importers = [
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        if imports_name(path.read_text(), "pivoted_qr")
+    ]
+    assert importers == ["closure"]
+
+
+def test_every_lp_entry_point_requires_a_start():
+    from liftproject import membership, simplex
+
+    for fn in (simplex.solve, membership.membership_value, membership.separate):
+        start = inspect.signature(fn).parameters["start"]
+        assert start.default is inspect.Parameter.empty, fn.__name__

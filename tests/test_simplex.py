@@ -14,6 +14,8 @@ from liftproject.standard_form import (
     to_standard,
 )
 
+from conftest import crash_basis
+
 
 def dual_objective(lp, result):
     """Dual value y d plus the reduced costs times the active bounds, which
@@ -52,7 +54,7 @@ def test_infeasible_system():
         [[-1.0, 0.0, 1.0], [0.0, -1.0, -1.0]],
         [1.0, 0.0],
     )
-    assert solve(lp).status is Status.INFEASIBLE
+    assert solve(lp, crash_basis(lp.a_eq)).status is Status.INFEASIBLE
 
 
 def assert_farkas_ray(lp: BoundedLp, res) -> None:
@@ -70,10 +72,10 @@ def test_infeasible_lps_return_a_farkas_ray():
     # row of the inverse, signed by the bound it violates, proves it
     a = [[-1.0, 0.0, 1.0], [0.0, -1.0, -1.0]]  # x >= 1 and -x >= 0
     lp = make_lp("max", [0.0, 0.0, 1.0], a, [1.0, 0.0])
-    res = solve(lp)
+    res = solve(lp, crash_basis(lp.a_eq))
     assert res.status is Status.INFEASIBLE
     assert_farkas_ray(lp, res)
-    draws = [(degenerate_lp(seed), None) for seed in range(16)]
+    draws = [(lp, crash_basis(lp.a_eq)) for lp in map(degenerate_lp, range(16))]
     draws += [(cut, start) for _, cut, start in reoptimization_draws()]
     infeasible = 0
     for lp, start in draws:
@@ -88,13 +90,13 @@ def test_infeasible_lps_return_a_farkas_ray():
 
 def test_unbounded_no_rows():
     lp = make_lp("max", [1.0], np.zeros((0, 1)), [])
-    assert solve(lp).status is Status.UNBOUNDED
+    assert solve(lp, crash_basis(lp.a_eq)).status is Status.UNBOUNDED
 
 
 def test_unbounded_with_rows():
     # max x1 with x1 - x2 = 0: both can grow forever
     lp = make_lp("max", [1.0, 0.0], [[1.0, -1.0]], [0.0])
-    assert solve(lp).status is Status.UNBOUNDED
+    assert solve(lp, crash_basis(lp.a_eq)).status is Status.UNBOUNDED
 
 
 def test_min_sense_sign_conventions():
@@ -107,7 +109,7 @@ def test_min_sense_sign_conventions():
         lower=[1.0, 0.0],
         upper=[5.0, np.inf],
     )
-    res = solve(lp)
+    res = solve(lp, crash_basis(lp.a_eq))
     assert res.status is Status.OPTIMAL
     assert res.value == pytest.approx(1.0)
     assert res.x[0] == pytest.approx(1.0)
@@ -115,16 +117,16 @@ def test_min_sense_sign_conventions():
 
 def test_iteration_limit():
     lp = make_lp("max", [1.0, 1.0, 0.0], [[1.0, 2.0, 1.0]], [4.0])
-    res = solve(lp, max_iter=0)
+    res = solve(lp, crash_basis(lp.a_eq), max_iter=0)
     assert res.status is Status.ITERATION_LIMIT
 
 
 def test_time_limit_cap():
     lp = make_lp("max", [1.0, 1.0, 0.0], [[1.0, 2.0, 1.0]], [4.0])
-    res = solve(lp, time_limit=0.0)
+    res = solve(lp, crash_basis(lp.a_eq), time_limit=0.0)
     assert res.status is Status.ITERATION_LIMIT
     # a generous budget does not change the optimum
-    ok = solve(lp, time_limit=60.0)
+    ok = solve(lp, crash_basis(lp.a_eq), time_limit=60.0)
     assert ok.status is Status.OPTIMAL
 
 
@@ -185,7 +187,7 @@ def test_against_vertex_enumeration(rng):
         obj = rng.integers(-4, 5, size=c).astype(float)
         lp = BoundedLp(sense, obj, a, d, lower, upper)
         expected = enumerate_optimum(lp)
-        res = solve(lp)
+        res = solve(lp, crash_basis(lp.a_eq))
         if expected == "infeasible":
             assert res.status is Status.INFEASIBLE, f"trial {trial}"
         else:
@@ -218,26 +220,25 @@ def test_warm_start_from_arbitrary_basis(rng):
         upper = rng.integers(1, 5, size=c).astype(float)
         lp = BoundedLp("max", rng.integers(-3, 4, size=c).astype(float), a, d,
                        np.zeros(c), upper)
-        cold = solve(lp)
+        cold = solve(lp, crash_basis(lp.a_eq))
         cols = np.sort(rng.permutation(c)[:r])
         start = Basis(cols, rng.integers(0, 2, size=c).astype(bool))
+        # a singular start is no basis: it raises from the solve, as it
+        # does from its factorization, and the caller picks another
+        try:
+            factored = BasisFactors(lp.a_eq, start)
+        except SingularBasisError:
+            singular += 1
+            with pytest.raises(SingularBasisError):
+                solve(lp, start)
+            continue
         warm = solve(lp, start=start)
         assert warm.status is cold.status
         if cold.status is Status.OPTIMAL:
             assert warm.value == pytest.approx(cold.value, abs=1e-7)
         # a factored start acts bit for bit like its basis and leaves its
         # cached inverse untouched; for another matrix object it counts as
-        # the plain basis; a singular one cannot be factored and the
-        # caller starts from the crash basis instead, as the plain basis
-        # does
-        try:
-            factored = BasisFactors(lp.a_eq, start)
-        except SingularBasisError:
-            singular += 1
-            res = solve(lp, start=None)
-            assert (res.status, res.pivots) == (warm.status, warm.pivots)
-            assert res.x.tobytes() == warm.x.tobytes()
-            continue
+        # the plain basis
         kept = factored.inverse().copy()
         for fs in (factored, BasisFactors(lp.a_eq.copy(), start)):
             res = solve(lp, start=fs)
@@ -245,6 +246,22 @@ def test_warm_start_from_arbitrary_basis(rng):
             assert res.x.tobytes() == warm.x.tobytes()
         assert factored.inverse().tobytes() == kept.tobytes()
     assert singular > 0
+
+
+def test_a_start_that_is_no_basis_raises():
+    # the start is required and must be a basis of the LP's matrix: the
+    # wrong size, a column out of range or statuses of the wrong length
+    # raise ValueError, a repeated column SingularBasisError
+    lp = make_lp("max", [1.0, 1.0, 0.0], [[1.0, 2.0, 1.0]], [4.0], upper=[1.0] * 3)
+    with pytest.raises(TypeError):
+        solve(lp)
+    for basic, at_upper in (([0, 2], 3), ([3], 3), ([-1], 3), ([2], 2)):
+        with pytest.raises(ValueError):
+            solve(lp, Basis(np.array(basic), np.zeros(at_upper, bool)))
+    a = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])
+    lp = make_lp("max", [1.0, 0.0, 0.0], a, [1.0, 2.0], upper=[5.0] * 3)
+    with pytest.raises(SingularBasisError):
+        solve(lp, Basis(np.array([0, 1]), np.zeros(3, bool)))
 
 
 def test_optimality_certificates(rng):
@@ -259,7 +276,7 @@ def test_optimality_certificates(rng):
         upper = rng.integers(1, 6, size=c).astype(float)
         lp = BoundedLp("max", rng.integers(-3, 4, size=c).astype(float), a, d,
                        np.zeros(c), upper)
-        res = solve(lp)
+        res = solve(lp, crash_basis(lp.a_eq))
         if res.status is not Status.OPTIMAL:
             continue
         gap = abs(res.value - dual_objective(lp, res))
@@ -312,7 +329,7 @@ def test_bound_flip_path():
         lower=[0.0, 0.0, 0.0],
         upper=[2.0, 2.0, np.inf],
     )
-    res = solve(lp)
+    res = solve(lp, crash_basis(lp.a_eq))
     assert res.status is Status.OPTIMAL
     assert res.value == pytest.approx(3.0)
 
@@ -393,9 +410,9 @@ def degenerate_lp(seed: int) -> BoundedLp:
 
 
 def check_degenerate_lps() -> int:
-    """Solve the degenerate LPs from the crash basis, the slack basis and
-    two random stale bases, checking each against HiGHS.  Returns the
-    most phase-2 pivots one solve took."""
+    """Solve the degenerate LPs from the tests' crash basis, the slack
+    basis and two random stale bases, checking each against HiGHS.
+    Returns the most phase-2 pivots one solve took."""
     most_pivots = 0
     optimal = 0
     for seed in range(16):
@@ -403,7 +420,7 @@ def check_degenerate_lps() -> int:
         ref = highs(lp)
         slack = np.flatnonzero(np.isinf(lp.upper))
         rng = np.random.default_rng([2030, seed])
-        starts = [None, Basis(slack, np.zeros(lp.num_cols, bool))]
+        starts = [crash_basis(lp.a_eq), Basis(slack, np.zeros(lp.num_cols, bool))]
         for i, start in enumerate(starts + list(random_starts(lp, rng, 2))):
             res = solve(lp, start=start)
             most_pivots = max(most_pivots, res.pivots - res.phase1_pivots)
@@ -428,7 +445,7 @@ def reoptimization_draws():
     feasible."""
     for seed in range(16):
         lp = degenerate_lp(seed)
-        opt = solve(lp)
+        opt = solve(lp, crash_basis(lp.a_eq))
         if opt.status is not Status.OPTIMAL:
             continue
         rng = np.random.default_rng([2025, seed])
@@ -549,7 +566,7 @@ def test_phase1_repairs_stale_dual_infeasible_basis(monkeypatch):
     repaired = shifted = 0
     for seed in range(1, 16, 2):  # the boxed LPs
         lp = degenerate_lp(seed)
-        opt = solve(lp)
+        opt = solve(lp, crash_basis(lp.a_eq))
         if opt.status is not Status.OPTIMAL:
             continue
         rng = np.random.default_rng([2026, seed])
@@ -650,7 +667,7 @@ def test_boxed_start_from_any_basis_matches_highs(monkeypatch):
         starts = list(random_starts(degenerate_lp(seed), rng, 3))
         other = BoundedLp(lp.sense, rng.integers(-2, 3, size=lp.num_cols),
                           lp.a_eq, lp.rhs, lp.lower, lp.upper)
-        found = solve(other)
+        found = solve(other, crash_basis(other.a_eq))
         if found.status is Status.OPTIMAL:
             starts.append(found.basis)
         for i, start in enumerate(starts):
@@ -730,8 +747,8 @@ def test_dual_updates_reduced_costs_along_the_pivot_row(monkeypatch, refresh):
 
 
 def test_crash_basis_is_the_pivoted_qr_choice():
-    # the crash basis reads only R and the column permutation of a pivoted
-    # QR, so it must be the basis that the full economic QR picks
+    # the tests' crash basis reads only R and the column permutation of a
+    # pivoted QR, so it must be the basis that the full economic QR picks
     import scipy.linalg
 
     rng = np.random.default_rng(2031)
@@ -740,14 +757,19 @@ def test_crash_basis_is_the_pivoted_qr_choice():
         a = np.hstack([-np.eye(m), rng.integers(-5, 6, size=(m, n)).astype(float)])
         if rng.random() < 0.5:  # no identity block: the columns compete
             a = a[:, rng.permutation(m + n)] @ np.diag(rng.uniform(0.5, 2.0, m + n))
-        lp = make_lp("max", np.zeros(m + n), a, np.zeros(m))
-        basic = simplex._Worker(lp, None, max_iter=1).basic
+        basis = crash_basis(a)
         _, _, perm = scipy.linalg.qr(a, pivoting=True, mode="economic")
-        np.testing.assert_array_equal(basic, np.sort(perm[:m]))
+        np.testing.assert_array_equal(basis.basic, np.sort(perm[:m]))
+        assert not basis.at_upper.any() and basis.num_cols == m + n
+        lp = make_lp("max", np.zeros(m + n), a, np.zeros(m))
+        assert simplex._Worker(lp, basis, max_iter=1).basic.tolist() == basis.basic.tolist()
 
 
 def test_crash_basis_rejects_a_rank_deficient_matrix():
     a = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
-    lp = make_lp("max", [1.0, 0.0, 0.0], a, [1.0, 1.0, 2.0], upper=[5.0] * 3)
     with pytest.raises(ValueError, match="rank deficient"):
-        solve(lp)
+        crash_basis(a)
+    # and no start makes a basis of it: each one raises from the solve
+    lp = make_lp("max", [1.0, 0.0, 0.0], a, [1.0, 1.0, 2.0], upper=[5.0] * 3)
+    with pytest.raises(SingularBasisError):
+        solve(lp, Basis(np.arange(3), np.zeros(3, bool)))

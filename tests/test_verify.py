@@ -168,7 +168,7 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
     value_of, cglp_of, solve = verify.membership_value, verify.solve_cglp, simplex.solve
     vertex_lp = verify._vertex_lp
 
-    def membership(prob, start=None, **kwargs):
+    def membership(prob, start, **kwargs):
         membership_lps.append(prob.lp)
         return value_of(prob, start=start, **kwargs)
 
@@ -180,7 +180,7 @@ def test_oracle_lps_are_the_kept_and_compact_lps(monkeypatch):
         vertices.append(vertex_lp(slp, objective))
         return vertices[-1]
 
-    def solving(lp, start=None, **kwargs):
+    def solving(lp, start, **kwargs):
         starts[id(lp)] = start
         return solve(lp, start=start, **kwargs)
 
@@ -237,7 +237,7 @@ def test_membership_lps_from_the_vertex_factors_match_the_slack_start(monkeypatc
         kinds.update((id(pt), is_vertex) for pt, is_vertex in pts)
         return oracle, pts
 
-    def both_starts(prob, start=None, **kwargs):
+    def both_starts(prob, start, **kwargs):
         value, res = value_of(prob, start=start, **kwargs)
         ref_value, ref = value_of(prob, start=prob.slp.slack_basis(), **kwargs)
         assert res.status is ref.status
@@ -641,7 +641,7 @@ def test_fiber_lps_solve_the_kept_rows(monkeypatch):
             mp.setattr(simplex, "solve", solving)
             return check(nm, cuts, dom, **kwargs)
 
-    def solving(lp, start=None, **kwargs):
+    def solving(lp, start, **kwargs):
         fiber_lps.append((checks[-1], lp, start))
         return solve(lp, start=start, **kwargs)
 
@@ -678,7 +678,7 @@ def test_fiber_lps_from_per_cut_starts_match_the_slack_start(monkeypatch):
     solve = simplex.solve
     carried = [0]
 
-    def both_starts(lp, start=None, **kwargs):
+    def both_starts(lp, start, **kwargs):
         res = solve(lp, start=start, **kwargs)
         m = lp.num_rows
         slack = Basis(np.arange(m), np.zeros(lp.num_cols, dtype=bool))
@@ -736,3 +736,49 @@ def test_master_vertex_is_a_vertex_of_the_canonical_rows():
             assert np.linalg.matrix_rank(active) == n
             checked += 1
     assert checked >= 60
+
+
+def test_the_lattice_screen_keeps_every_fiber_lp(monkeypatch):
+    # with an infinite margin the screen clears no point and every point
+    # takes the per-point test; the screen must leave every record, every
+    # fiber LP and their order as they are, while sparing per-point tests
+    from liftproject import simplex, verify
+
+    checks, check = [], verify.check_validity
+    monkeypatch.setattr(
+        verify, "check_validity", lambda *args: checks.append(args) or check(*args)
+    )
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        verify._run_instance("validity", random_milp(rng), rng)
+    monkeypatch.undo()
+    assert any(nm.num_integer == nm.num_cols for nm, _, _ in checks)
+    assert any(nm.num_integer < nm.num_cols for nm, _, _ in checks)
+    solve, bounds = simplex.solve, verify._DualProofs.bounds
+
+    def run(margin):
+        lps, tests = [], [0]
+
+        def solving(lp, start, **kwargs):
+            lps.append((lp.objective.tobytes(), lp.lower.tobytes()))
+            return solve(lp, start, **kwargs)
+
+        def testing(self, residual):
+            tests[0] += 1
+            return bounds(self, residual)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(verify, "SCREEN_MARGIN", margin)
+            mp.setattr(simplex, "solve", solving)
+            mp.setattr(verify._DualProofs, "bounds", testing)
+            records = [
+                check_validity(nm, [CutRow(c.coeffs, c.rhs + shift) for c in cuts], dom)
+                for nm, cuts, dom in checks
+                for shift in (0.0, 0.5)
+            ]
+        return [(rec.passed, rec.detail) for rec in records], lps, tests[0]
+
+    screened, every_point = run(verify.SCREEN_MARGIN), run(np.inf)
+    assert screened[:2] == every_point[:2]
+    assert any(not passed for passed, _ in screened[0])
+    assert screened[2] < every_point[2] / 2
