@@ -74,7 +74,7 @@ raw = assemble_cut(cert, nm)
 print("assembled cut:", raw.coeffs, ">=", raw.rhs, " (that is, x2 <= 0)")
 
 # 5. the packaged one-call separation returns the normalized cut pair
-sep = separate(nm, pt, 0, slp.slack_basis())
+sep = separate(slp, pt, 0, slp.slack_basis())
 print("\nseparate(): plain", sep.plain.coeffs, ">=", sep.plain.rhs)
 print("            strengthened", sep.strengthened.coeffs, ">=", sep.strengthened.rhs)
 print("            violation at xhat:", sep.plain.violation_at(pt.x))

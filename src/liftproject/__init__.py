@@ -13,7 +13,7 @@ from .closure import (
     gmi_rounds,
     optimize_closure,
 )
-from .cuts import CutRow, gmi_cut, intersection_cut
+from .cuts import CutRow, gmi_cut
 from .instances import (
     MilpInstance,
     MpsParseError,
@@ -56,7 +56,6 @@ __all__ = [
     "gap_closed",
     "gmi_cut",
     "gmi_rounds",
-    "intersection_cut",
     "load_optima",
     "membership_problem",
     "membership_value",

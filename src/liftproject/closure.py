@@ -18,7 +18,8 @@ master's own basis over those kept rows; a variable whose last
 separation ended with no cut starts from that LP's terminal factors
 instead.  Every cut, GMI round or membership, is read from the basis of
 the LP it comes from, with the columns at a bound that a dropped row
-sets complemented (``cuts.complemented_cut``).
+sets complemented (``cuts.complement``), by the one formula
+``cuts.gmi_cut`` and mapped back by ``cuts.eliminate_slacks``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .cuts import (
     EmptyDisjunctionError,
     FractionalityError,
     complement,
-    complemented_cut,
     eliminate_slacks,
     gmi_cut,
     same_cut,
@@ -524,7 +524,7 @@ def optimize_closure(nm: NormalizedMilp, cfg: ClosureConfig) -> ClosureReport:
 
         assert master.base.row_fingerprint() == sep_fingerprint  # rank-1 discipline
         outcomes, remembered, pass_time, timed_out = _run_separations(
-            nm, pt, order, master, cfg, t_start, last
+            pt, order, master, cfg, t_start, last
         )
         report.separation_time += pass_time
 
@@ -728,7 +728,7 @@ def _separation_start(master: _Master, pt: membership.FractionalPoint) -> Basis:
     return Basis(np.flatnonzero(np.concatenate([cand[keep], struct])), at_upper)
 
 
-def _run_separations(nm, pt, order, master, cfg, t_start, last):
+def _run_separations(pt, order, master, cfg, t_start, last):
     """Separate every k in ``order`` over ``master.base``, whose kept rows
     every membership LP of the call shares.  A k whose last separation ended
     no-cut (``last[k]``, see ``optimize_closure``) starts from that LP's
@@ -762,7 +762,7 @@ def _run_separations(nm, pt, order, master, cfg, t_start, last):
         else:
             remembered += 1
         sep = membership.separate(
-            nm, pt, k, start=start, slp=master.base, eps=cfg.eps, time_limit=budget
+            master.base, pt, k, start=start, eps=cfg.eps, time_limit=budget
         )
         last[k] = (master.solves, sep)  # drops k's earlier factors
         outcomes.append((k, sep))
@@ -789,7 +789,8 @@ def gmi_rounds(
     the master's own with each column at its upper bound complemented
     (``StandardLp.at_upper``), which makes its rows those of the
     canonical rows plus cuts; the complement counts as continuous, like
-    the bound-row slack it stands for (``cuts.complemented_cut``).  A
+    the bound-row slack it stands for (``StandardLp.integer_columns``),
+    and ``cuts.eliminate_slacks`` maps each cut back over x_j.  A
     master basis that does not factor ends the rounds ``numerical``.
     """
     if cfg is None:
@@ -828,16 +829,13 @@ def gmi_rounds(
             break
         slp, basis = master.slp, master.basis
         m = slp.num_rows
-        up = slp.bound_cols[slp.at_upper(basis, res.reduced_costs)]
-        flip, u = m + up, slp.upper[up]
+        flip = m + slp.bound_cols[slp.at_upper(basis, res.reduced_costs)]
         fr = xhat[: nm.num_integer] - np.floor(xhat[: nm.num_integer])
         targets = [
             k
             for k in range(nm.num_integer)
             if min(fr[k], 1.0 - fr[k]) >= cfg.eps and np.any(basis.basic == m + k)
         ]
-        integer_cols = np.zeros(slp.num_cols, dtype=bool)
-        integer_cols[m : m + nm.num_integer] = True
         added = 0
         try:
             factors = BasisFactors(slp.a, basis) if targets else None
@@ -847,12 +845,10 @@ def gmi_rounds(
             break
         for k in targets:
             row = tableau_row(slp, basis, m + k, factors)
-            complement(row, flip, u)
+            complement(row, slp, flip)
             try:
-                full = complemented_cut(
-                    gmi_cut, row, flip, u, integer_cols, eps=cfg.eps
-                )
-                cut = eliminate_slacks(full, slp)
+                full = gmi_cut(row, slp.integer_columns(flip), eps=cfg.eps)
+                cut = eliminate_slacks(full, slp, flip)
             except (FractionalityError, DynamismError, EmptyDisjunctionError):
                 continue
             if not any(same_cut(cut, c) for c in cuts):

@@ -1,7 +1,11 @@
-"""Cut formulas: intersection cut, GMI cut and slack elimination into the
-structural space.  A tableau row read from a system that keeps some
-variables as column bounds is cut with its at-bound columns complemented
-(``complemented_cut``).
+"""The cut formula and slack elimination into the structural space.
+
+``gmi_cut`` is the one formula: over no integer column it is the
+intersection cut.  A tableau row read from a system that keeps some
+variables as column bounds is read with its at-bound columns complemented
+(``complement``); each complement counts as continuous, like the bound-row
+slack s_i = u_j - x_j it stands for (``StandardLp.integer_columns``), and
+``eliminate_slacks`` maps the cut back over x_j.
 
 Conventions: a cut is alpha x >= beta.  Cuts read from a tableau row live
 over all slack+structural columns until ``eliminate_slacks`` substitutes
@@ -98,84 +102,57 @@ def _fractional_parts(row: TableauRow, eps: float):
     return f0
 
 
-def intersection_cut(row: TableauRow, *, eps: float = FRAC_EPS_DEFAULT) -> CutRow:
-    """Simple intersection cut from the unit interval around the rhs.
-
-    Nonbasic column j receives max{a_j (1-f0), -a_j f0}; the rhs is
-    f0 (1-f0); all basic columns (including the source row's variable)
-    get zero.
-    """
-    f0 = _fractional_parts(row, eps)
-    coeffs = np.maximum(row.coeffs * (1.0 - f0), -row.coeffs * f0)
-    coeffs[row.basic_col] = 0.0
-    _zero_basic(coeffs, row)
-    return CutRow(coeffs=coeffs, rhs=f0 * (1.0 - f0), space="full")
-
-
 def gmi_cut(
     row: TableauRow,
-    integer_cols: np.ndarray,
+    integer_cols: np.ndarray | None = None,
     *,
     eps: float = FRAC_EPS_DEFAULT,
 ) -> CutRow:
-    """Gomory mixed-integer cut from the same row.
+    """Gomory mixed-integer cut from a tableau row, in the full space.
 
-    Integer nonbasic columns j use the rounded coefficients
-    f_j (1-f0) when f_j <= f0, else (1-f_j) f0; continuous columns keep
-    the intersection-cut value.  Dominates the intersection cut
-    componentwise on the integer columns.
+    Nonbasic column j receives max{a_j (1-f0), -a_j f0}, the intersection
+    cut of the unit interval around the rhs; integer nonbasic columns
+    (``integer_cols``, none by default) use the rounded coefficients
+    f_j (1-f0) when f_j <= f0, else (1-f_j) f0, which dominate it.  The
+    rhs is f0 (1-f0); all basic columns (including the source row's
+    variable) get zero: the cut is a statement about nonbasic variables.
+    Over no integer column this is the intersection cut.
     """
     f0 = _fractional_parts(row, eps)
     coeffs = np.maximum(row.coeffs * (1.0 - f0), -row.coeffs * f0)
-    mask = np.asarray(integer_cols, dtype=bool).copy()
-    mask[row.basic_col] = False
-    fj = row.coeffs[mask] - np.floor(row.coeffs[mask])
-    coeffs[mask] = np.where(fj <= f0, fj * (1.0 - f0), (1.0 - fj) * f0)
+    if integer_cols is not None:
+        mask = np.asarray(integer_cols, dtype=bool).copy()
+        mask[row.basic_col] = False
+        fj = row.coeffs[mask] - np.floor(row.coeffs[mask])
+        coeffs[mask] = np.where(fj <= f0, fj * (1.0 - f0), (1.0 - fj) * f0)
     coeffs[row.basic_col] = 0.0
-    _zero_basic(coeffs, row)
+    coeffs[row.basic_cols] = 0.0
     return CutRow(coeffs=coeffs, rhs=f0 * (1.0 - f0), space="full")
 
 
-def complement(row, cols: np.ndarray, upper: np.ndarray) -> None:
-    """Substitute x_j = u_j - xbar_j for ``cols`` in ``row`` (a tableau row
-    or a full-space cut), in place; a second call undoes it."""
-    row.rhs -= float(row.coeffs[cols] @ upper)
+def complement(row, lp: StandardLp, cols: np.ndarray) -> None:
+    """Substitute x_j = u_j - xbar_j for the columns ``cols`` of ``lp``,
+    with their upper bounds u_j, in ``row`` (a tableau row or a full-space
+    cut), in place; a second call undoes it."""
+    row.rhs -= float(row.coeffs[cols] @ lp.upper[cols - lp.num_rows])
     row.coeffs[cols] *= -1.0
 
 
-def complemented_cut(formula, row, cols, upper, integer_cols=None, *, eps) -> CutRow:
-    """The cut ``formula`` (``intersection_cut``, or ``gmi_cut`` over
-    ``integer_cols``) of ``row``, a tableau row read with ``cols`` at their
-    upper bounds ``upper`` complemented (``complement``), mapped back over
-    x_j.  Each xbar_j counts as continuous, like the bound-row slack
-    s_i = u_j - x_j it stands for.
-    """
-    if integer_cols is None:
-        cut = formula(row, eps=eps)
-    else:
-        integer_cols = integer_cols.copy()
-        integer_cols[cols] = False
-        cut = formula(row, integer_cols, eps=eps)
-    complement(cut, cols, upper)
-    return cut
-
-
-def _zero_basic(coeffs: np.ndarray, row: TableauRow) -> None:
-    # Basic columns carry the unit pattern of (A^B)^-1 A^B; the cut is a
-    # statement about nonbasic variables only.
-    coeffs[row.basic_cols] = 0.0
-
-
-def eliminate_slacks(cut: CutRow, lp: StandardLp) -> CutRow:
+def eliminate_slacks(cut: CutRow, lp: StandardLp, complemented=()) -> CutRow:
     """Substitute s_i = A'_i x - b_i and return a normalized structural cut.
 
-    Already-structural cuts are returned unchanged up to normalization,
-    which makes the operation idempotent.
+    A full-space cut read from a tableau row with the columns
+    ``complemented`` complemented (``complement``) is first mapped back
+    over x_j, on a copy.  Already-structural cuts are returned unchanged up
+    to normalization, which makes the operation idempotent.
     """
     m = lp.num_rows
     if cut.space == "structural":
         out = cut
     else:
+        if len(complemented):
+            cut = CutRow(coeffs=cut.coeffs.copy(), rhs=cut.rhs, space="full")
+            complement(cut, lp, complemented)
         gamma = cut.coeffs[:m]
         alpha = cut.coeffs[m:].copy()
         alpha += gamma @ lp.structural_part()

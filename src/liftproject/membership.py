@@ -13,7 +13,8 @@ and merely changes bounds and right-hand side:
 Its optimum is >= 0 exactly when xh lies in the disjunctive hull.  A
 negative optimum yields multipliers (u, v, s, t, u0, v0) read from the
 terminal tableau row of y_k, and that row gives both the plain
-(intersection) cut and the strengthened (GMI) cut.  Its dual, the
+(intersection) cut and the strengthened (GMI) cut: ``cuts.gmi_cut`` over
+no integer column and over the integer ones.  Its dual, the
 multiplier LP with normalization u0 + v0 = 1, is built only by the
 verification oracles (``verify.build_cglp``).
 
@@ -48,10 +49,8 @@ from .cuts import (
     EmptyDisjunctionError,
     FractionalityError,
     complement,
-    complemented_cut,
     eliminate_slacks,
     gmi_cut,
-    intersection_cut,
 )
 from .instances import NormalizedMilp
 from .simplex import BoundedLp, SimplexResult, Status
@@ -62,7 +61,6 @@ from .standard_form import (
     StandardLp,
     TableauRow,
     tableau_row,
-    to_standard,
 )
 
 ACTIVITY_TOL = 1e-7
@@ -286,7 +284,7 @@ def certificate_from_basis(
     u[slp.keep], v[slp.keep] = pos_part[:m], neg_part[:m]
     u[rows], v[rows] = neg_part[flip], pos_part[flip]
     s[flip - m] = t[flip - m] = 0.0
-    complement(row, flip, slp.upper[cols[sets]])
+    complement(row, slp, flip)
 
     u0 = prob.ceil_k - row.rhs
     v0 = 1.0 - u0
@@ -307,11 +305,10 @@ def certificate_from_basis(
 
 
 def separate(
-    nm: NormalizedMilp,
+    slp: StandardLp,
     pt: FractionalPoint,
     k: int,
     start: Basis | BasisFactors,
-    slp: StandardLp | None = None,
     *,
     eps: float = FRAC_EPS_DEFAULT,
     time_limit: float | None = None,
@@ -327,16 +324,14 @@ def separate(
     for the next membership LP of k.  For a cut, the dual certificate is
     read from the LP's own terminal basis (``certificate_from_basis``),
     and once it passed its sign and unit-window checks, the emitted cuts
-    are read from its row of y_k, complemented columns counted as
-    continuous and complemented back (``cuts.complemented_cut``); only
-    the verification oracles assemble cuts from the certificate itself
+    are read from its row of y_k by ``cuts.gmi_cut``, over no integer
+    column and over ``slp.integer_columns``, complemented columns counted
+    as continuous and mapped back by ``cuts.eliminate_slacks``; only the
+    verification oracles assemble cuts from the certificate itself
     (``verify.assemble_cut``).
-    A singular basis or a broken dual sign pattern ends as an
-    inconclusive outcome whose reason names the error.  ``slp`` defaults
-    to ``to_standard(nm)``.
+    A singular basis, a broken dual sign pattern or a numerically integral
+    row ends as an inconclusive outcome whose reason names the error.
     """
-    if slp is None:
-        slp = to_standard(nm)
     prob = membership_problem(slp, pt, k, eps=eps)
     value, result = membership_value(prob, start=start, time_limit=time_limit)
     outcome = functools.partial(
@@ -374,30 +369,15 @@ def separate(
         return outcome(
             found=False, value=value, reason=cert.reason, inconclusive=True
         )
-    row = cert.row
-    f0 = row.rhs - math.floor(row.rhs)
-    if min(f0, 1.0 - f0) < 1e-12:
-        return outcome(
-            found=False,
-            value=value,
-            reason="terminal basic value numerically integral",
-            inconclusive=True,
-        )
-    flip = cert.complemented
-    upper = slp.upper[flip - slp.num_rows]
-    integer_cols = np.zeros(slp.num_cols, dtype=bool)
-    integer_cols[slp.num_rows : slp.num_rows + slp.num_int] = True
+    row, flip = cert.row, cert.complemented
     try:
-        plain = eliminate_slacks(
-            complemented_cut(intersection_cut, row, flip, upper, eps=1e-12), slp
-        )
+        plain = eliminate_slacks(gmi_cut(row, eps=1e-12), slp, flip)
         strengthened = eliminate_slacks(
-            complemented_cut(gmi_cut, row, flip, upper, integer_cols, eps=1e-12),
-            slp,
+            gmi_cut(row, slp.integer_columns(flip), eps=1e-12), slp, flip
         )
-    except (EmptyDisjunctionError, DynamismError) as exc:
-        # degenerate or numerically hopeless cut; never count this as a
-        # membership proof (the value *is* below -eps)
+    except (FractionalityError, EmptyDisjunctionError, DynamismError) as exc:
+        # integral row, degenerate or numerically hopeless cut; never count
+        # this as a membership proof (the value *is* below -eps)
         return outcome(
             found=False,
             value=value,

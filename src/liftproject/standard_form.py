@@ -161,6 +161,15 @@ class StandardLp:
         """Upper bounds of every column: slacks unbounded, then ``upper``."""
         return np.concatenate([np.full(self.num_rows, np.inf), self.upper])
 
+    def integer_columns(self, complemented: np.ndarray) -> np.ndarray:
+        """Mask over every column of the integer structurals, less the
+        columns ``complemented`` in a tableau row: a complement u_j - x_j
+        counts as continuous, like the bound-row slack it stands for."""
+        mask = np.zeros(self.num_cols, dtype=bool)
+        mask[self.num_rows : self.num_rows + self.num_int] = True
+        mask[complemented] = False
+        return mask
+
     def at_upper(self, basis: Basis, reduced_costs: np.ndarray) -> np.ndarray:
         """Mask over ``bound_cols`` of the columns nonbasic at their upper
         bound in ``basis``, a basis of this system.  A fixed column

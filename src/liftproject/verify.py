@@ -29,9 +29,11 @@ vertex and the lattice enumerations stay exact.  The first four families
 check the membership LP that separation solves: the LP over the rows
 that are not bounds (``membership.membership_problem``), its certificate
 read with the columns at a bound-row bound complemented, and Theorems 3
-and 4 compare against the cut formulas over those complemented columns
-(``cuts.complemented_cut``).  The oracles' own LPs start where their
-structure puts them, never from a basis of the closure code they check.
+and 4 compare against the one cut formula ``cuts.gmi_cut`` of its row,
+over no integer column and over the integer ones less those complemented,
+each mapped back by ``cuts.eliminate_slacks``.  The oracles' own LPs
+start where their structure puts them, never from a basis of the closure
+code they check.
 Each instance has one separation system (``OracleSystem``).  Its vertex
 LPs solve the rows that are not bounds from their slack basis, and every
 membership LP of the instance starts from the terminal factors of its
@@ -59,8 +61,7 @@ import numpy as np
 from . import simplex
 from .closure import ClosureConfig, ClosureError, optimize_closure
 from .cuts import (
-    FRAC_EPS_DEFAULT, CutRow, FractionalityError, complemented_cut,
-    eliminate_slacks, gmi_cut, intersection_cut,
+    FRAC_EPS_DEFAULT, CutRow, FractionalityError, eliminate_slacks, gmi_cut,
 )
 from .instances import NormalizedMilp
 from .membership import (
@@ -420,31 +421,25 @@ def _equivalence_check(nm, basis, prob, *, strengthened: bool) -> CheckRecord:
     """``basis`` is a basis of ``prob``, a kept-row membership LP
     (``_kept_membership``).  The certificate is read from it with the
     columns at a bound-row bound complemented (``certificate_from_basis``),
-    and the reference cut is the formula of its row over those
-    complemented columns (``cuts.complemented_cut``)."""
+    and the reference cut is ``cuts.gmi_cut`` of its row, over the integer
+    columns less those complemented ones when ``strengthened`` and over
+    none otherwise, mapped back by ``cuts.eliminate_slacks``.  A row whose
+    rhs is integral within 1e-12 gives a skip record."""
     name = "theorem4" if strengthened else "theorem3"
     cert = certificate_from_basis(basis, prob)
     if not isinstance(cert, DualCertificate):
         return CheckRecord(name, True, skipped=cert.reason)
-    row = cert.row
-    f0 = row.rhs - math.floor(row.rhs)
-    if min(f0, 1.0 - f0) < 1e-12:
-        return CheckRecord(name, True, skipped="terminal rhs numerically integral")
-
     slp, flip = prob.slp, cert.complemented
-    upper = slp.upper[flip - slp.num_rows]
+    mask = slp.integer_columns(flip) if strengthened else None
+    try:
+        reference = gmi_cut(cert.row, mask, eps=1e-12)
+    except FractionalityError as exc:
+        return CheckRecord(name, True, skipped=str(exc))
     lifted = assemble_cut(cert, nm)
     if strengthened:
         lifted = strengthen(cert, lifted, nm)
-        integer_cols = np.zeros(slp.num_cols, dtype=bool)
-        integer_cols[slp.num_rows : slp.num_rows + slp.num_int] = True
-        reference = complemented_cut(
-            gmi_cut, row, flip, upper, integer_cols, eps=1e-12
-        )
-    else:
-        reference = complemented_cut(intersection_cut, row, flip, upper, eps=1e-12)
     # both max-norm normalized by eliminate_slacks
-    got, want = eliminate_slacks(lifted, slp), eliminate_slacks(reference, slp)
+    got, want = eliminate_slacks(lifted, slp), eliminate_slacks(reference, slp, flip)
     dev = max(float(np.abs(got.coeffs - want.coeffs).max()), abs(got.rhs - want.rhs))
     return CheckRecord(
         name,

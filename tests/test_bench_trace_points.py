@@ -7,9 +7,14 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import liftproject
 import liftproject.verify
 from liftproject.closure import ClosureConfig
+
+from test_closure import _knapsack
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PACKAGE = Path(liftproject.__file__).resolve().parent
@@ -48,6 +53,37 @@ def test_benchmark_trace_points_install_and_record(t1):
     metrics = spans.span_metrics(tracer.spans)
     assert metrics["closure.iterations"] == len(rep.iterations)
     assert metrics["membership.separate.calls"] == rep.num_separations
+
+
+def _traced_closure(nm, cfg):
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    with tracer.installed(spans.trace_points(liftproject)):
+        rep = liftproject.verify.optimize_closure(nm, cfg)
+    return rep, spans.span_metrics(tracer.spans)
+
+
+@pytest.mark.parametrize("mode", ["pe", "pestar"])
+def test_each_found_separation_records_four_cut_assembly_spans(mode):
+    # the plain and the strengthened cut: the formula and the elimination
+    # of each, called through membership's own bindings
+    nm = _knapsack(np.random.default_rng(3), rows=3, nb=20)
+    rep, metrics = _traced_closure(nm, ClosureConfig(mode=mode))
+    assert rep.termination == "proved"
+    assert metrics["membership.inconclusive"] == 0
+    assert metrics["membership.cut"] >= 5
+    assert metrics["cuts.assemble.calls"] == 4 * metrics["membership.cut"]
+
+
+def test_each_gmi_round_target_records_two_cut_assembly_spans():
+    # every target's formula succeeds here (one new cut per target), and
+    # each records the formula and the elimination, called through
+    # closure's own bindings
+    nm = _knapsack(np.random.default_rng(3), rows=3, nb=20)
+    rep, metrics = _traced_closure(nm, ClosureConfig(mode="gmi", rounds=3))
+    targets = sum(it.separations for it in rep.iterations)
+    assert targets >= 5 and rep.num_cuts == targets
+    assert metrics["cuts.assemble.calls"] == 2 * targets
 
 
 def by_name_imports(source: str) -> list[str]:

@@ -24,7 +24,6 @@ from liftproject.cuts import (
     FractionalityError,
     eliminate_slacks,
     gmi_cut,
-    intersection_cut,
     same_cut,
 )
 from liftproject.instances import normalize, parse_mps, read_mps
@@ -701,12 +700,12 @@ def test_bounded_membership_lp_matches_the_canonical_one(monkeypatch):
         certs.append((prob, read(basis, prob)))
         return certs[-1][1]
 
-    def separating(nm, pt, k, *args, **kwargs):
+    def separating(slp, pt, k, *args, **kwargs):
         before = len(certs)
         sizes.append([])  # rows of each basis factored inside this call
         inside.append(True)
         try:
-            sep = separate(nm, pt, k, *args, **kwargs)
+            sep = separate(slp, pt, k, *args, **kwargs)
         finally:
             inside.pop()
         seps.append((pt, k, sep, certs[before:]))
@@ -797,10 +796,9 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
     every_row = canonical(nm)
     found = 0
     for (args, kwargs, sep), (prob, start, result) in zip(calls, lps):
-        slp = kwargs["slp"]
+        slp, pt, k = args
         assert slp.a.tobytes() == every_row.a.tobytes()
         assert slp.b.tobytes() == every_row.b.tobytes()
-        _, pt, k = args
         exact = build_membership_lp(nm, pt, k, slp=slp)
         for name in ("objective", "rhs", "lower", "upper"):
             assert getattr(prob.lp, name).tobytes() == getattr(exact.lp, name).tobytes()
@@ -814,7 +812,7 @@ def test_no_bound_rows_separate_as_the_canonical_lp(monkeypatch):
         cert = certificate_from_basis(again.basis, exact)
         integer_cols = np.zeros(every_row.num_cols, dtype=bool)
         integer_cols[every_row.num_rows : every_row.num_rows + nm.num_integer] = True
-        plain = eliminate_slacks(intersection_cut(cert.row, eps=1e-12), every_row)
+        plain = eliminate_slacks(gmi_cut(cert.row, eps=1e-12), every_row)
         strong = eliminate_slacks(gmi_cut(cert.row, integer_cols, eps=1e-12), every_row)
         for got, want in ((sep.plain, plain), (sep.strengthened, strong)):
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
@@ -1027,7 +1025,8 @@ def test_separation_errors_end_inconclusive(t1, monkeypatch, target, error):
 
     monkeypatch.setattr(membership, target, broken)
     pt = FractionalPoint.from_point(t1, [0.5, 1.0])
-    sep = membership.separate(t1, pt, 0, crash_basis(to_standard(t1).a))
+    slp = to_standard(t1)
+    sep = membership.separate(slp, pt, 0, crash_basis(slp.a))
     assert sep.inconclusive and not sep.found
     assert error.__name__ in sep.reason
     rep = optimize_closure(t1, ClosureConfig(mode="pe"))
@@ -1085,8 +1084,8 @@ def test_separation_start_is_factored_once_per_pass(rng, monkeypatch):
     factored = {id(obj) for kind, obj, _, _ in events if kind == "factor"}
     assert all(isinstance(kw["start"], BasisFactors) for _, kw, _ in calls)
     # every start is a basis of the kept rows the LPs share
-    assert all(kw["start"].a is kw["slp"].a for _, kw, _ in calls)
-    assert calls[0][1]["slp"].num_rows == 3
+    assert all(kw["start"].a is args[0].a for args, kw, _ in calls)
+    assert calls[0][0][0].num_rows == 3
     shared = [c for c in calls if id(c[1]["start"]) in factored]
     own = [c for c in calls if id(c[1]["start"]) not in factored]
     starts = list({id(kw["start"]): kw["start"] for _, kw, _ in shared}.values())
@@ -1155,9 +1154,9 @@ def test_steiner_cover_separates_each_variable_once_per_master_point(
         row_sets.append([id(cut) for cut in cuts])
         return solve(self, cuts, time_limit=time_limit)
 
-    def separating(nm, pt, k, *args, **kwargs):
+    def separating(slp, pt, k, *args, **kwargs):
         seen.append((len(row_sets), k))
-        return separate(nm, pt, k, *args, **kwargs)
+        return separate(slp, pt, k, *args, **kwargs)
 
     monkeypatch.setattr(closure._Master, "solve", solving)
     monkeypatch.setattr(membership, "separate", separating)

@@ -415,7 +415,8 @@ def test_general_split_cglp_sign_matches_union_oracle(rng):
 
 
 def test_separate_t1(t1, t1_point):
-    sep = separate(t1, t1_point, 0, crash_basis(to_standard(t1).a))
+    slp = to_standard(t1)
+    sep = separate(slp, t1_point, 0, crash_basis(slp.a))
     assert sep.found
     assert sep.value == pytest.approx(-0.25, abs=1e-9)
     np.testing.assert_allclose(sep.plain.coeffs, [0.0, -1.0], atol=1e-9)
@@ -441,20 +442,22 @@ def test_separate_vertex_matches_master_tableau_gmi(t1, t1_point):
     integer_cols = np.zeros(slp.num_cols, bool)
     integer_cols[slp.num_rows : slp.num_rows + 1] = True
     reference = eliminate_slacks(gmi_cut(row, integer_cols), slp)
-    sep = separate(t1, t1_point, 0, crash_basis(to_standard(t1).a))
+    sep = separate(slp, t1_point, 0, crash_basis(slp.a))
     np.testing.assert_allclose(sep.strengthened.coeffs, reference.coeffs, atol=1e-9)
     assert sep.strengthened.rhs == pytest.approx(reference.rhs, abs=1e-9)
 
 
 def test_separate_member_point_gives_nocut(t1):
     pt = FractionalPoint.from_point(t1, np.array([0.5, 0.0]))
-    sep = separate(t1, pt, 0, crash_basis(to_standard(t1).a))
+    slp = to_standard(t1)
+    sep = separate(slp, pt, 0, crash_basis(slp.a))
     assert not sep.found
     assert sep.value >= -1e-4
 
 
 def test_separate_inconclusive_on_iteration_limit(t1, t1_point):
-    sep = separate(t1, t1_point, 0, crash_basis(to_standard(t1).a), time_limit=0.0)
+    slp = to_standard(t1)
+    sep = separate(slp, t1_point, 0, crash_basis(slp.a), time_limit=0.0)
     assert not sep.found
     assert sep.inconclusive
     assert sep.reason == "simplex status iteration_limit"
@@ -522,8 +525,9 @@ def test_strengthening_changes_integer_nonbasic_coefficient(rng):
             pt = FractionalPoint.from_point(nm, x)
         except ValueError:
             continue
+        slp = to_standard(nm)
         for k in _fractional_ks(pt)[:2]:
-            sep = separate(nm, pt, k, crash_basis(to_standard(nm).a))
+            sep = separate(slp, pt, k, crash_basis(slp.a))
             if not sep.found:
                 continue
             if np.abs(sep.strengthened.coeffs - sep.plain.coeffs).max() > 1e-9:

@@ -142,6 +142,26 @@ def test_with_cuts_appends_rows_after_the_kept_rows():
     assert base.num_rows == 1
 
 
+def test_integer_columns_drop_the_complemented_ones():
+    # the first two of three structurals are integer; x0 and x2 have bound
+    # rows, and a complemented column counts as continuous
+    nm = SimpleNamespace(
+        a=np.array([[-1.0, 0.0, 0.0], [2.0, 1.0, 1.0], [0.0, 0.0, -1.0]]),
+        b=np.array([-3.0, 1.0, -2.5]),
+        objective=np.array([1.0, 1.0, 1.0]),
+        num_integer=2,
+        num_cols=3,
+    )
+    slp = to_standard(nm)
+    m = slp.num_rows
+    integer = [m, m + 1]
+    for cols in ([], [m], [m + 2], [m, m + 2]):
+        mask = slp.integer_columns(np.array(cols, dtype=int))
+        assert mask.tolist() == [
+            j in integer and j not in cols for j in range(slp.num_cols)
+        ]
+
+
 def test_to_standard_idempotent(t1):
     a1 = to_standard(t1).with_cuts([])
     a2 = to_standard(t1).with_cuts([])
